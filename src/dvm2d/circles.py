@@ -205,6 +205,59 @@ def smallest_prime_factor_sieve(limit: int) -> np.ndarray:
     return spf
 
 
+SIEVE_SEGMENT = 1 << 20
+
+
+def factor_range(n_lo: int, n_hi: int, segment: int = SIEVE_SEGMENT):
+    """Factor every n in [n_lo, n_hi], yielding (lo, powers, cofactor) per segment.
+
+    ``powers`` lists (p, start, e) for each prime p <= sqrt(segment end),
+    ascending: e[j] is the exponent of p in n = lo + start + j*p.
+    ``cofactor[i]`` is what is left of lo + i, 1 or a prime above every p
+    in ``powers``.  Each power q = p^j touches only the multiples of q, so
+    a segment costs about size * log log n instead of size * pi(sqrt n).
+    """
+    if n_lo < 1:
+        raise PreconditionError(f"factor_range requires n_lo >= 1, got {n_lo}")
+    primes = smallest_prime_factor_sieve(math.isqrt(n_hi))
+    primes = np.nonzero(primes == np.arange(len(primes)))[0][2:].tolist()
+    for seg_lo in range(n_lo, n_hi + 1, segment):
+        seg_hi = min(seg_lo + segment - 1, n_hi)
+        rem = np.arange(seg_lo, seg_hi + 1, dtype=np.int64)
+        ex = np.zeros(len(rem), dtype=np.int8)
+        powers = []
+        for p in primes:
+            if p * p > seg_hi:
+                break
+            q = p
+            while q <= seg_hi:
+                start = -seg_lo % q
+                rem[start::q] //= p
+                ex[start::q] += 1
+                q *= p
+            start = -seg_lo % p
+            powers.append((p, start, ex[start::p].copy()))
+            ex[start::p] = 0
+        yield seg_lo, powers, rem
+
+
+def r2_range(n_lo: int, n_hi: int, segment: int = SIEVE_SEGMENT):
+    """Yield (lo, r2 array) per segment of [n_lo, n_hi]: the r2 fold of factor_range.
+
+    4 * prod (alpha_p + 1) over p = 1 (mod 4), or 0 where some q = 3 (mod 4)
+    has an odd exponent, read from that prime's own exponents.
+    """
+    for lo, powers, c in factor_range(n_lo, n_hi, segment):
+        dcount = np.where((c > 1) & (c & 3 == 1), 2, 1)
+        bad = c & 3 == 3
+        for p, start, e in powers:
+            if p & 3 == 1:
+                dcount[start::p] *= e + 1
+            elif p & 3 == 3:
+                bad[start::p] |= e & 1 == 1
+        yield lo, np.where(bad, 0, 4 * dcount)
+
+
 _theta_cache: dict[str, object] = {"limit": 0, "ps": None, "thetas": None}
 
 
@@ -245,40 +298,28 @@ class AngleStatistics:
 def abs_S_closed_range(X: int, k: int) -> np.ndarray:
     """|S(m, k)| for all 0 <= m <= X via the closed form (index 0 unused).
 
-    One smallest-prime-factor sieve factorizes every m; theta_p values are
-    shared from the prime-angle table.
+    The |S| fold of factor_range: from 4, each split prime p multiplies in
+    |sin((alpha+1) k theta_p) / sin(k theta_p)| from a table indexed by
+    alpha, in ascending p like the per-m product; odd inert powers give 0.
     """
-    spf = smallest_prime_factor_sieve(X)
     ps, thetas = prime_angles(X)
-    theta_of = np.zeros(X + 1, dtype=np.float64)
-    theta_of[ps] = thetas
-
+    single = np.array([_split_factor_magnitude(k * t, 1) for t in thetas.tolist()])
     out = np.zeros(X + 1, dtype=np.float64)
-    spf_l = spf.tolist()
-    theta_l = theta_of.tolist()
-    sin = math.sin
-    for m in range(1, X + 1):
-        rest = m
-        mag = 4.0
-        while rest > 1:
-            p = spf_l[rest]
-            alpha = 1
-            rest //= p
-            while rest % p == 0:
-                alpha += 1
-                rest //= p
-            if p & 3 == 3:
-                if alpha & 1:
-                    mag = 0.0
-                    break
-            elif p != 2:
-                x = k * theta_l[p]
-                s = sin(x)
-                if abs(s) < 1e-12:
-                    mag *= alpha + 1
-                else:
-                    mag *= abs(sin((alpha + 1) * x) / s)
-        out[m] = mag
+    for lo, powers, c in factor_range(1, X):
+        mag = out[lo : lo + len(c)]
+        mag[:] = 4.0
+        for p, start, e in powers:
+            if p & 3 == 1:
+                x = k * thetas[np.searchsorted(ps, p)]
+                alphas = range(e.max(initial=0) + 1)
+                table = np.array([_split_factor_magnitude(x, a) for a in alphas])
+                mag[start::p] *= table[e]
+            elif p & 3 == 3:
+                mag[start::p][e & 1 == 1] = 0.0
+        # The cofactor is a prime above every sieved p, so it comes last.
+        split = (c > 1) & (c & 3 == 1)
+        mag[split] *= single[np.searchsorted(ps, c[split])]
+        mag[c & 3 == 3] = 0.0
     return out
 
 

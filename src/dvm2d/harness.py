@@ -269,58 +269,12 @@ class FigureData:
         return len(self.points)
 
 
-def _r2_range_sieve(n_lo: int, n_hi: int, segment: int = 4_000_000):
-    """Yield (offset n0, r2 array) for n in [n_lo, n_hi] by segments.
-
-    Segmented factorization over the range: every prime power up to
-    sqrt(n_hi) is divided out with vectorized slice arithmetic, leaving
-    at most one prime factor per entry.
-    """
-    spf = circles.smallest_prime_factor_sieve(math.isqrt(n_hi))
-    idx = np.arange(len(spf))
-    primes = idx[(spf == idx) & (idx > 1)]
-
-    for seg_lo in range(n_lo, n_hi + 1, segment):
-        seg_hi = min(seg_lo + segment - 1, n_hi)
-        size = seg_hi - seg_lo + 1
-        rem = np.arange(seg_lo, seg_hi + 1, dtype=np.int64)
-        dcount = np.ones(size, dtype=np.int64)
-        bad = np.zeros(size, dtype=bool)
-        cnt = np.empty(size, dtype=np.int64)
-        for p in primes.tolist():
-            if p * p > seg_hi:
-                break
-            cnt[:] = 0
-            q = p
-            while q <= seg_hi:
-                start = (-seg_lo) % q
-                cnt[start::q] += 1
-                q *= p
-            mask = cnt > 0
-            e = cnt[mask]
-            rem[mask] //= p**e
-            if p % 4 == 1:
-                dcount[mask] *= e + 1
-            elif p % 4 == 3:
-                bad[mask] |= (e & 1) == 1
-        # Leftover factor is prime (or 1).
-        left = rem > 1
-        lv = rem[left]
-        d_extra = np.where(lv % 4 == 1, 2, 1)
-        dcount[left] *= d_extra
-        bad[left] |= lv % 4 == 3
-        r2_vals = np.where(bad, 0, 4 * dcount)
-        if seg_lo == 0:
-            r2_vals[0] = 0  # n = 0 is not a circle
-        yield seg_lo, r2_vals
-
-
 def figure_data(query: FigureQuery) -> FigureData:
     """All box points whose circles meet the point-count threshold.
 
-    Circles are found by a segmented multiplicative sieve for r2 over the
-    reachable range of squared radii; their points are then enumerated
-    exactly and filtered to the box.
+    Circles are found by the r2 fold of the segmented range
+    factorization (circles.r2_range) over the reachable squared radii;
+    their points are then enumerated exactly and filtered to the box.
     """
     lo, hi = query.coord_min, query.coord_max
     n_lo = max(1, 2 * lo * lo) if lo > 0 else 1
@@ -331,7 +285,7 @@ def figure_data(query: FigureQuery) -> FigureData:
     pts_y: list[int] = []
     pts_n: list[int] = []
     pts_r: list[int] = []
-    for seg_lo, r2_vals in _r2_range_sieve(n_lo, n_hi):
+    for seg_lo, r2_vals in circles.r2_range(n_lo, n_hi):
         good = np.nonzero(r2_vals >= cut)[0]
         for off in good.tolist():
             n = seg_lo + off

@@ -35,6 +35,85 @@ def test_r2_matches_brute_force():
         assert circles.r2(n) == len(brute_force_points(n)), n
 
 
+def old_r2_range_sieve(n_lo, n_hi, segment=4_000_000):
+    """Reference: the dense per-prime range sieve that r2_range replaced.
+
+    Every prime does several full-length passes over the segment, so it
+    is slow but independent of the strided exponent views.
+    """
+    spf = circles.smallest_prime_factor_sieve(math.isqrt(n_hi))
+    idx = np.arange(len(spf))
+    primes = idx[(spf == idx) & (idx > 1)]
+
+    for seg_lo in range(n_lo, n_hi + 1, segment):
+        seg_hi = min(seg_lo + segment - 1, n_hi)
+        size = seg_hi - seg_lo + 1
+        rem = np.arange(seg_lo, seg_hi + 1, dtype=np.int64)
+        dcount = np.ones(size, dtype=np.int64)
+        bad = np.zeros(size, dtype=bool)
+        cnt = np.empty(size, dtype=np.int64)
+        for p in primes.tolist():
+            if p * p > seg_hi:
+                break
+            cnt[:] = 0
+            q = p
+            while q <= seg_hi:
+                start = (-seg_lo) % q
+                cnt[start::q] += 1
+                q *= p
+            mask = cnt > 0
+            e = cnt[mask]
+            rem[mask] //= p**e
+            if p % 4 == 1:
+                dcount[mask] *= e + 1
+            elif p % 4 == 3:
+                bad[mask] |= (e & 1) == 1
+        left = rem > 1
+        lv = rem[left]
+        d_extra = np.where(lv % 4 == 1, 2, 1)
+        dcount[left] *= d_extra
+        bad[left] |= lv % 4 == 3
+        r2_vals = np.where(bad, 0, 4 * dcount)
+        if seg_lo == 0:
+            r2_vals[0] = 0
+        yield seg_lo, r2_vals
+
+
+@pytest.mark.parametrize(
+    "n_lo, n_hi, segment",
+    [
+        (1, 10**5, 4_000_000),
+        (12_345, 61_000, 997),
+        (2 * 10**8, 2 * 10**8 + 99_999, 100_000),
+    ],
+)
+def test_r2_range_matches_old_sieve(n_lo, n_hi, segment):
+    new = list(circles.r2_range(n_lo, n_hi, segment))
+    old = list(old_r2_range_sieve(n_lo, n_hi, segment))
+    assert [lo for lo, _ in new] == [lo for lo, _ in old]
+    for (_, a), (_, b) in zip(new, old):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=10**7),
+    st.integers(min_value=0, max_value=3000),
+    st.integers(min_value=1, max_value=5000),
+)
+def test_r2_range_matches_r2_property(lo, width, segment):
+    hi = lo + min(width, 40 * segment)  # at most ~40 segments per example
+    got = np.concatenate([r for _, r in circles.r2_range(lo, hi, segment)])
+    assert got.tolist() == [circles.r2(n) for n in range(lo, hi + 1)]
+
+
+def test_r2_range_inert_parity_per_prime():
+    # Two inert primes with odd exponents must not cancel each other.
+    for n, want in ((21, 0), (3 * 7 * 25, 0), (3**3 * 7, 0), (3**2 * 7**2, 4)):
+        (_, got), = circles.r2_range(n, n)
+        assert got.tolist() == [want] == [circles.r2(n)], n
+
+
 def test_circle_points_examples():
     assert set(circles.circle_points(2).points) == {(1, 1), (-1, 1), (1, -1), (-1, -1)}
     pts = circles.circle_points(25)
@@ -136,6 +215,47 @@ def test_exp_sum_closed_vs_direct():
             d = abs(np.exp(1j * k * pts.angles).sum())
             c = closed[k][n]
             assert abs(d - c) <= 1e-9 * max(1.0, d, c), (n, k)
+
+
+def old_abs_S_closed_range(X, k):
+    """Reference: the per-m spf loop that the |S| fold of factor_range replaced."""
+    spf = circles.smallest_prime_factor_sieve(X)
+    ps, thetas = circles.prime_angles(X)
+    theta_of = np.zeros(X + 1, dtype=np.float64)
+    theta_of[ps] = thetas
+
+    out = np.zeros(X + 1, dtype=np.float64)
+    spf_l = spf.tolist()
+    theta_l = theta_of.tolist()
+    sin = math.sin
+    for m in range(1, X + 1):
+        rest = m
+        mag = 4.0
+        while rest > 1:
+            p = spf_l[rest]
+            alpha = 1
+            rest //= p
+            while rest % p == 0:
+                alpha += 1
+                rest //= p
+            if p & 3 == 3:
+                if alpha & 1:
+                    mag = 0.0
+                    break
+            elif p != 2:
+                x = k * theta_l[p]
+                s = sin(x)
+                if abs(s) < 1e-12:
+                    mag *= alpha + 1
+                else:
+                    mag *= abs(sin((alpha + 1) * x) / s)
+        out[m] = mag
+    return out
+
+
+@pytest.mark.parametrize("X, k", [(10**5, k) for k in range(4, 65, 4)] + [(2, 4)])
+def test_abs_S_closed_range_matches_per_m_loop(X, k):
+    assert np.array_equal(circles.abs_S_closed_range(X, k), old_abs_S_closed_range(X, k))
 
 
 def test_exp_sum_vanishes_unless_4_divides_k():
@@ -293,6 +413,8 @@ def test_preconditions_raise():
         circles.angular_discrepancy(3)
     with pytest.raises(PreconditionError):
         circles.prime_angle_sum(100, 3)
+    with pytest.raises(PreconditionError):
+        next(circles.r2_range(0, 10))
 
 
 def test_circle_csv_roundtrip():

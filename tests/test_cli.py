@@ -15,6 +15,13 @@ def test_circle_command_stdout():
     assert len(lines) == 13
 
 
+def test_circle_command_unproven_primality_exits_2():
+    # 318665857834031151167461 = psi_12, beyond the proven Miller-Rabin range.
+    result = CliRunner().invoke(main, ["circle", "318665857834031151167461"])
+    assert result.exit_code == 2
+    assert "precondition violation" in result.output
+
+
 def test_circle_command_writes_manifest(tmp_path):
     runner = CliRunner()
     out = tmp_path / "points.csv"

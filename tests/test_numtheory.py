@@ -48,6 +48,19 @@ def test_is_prime_examples():
     assert is_prime(400000007) == trial_division_is_prime(400000007)
 
 
+PSI_12 = 318665857834031151167461  # = 399165290221 * 798330580441
+
+
+def test_is_prime_refuses_unproven_range():
+    # psi_12 is a strong pseudoprime to all twelve Miller-Rabin bases.
+    assert 399165290221 * 798330580441 == PSI_12
+    assert is_prime(PSI_12 - 2) is False
+    with pytest.raises(PreconditionError):
+        is_prime(PSI_12)
+    with pytest.raises(PreconditionError):
+        factorize(PSI_12)
+
+
 def test_is_prime_matches_sieve_to_1e6():
     limit = 10**6
     sieve = bytearray([1]) * (limit + 1)
