@@ -567,14 +567,90 @@ class LatticeCollisionOperator:
         return np.meshgrid(ix, ix, indexing="ij")
 
 
-class FastCollisionOperator:
-    """Grid Q^h with the angular pair sum factorized per cosine harmonic.
+def _harmonic_weights(xs: Array, ys: Array, n: int, m: int) -> tuple[Array, Array]:
+    """cos(m phi) and sin(m phi) at the points (x, y) of the circle x^2 + y^2 = n.
 
-    For kernels q2(theta) = sum_m c_m cos(m theta) the double sum over
-    (zeta, zeta') splits as cos(m(phi_j - phi_i)) = cos cos + sin sin,
-    so each circle costs O(r * harmonics) shifted-array operations
-    instead of O(r^2).  Same operator as LatticeCollisionOperator up to
-    floating-point association; use this one inside time-stepping loops.
+    Re and Im of the Gaussian integer (x + iy)^m are exact Python ints.
+    For even m, the only harmonics the gain uses, n^(m/2) is an integer
+    too, so each weight is one correctly rounded quotient and axis points
+    give exactly 0 and +-1.
+    """
+    cos_m = np.empty(len(xs))
+    sin_m = np.empty(len(xs))
+    den = n ** (m // 2)
+    odd = math.sqrt(n) if m % 2 else 1.0
+    for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        re, im = 1, 0
+        for _ in range(m):
+            re, im = re * x - im * y, re * y + im * x
+        cos_m[k] = re / den / odd
+        sin_m[k] = im / den / odd
+    return cos_m, sin_m
+
+
+@dataclass(frozen=True)
+class _FastCircle:
+    """Points and gain weight matrices of one circle |zeta|^2 = n."""
+
+    xs: Array  # (r,) all points of the circle
+    ys: Array
+    half_xs: Array  # (r/2,) one point of each +-zeta pair
+    half_ys: Array
+    inner: Array  # (channels, r/2) 2 cos(m phi_j) / 2 sin(m phi_j) on the half circle
+    outer: Array  # (r, channels) (2 pi / r) q1 c_m cos(m phi_i) / sin(m phi_i)
+
+
+@dataclass(frozen=True)
+class _BoundPlan:
+    """Slices and loss band of a FastCollisionOperator for one input bound."""
+
+    bound: int
+    # Per circle, per half point j: (j, mid box, box of x + zeta, box of x - zeta).
+    products: list[list[tuple]]
+    # Per circle, per point i: flat offset of the shift x -> x - zeta_i into
+    # the gain frame.
+    offsets: list[list[int]]
+    loss_rows: Array  # (2c+1, 2K+1) state row of v_x + 2a, or 2 bound + 1 (zero row)
+    # Per parity class: (input columns, output columns, band of weights by
+    # (a, input y; output y)).
+    loss_parts: list[tuple[slice, slice, Array]]
+    loss_out: slice  # output rows/columns |v| <= c = min(out_bound, bound)
+    loss_in: slice  # the same velocities as input rows/columns
+
+
+class FastCollisionOperator:
+    """Q^h on a whole grid of output velocities; use it inside time-stepping loops.
+
+    The input state lives on [-bound, bound]^2 (zero outside it), the
+    output on [-out_bound, out_bound]^2, both in integer coordinates.  An
+    apply evaluates the sums of q_discrete at every output velocity,
+    arranged so that no work is spent on exact zeros or duplicate terms:
+
+    * Gain.  Per circle |zeta|^2 = n the products P_j(x) = f(x + zeta_j)
+      f(x - zeta_j) are formed only on the box of mid-points x where both
+      factors lie on the input square, and only for one point of each
+      +-zeta pair, with weight 2, since both signs give the same product.
+      The kernel's cosine series splits the pair weight,
+      cos(m(phi_i - phi_j)) = cos cos + sin sin, into channels
+      W = sum_j 2 (cos, sin)(m phi_j) P_j; odd harmonics cancel exactly
+      under zeta -> -zeta and are skipped.  The gain at v is
+      sum_i (2 pi / r) q1 c_m (cos, sin)(m phi_i) . W(v + zeta_i), added as
+      r shifted copies.  Gain arrays keep rows at the stride of the gain
+      frame |v| <= bound + R/h, so the zero columns past the state absorb
+      the row wrap and each shifted add is one contiguous slice.  A kernel
+      whose series is one constant (Maxwell) has a single channel:
+      products go straight into W and the circle weight is applied once.
+      The harmonic weights are exact integer quotients (see
+      _harmonic_weights).
+    * Loss.  f(v) sum_zeta w(zeta) f(v + 2 zeta) is one fixed 2-D
+      correlation, evaluated as a banded matmul: rows v_x + 2 zeta_x of the
+      state, side by side, times a band that maps input to output columns.
+      An output column reads input columns of one parity only, so the band
+      is kept as two halves.  It is built on the first apply for an input
+      bound and cached; its weights come from the exact integer scattering
+      cosines, as in q_discrete.
+
+    Same operator as q_discrete up to floating-point association.
     """
 
     def __init__(self, h: float, R: float, kernel: KernelSpec, out_bound: int):
@@ -585,19 +661,20 @@ class FastCollisionOperator:
         self.kernel = kernel
         self.out_bound = out_bound
         self.reach = int(math.floor(R / h + 1e-9))
-        self.mid_bound = out_bound + self.reach
-        self.pad_bound = out_bound + 2 * self.reach
-        self._side = 2 * self.pad_bound + 1
-        self._mid_side = 2 * self.mid_bound + 1
-        self._out_side = 2 * self.out_bound + 1
+        # A state farther out than this cannot reach the output grid.
+        self.max_bound = out_bound + 2 * self.reach
 
         if kernel.kind == "maxwell":
             harmonics = [(0, 1.0)]
         else:
             harmonics = [
-                (m, c) for m, c in enumerate(kernel.cos_coeffs) if c != 0.0
+                (m, c)
+                for m, c in enumerate(kernel.cos_coeffs)
+                if c != 0.0 and m % 2 == 0
             ]
-        self._circles = []
+        self._single_channel = [m for m, _ in harmonics] == [0]
+        self._circles: list[_FastCircle] = []
+        loss_x, loss_y, loss_w = [], [], []
         n_max = int(math.floor((R / h) ** 2 + 1e-9))
         for n in range(1, n_max + 1):
             group = _circle_group(n)
@@ -606,79 +683,149 @@ class FastCollisionOperator:
             xs, ys, cos_theta = group
             r = len(xs)
             q1 = 1.0 if kernel.kind == "maxwell" else float(h * math.sqrt(n)) ** kernel.alpha
-            phi = np.arctan2(ys, xs)
-            terms = []
+            half = (ys > 0) | ((ys == 0) & (xs > 0))
+            inner, outer = [], []
             for m, c in harmonics:
+                cos_m, sin_m = _harmonic_weights(xs, ys, n, m)
                 coef = 2 * math.pi / r * q1 * c
-                terms.append((m, coef, np.cos(m * phi), np.sin(m * phi)))
-            # Loss weights from the exact integer scattering cosines.
+                inner.append(2 * cos_m[half])
+                outer.append(coef * cos_m)
+                if m != 0:
+                    inner.append(2 * sin_m[half])
+                    outer.append(coef * sin_m)
+            self._circles.append(
+                _FastCircle(
+                    xs, ys, xs[half], ys[half],
+                    np.array(inner).reshape(-1, r // 2),
+                    np.array(outer).reshape(-1, r).T,
+                )
+            )
             q = np.asarray(
                 kernel.evaluate(h * math.sqrt(n), cos_theta), dtype=np.float64
             )
-            row_weights = (2 * math.pi / r) * q.sum(axis=1)
-            self._circles.append((xs, ys, terms, row_weights))
+            loss_x += xs.tolist()
+            loss_y += ys.tolist()
+            loss_w += ((2 * math.pi / r) * q.sum(axis=1)).tolist()
+        self._loss_x = np.array(loss_x, dtype=np.int64)
+        self._loss_y = np.array(loss_y, dtype=np.int64)
+        self._loss_w = np.array(loss_w, dtype=np.float64)
+        self._plan: _BoundPlan | None = None
 
-    def pad_state(self, grid: Array, bound: int) -> Array:
-        padded = np.zeros((self._side, self._side))
-        lo = self.pad_bound - bound
-        padded[lo : lo + 2 * bound + 1, lo : lo + 2 * bound + 1] = grid
-        return padded
+    def _plan_for(self, bound: int) -> _BoundPlan:
+        if self._plan is not None and self._plan.bound == bound:
+            return self._plan
+        side = 2 * bound + 1
+        k = self.reach
+        width = side + 2 * k
+        products, offsets = [], []
+        for circle in self._circles:
+            boxes = []
+            half = zip(circle.half_xs.tolist(), circle.half_ys.tolist())
+            for j, (x, y) in enumerate(half):
+                ax, ay = abs(x), abs(y)
+                if ax > bound or ay > bound:
+                    continue
+                boxes.append((
+                    j,
+                    (slice(ax, side - ax), slice(ay, side - ay)),
+                    (slice(ax + x, side - ax + x), slice(ay + y, side - ay + y)),
+                    (slice(ax - x, side - ax - x), slice(ay - y, side - ay - y)),
+                ))
+            products.append(boxes)
+            offsets.append(((k - circle.xs) * width + (k - circle.ys)).tolist())
 
-    def _mid_view(self, padded: Array, dx: int, dy: int) -> Array:
-        lo = self.pad_bound - self.mid_bound
-        return padded[
-            lo + dx : lo + dx + self._mid_side, lo + dy : lo + dy + self._mid_side
-        ]
-
-    def _out_view(self, arr: Array, dx: int, dy: int, inner_bound: int) -> Array:
-        lo = inner_bound - self.out_bound
-        return arr[
-            lo + dx : lo + dx + self._out_side, lo + dy : lo + dy + self._out_side
-        ]
-
-    def apply_padded(self, padded: Array) -> Array:
-        total = np.zeros((self._out_side, self._out_side))
-        f_self = self._out_view(padded, 0, 0, self.pad_bound)
-        for xs, ys, terms, row_weights in self._circles:
-            r = len(xs)
-            prods = np.empty((r, self._mid_side, self._mid_side))
-            for j in range(r):
-                np.multiply(
-                    self._mid_view(padded, xs[j], ys[j]),
-                    self._mid_view(padded, -xs[j], -ys[j]),
-                    out=prods[j],
-                )
-            prods_flat = prods.reshape(r, -1)
-            for m, coef, cos_i, sin_i in terms:
-                wc = (cos_i @ prods_flat).reshape(self._mid_side, self._mid_side)
-                for i in range(r):
-                    if cos_i[i] != 0.0:
-                        total += (coef * cos_i[i]) * self._out_view(
-                            wc, xs[i], ys[i], self.mid_bound
-                        )
-                if m != 0:
-                    ws = (sin_i @ prods_flat).reshape(self._mid_side, self._mid_side)
-                    for i in range(r):
-                        if sin_i[i] != 0.0:
-                            total += (coef * sin_i[i]) * self._out_view(
-                                ws, xs[i], ys[i], self.mid_bound
-                            )
-            loss = np.zeros((self._out_side, self._out_side))
-            for i in range(r):
-                loss += row_weights[i] * self._out_view(
-                    padded, 2 * xs[i], 2 * ys[i], self.pad_bound
-                )
-            total -= f_self * loss
-        return (2 * self.h) ** 2 * total
+        c = min(self.out_bound, bound)
+        vel = np.arange(-c, c + 1)
+        rows = vel[:, None] + 2 * np.arange(-k, k + 1)[None, :]
+        loss_rows = np.where(np.abs(rows) <= bound, rows + bound, side)
+        # Output column v_y reads input column v_y + 2 zeta_y, which has the
+        # parity of v_y + bound: each parity class has its own half band.
+        loss_parts = []
+        for parity in (0, 1):
+            ys = slice((parity + bound - c) % 2, None, 2)
+            n_y = len(range(side)[ys])
+            v_out = vel[parity::2]
+            band = np.zeros((2 * k + 1, n_y, len(v_out)))
+            for a in range(-k, k + 1):
+                on_a = self._loss_x == a
+                y_in = v_out[None, :] + 2 * self._loss_y[on_a, None] + bound
+                pt, col = np.nonzero((y_in >= 0) & (y_in < side))
+                band[a + k, y_in[pt, col] // 2, col] = self._loss_w[on_a][pt]
+            band = band.reshape((2 * k + 1) * n_y, len(v_out))
+            loss_parts.append((ys, slice(parity, None, 2), band))
+        self._plan = _BoundPlan(
+            bound, products, offsets, loss_rows, loss_parts,
+            slice(self.out_bound - c, self.out_bound + c + 1),
+            slice(bound - c, bound + c + 1),
+        )
+        return self._plan
 
     def apply_grid(self, grid: Array, bound: int) -> Array:
-        return self.apply_padded(self.pad_state(grid, bound))
+        """Q^h on the output grid for the state grid[ix + bound, iy + bound]."""
+        grid = np.asarray(grid, dtype=np.float64)
+        if not 0 <= bound <= self.max_bound:
+            raise PreconditionError(
+                f"state bound {bound} outside the operator frame [0, {self.max_bound}]"
+            )
+        side = 2 * bound + 1
+        if grid.shape != (side, side):
+            raise PreconditionError(
+                f"state grid shape {grid.shape} does not match bound {bound}"
+            )
+        plan = self._plan_for(bound)
+        out_side = 2 * self.out_bound + 1
+        total = np.zeros((out_side, out_side))
+        mid = bound + self.reach
+        c = min(self.out_bound, mid)
+        lo = self.out_bound - c
+        total[lo : lo + 2 * c + 1, lo : lo + 2 * c + 1] = self._gain(grid, plan)[
+            mid - c : mid + c + 1, mid - c : mid + c + 1
+        ]
+        box = (plan.loss_out, plan.loss_out)
+        total[box] -= grid[plan.loss_in, plan.loss_in] * self._loss(grid, plan)
+        return (2 * self.h) ** 2 * total
+
+    def _gain(self, grid: Array, plan: _BoundPlan) -> Array:
+        """Gain term on the frame |v| <= bound + R/h, without the (2h)^2."""
+        side = 2 * plan.bound + 1
+        width = side + 2 * self.reach
+        span = (side - 1) * width + side  # a state-sized block at the frame's stride
+        gain = np.zeros(width * width)
+        w = np.zeros((side, width))
+        w_state = w[:, :side]
+        for circle, boxes, offsets in zip(self._circles, plan.products, plan.offsets):
+            if not boxes:
+                continue
+            if self._single_channel:
+                w_state.fill(0.0)
+                for _, box, plus, minus in boxes:
+                    w_state[box] += grid[plus] * grid[minus]
+                w_state *= circle.inner[0, 0] * circle.outer[0, 0]  # 2 x circle weight
+                w_flat = w.reshape(-1)[:span]
+                for off in offsets:
+                    gain[off : off + span] += w_flat
+            else:
+                n_half = len(circle.half_xs)
+                prods = np.zeros((n_half, side, width))
+                for j, box, plus, minus in boxes:
+                    np.multiply(grid[plus], grid[minus], out=prods[j][box])
+                chans = (circle.inner @ prods.reshape(n_half, -1))[:, :span]
+                for weights, off in zip(circle.outer, offsets):
+                    gain[off : off + span] += weights @ chans
+        return gain.reshape(width, width)
+
+    def _loss(self, grid: Array, plan: _BoundPlan) -> Array:
+        """sum_zeta w(zeta) f(v + 2 zeta) for |v| <= min(out_bound, bound)."""
+        stacked = np.vstack([grid, np.zeros((1, grid.shape[1]))])
+        n_out = len(plan.loss_rows)
+        loss = np.empty((n_out, n_out))
+        for ys, cols, band in plan.loss_parts:
+            loss[:, cols] = stacked[:, ys][plan.loss_rows].reshape(n_out, -1) @ band
+        return loss
 
     def apply(self, f: LatticeDistribution) -> Array:
         if abs(f.h - self.h) > 1e-12:
             raise PreconditionError("distribution step does not match operator")
-        if f.bound > self.pad_bound:
-            raise PreconditionError("distribution grid exceeds operator frame")
         return self.apply_grid(f.grid, f.bound)
 
 

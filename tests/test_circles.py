@@ -325,6 +325,15 @@ def test_avg_abs_S_decays_between_decades():
     assert means[-1] < means[0]
 
 
+def test_avg_abs_S_decade_means_do_not_depend_on_X():
+    # With one worker the partial sums end at the decades, so a decade's
+    # mean is the same number whatever X is.
+    small = dict(circles.avg_abs_S(10**4, 4).decades)
+    large = dict(circles.avg_abs_S(3 * 10**4, 4).decades)
+    assert sorted(small) == [100, 1000, 10**4]
+    assert all(small[d] == large[d] for d in small)
+
+
 def test_avg_abs_S_worker_partition_is_stable():
     # Bit-stable for a fixed worker count; only close across counts.
     b1 = circles.avg_abs_S(2000, 4, workers=4)

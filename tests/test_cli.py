@@ -1,6 +1,8 @@
 import json
 import math
 
+import numpy as np
+import pytest
 from click.testing import CliRunner
 
 from dvm2d.cli import main
@@ -97,6 +99,29 @@ def test_collide_file_roundtrip(tmp_path):
     )
     assert result.exit_code == 0
     assert result.output.splitlines()[1] == "zeta_x,zeta_y,Qh_value"
+
+
+def test_collide_grid_matches_pointwise(tmp_path):
+    import dvm2d.collision as co
+
+    rng = np.random.default_rng(11)
+    h, b = 0.5, 5
+    f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
+    path = tmp_path / "f.csv"
+    with open(path, "w") as fp:
+        co.write_lattice_csv(f, fp)
+    result = CliRunner().invoke(
+        main, ["collide", "--f", "file", "--file", str(path), "--R", "1.5", "--grid"]
+    )
+    assert result.exit_code == 0
+    rows = {
+        (int(zx), int(zy)): float(q)
+        for zx, zy, q in (line.split(",") for line in result.output.splitlines()[2:])
+    }
+    assert len(rows) == (2 * b + 1) ** 2
+    for zx, zy in ((0, 0), (2, -3), (-4, 1)):
+        qp = co.q_discrete(f, np.array([zx * h, zy * h]), co.KernelSpec.maxwell(), 1.5)
+        assert rows[zx, zy] == pytest.approx(qp, rel=1e-12, abs=1e-30)
 
 
 def test_converge_command(tmp_path):

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvm2d import collision as co
 from dvm2d.circles import circle_points
@@ -289,3 +291,221 @@ def test_qh_csv_format():
     row = lines[2].split(",")
     assert (int(row[0]), int(row[1])) == (-b, -b)
     assert float(row[2]) == q[0, 0]
+
+
+class OldFastCollisionOperator:
+    """Reference: the padded-frame grid operator that FastCollisionOperator replaced.
+
+    Products over the whole (out_bound + R/h) mid grid and the full
+    circle, harmonic weights from arctan2, and one view-add per circle
+    point for the gain and for the loss.  Slow but independent of the
+    support boxes, half circles and loss band.
+    """
+
+    def __init__(self, h, R, kernel, out_bound):
+        self.h = h
+        self.out_bound = out_bound
+        self.reach = int(math.floor(R / h + 1e-9))
+        self.mid_bound = out_bound + self.reach
+        self.pad_bound = out_bound + 2 * self.reach
+        self._side = 2 * self.pad_bound + 1
+        self._mid_side = 2 * self.mid_bound + 1
+        self._out_side = 2 * self.out_bound + 1
+
+        if kernel.kind == "maxwell":
+            harmonics = [(0, 1.0)]
+        else:
+            harmonics = [
+                (m, c) for m, c in enumerate(kernel.cos_coeffs) if c != 0.0
+            ]
+        self._circles = []
+        n_max = int(math.floor((R / h) ** 2 + 1e-9))
+        for n in range(1, n_max + 1):
+            group = co._circle_group(n)
+            if group is None:
+                continue
+            xs, ys, cos_theta = group
+            r = len(xs)
+            q1 = 1.0 if kernel.kind == "maxwell" else float(h * math.sqrt(n)) ** kernel.alpha
+            phi = np.arctan2(ys, xs)
+            terms = []
+            for m, c in harmonics:
+                coef = 2 * math.pi / r * q1 * c
+                terms.append((m, coef, np.cos(m * phi), np.sin(m * phi)))
+            q = np.asarray(
+                kernel.evaluate(h * math.sqrt(n), cos_theta), dtype=np.float64
+            )
+            row_weights = (2 * math.pi / r) * q.sum(axis=1)
+            self._circles.append((xs, ys, terms, row_weights))
+
+    def pad_state(self, grid, bound):
+        padded = np.zeros((self._side, self._side))
+        lo = self.pad_bound - bound
+        padded[lo : lo + 2 * bound + 1, lo : lo + 2 * bound + 1] = grid
+        return padded
+
+    def _mid_view(self, padded, dx, dy):
+        lo = self.pad_bound - self.mid_bound
+        return padded[
+            lo + dx : lo + dx + self._mid_side, lo + dy : lo + dy + self._mid_side
+        ]
+
+    def _out_view(self, arr, dx, dy, inner_bound):
+        lo = inner_bound - self.out_bound
+        return arr[
+            lo + dx : lo + dx + self._out_side, lo + dy : lo + dy + self._out_side
+        ]
+
+    def apply_padded(self, padded):
+        total = np.zeros((self._out_side, self._out_side))
+        f_self = self._out_view(padded, 0, 0, self.pad_bound)
+        for xs, ys, terms, row_weights in self._circles:
+            r = len(xs)
+            prods = np.empty((r, self._mid_side, self._mid_side))
+            for j in range(r):
+                np.multiply(
+                    self._mid_view(padded, xs[j], ys[j]),
+                    self._mid_view(padded, -xs[j], -ys[j]),
+                    out=prods[j],
+                )
+            prods_flat = prods.reshape(r, -1)
+            for m, coef, cos_i, sin_i in terms:
+                wc = (cos_i @ prods_flat).reshape(self._mid_side, self._mid_side)
+                for i in range(r):
+                    if cos_i[i] != 0.0:
+                        total += (coef * cos_i[i]) * self._out_view(
+                            wc, xs[i], ys[i], self.mid_bound
+                        )
+                if m != 0:
+                    ws = (sin_i @ prods_flat).reshape(self._mid_side, self._mid_side)
+                    for i in range(r):
+                        if sin_i[i] != 0.0:
+                            total += (coef * sin_i[i]) * self._out_view(
+                                ws, xs[i], ys[i], self.mid_bound
+                            )
+            loss = np.zeros((self._out_side, self._out_side))
+            for i in range(r):
+                loss += row_weights[i] * self._out_view(
+                    padded, 2 * xs[i], 2 * ys[i], self.pad_bound
+                )
+            total -= f_self * loss
+        return (2 * self.h) ** 2 * total
+
+    def apply_grid(self, grid, bound):
+        return self.apply_padded(self.pad_state(grid, bound))
+
+
+ORACLE_KERNELS = [
+    MAXWELL,
+    co.KernelSpec.product_power(0.5, (1, 0, 0.5)),
+    co.KernelSpec.product_power(1.0, (1, 0.3, 0.2)),  # odd harmonic: cancels in the gain
+    co.KernelSpec.product_power(1.0, (1, 0, 0.2, 0, 0.05)),
+]
+
+
+def _assert_matches_oracle(h, R, kernel, out_bound, grid, bound):
+    new = co.FastCollisionOperator(h, R, kernel, out_bound).apply_grid(grid, bound)
+    old = OldFastCollisionOperator(h, R, kernel, out_bound).apply_grid(grid, bound)
+    assert new.shape == old.shape == (2 * out_bound + 1, 2 * out_bound + 1)
+    assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max()
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
+@pytest.mark.parametrize(
+    "h, R, bound, out_bound",
+    [
+        (0.25, 2.0, 10, 10),  # bound == out_bound
+        (0.25, 2.0, 8, 13),  # bound < out_bound: the collision_invariants shape
+        (0.25, 2.0, 11, 6),  # bound > out_bound, odd difference
+        (0.25, 2.5, 5, 7),  # R/h > bound
+    ],
+)
+def test_fast_operator_matches_padded_oracle(kernel, h, R, bound, out_bound):
+    rng = np.random.default_rng(bound * 100 + out_bound)
+    grid = rng.random((2 * bound + 1, 2 * bound + 1))
+    _assert_matches_oracle(h, R, kernel, out_bound, grid, bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=st.sampled_from([1.0, 0.5, 0.25]),
+    reach=st.integers(1, 7),
+    out_bound=st.integers(0, 9),
+    bound=st.integers(0, 9),
+    kernel=st.sampled_from(ORACLE_KERNELS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fast_operator_matches_padded_oracle_random(h, reach, out_bound, bound, kernel, seed):
+    bound = min(bound, out_bound + 2 * reach)
+    grid = np.random.default_rng(seed).random((2 * bound + 1, 2 * bound + 1))
+    _assert_matches_oracle(h, reach * h, kernel, out_bound, grid, bound)
+
+
+def test_fast_operator_caches_loss_band_per_bound():
+    rng = np.random.default_rng(5)
+    op = co.FastCollisionOperator(0.5, 2.0, MAXWELL, out_bound=6)
+    grids = {b: rng.random((2 * b + 1, 2 * b + 1)) for b in (4, 6)}
+    first = op.apply_grid(grids[4], 4)
+    plan = op._plan
+    assert op.apply_grid(grids[4], 4) is not first and op._plan is plan
+    op.apply_grid(grids[6], 6)
+    assert op._plan.bound == 6
+    assert np.array_equal(op.apply_grid(grids[4], 4), first)
+
+
+def test_fast_operator_rejects_bad_state_shape():
+    op = co.FastCollisionOperator(0.5, 2.0, MAXWELL, out_bound=4)
+    assert op.max_bound == 4 + 2 * 4
+    with pytest.raises(PreconditionError, match="does not match bound"):
+        op.apply_grid(np.ones((9, 9)), 5)
+    for bad in (-1, op.max_bound + 1):
+        with pytest.raises(PreconditionError, match="outside the operator frame"):
+            op.apply_grid(np.ones((2 * abs(bad) + 1,) * 2), bad)
+    # Both entry points refuse a state past the frame with the same error.
+    b = op.max_bound + 1
+    f = co.LatticeDistribution(0.5, b * 0.5, np.ones((2 * b + 1, 2 * b + 1)))
+    with pytest.raises(PreconditionError, match="outside the operator frame") as via_grid:
+        op.apply_grid(f.grid, f.bound)
+    with pytest.raises(PreconditionError, match="outside the operator frame") as via_f:
+        op.apply(f)
+    assert str(via_grid.value) == str(via_f.value)
+    with pytest.raises(PreconditionError, match="step"):
+        op.apply(co.LatticeDistribution(0.25, 1.0, np.ones((9, 9))))
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
+def test_fast_operator_conserves_invariants(kernel):
+    """Sums of Q^h against 1, v, |v|^2 vanish on the collision_invariants grid."""
+    rng = np.random.default_rng(77)
+    h, b = 0.5, 8
+    out_bound = int(math.ceil(math.sqrt(2.0) * b)) + 1
+    f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
+    q = co.FastCollisionOperator(h, b * h, kernel, out_bound).apply(f)
+    ix = np.arange(-out_bound, out_bound + 1) * h
+    vx, vy = np.meshgrid(ix, ix, indexing="ij")
+    norm = math.fsum((np.abs(q) * (1 + vx**2 + vy**2)).ravel())
+    for weight in (1.0, vx, vy, vx**2 + vy**2):
+        assert abs(math.fsum((q * weight).ravel())) <= 1e-10 * norm
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 25, 65, 325, 1105, 5525, 4 * 1105])
+def test_harmonic_weights_exact(n):
+    pts = circle_points(n)
+    xs, ys = pts.xs, pts.ys
+    phi = np.arctan2(ys, xs)
+    axis = (xs == 0) | (ys == 0)
+    opposite = [pts.points.index((-x, -y)) for x, y in pts.points]
+    for m in range(0, 7):
+        cos_m, sin_m = co._harmonic_weights(xs, ys, n, m)
+        # arctan2 carries a phase error that m multiplies: up to 3.2e-15
+        # at m = 6 over n < 3000, so 1e-15 holds only for m <= 2.
+        tol = 1e-15 if m <= 2 else 4e-15
+        assert np.abs(cos_m - np.cos(m * phi)).max() <= tol
+        assert np.abs(sin_m - np.sin(m * phi)).max() <= tol
+        assert set(cos_m[axis].tolist()) <= {-1.0, 0.0, 1.0}
+        assert set(sin_m[axis].tolist()) <= {-1.0, 0.0, 1.0}
+        assert np.all(cos_m[axis] ** 2 + sin_m[axis] ** 2 == 1.0)
+        if m % 2 == 0:
+            # (-z)^m = z^m: the half-circle gain relies on equal weights.
+            assert np.array_equal(cos_m[opposite], cos_m)
+            assert np.array_equal(sin_m[opposite], sin_m)
