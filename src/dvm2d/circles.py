@@ -292,7 +292,6 @@ class AngleStatistics:
     mean_abs_S: float
     decades: tuple[tuple[int, float], ...]
     vanishing_k: bool = False
-    workers: int = 1
 
 
 def abs_S_closed_range(X: int, k: int) -> np.ndarray:
@@ -323,13 +322,12 @@ def abs_S_closed_range(X: int, k: int) -> np.ndarray:
     return out
 
 
-def avg_abs_S(X: int, k: int, workers: int = 1) -> AngleStatistics:
+def avg_abs_S(X: int, k: int) -> AngleStatistics:
     """Exact mean (1/X) sum_{m<=X} |S(m, k)| using the closed form.
 
     k must be a nonzero multiple of 4 for a nonvanishing result; other k
-    are flagged and return an identically zero table.  The range is
-    reduced in fixed chunks of size X // workers so the result is
-    bit-stable for a given worker count.
+    are flagged and return an identically zero table.  Partial sums end
+    at the decades, so a decade's mean does not depend on X.
     """
     if X < 100:
         raise PreconditionError(f"avg_abs_S requires X >= 100, got {X}")
@@ -340,23 +338,17 @@ def avg_abs_S(X: int, k: int, workers: int = 1) -> AngleStatistics:
 
     if k == 0 or k % 4 != 0:
         table = tuple((d, 0.0) for d in decades)
-        return AngleStatistics(X, k, 0.0, table, vanishing_k=True, workers=workers)
+        return AngleStatistics(X, k, 0.0, table, vanishing_k=True)
 
     values = abs_S_closed_range(X, k)
-    chunk = max(1, X // max(1, workers))
-    bounds = sorted({*range(chunk, X, chunk), *decades, X})
     partials: list[float] = []
     lo = 1
     decade_means: list[tuple[int, float]] = []
-    running = 0.0
-    for hi in bounds:
+    for hi in decades:
         partials.append(float(values[lo : hi + 1].sum()))
-        running = math.fsum(partials)
-        if hi in decades:
-            decade_means.append((hi, running / hi))
+        decade_means.append((hi, math.fsum(partials) / hi))
         lo = hi + 1
-    mean = running / X
-    return AngleStatistics(X, k, mean, tuple(decade_means), workers=workers)
+    return AngleStatistics(X, k, decade_means[-1][1], tuple(decade_means))
 
 
 def prime_angle_sum(x: int, k: int) -> float:

@@ -2,7 +2,7 @@
 
 Every subcommand writes CSV to stdout or, with --out, to a file; file
 output is accompanied by <out>.manifest.json recording the full
-configuration, library versions, and worker count.  Exit codes: 0 on
+configuration and library versions.  Exit codes: 0 on
 success, 2 on precondition violations, 3 on numerical failures
 (positivity loss, quadrature non-convergence).
 """
@@ -27,7 +27,7 @@ EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
 
 
-def _manifest(command: str, config: dict, workers: int = 1) -> dict:
+def _manifest(command: str, config: dict) -> dict:
     return {
         "command": command,
         "config": config,
@@ -36,7 +36,6 @@ def _manifest(command: str, config: dict, workers: int = 1) -> dict:
             "numpy": np.__version__,
             "python": platform.python_version(),
         },
-        "workers": workers,
     }
 
 
@@ -128,16 +127,15 @@ def expsum(n: int, k: int, out: Path | None):
 @main.command(name="avg-s")
 @click.argument("x", type=int)
 @click.argument("k", type=int)
-@click.option("--workers", type=int, default=1, show_default=True)
 @out_option
 @_guarded
-def avg_s(x: int, k: int, workers: int, out: Path | None):
+def avg_s(x: int, k: int, out: Path | None):
     """Mean of |S(m, K)| over m <= X, with per-decade sub-means."""
-    stats = circles.avg_abs_S(x, k, workers=workers)
+    stats = circles.avg_abs_S(x, k)
     buf = io.StringIO()
     circles.write_angle_stats_csv(stats, buf)
     config = {"X": x, "k": k, "vanishing_k": stats.vanishing_k}
-    _emit(buf.getvalue(), out, _manifest("avg-s", config, workers=workers))
+    _emit(buf.getvalue(), out, _manifest("avg-s", config))
     if stats.vanishing_k:
         click.echo("note: 4 does not divide k, mean is identically 0", err=True)
 

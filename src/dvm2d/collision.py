@@ -151,6 +151,11 @@ def bimaxwellian(
 # Lattice distributions
 # ---------------------------------------------------------------------------
 
+def lattice_bound(h: float, radius: float) -> int:
+    """Integer coordinate bound B = floor(radius / h) of a lattice disk."""
+    return int(math.floor(radius / h + 1e-9))
+
+
 @dataclass
 class LatticeDistribution:
     """Nonnegative values f_zeta on the lattice points |h zeta| <= R_support.
@@ -176,31 +181,55 @@ class LatticeDistribution:
             raise PreconditionError("distribution values must be finite")
         if self.grid.min() < 0:
             raise PreconditionError("distribution values must be nonnegative")
-        ix = np.arange(-b, b + 1)
-        outside = ix[:, None] ** 2 + ix[None, :] ** 2 > (self.support_radius / self.h) ** 2 + 1e-9
-        self.grid[outside] = 0.0
+        self.grid[~self.disk] = 0.0
 
     @property
     def bound(self) -> int:
         """Integer coordinate bound B = floor(R_support / h)."""
-        return int(math.floor(self.support_radius / self.h + 1e-9))
+        return lattice_bound(self.h, self.support_radius)
+
+    @property
+    def disk(self) -> Array:
+        """Mask of the grid points inside the support disk."""
+        ix = np.arange(-self.bound, self.bound + 1)
+        return ix[:, None] ** 2 + ix[None, :] ** 2 <= (self.support_radius / self.h) ** 2 + 1e-9
+
+    def velocities(self) -> tuple[Array, Array]:
+        """(vx, vy) at every grid point, indexed like ``grid``."""
+        ix = np.arange(-self.bound, self.bound + 1)
+        return np.meshgrid(ix * self.h, ix * self.h, indexing="ij")
+
+    def widened(self) -> "LatticeDistribution":
+        """The same state on the disk sqrt(2) wider than its support.
+
+        That disk holds every velocity where Q^h of the state can be
+        nonzero, because collisions conserve energy.
+        """
+        energy_bound = int(math.ceil(math.sqrt(2.0) * self.bound)) + 1
+        wide = LatticeDistribution.zeros(self.h, energy_bound * self.h)
+        lo = wide.bound - self.bound
+        wide.grid[lo : lo + 2 * self.bound + 1, lo : lo + 2 * self.bound + 1] = self.grid
+        return wide
+
+    @classmethod
+    def zeros(cls, h: float, support_radius: float) -> "LatticeDistribution":
+        """The zero state on the disk |h zeta| <= support_radius."""
+        side = 2 * lattice_bound(h, support_radius) + 1
+        return cls(h, support_radius, np.zeros((side, side)))
 
     @classmethod
     def from_function(
         cls, f: Callable[[Array], Array], h: float, support_radius: float
     ) -> "LatticeDistribution":
-        b = int(math.floor(support_radius / h + 1e-9))
-        ix = np.arange(-b, b + 1)
-        vx, vy = np.meshgrid(ix * h, ix * h, indexing="ij")
-        pts = np.stack([vx, vy], axis=-1)
-        return cls(h, support_radius, np.asarray(f(pts), dtype=np.float64))
+        vx, vy = cls.zeros(h, support_radius).velocities()
+        return cls(h, support_radius, f(np.stack([vx, vy], axis=-1)))
 
     @classmethod
     def from_values(
         cls, h: float, support_radius: float, values: dict[tuple[int, int], float]
     ) -> "LatticeDistribution":
-        b = int(math.floor(support_radius / h + 1e-9))
-        grid = np.zeros((2 * b + 1, 2 * b + 1))
+        zero = cls.zeros(h, support_radius)
+        b, grid = zero.bound, zero.grid
         for (zx, zy), val in values.items():
             if abs(zx) > b or abs(zy) > b:
                 raise PreconditionError(f"point {(zx, zy)} outside declared support")
@@ -208,10 +237,13 @@ class LatticeDistribution:
         return cls(h, support_radius, grid)
 
     def value(self, zx: int, zy: int) -> float:
+        return float(self.at(zx, zy))
+
+    def at(self, zx, zy) -> Array:
+        """Values at integer coordinates (arrays broadcast); 0 off the stored square."""
         b = self.bound
-        if abs(zx) > b or abs(zy) > b:
-            return 0.0
-        return float(self.grid[zx + b, zy + b])
+        inside = (np.abs(zx) <= b) & (np.abs(zy) <= b)
+        return np.where(inside, self.grid[np.clip(zx, -b, b) + b, np.clip(zy, -b, b) + b], 0.0)
 
     def lattice_coords(self, v: Array) -> tuple[int, int]:
         """Integer coordinates of a velocity that must lie on the lattice."""
@@ -227,11 +259,7 @@ class LatticeDistribution:
         z = np.rint(v / self.h).astype(np.int64)
         if np.max(np.abs(v / self.h - z)) > 1e-9:
             raise PreconditionError("velocities are not on the h-lattice")
-        b = self.bound
-        inside = (np.abs(z[..., 0]) <= b) & (np.abs(z[..., 1]) <= b)
-        zc = np.clip(z, -b, b)
-        vals = self.grid[zc[..., 0] + b, zc[..., 1] + b]
-        return np.where(inside, vals, 0.0)
+        return self.at(z[..., 0], z[..., 1])
 
     def scaled(self, factor: float) -> "LatticeDistribution":
         return LatticeDistribution(self.h, self.support_radius, self.grid * factor)
@@ -258,12 +286,28 @@ class CollisionPair:
     v_star_prime: Array
 
 
-def post_collision(v: Array, w: Array, theta: float) -> CollisionPair:
-    """v' = v + w + R_theta w, v*' = v + w - R_theta w, v* = v + 2w."""
+def rotate(w: Array, c, s) -> Array:
+    """R_theta w for cos theta = c, sin theta = s.
+
+    w has shape (..., 2) and broadcasts against c and s.  Callers pass
+    their own cosines (math.cos or np.cos), which may differ in the last
+    bit, so each keeps its results bit for bit.
+    """
+    return np.stack([c * w[..., 0] - s * w[..., 1], s * w[..., 0] + c * w[..., 1]], axis=-1)
+
+
+def post_collision(v: Array, w: Array, theta) -> CollisionPair:
+    """v' = v + w + R_theta w, v*' = v + w - R_theta w, v* = v + 2w.
+
+    theta may be an array; v' and v*' then gain its shape in front, and
+    each angle gives bit for bit the pair of a scalar call.
+    """
     v = np.asarray(v, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    c, s = math.cos(theta), math.sin(theta)
-    rw = np.array([c * w[0] - s * w[1], s * w[0] + c * w[1]])
+    th = np.asarray(theta, dtype=np.float64)
+    c = np.array([math.cos(t) for t in th.ravel().tolist()]).reshape(th.shape)
+    s = np.array([math.sin(t) for t in th.ravel().tolist()]).reshape(th.shape)
+    rw = rotate(w, c, s)
     return CollisionPair(v, v + 2 * w, v + w + rw, v + w - rw)
 
 
@@ -356,8 +400,8 @@ def angular_integral(
 
     total = np.zeros(len(w))
     for th in thetas:
-        c, s = math.cos(th), math.sin(th)
-        rw = np.stack([c * w[:, 0] - s * w[:, 1], s * w[:, 0] + c * w[:, 1]], axis=-1)
+        c = math.cos(th)
+        rw = rotate(w, c, math.sin(th))
         gain = np.asarray(f(v[None, :] + w + rw)) * np.asarray(f(v[None, :] + w - rw))
         total += (gain - loss) * kernel.evaluate(w_norm, c)
     return total * (2 * math.pi / n_theta)
@@ -411,14 +455,22 @@ def q_reference(
 # Lattice operator
 # ---------------------------------------------------------------------------
 
-def _circle_group(n: int) -> tuple[Array, Array, Array] | None:
-    """(xs, ys, cos-theta matrix) for the circle |zeta|^2 = n, or None."""
-    pts = circle_points(n)
-    if pts.count == 0:
-        return None
-    xs, ys = pts.xs, pts.ys
-    dots = xs[:, None] * xs[None, :] + ys[:, None] * ys[None, :]
-    return xs, ys, dots.astype(np.float64) / n
+def _circles(h: float, R: float, kernel: KernelSpec):
+    """Every circle |zeta|^2 = n <= (R/h)^2 that has points, as (n, xs, ys, q).
+
+    q[i, j] = q(h sqrt(n), cos theta_ij) for the collision zeta_i ->
+    zeta_j, with cos theta_ij = zeta_i . zeta_j / n from the exact
+    integer dot product.
+    """
+    n_max = int(math.floor((R / h) ** 2 + 1e-9))
+    for n in range(1, n_max + 1):
+        pts = circle_points(n)
+        if pts.count == 0:
+            continue
+        xs, ys = pts.xs, pts.ys
+        dots = xs[:, None] * xs[None, :] + ys[:, None] * ys[None, :]
+        q = kernel.evaluate(h * math.sqrt(n), dots.astype(np.float64) / n)
+        yield n, xs, ys, np.asarray(q, dtype=np.float64)
 
 
 def q_discrete_detailed(
@@ -435,32 +487,18 @@ def q_discrete_detailed(
     """
     h = f.h
     zvx, zvy = f.lattice_coords(np.asarray(v, dtype=np.float64))
-    n_max = int(math.floor((R / h) ** 2 + 1e-9))
-    b = f.bound
-    grid = f.grid
     f_v = f.value(zvx, zvy)
 
     per_circle: list[float] = []
     gross = 0.0
-    for n in range(1, n_max + 1):
-        group = _circle_group(n)
-        if group is None:
-            continue
-        xs, ys, cos_theta = group
+    for _, xs, ys, q in _circles(h, R, kernel):
         r = len(xs)
-        q = kernel.evaluate(h * math.sqrt(n), cos_theta)  # (r, r)
-
-        def _gather(ax: Array, ay: Array) -> Array:
-            inside = (np.abs(ax) <= b) & (np.abs(ay) <= b)
-            vals = grid[np.clip(ax, -b, b) + b, np.clip(ay, -b, b) + b]
-            return np.where(inside, vals, 0.0)
-
         gx1 = zvx + xs[:, None] + xs[None, :]
         gy1 = zvy + ys[:, None] + ys[None, :]
         gx2 = zvx + xs[:, None] - xs[None, :]
         gy2 = zvy + ys[:, None] - ys[None, :]
-        gain = _gather(gx1, gy1) * _gather(gx2, gy2)
-        loss = f_v * _gather(zvx + 2 * xs, zvy + 2 * ys)  # (r,)
+        gain = f.at(gx1, gy1) * f.at(gx2, gy2)
+        loss = f_v * f.at(zvx + 2 * xs, zvy + 2 * ys)  # (r,)
         per_circle.append(2 * math.pi / r * float(((gain - loss[:, None]) * q).sum()))
         gross += 2 * math.pi / r * float(((gain + loss[:, None]) * q).sum())
     return (2 * h) ** 2 * math.fsum(per_circle), (2 * h) ** 2 * gross
@@ -474,97 +512,6 @@ def q_discrete(
 ) -> float:
     """Lattice collision operator Q^h(f, f) at a single lattice velocity."""
     return q_discrete_detailed(f, v, kernel, R)[0]
-
-
-@dataclass
-class _CirclePlan:
-    weights: Array  # (r*r,) kernel weights (2 pi / r) q_ij
-    off_gain1: Array  # (r*r,) flat offsets of zeta + zeta'
-    off_gain2: Array  # (r*r,) flat offsets of zeta - zeta'
-    off_star: Array  # (r,) flat offsets of 2 zeta
-    row_weights: Array  # (r,) per-outer-point weight sums
-
-
-class LatticeCollisionOperator:
-    """Q^h evaluated on a whole grid of output velocities at once.
-
-    Precomputes, per circle |zeta|^2 = n <= (R/h)^2, the flat index
-    offsets of the gain and loss lookups on a zero-padded copy of the
-    state, plus the kernel weights.  apply() is then a handful of numpy
-    gathers per circle, cheap enough to sit inside an RK4 loop.
-    """
-
-    def __init__(self, h: float, R: float, kernel: KernelSpec, out_bound: int):
-        if h <= 0 or R <= 0:
-            raise PreconditionError("h and R must be positive")
-        self.h = h
-        self.R = R
-        self.kernel = kernel
-        self.out_bound = out_bound
-        self.reach = int(math.floor(R / h + 1e-9))
-        self.pad_bound = out_bound + 2 * self.reach
-        side = 2 * self.pad_bound + 1
-        self._side = side
-
-        ix = np.arange(-out_bound, out_bound + 1)
-        ox, oy = np.meshgrid(ix, ix, indexing="ij")
-        self._out_flat = ((ox + self.pad_bound) * side + (oy + self.pad_bound)).ravel()
-
-        self._plans: list[_CirclePlan] = []
-        n_max = int(math.floor((R / h) ** 2 + 1e-9))
-        for n in range(1, n_max + 1):
-            group = _circle_group(n)
-            if group is None:
-                continue
-            xs, ys, cos_theta = group
-            r = len(xs)
-            q = np.asarray(
-                kernel.evaluate(h * math.sqrt(n), cos_theta), dtype=np.float64
-            )
-            weights = (2 * math.pi / r) * q
-            o1 = ((xs[:, None] + xs[None, :]) * side + ys[:, None] + ys[None, :]).ravel()
-            o2 = ((xs[:, None] - xs[None, :]) * side + ys[:, None] - ys[None, :]).ravel()
-            ostar = 2 * xs * side + 2 * ys
-            self._plans.append(
-                _CirclePlan(
-                    weights.ravel(), o1, o2, ostar, weights.sum(axis=1)
-                )
-            )
-
-    def pad_state(self, f: LatticeDistribution) -> Array:
-        """Embed a distribution's grid into the operator's padded frame."""
-        if abs(f.h - self.h) > 1e-12:
-            raise PreconditionError("distribution step does not match operator")
-        b = f.bound
-        if b > self.pad_bound:
-            raise PreconditionError("distribution grid exceeds operator frame")
-        padded = np.zeros((self._side, self._side))
-        lo = self.pad_bound - b
-        padded[lo : lo + 2 * b + 1, lo : lo + 2 * b + 1] = f.grid
-        return padded
-
-    def apply_padded(self, padded: Array) -> Array:
-        """Q^h on the output grid, given the padded state values."""
-        flat = padded.ravel()
-        base = self._out_flat
-        f_self = flat[base]
-        total = np.zeros(len(base))
-        for plan in self._plans:
-            g1 = flat[base[:, None] + plan.off_gain1[None, :]]
-            g2 = flat[base[:, None] + plan.off_gain2[None, :]]
-            gain = (g1 * g2) @ plan.weights
-            star = flat[base[:, None] + plan.off_star[None, :]]
-            loss = f_self * (star @ plan.row_weights)
-            total += gain - loss
-        side_out = 2 * self.out_bound + 1
-        return (2 * self.h) ** 2 * total.reshape(side_out, side_out)
-
-    def apply(self, f: LatticeDistribution) -> Array:
-        return self.apply_padded(self.pad_state(f))
-
-    def output_velocities(self) -> tuple[Array, Array]:
-        ix = np.arange(-self.out_bound, self.out_bound + 1) * self.h
-        return np.meshgrid(ix, ix, indexing="ij")
 
 
 def _harmonic_weights(xs: Array, ys: Array, n: int, m: int) -> tuple[Array, Array]:
@@ -660,7 +607,7 @@ class FastCollisionOperator:
         self.R = R
         self.kernel = kernel
         self.out_bound = out_bound
-        self.reach = int(math.floor(R / h + 1e-9))
+        self.reach = lattice_bound(h, R)
         # A state farther out than this cannot reach the output grid.
         self.max_bound = out_bound + 2 * self.reach
 
@@ -675,12 +622,7 @@ class FastCollisionOperator:
         self._single_channel = [m for m, _ in harmonics] == [0]
         self._circles: list[_FastCircle] = []
         loss_x, loss_y, loss_w = [], [], []
-        n_max = int(math.floor((R / h) ** 2 + 1e-9))
-        for n in range(1, n_max + 1):
-            group = _circle_group(n)
-            if group is None:
-                continue
-            xs, ys, cos_theta = group
+        for n, xs, ys, q in _circles(h, R, kernel):
             r = len(xs)
             q1 = 1.0 if kernel.kind == "maxwell" else float(h * math.sqrt(n)) ** kernel.alpha
             half = (ys > 0) | ((ys == 0) & (xs > 0))
@@ -699,9 +641,6 @@ class FastCollisionOperator:
                     np.array(inner).reshape(-1, r // 2),
                     np.array(outer).reshape(-1, r).T,
                 )
-            )
-            q = np.asarray(
-                kernel.evaluate(h * math.sqrt(n), cos_theta), dtype=np.float64
             )
             loss_x += xs.tolist()
             loss_y += ys.tolist()
@@ -847,10 +786,9 @@ def collision_invariants(
     Gains vanish beyond sqrt(2) times the support radius (energy bound),
     so that is the output grid.  All reductions use compensated summation.
     """
-    out_bound = int(math.ceil(math.sqrt(2.0) * f.bound)) + 1
-    op = LatticeCollisionOperator(f.h, R, kernel, out_bound)
-    q = op.apply(f)
-    vx, vy = op.output_velocities()
+    wide = f.widened()
+    q = FastCollisionOperator(f.h, R, kernel, wide.bound).apply(f)
+    vx, vy = wide.velocities()
     v2 = vx**2 + vy**2
     mass = math.fsum(q.ravel())
     mom_x = math.fsum((q * vx).ravel())
@@ -870,11 +808,8 @@ def write_lattice_csv(f: LatticeDistribution, fp: IO[str]) -> None:
     w = csv.writer(fp)
     w.writerow(["zeta_x", "zeta_y", "value"])
     b = f.bound
-    r2max = (f.support_radius / f.h) ** 2 + 1e-9
-    for ix in range(-b, b + 1):
-        for iy in range(-b, b + 1):
-            if ix * ix + iy * iy <= r2max:
-                w.writerow([ix, iy, f"{f.grid[ix + b, iy + b]:.17g}"])
+    for ix, iy in np.argwhere(f.disk).tolist():
+        w.writerow([ix - b, iy - b, f"{f.grid[ix, iy]:.17g}"])
 
 
 def read_lattice_csv(fp: IO[str]) -> LatticeDistribution:

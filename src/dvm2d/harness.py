@@ -26,6 +26,7 @@ from .collision import (
     midpoint_disk,
     q_discrete,
     q_reference,
+    rotate,
     sample_on_lattice,
 )
 from .errors import PositivityLossError, PreconditionError
@@ -67,8 +68,7 @@ def angular_fourier(
     w_norm = float(np.hypot(w[0], w[1]))
 
     cos_t = np.cos(thetas)
-    sin_t = np.sin(thetas)
-    rw = np.stack([cos_t * w[0] - sin_t * w[1], sin_t * w[0] + cos_t * w[1]], axis=-1)
+    rw = rotate(w, cos_t, np.sin(thetas))
     vp = v[None, :] + w[None, :] + rw
     vsp = v[None, :] + w[None, :] - rw
     f_v = float(np.asarray(f_spec(v[None, :])).ravel()[0])
@@ -201,11 +201,10 @@ def converge_study(
         inner = 4.0 * step_t * step_t * float(
             angular_integral(f_spec, v, kernel, w_all[~outside], quad.n_theta).sum()
         )
-        reach = int(math.floor(R / h + 1e-9))
-        ix = np.arange(-reach, reach + 1)
-        zx, zy = np.meshgrid(ix, ix, indexing="ij")
-        keep = (zx**2 + zy**2 <= (R / h) ** 2 + 1e-9) & ((zx != 0) | (zy != 0))
-        lattice_w = h * np.stack([zx[keep], zy[keep]], axis=-1).astype(np.float64)
+        frame = LatticeDistribution.zeros(h, R)
+        wx, wy = frame.velocities()
+        keep = frame.disk & ((wx != 0) | (wy != 0))
+        lattice_w = np.stack([wx[keep], wy[keep]], axis=-1)
         riemann = (2 * h) ** 2 * float(
             angular_integral(f_spec, v, kernel, lattice_w, quad.n_theta).sum()
         )
@@ -411,26 +410,19 @@ def relax_simulate(
     if dt <= 0 or steps < 1:
         raise PreconditionError("dt must be positive and steps >= 1")
     h = f0.h
-    state_bound = int(math.ceil(math.sqrt(2.0) * f0.bound)) + 1
-    op = FastCollisionOperator(h, R, kernel, out_bound=state_bound)
-
-    side = 2 * state_bound + 1
-    state = np.zeros((side, side))
-    lo = state_bound - f0.bound
-    state[lo : lo + 2 * f0.bound + 1, lo : lo + 2 * f0.bound + 1] = f0.grid
-
-    ix = np.arange(-state_bound, state_bound + 1)
-    disk = (ix[:, None] ** 2 + ix[None, :] ** 2) <= state_bound**2 + 1e-9
-    vx, vy = np.meshgrid(ix * h, ix * h, indexing="ij")
+    wide = f0.widened()
+    op = FastCollisionOperator(h, R, kernel, out_bound=wide.bound)
+    state = wide.grid
+    disk = wide.disk
+    vx, vy = wide.velocities()
     v2 = vx**2 + vy**2
-    support_radius = state_bound * h
 
     def rate(s: Array) -> Array:
-        return op.apply_grid(s, state_bound) * disk
+        return op.apply_grid(s, wide.bound) * disk
 
     def snapshot(t: float, s: Array) -> RelaxState:
         clamped = np.maximum(s, 0.0)
-        f = LatticeDistribution(h, support_radius, clamped)
+        f = LatticeDistribution(h, wide.support_radius, clamped)
         return RelaxState(
             t,
             f,

@@ -33,7 +33,6 @@ def test_circle_command_writes_manifest(tmp_path):
     manifest = json.loads((tmp_path / "points.csv.manifest.json").read_text())
     assert manifest["command"] == "circle"
     assert manifest["config"] == {"n": 25, "count": 12}
-    assert manifest["workers"] == 1
     assert "numpy" in manifest["versions"]
 
 
@@ -57,10 +56,10 @@ def test_avg_s_flags_bad_k():
 def test_avg_s_output(tmp_path):
     runner = CliRunner()
     out = tmp_path / "avg.csv"
-    result = runner.invoke(main, ["avg-s", "1000", "4", "--workers", "2", "--out", str(out)])
+    result = runner.invoke(main, ["avg-s", "1000", "4", "--out", str(out)])
     assert result.exit_code == 0
     manifest = json.loads((tmp_path / "avg.csv.manifest.json").read_text())
-    assert manifest["workers"] == 2
+    assert manifest["config"] == {"X": 1000, "k": 4, "vanishing_k": False}
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "X,k,mean_abs_S"
 

@@ -48,6 +48,18 @@ def test_post_collision_examples():
     assert vs == (4, 2) and vs[0] ** 2 + vs[1] ** 2 == 20
 
 
+def test_post_collision_broadcasts_over_theta_bit_for_bit():
+    v, w = np.array([0.3, -1.1]), np.array([0.7, 0.45])
+    thetas = np.random.default_rng(8).uniform(-math.pi, math.pi, (4, 5))
+    pairs = co.post_collision(v, w, thetas)
+    assert pairs.v_prime.shape == pairs.v_star_prime.shape == (4, 5, 2)
+    for idx in np.ndindex(thetas.shape):
+        one = co.post_collision(v, w, float(thetas[idx]))
+        assert np.array_equal(pairs.v_prime[idx], one.v_prime)
+        assert np.array_equal(pairs.v_star_prime[idx], one.v_star_prime)
+        assert np.array_equal(pairs.v_star, one.v_star)
+
+
 def test_post_collision_conservation():
     rng = random.Random(3)
     for _ in range(200):
@@ -237,12 +249,7 @@ def test_grid_operators_match_pointwise():
     h, b = 0.25, 10
     f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
     for kernel in (MAXWELL, co.KernelSpec.product_power(1.0, (1.0, 0.0, 0.2, 0.0, 0.05))):
-        op = co.LatticeCollisionOperator(h, 2.0, kernel, out_bound=b)
-        fast = co.FastCollisionOperator(h, 2.0, kernel, out_bound=b)
-        qg = op.apply(f)
-        qf = fast.apply(f)
-        scale = np.abs(qg).max()
-        assert np.abs(qg - qf).max() <= 1e-12 * scale
+        qg = co.FastCollisionOperator(h, 2.0, kernel, out_bound=b).apply(f)
         for zv in ((0, 0), (4, -3), (-7, 2)):
             qp = co.q_discrete(f, np.array([zv[0] * h, zv[1] * h]), kernel, 2.0)
             assert qp == pytest.approx(qg[zv[0] + b, zv[1] + b], rel=1e-12, abs=1e-30)
@@ -257,6 +264,37 @@ def test_collision_invariants_random_f():
     assert abs(inv.momentum_rate[0]) <= 1e-10 * inv.normalization
     assert abs(inv.momentum_rate[1]) <= 1e-10 * inv.normalization
     assert abs(inv.energy_rate) <= 1e-10 * inv.normalization
+
+
+@pytest.mark.parametrize(
+    "kernel", [MAXWELL, co.KernelSpec.product_power(0.5, (1, 0, 0.5))], ids=["maxwell", "pp05"]
+)
+def test_collision_invariants_normalization_matches_pointwise(kernel):
+    """normalization is sum |Q^h| (1 + |v|^2) over the whole widened grid."""
+    rng = np.random.default_rng(404)
+    h, b = 0.5, 4
+    f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
+    inv = co.collision_invariants(f, kernel, R=b * h)
+    wide = f.widened()
+    vx, vy = wide.velocities()
+    terms = [
+        abs(co.q_discrete(f, np.array([x, y]), kernel, b * h)) * (1 + x * x + y * y)
+        for x, y in zip(vx.ravel().tolist(), vy.ravel().tolist())
+    ]
+    assert inv.normalization == pytest.approx(math.fsum(terms), rel=1e-12)
+
+
+def test_widened_state_keeps_values_on_the_energy_disk():
+    f = co.sample_on_lattice(co.Maxwellian(), 0.5, 3.0)
+    wide = f.widened()
+    assert f.bound == 6 and wide.bound == 10  # ceil(6 sqrt 2) + 1
+    assert wide.h == f.h and wide.support_radius == 10 * 0.5
+    zs = np.arange(-12, 13)
+    zx, zy = np.meshgrid(zs, zs, indexing="ij")
+    assert np.array_equal(wide.at(zx, zy), f.at(zx, zy))
+    vx, vy = wide.velocities()
+    assert vx[0, 0] == vy[0, 0] == -5.0 and vx[10, 10] == vy[10, 10] == 0.0
+    assert wide.disk.sum() == sum(x * x + y * y <= 100 for x in range(-10, 11) for y in range(-10, 11))
 
 
 def test_collision_invariants_maxwellian():
@@ -280,8 +318,7 @@ def test_qh_csv_format():
     rng = np.random.default_rng(3)
     h, b = 0.5, 4
     f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
-    op = co.LatticeCollisionOperator(h, 1.5, MAXWELL, out_bound=b)
-    q = op.apply(f)
+    q = co.FastCollisionOperator(h, 1.5, MAXWELL, out_bound=b).apply(f)
     buf = io.StringIO()
     co.write_qh_csv(q, h, b, buf)
     lines = buf.getvalue().strip().splitlines()
@@ -319,12 +356,7 @@ class OldFastCollisionOperator:
                 (m, c) for m, c in enumerate(kernel.cos_coeffs) if c != 0.0
             ]
         self._circles = []
-        n_max = int(math.floor((R / h) ** 2 + 1e-9))
-        for n in range(1, n_max + 1):
-            group = co._circle_group(n)
-            if group is None:
-                continue
-            xs, ys, cos_theta = group
+        for n, xs, ys, q in co._circles(h, R, kernel):
             r = len(xs)
             q1 = 1.0 if kernel.kind == "maxwell" else float(h * math.sqrt(n)) ** kernel.alpha
             phi = np.arctan2(ys, xs)
@@ -332,9 +364,6 @@ class OldFastCollisionOperator:
             for m, c in harmonics:
                 coef = 2 * math.pi / r * q1 * c
                 terms.append((m, coef, np.cos(m * phi), np.sin(m * phi)))
-            q = np.asarray(
-                kernel.evaluate(h * math.sqrt(n), cos_theta), dtype=np.float64
-            )
             row_weights = (2 * math.pi / r) * q.sum(axis=1)
             self._circles.append((xs, ys, terms, row_weights))
 
