@@ -258,29 +258,64 @@ def r2_range(n_lo: int, n_hi: int, segment: int = SIEVE_SEGMENT):
         yield lo, np.where(bad, 0, 4 * dcount)
 
 
-_theta_cache: dict[str, object] = {"limit": 0, "ps": None, "thetas": None}
+def prime_mask(limit: int) -> np.ndarray:
+    """is_p[m] is True exactly when m is prime, for 0 <= m <= limit; one byte per m."""
+    is_p = np.ones(limit + 1, dtype=bool)
+    is_p[:2] = False
+    for i in range(2, math.isqrt(limit) + 1):
+        if is_p[i]:
+            is_p[i * i :: i] = False
+    return is_p
+
+
+_theta_cache: dict[str, object] = {
+    "limit": 0,
+    "ps": np.empty(0, dtype=np.int64),
+    "thetas": np.empty(0, dtype=np.float64),
+}
 
 
 def prime_angles(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """Primes p <= limit with p = 1 (mod 4) and their angles theta_p.
+    """Primes p <= limit with p = 1 (mod 4) and their angles theta_p = atan2(y, x).
 
-    Cached and grown monotonically; Cornacchia per prime is cheap enough
-    that the first call up to 10^6 takes about a second.
+    By Fermat each such p is x^2 + y^2 with x > y > 0 in exactly one way,
+    so one sweep over the lattice pairs inside the circle of squared radius
+    limit, kept where x^2 + y^2 is prime, yields every p with its legs; no
+    primality test or square root of -1 runs.  Cached and grown
+    monotonically.
     """
-    from .numtheory import two_squares_prime
-
     if _theta_cache["limit"] < limit:
-        spf = smallest_prime_factor_sieve(limit)
-        idx = np.arange(limit + 1)
-        ps = idx[(spf == idx) & (idx % 4 == 1) & (idx > 1)]
-        thetas = np.empty(len(ps), dtype=np.float64)
-        for i, p in enumerate(ps.tolist()):
-            rep = two_squares_prime(p)
-            thetas[i] = math.atan2(rep.y, rep.x)
-        _theta_cache.update(limit=limit, ps=ps, thetas=thetas)
+        is_p = prime_mask(limit)
+        ps = [np.empty(0, dtype=np.int64)]
+        thetas = [np.empty(0, dtype=np.float64)]
+        for x in range(2, math.isqrt(limit) + 1):
+            y = np.arange(1, min(x - 1, math.isqrt(limit - x * x)) + 1, dtype=np.int64)
+            p = x * x + y * y
+            keep = is_p[p]
+            ps.append(p[keep])
+            thetas.append(np.array([math.atan2(v, x) for v in y[keep].tolist()]))
+        ps = np.concatenate(ps)
+        order = np.argsort(ps)
+        _theta_cache.update(
+            limit=limit, ps=ps[order], thetas=np.concatenate(thetas)[order]
+        )
     ps = _theta_cache["ps"]
     keep = ps <= limit
     return ps[keep], _theta_cache["thetas"][keep]
+
+
+# A range statistic over 1 <= m <= X holds an 8-byte |S| value and a 1-byte
+# prime flag per m; X up to MAX_RANGE_X keeps those 9 bytes per m in 2 GiB.
+RANGE_BYTES_PER_M = 9
+MAX_RANGE_X = (2 << 30) // RANGE_BYTES_PER_M
+
+
+def _check_range_size(name: str, X: int) -> None:
+    if X > MAX_RANGE_X:
+        raise PreconditionError(
+            f"{name} needs {RANGE_BYTES_PER_M} bytes per m <= X; X = {X} exceeds "
+            f"MAX_RANGE_X = {MAX_RANGE_X} (2 GiB)"
+        )
 
 
 @dataclass(frozen=True)
@@ -327,10 +362,13 @@ def avg_abs_S(X: int, k: int) -> AngleStatistics:
 
     k must be a nonzero multiple of 4 for a nonvanishing result; other k
     are flagged and return an identically zero table.  Partial sums end
-    at the decades, so a decade's mean does not depend on X.
+    at the decades, so a decade's mean does not depend on X.  X above
+    MAX_RANGE_X = 238609294 (9 bytes per m in 2 GiB) raises
+    PreconditionError before anything is allocated.
     """
     if X < 100:
         raise PreconditionError(f"avg_abs_S requires X >= 100, got {X}")
+    _check_range_size("avg_abs_S", X)
     decades = [10**d for d in range(2, 1 + math.floor(math.log10(X))) ]
     decades = [d for d in decades if d <= X]
     if not decades or decades[-1] != X:
@@ -352,9 +390,14 @@ def avg_abs_S(X: int, k: int) -> AngleStatistics:
 
 
 def prime_angle_sum(x: int, k: int) -> float:
-    """sum over primes p <= x, p = 1 (mod 4), of |cos(k theta_p)| / p."""
+    """sum over primes p <= x, p = 1 (mod 4), of |cos(k theta_p)| / p.
+
+    x above MAX_RANGE_X = 238609294 raises PreconditionError before
+    anything is allocated, as in avg_abs_S.
+    """
     if k % 4 != 0:
         raise PreconditionError(f"prime_angle_sum requires 4 | k, got k={k}")
+    _check_range_size("prime_angle_sum", x)
     ps, thetas = prime_angles(x)
     if len(ps) == 0:
         return 0.0
@@ -365,9 +408,7 @@ def mertens_check(x: int) -> float:
     """prod_{p<=x} (1 - 1/p) * log(x) * e^gamma; tends to 1 as x grows."""
     if x < 10:
         raise PreconditionError(f"mertens_check requires x >= 10, got {x}")
-    spf = smallest_prime_factor_sieve(x)
-    idx = np.arange(x + 1)
-    ps = idx[(spf == idx) & (idx > 1)]
+    ps = np.flatnonzero(prime_mask(x))
     log_prod = float(np.log1p(-1.0 / ps).sum())
     return math.exp(log_prod + np.euler_gamma) * math.log(x)
 

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 
 from dvm2d import circles
 from dvm2d.errors import PreconditionError
+from dvm2d.numtheory import two_squares_prime
 
 
 def brute_force_points(n: int) -> set[tuple[int, int]]:
@@ -365,6 +367,71 @@ def test_mertens_check():
     assert abs(circles.mertens_check(10**6) - 1) <= 0.05
     assert abs(circles.mertens_check(10**3) - 1) <= 0.15
     assert circles.mertens_check(10) > 0
+
+
+def old_prime_angles(limit):
+    """Reference: the per-prime loop (spf sieve, Cornacchia, atan2) that the sweep replaced."""
+    spf = circles.smallest_prime_factor_sieve(max(limit, 1))[: limit + 1]
+    idx = np.arange(limit + 1)
+    ps = idx[(spf == idx) & (idx % 4 == 1) & (idx > 1)]
+    thetas = np.empty(len(ps), dtype=np.float64)
+    for i, p in enumerate(ps.tolist()):
+        rep = two_squares_prime(p)
+        thetas[i] = math.atan2(rep.y, rep.x)
+    return ps, thetas
+
+
+def cold_prime_angles(*limits):
+    """prime_angles at each limit in turn, starting from an empty cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        empty = {"limit": 0, "ps": np.empty(0, dtype=np.int64), "thetas": np.empty(0)}
+        mp.setattr(circles, "_theta_cache", empty)
+        return [circles.prime_angles(n) for n in limits]
+
+
+def assert_same_angles(got, want):
+    (ps, thetas), (ps0, thetas0) = got, want
+    assert ps.dtype == ps0.dtype == np.int64 and np.array_equal(ps, ps0)
+    assert thetas.dtype == thetas0.dtype == np.float64 and np.array_equal(thetas, thetas0)
+
+
+@pytest.mark.parametrize("limit", list(range(201)) + [10**5])
+def test_prime_angles_match_per_prime_loop(limit):
+    (got,) = cold_prime_angles(limit)
+    assert_same_angles(got, old_prime_angles(limit))
+
+
+def test_prime_angles_cache_order():
+    limits = (10**4, 10**3, 10**5)
+    for limit, got in zip(limits, cold_prime_angles(*limits)):
+        assert_same_angles(got, old_prime_angles(limit))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=300_000), min_size=1, max_size=3))
+def test_prime_angles_match_per_prime_loop_property(limits):
+    for limit, got in zip(limits, cold_prime_angles(*limits)):
+        assert_same_angles(got, old_prime_angles(limit))
+
+
+def test_avg_abs_S_with_per_prime_loop_angles(monkeypatch):
+    want = circles.avg_abs_S(10**5, 4)
+    monkeypatch.setattr(circles, "prime_angles", old_prime_angles)
+    assert circles.avg_abs_S(10**5, 4) == want
+
+
+def test_range_statistics_refuse_unaffordable_X():
+    tracemalloc.start()
+    try:
+        for X in (10**12, circles.MAX_RANGE_X + 1):
+            with pytest.raises(PreconditionError, match="MAX_RANGE_X"):
+                circles.avg_abs_S(X, 4)
+            with pytest.raises(PreconditionError, match="MAX_RANGE_X"):
+                circles.prime_angle_sum(X, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def grid_scan_star_discrepancy(folded: np.ndarray, grid: int = 20000) -> float:

@@ -53,6 +53,13 @@ def test_avg_s_flags_bad_k():
     assert "identically 0" in result.output
 
 
+def test_avg_s_beyond_memory_bound_exits_2():
+    result = CliRunner().invoke(main, ["avg-s", "1000000000000", "4"])
+    assert result.exit_code == 2
+    assert "precondition violation" in result.output
+    assert "MAX_RANGE_X" in result.output
+
+
 def test_avg_s_output(tmp_path):
     runner = CliRunner()
     out = tmp_path / "avg.csv"
