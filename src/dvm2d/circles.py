@@ -6,9 +6,10 @@ representation count r2(n), and the exponential sums
     S(n, k) = sum over points u of exp(i k theta_u).
 
 Points are recovered exactly by Gaussian-integer multiplication from the
-factorization of n; angles only ever enter in floating point.  |S(n,k)|/4
-is multiplicative in n and vanishes unless 4 | k, which makes the closed
-form cheap enough to average over millions of circles.
+factorization of n, or, for every n up to a bound at once, from one sweep
+over the lattice disk (circle_table); angles only ever enter in floating
+point.  |S(n,k)|/4 is multiplicative in n and vanishes unless 4 | k, which
+makes the closed form cheap enough to average over millions of circles.
 """
 
 from __future__ import annotations
@@ -134,6 +135,89 @@ def circle_points(n: int) -> CirclePointSet:
     if n < 1:
         raise PreconditionError(f"circle_points requires n >= 1, got {n}")
     return circle_points_from(gaussian_factorize(n))
+
+
+@dataclass(frozen=True)
+class CircleTable:
+    """Every circle x^2 + y^2 = n with 1 <= n <= limit, back to back.
+
+    Circle n is the slice [starts[n], starts[n + 1]) of xs, ys and angles,
+    sorted by angle as in circle_points; empty circles have empty slices.
+    """
+
+    limit: int
+    starts: np.ndarray  # (limit + 2,) int64
+    xs: np.ndarray  # int64
+    ys: np.ndarray  # int64
+    angles: np.ndarray  # float64
+
+    def circle(self, n: int) -> CirclePointSet:
+        lo, hi = int(self.starts[n]), int(self.starts[n + 1])
+        return CirclePointSet(n, self.xs[lo:hi], self.ys[lo:hi], self.angles[lo:hi])
+
+
+# The build holds x, y, n, the angle and the sort order, 8 bytes each, plus
+# one sorted copy at a time (a traced peak of 45 bytes per point).  The disk
+# has about pi * limit points and never more than 4 * limit, so a limit up
+# to MAX_CIRCLE_TABLE_LIMIT keeps the build under 1 GiB.
+CIRCLE_TABLE_BYTES_PER_POINT = 48
+MAX_CIRCLE_TABLE_LIMIT = (1 << 30) // (4 * CIRCLE_TABLE_BYTES_PER_POINT)
+
+_circle_cache: dict[str, CircleTable] = {}
+
+
+def _build_circle_table(limit: int) -> CircleTable:
+    k = math.isqrt(limit)
+    heights = [math.isqrt(limit - x * x) for x in range(-k, k + 1)]
+    total = sum(2 * m + 1 for m in heights) - 1  # the origin is left out
+    xs = np.empty(total, dtype=np.int64)
+    ys = np.empty(total, dtype=np.int64)
+    at = 0
+    for x, m in zip(range(-k, k + 1), heights):
+        y = np.arange(-m, m + 1, dtype=np.int64)
+        if x == 0:
+            y = y[y != 0]
+        xs[at : at + len(y)] = x
+        ys[at : at + len(y)] = y
+        at += len(y)
+    n = xs * xs + ys * ys
+    angles = np.arctan2(ys, xs)
+    order = np.lexsort((angles, n))
+    starts = np.zeros(limit + 2, dtype=np.int64)
+    np.cumsum(np.bincount(n, minlength=limit + 1), out=starts[1:])
+    del n
+    xs = xs[order]
+    ys = ys[order]
+    angles = angles[order]
+    for a in (starts, xs, ys, angles):
+        a.flags.writeable = False
+    return CircleTable(limit, starts, xs, ys, angles)
+
+
+def circle_table(limit: int) -> CircleTable:
+    """All circles 1 <= n <= limit from one sweep over the lattice disk.
+
+    Each x-row of the disk x^2 + y^2 <= limit is laid down in turn; one
+    lexsort by (n, angle) then cuts the points into circles, so no n is
+    factorized.  Points, angles and their order equal circle_points(n)'s.
+    Cached and grown monotonically; a limit above MAX_CIRCLE_TABLE_LIMIT
+    raises PreconditionError before anything is allocated.
+    """
+    if limit < 0:
+        raise PreconditionError(f"circle_table requires limit >= 0, got {limit}")
+    if limit > MAX_CIRCLE_TABLE_LIMIT:
+        raise PreconditionError(
+            f"circle_table needs {CIRCLE_TABLE_BYTES_PER_POINT} bytes per point for "
+            f"up to 4 * limit points; limit = {limit} exceeds MAX_CIRCLE_TABLE_LIMIT = "
+            f"{MAX_CIRCLE_TABLE_LIMIT} (1 GiB)"
+        )
+    table = _circle_cache.get("table")
+    if table is None or table.limit < limit:
+        table = _circle_cache["table"] = _build_circle_table(limit)
+    end = int(table.starts[limit + 1])
+    return CircleTable(
+        limit, table.starts[: limit + 2], table.xs[:end], table.ys[:end], table.angles[:end]
+    )
 
 
 @dataclass(frozen=True)
@@ -309,13 +393,28 @@ def prime_angles(limit: int) -> tuple[np.ndarray, np.ndarray]:
 RANGE_BYTES_PER_M = 9
 MAX_RANGE_X = (2 << 30) // RANGE_BYTES_PER_M
 
+# landau_count sieves a 1-byte flag per m <= x.  mertens_check sieves the
+# same flags, then holds each prime and two float arrays over the primes,
+# 24 bytes per prime, which is under 2 bytes per m from x = 10**6 on.  x up
+# to MAX_MASK_X keeps 2 bytes per m in 2 GiB.
+MASK_BYTES_PER_M = 2
+MAX_MASK_X = (2 << 30) // MASK_BYTES_PER_M
+
+
+def _check_size(name: str, X: int, bytes_per_m: int, cap_name: str, cap: int) -> None:
+    if X > cap:
+        raise PreconditionError(
+            f"{name} needs {bytes_per_m} bytes per m <= X; X = {X} exceeds "
+            f"{cap_name} = {cap} (2 GiB)"
+        )
+
 
 def _check_range_size(name: str, X: int) -> None:
-    if X > MAX_RANGE_X:
-        raise PreconditionError(
-            f"{name} needs {RANGE_BYTES_PER_M} bytes per m <= X; X = {X} exceeds "
-            f"MAX_RANGE_X = {MAX_RANGE_X} (2 GiB)"
-        )
+    _check_size(name, X, RANGE_BYTES_PER_M, "MAX_RANGE_X", MAX_RANGE_X)
+
+
+def _check_mask_size(name: str, X: int) -> None:
+    _check_size(name, X, MASK_BYTES_PER_M, "MAX_MASK_X", MAX_MASK_X)
 
 
 @dataclass(frozen=True)
@@ -405,9 +504,13 @@ def prime_angle_sum(x: int, k: int) -> float:
 
 
 def mertens_check(x: int) -> float:
-    """prod_{p<=x} (1 - 1/p) * log(x) * e^gamma; tends to 1 as x grows."""
+    """prod_{p<=x} (1 - 1/p) * log(x) * e^gamma; tends to 1 as x grows.
+
+    x above MAX_MASK_X raises PreconditionError before anything is allocated.
+    """
     if x < 10:
         raise PreconditionError(f"mertens_check requires x >= 10, got {x}")
+    _check_mask_size("mertens_check", x)
     ps = np.flatnonzero(prime_mask(x))
     log_prod = float(np.log1p(-1.0 / ps).sum())
     return math.exp(log_prod + np.euler_gamma) * math.log(x)
@@ -429,9 +532,13 @@ def angular_discrepancy(n: int) -> float:
 
 
 def landau_count(x: int) -> int:
-    """Number of 1 <= n <= x that are sums of two squares."""
+    """Number of 1 <= n <= x that are sums of two squares.
+
+    x above MAX_MASK_X raises PreconditionError before anything is allocated.
+    """
     if x < 2:
         raise PreconditionError(f"landau_count requires x >= 2, got {x}")
+    _check_mask_size("landau_count", x)
     mask = np.zeros(x + 1, dtype=bool)
     for a in range(math.isqrt(x) + 1):
         b = np.arange(math.isqrt(x - a * a) + 1)

@@ -37,7 +37,7 @@ from typing import IO, Callable, Sequence
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
-from .circles import circle_points
+from .circles import circle_table
 from .errors import PreconditionError, QuadratureError
 
 Array = np.ndarray
@@ -458,16 +458,18 @@ def q_reference(
 def _circles(h: float, R: float, kernel: KernelSpec):
     """Every circle |zeta|^2 = n <= (R/h)^2 that has points, as (n, xs, ys, q).
 
-    q[i, j] = q(h sqrt(n), cos theta_ij) for the collision zeta_i ->
-    zeta_j, with cos theta_ij = zeta_i . zeta_j / n from the exact
-    integer dot product.
+    The points are slices of the cached circles.circle_table, in angle
+    order.  q[i, j] = q(h sqrt(n), cos theta_ij) for the collision
+    zeta_i -> zeta_j, with cos theta_ij = zeta_i . zeta_j / n from the
+    exact integer dot product.
     """
-    n_max = int(math.floor((R / h) ** 2 + 1e-9))
-    for n in range(1, n_max + 1):
-        pts = circle_points(n)
-        if pts.count == 0:
+    table = circle_table(int(math.floor((R / h) ** 2 + 1e-9)))
+    starts = table.starts.tolist()
+    for n in range(1, table.limit + 1):
+        lo, hi = starts[n], starts[n + 1]
+        if lo == hi:
             continue
-        xs, ys = pts.xs, pts.ys
+        xs, ys = table.xs[lo:hi], table.ys[lo:hi]
         dots = xs[:, None] * xs[None, :] + ys[:, None] * ys[None, :]
         q = kernel.evaluate(h * math.sqrt(n), dots.astype(np.float64) / n)
         yield n, xs, ys, np.asarray(q, dtype=np.float64)
@@ -484,21 +486,32 @@ def q_discrete_detailed(
     The second value, (2h)^2 * sum of weights * (gain + loss), is the
     natural scale against which the signed total cancels; it sets the
     roundoff floor for near-equilibrium states.
+
+    Every lookup lies within 2 R/h of v, so the state is zero-padded just
+    enough to hold that reach and read by plain indexing; a v farther
+    than that from the state's square gets (0.0, 0.0) at once.
     """
     h = f.h
     zvx, zvy = f.lattice_coords(np.asarray(v, dtype=np.float64))
-    f_v = f.value(zvx, zvy)
+    b = f.bound
+    reach = 2 * lattice_bound(h, R)  # farthest lookup from v, per coordinate
+    dist = max(abs(zvx), abs(zvy))
+    if dist > b + reach:
+        return 0.0, 0.0
+    pad = max(0, dist + reach - b)
+    g = np.pad(f.grid, pad)
+    ox, oy = zvx + b + pad, zvy + b + pad  # v's row and column in g
+    f_v = float(g[ox, oy])
 
     per_circle: list[float] = []
     gross = 0.0
     for _, xs, ys, q in _circles(h, R, kernel):
         r = len(xs)
-        gx1 = zvx + xs[:, None] + xs[None, :]
-        gy1 = zvy + ys[:, None] + ys[None, :]
-        gx2 = zvx + xs[:, None] - xs[None, :]
-        gy2 = zvy + ys[:, None] - ys[None, :]
-        gain = f.at(gx1, gy1) * f.at(gx2, gy2)
-        loss = f_v * f.at(zvx + 2 * xs, zvy + 2 * ys)  # (r,)
+        gain = (
+            g[ox + xs[:, None] + xs[None, :], oy + ys[:, None] + ys[None, :]]
+            * g[ox + xs[:, None] - xs[None, :], oy + ys[:, None] - ys[None, :]]
+        )
+        loss = f_v * g[ox + 2 * xs, oy + 2 * ys]  # (r,)
         per_circle.append(2 * math.pi / r * float(((gain - loss[:, None]) * q).sum()))
         gross += 2 * math.pi / r * float(((gain + loss[:, None]) * q).sum())
     return (2 * h) ** 2 * math.fsum(per_circle), (2 * h) ** 2 * gross

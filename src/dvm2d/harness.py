@@ -30,7 +30,6 @@ from .collision import (
     sample_on_lattice,
 )
 from .errors import PositivityLossError, PreconditionError
-from .numtheory import is_prime
 
 # ---------------------------------------------------------------------------
 # Angular Fourier diagnostics
@@ -322,15 +321,21 @@ def write_figure_csv(data: FigureData, fp: IO[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def _primes_1mod4_ascending(limit_product: int) -> list[int]:
-    """Consecutive primes p = 1 (mod 4) while their running product fits."""
+    """Consecutive primes p = 1 (mod 4) while their running product fits.
+
+    Primality is read off circles.prime_mask, doubled whenever p outgrows it.
+    """
     out: list[int] = []
     running = 1
+    is_p = circles.prime_mask(64)
     p = 5
     while running * p <= limit_product:
-        if p % 4 == 1 and is_prime(p):
+        if p >= len(is_p):
+            is_p = circles.prime_mask(2 * p)
+        if is_p[p]:
             out.append(p)
             running *= p
-        p += 2
+        p += 4
     return out
 
 

@@ -1,3 +1,4 @@
+import functools
 import io
 import math
 import random
@@ -172,6 +173,101 @@ def test_circle_points_sorted_by_angle():
     pts = circles.circle_points(1105)
     assert np.all(np.diff(pts.angles) > 0)
     assert pts.angles[0] >= -math.pi and pts.angles[-1] < math.pi
+
+
+TABLE_LIMIT = 2 * 10**4
+
+
+def cold_circle_tables(*limits):
+    """circle_table at each limit in turn, starting from an empty cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circles, "_circle_cache", {})
+        tables = [circles.circle_table(n) for n in limits]
+        assert circles._circle_cache["table"].limit == max(limits)
+        return tables
+
+
+@functools.cache
+def oracle_table():
+    """circle_points(n) for n = 1..TABLE_LIMIT, laid out back to back like a CircleTable."""
+    pts = [circles.circle_points(n) for n in range(1, TABLE_LIMIT + 1)]
+    starts = np.zeros(TABLE_LIMIT + 2, dtype=np.int64)
+    starts[2:] = np.cumsum([p.count for p in pts])
+    return (
+        starts,
+        np.concatenate([p.xs for p in pts]),
+        np.concatenate([p.ys for p in pts]),
+        np.concatenate([p.angles for p in pts]),
+    )
+
+
+def assert_same_table(table, limit):
+    starts, xs, ys, angles = oracle_table()
+    end = starts[limit + 1]
+    assert table.limit == limit
+    pairs = zip(
+        (table.starts, table.xs, table.ys, table.angles),
+        (starts[: limit + 2], xs[:end], ys[:end], angles[:end]),
+    )
+    for got, want in pairs:
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_circle_table_matches_circle_points():
+    (table,) = cold_circle_tables(TABLE_LIMIT)
+    empty = 0
+    for n in range(1, TABLE_LIMIT + 1):
+        got, want = table.circle(n), circles.circle_points(n)
+        assert got.xs.dtype == got.ys.dtype == want.xs.dtype == want.ys.dtype == np.int64
+        assert got.angles.dtype == want.angles.dtype == np.float64
+        assert np.array_equal(got.xs, want.xs), n
+        assert np.array_equal(got.ys, want.ys), n
+        assert np.array_equal(got.angles, want.angles), n
+        empty += got.count == 0
+    assert table.circle(3).count == 0 and table.circle(21).count == 0
+    assert empty == TABLE_LIMIT - circles.landau_count(TABLE_LIMIT)
+    assert_same_table(table, TABLE_LIMIT)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2, 3, 4, 5, 25, 1105])
+def test_circle_table_small_limits(limit):
+    (table,) = cold_circle_tables(limit)
+    assert_same_table(table, limit)
+    assert len(table.xs) == sum(circles.r2(n) for n in range(1, limit + 1))
+
+
+def test_circle_table_cache_order():
+    limits = (10**3, 10**2, 10**4)
+    for limit, table in zip(limits, cold_circle_tables(*limits)):
+        assert_same_table(table, limit)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=TABLE_LIMIT), min_size=1, max_size=3))
+def test_circle_table_matches_circle_points_property(limits):
+    for limit, table in zip(limits, cold_circle_tables(*limits)):
+        assert_same_table(table, limit)
+
+
+def test_circle_table_is_read_only():
+    table = circles.circle_table(100)
+    with pytest.raises(ValueError):
+        table.xs[0] = 0
+
+
+def test_circle_table_refuses_unaffordable_limit():
+    with pytest.raises(PreconditionError):
+        circles.circle_table(-1)
+    tracemalloc.start()
+    try:
+        for limit in (10**12, circles.MAX_CIRCLE_TABLE_LIMIT + 1):
+            with pytest.raises(PreconditionError, match="MAX_CIRCLE_TABLE_LIMIT") as err:
+                circles.circle_table(limit)
+            assert f"{circles.CIRCLE_TABLE_BYTES_PER_POINT} bytes per point" in str(err.value)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_exp_sum_direct_examples():
@@ -471,6 +567,20 @@ def test_landau_count_ratio_stability():
     r5 = c5 / (10**5 / math.sqrt(math.log(10**5)))
     r6 = c6 / (10**6 / math.sqrt(math.log(10**6)))
     assert abs(r5 / r6 - 1) <= 0.05
+
+
+def test_mask_statistics_refuse_unaffordable_x():
+    tracemalloc.start()
+    try:
+        for x in (10**12, circles.MAX_MASK_X + 1):
+            with pytest.raises(PreconditionError, match="MAX_MASK_X"):
+                circles.landau_count(x)
+            with pytest.raises(PreconditionError, match="MAX_MASK_X"):
+                circles.mertens_check(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_preconditions_raise():

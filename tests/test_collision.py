@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -538,3 +539,110 @@ def test_harmonic_weights_exact(n):
             # (-z)^m = z^m: the half-circle gain relies on equal weights.
             assert np.array_equal(cos_m[opposite], cos_m)
             assert np.array_equal(sin_m[opposite], sin_m)
+
+
+def old_circles(h, R, kernel):
+    """Reference: one circle_points call per n, as _circles did before the circle table."""
+    n_max = int(math.floor((R / h) ** 2 + 1e-9))
+    for n in range(1, n_max + 1):
+        pts = circle_points(n)
+        if pts.count == 0:
+            continue
+        xs, ys = pts.xs, pts.ys
+        dots = xs[:, None] * xs[None, :] + ys[:, None] * ys[None, :]
+        q = kernel.evaluate(h * math.sqrt(n), dots.astype(np.float64) / n)
+        yield n, xs, ys, np.asarray(q, dtype=np.float64)
+
+
+def old_q_discrete_detailed(f, v, kernel, R):
+    """Reference: q_discrete_detailed with f.at lookups that the zero-padded gather replaced."""
+    h = f.h
+    zvx, zvy = f.lattice_coords(np.asarray(v, dtype=np.float64))
+    f_v = f.value(zvx, zvy)
+    per_circle = []
+    gross = 0.0
+    for _, xs, ys, q in old_circles(h, R, kernel):
+        r = len(xs)
+        gx1 = zvx + xs[:, None] + xs[None, :]
+        gy1 = zvy + ys[:, None] + ys[None, :]
+        gx2 = zvx + xs[:, None] - xs[None, :]
+        gy2 = zvy + ys[:, None] - ys[None, :]
+        gain = f.at(gx1, gy1) * f.at(gx2, gy2)
+        loss = f_v * f.at(zvx + 2 * xs, zvy + 2 * ys)
+        per_circle.append(2 * math.pi / r * float(((gain - loss[:, None]) * q).sum()))
+        gross += 2 * math.pi / r * float(((gain + loss[:, None]) * q).sum())
+    return (2 * h) ** 2 * math.fsum(per_circle), (2 * h) ** 2 * gross
+
+
+GATHER_KERNELS = [MAXWELL, co.KernelSpec.product_power(0.5, (1, 0, 0.5))]
+
+
+@pytest.mark.parametrize("kernel", GATHER_KERNELS, ids=["maxwell", "pp05"])
+@pytest.mark.parametrize(
+    "zv",
+    [
+        (0, 0),  # centre
+        (6, 0),  # on the support edge (B = 6)
+        (4, -4),  # off the disk, on the stored square
+        (10, 3),  # outside the support, within reach 2 R/h = 8
+        (14, -14),  # at B + reach: the last shell the padded gather reads
+        (15, 0),  # beyond reach
+        (-40, 7),  # far beyond reach
+    ],
+)
+def test_q_discrete_padded_gather_matches_f_at_loop(kernel, zv):
+    h, support, R = 0.5, 3.0, 2.0
+    grid = np.random.default_rng(31).random((13, 13))
+    f = co.LatticeDistribution(h, support, grid)
+    v = np.array([zv[0] * h, zv[1] * h])
+    got = co.q_discrete_detailed(f, v, kernel, R)
+    want = old_q_discrete_detailed(f, v, kernel, R)
+    assert got[0] == want[0] and got[1] == want[1]
+    if max(map(abs, zv)) > 6 + 8:
+        assert got == (0.0, 0.0)
+
+
+def test_q_discrete_ladder_states_match_f_at_loop():
+    R = 3.0
+    for spec in (co.Maxwellian(), co.bimaxwellian()):
+        for h in (0.5, 0.25):
+            f = co.sample_on_lattice(spec, h, 2 * R + 2 * h)
+            for kernel in GATHER_KERNELS:
+                for v in ([0.0, 0.0], [1.0, -0.5], [4.0, 3.0]):
+                    got = co.q_discrete_detailed(f, np.array(v), kernel, R)
+                    assert got == old_q_discrete_detailed(f, np.array(v), kernel, R)
+
+
+def test_q_discrete_beyond_reach_allocates_nothing():
+    f = co.sample_on_lattice(co.Maxwellian(), 0.5, 3.0)
+    tracemalloc.start()
+    try:
+        got = co.q_discrete_detailed(f, np.array([5e5, 0.0]), MAXWELL, 2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == (0.0, 0.0)
+    assert peak < 1 << 16
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    h=st.sampled_from([1.0, 0.5, 0.25]),
+    support_cells=st.integers(0, 8),
+    reach=st.integers(1, 6),
+    zvx=st.integers(-30, 30),
+    zvy=st.integers(-30, 30),
+    kernel=st.sampled_from(GATHER_KERNELS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_q_discrete_padded_gather_matches_f_at_loop_random(
+    h, support_cells, reach, zvx, zvy, kernel, seed
+):
+    b = support_cells
+    f = co.LatticeDistribution(
+        h, b * h, np.random.default_rng(seed).random((2 * b + 1, 2 * b + 1))
+    )
+    v = np.array([zvx * h, zvy * h])
+    got = co.q_discrete_detailed(f, v, kernel, reach * h)
+    want = old_q_discrete_detailed(f, v, kernel, reach * h)
+    assert got[0] == want[0] and got[1] == want[1]

@@ -7,6 +7,7 @@ import pytest
 from dvm2d import circles, harness
 from dvm2d import collision as co
 from dvm2d.errors import PositivityLossError, PreconditionError
+from dvm2d.numtheory import is_prime
 
 MAXWELL = co.KernelSpec.maxwell()
 
@@ -216,6 +217,23 @@ def test_max_r_search_examples():
 
 def test_max_r_search_full_bound():
     assert harness.max_r_search(20000) == (243061325, 384)
+
+
+def old_primes_1mod4_ascending(limit_product):
+    """Reference: the loop with an is_prime test per odd p that the prime mask replaced."""
+    out, running, p = [], 1, 5
+    while running * p <= limit_product:
+        if p % 4 == 1 and is_prime(p):
+            out.append(p)
+            running *= p
+        p += 2
+    return out
+
+
+def test_primes_1mod4_ascending_matches_is_prime_loop():
+    # From 10**13 on the primes pass 64, the mask's first size, so it regrows.
+    for limit in list(range(400)) + [10**k + d for k in range(3, 31) for d in (-1, 0, 1)]:
+        assert harness._primes_1mod4_ascending(limit) == old_primes_1mod4_ascending(limit), limit
 
 
 def test_max_r_search_precondition():
