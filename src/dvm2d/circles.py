@@ -8,8 +8,11 @@ representation count r2(n), and the exponential sums
 Points are recovered exactly by Gaussian-integer multiplication from the
 factorization of n, or, for every n up to a bound at once, from one sweep
 over the lattice disk (circle_table); angles only ever enter in floating
-point.  |S(n,k)|/4 is multiplicative in n and vanishes unless 4 | k, which
-makes the closed form cheap enough to average over millions of circles.
+point.  r2 over a range of n is counted, not factorized: r2_range lays
+down the lattice points of each annulus row by row (annulus_points) and
+bins them by n.  |S(n,k)|/4 is multiplicative in n and vanishes unless
+4 | k, which makes the closed form, read off the segmented prime-power
+sieve factor_range, cheap enough to average over millions of circles.
 """
 
 from __future__ import annotations
@@ -279,7 +282,7 @@ def exp_sum_closed(n: int, k: int) -> float:
 def smallest_prime_factor_sieve(limit: int) -> np.ndarray:
     """spf[m] = smallest prime factor of m, for 0 <= m <= limit."""
     spf = np.zeros(limit + 1, dtype=np.int64)
-    spf[1] = 1
+    spf[1:2] = 1  # empty when limit = 0
     for i in range(2, math.isqrt(limit) + 1):
         if spf[i] == 0:
             spf[i * i :: i][spf[i * i :: i] == 0] = i
@@ -325,21 +328,73 @@ def factor_range(n_lo: int, n_hi: int, segment: int = SIEVE_SEGMENT):
         yield seg_lo, powers, rem
 
 
-def r2_range(n_lo: int, n_hi: int, segment: int = SIEVE_SEGMENT):
-    """Yield (lo, r2 array) per segment of [n_lo, n_hi]: the r2 fold of factor_range.
+def _isqrt(m: np.ndarray) -> np.ndarray:
+    """floor(sqrt(m)) elementwise for int64 0 <= m < 2**52.
 
-    4 * prod (alpha_p + 1) over p = 1 (mod 4), or 0 where some q = 3 (mod 4)
-    has an odd exponent, read from that prime's own exponents.
+    m converts to float64 exactly and np.sqrt rounds correctly.  Below the
+    next square k^2 <= 2**52 the root is at least 1/(2k) short of k, more
+    than half a unit in the last place, so truncation gives the floor.
     """
-    for lo, powers, c in factor_range(n_lo, n_hi, segment):
-        dcount = np.where((c > 1) & (c & 3 == 1), 2, 1)
-        bad = c & 3 == 3
-        for p, start, e in powers:
-            if p & 3 == 1:
-                dcount[start::p] *= e + 1
-            elif p & 3 == 3:
-                bad[start::p] |= e & 1 == 1
-        yield lo, np.where(bad, 0, 4 * dcount)
+    return np.sqrt(m).astype(np.int64)
+
+
+def annulus_points(s: int, e: int, x_lo: int, x_hi: int, y_lo: int, y_hi: int):
+    """Lattice points of a box whose squared radius lies in [s, e], row by row.
+
+    For each x in [x_lo, min(x_hi, isqrt(e))] the points (x, y) with
+    y_lo <= y <= y_hi and s <= x^2 + y^2 <= e form one y-interval, whose
+    ends are integer square roots; np.repeat expands the intervals.
+    Returns int64 (x, count, ys): the rows, their point counts and the y
+    of every point, row after row with y ascending, so the points are
+    (np.repeat(x, count), ys).  Needs x_lo, y_lo >= 0.
+    """
+    x = np.arange(x_lo, min(x_hi, math.isqrt(e)) + 1, dtype=np.int64)
+    x2 = x * x
+    top = np.minimum(_isqrt(e - x2), y_hi)
+    below = s - 1 - x2  # y^2 must exceed this
+    bottom = np.maximum(_isqrt(np.maximum(below, 0)) + (below >= 0), y_lo)
+    count = np.maximum(top - bottom + 1, 0)
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if len(ends) else 0
+    ys = np.arange(total, dtype=np.int64) - np.repeat(ends - count - bottom, count)
+    return x, count, ys
+
+
+# One counting segment expands about pi/4 points per radius into int64
+# arrays; at 2**17 radii a segment's traced peak is under 4 MB.
+R2_SEGMENT = 1 << 17
+
+# A segment of r2_range holds 64 bytes (a traced peak) for each of its
+# isqrt(n_hi) rows, plus its own points; R2_RANGE_BYTES_PER_ROW leaves room
+# for those.  n_hi up to MAX_R2_RANGE_N keeps the rows in 1 GiB, and below
+# 2**52, where _isqrt is exact.
+R2_RANGE_BYTES_PER_ROW = 72
+MAX_R2_RANGE_N = ((1 << 30) // R2_RANGE_BYTES_PER_ROW) ** 2
+
+
+def r2_range(n_lo: int, n_hi: int, segment: int = R2_SEGMENT):
+    """Yield (lo, r2 array) per segment of [n_lo, n_hi], by counting lattice points.
+
+    The points (x, y) with x >= 1 and y >= 0 meet every circle n >= 1 in a
+    quarter of its points.  Per segment [s, e] they come from
+    annulus_points, and r2 = 4 * bincount(x^2 + y^2 - s); nothing is
+    factorized.  The arrays are int64.  An n_hi above MAX_R2_RANGE_N
+    raises PreconditionError before anything is allocated.
+    """
+    if n_lo < 1:
+        raise PreconditionError(f"r2_range requires n_lo >= 1, got {n_lo}")
+    if n_hi > MAX_R2_RANGE_N:
+        raise PreconditionError(
+            f"r2_range needs {R2_RANGE_BYTES_PER_ROW} bytes per row for isqrt(n_hi) "
+            f"rows; n_hi = {n_hi} exceeds MAX_R2_RANGE_N = {MAX_R2_RANGE_N} (1 GiB)"
+        )
+    for s in range(n_lo, n_hi + 1, segment):
+        e = min(s + segment - 1, n_hi)
+        k = math.isqrt(e)
+        x, count, n = annulus_points(s, e, 1, k, 0, k)
+        n *= n
+        n += np.repeat(x * x - s, count)
+        yield s, 4 * np.bincount(n, minlength=e - s + 1)
 
 
 def prime_mask(limit: int) -> np.ndarray:

@@ -180,6 +180,11 @@ def converge_study(
     outside = norms >= R
     g_out = angular_integral(f_spec, v, kernel, w_all[outside], quad.n_theta)
     tail = 4.0 * step_t * step_t * float(np.abs(g_out).sum())
+    # Inner-disk quadrature, compared per h with the lattice Riemann sum of
+    # the same exact-angular G_v; this isolates the outer-discretization error.
+    inner = 4.0 * step_t * step_t * float(
+        angular_integral(f_spec, v, kernel, w_all[~outside], quad.n_theta).sum()
+    )
 
     c3 = 0.0
     probe_radius = max(1, int(round(R / (2 * max(h_list)))))
@@ -195,11 +200,6 @@ def converge_study(
         qh = q_discrete(f_h, v, kernel, R)
         abs_err = abs(qh - ref.value)
 
-        # Inner-disk quadrature vs the lattice Riemann sum of the same
-        # exact-angular G_v; this isolates the outer-discretization error.
-        inner = 4.0 * step_t * step_t * float(
-            angular_integral(f_spec, v, kernel, w_all[~outside], quad.n_theta).sum()
-        )
         frame = LatticeDistribution.zeros(h, R)
         wx, wy = frame.velocities()
         keep = frame.disk & ((wx != 0) | (wy != 0))
@@ -267,46 +267,55 @@ class FigureData:
         return len(self.points)
 
 
+# A kept point is held as four int64 values (x, y, n, r2) while the segments
+# stream, and the final lexsort and gathers add at most as much again; the
+# traced peak is FIGURE_BYTES_PER_POINT.  MAX_FIGURE_POINTS keeps it in 1 GiB.
+FIGURE_BYTES_PER_POINT = 64
+MAX_FIGURE_POINTS = (1 << 30) // FIGURE_BYTES_PER_POINT
+
+
 def figure_data(query: FigureQuery) -> FigureData:
     """All box points whose circles meet the point-count threshold.
 
-    Circles are found by the r2 fold of the segmented range
-    factorization (circles.r2_range) over the reachable squared radii;
-    their points are then enumerated exactly and filtered to the box.
+    circles.r2_range streams r2 over the reachable squared radii
+    [2 lo^2, 2 hi^2]; for each of its segments circles.annulus_points gives
+    the box points on those radii, whose r2 is then read by indexing.  No
+    circle is enumerated or factorized.  One lexsort orders the kept
+    points.  When the kept points would pass MAX_FIGURE_POINTS (1 GiB)
+    the query raises PreconditionError before that segment is stored.
     """
     lo, hi = query.coord_min, query.coord_max
-    n_lo = max(1, 2 * lo * lo) if lo > 0 else 1
-    n_hi = 2 * hi * hi
     cut = query.threshold if query.comparison == "ge" else query.threshold + 1
 
-    pts_x: list[int] = []
-    pts_y: list[int] = []
-    pts_n: list[int] = []
-    pts_r: list[int] = []
-    for seg_lo, r2_vals in circles.r2_range(n_lo, n_hi):
-        good = np.nonzero(r2_vals >= cut)[0]
-        for off in good.tolist():
-            n = seg_lo + off
-            pts = circles.circle_points(n)
-            keep = (
-                (pts.xs >= lo) & (pts.xs <= hi) & (pts.ys >= lo) & (pts.ys <= hi)
+    kept: list[list[np.ndarray]] = [[], [], [], []]  # x, y, n, r2 per segment
+    total = 0
+    for s, r2_vals in circles.r2_range(max(1, 2 * lo * lo), 2 * hi * hi):
+        e = s + len(r2_vals) - 1
+        x, count, ys = circles.annulus_points(s, e, lo, hi, lo, hi)
+        xs = np.repeat(x, count)
+        ns = xs * xs + ys * ys
+        rs = r2_vals[ns - s]
+        keep = rs >= cut
+        total += int(np.count_nonzero(keep))
+        if total > MAX_FIGURE_POINTS:
+            raise PreconditionError(
+                f"figure keeps more than MAX_FIGURE_POINTS = {MAX_FIGURE_POINTS} "
+                f"points ({FIGURE_BYTES_PER_POINT} bytes each, 1 GiB); raise the "
+                f"threshold or shrink the box"
             )
-            for x, y in zip(pts.xs[keep].tolist(), pts.ys[keep].tolist()):
-                pts_x.append(x)
-                pts_y.append(y)
-                pts_n.append(n)
-                pts_r.append(pts.count)
+        for chunks, a in zip(kept, (xs, ys, ns, rs)):
+            chunks.append(a[keep])
 
-    points = np.stack(
-        [np.asarray(pts_x, dtype=np.int64), np.asarray(pts_y, dtype=np.int64)],
-        axis=-1,
-    ) if pts_x else np.zeros((0, 2), dtype=np.int64)
-    n_arr = np.asarray(pts_n, dtype=np.int64)
-    r_arr = np.asarray(pts_r, dtype=np.int64)
-    if len(points):
-        order = np.lexsort((points[:, 1], points[:, 0]))
-        points, n_arr, r_arr = points[order], n_arr[order], r_arr[order]
-    return FigureData(query, points, n_arr, r_arr)
+    cols = []
+    for chunks in kept:  # each column's chunks go as soon as it is joined
+        cols.append(np.concatenate(chunks) if chunks else np.zeros(0, dtype=np.int64))
+        chunks.clear()
+    order = np.lexsort((cols[1], cols[0]))
+    points = np.empty((total, 2), dtype=np.int64)
+    for j in range(2):
+        np.take(cols[j], order, out=points[:, j])
+        cols[j] = None
+    return FigureData(query, points, cols[2][order], cols[3][order])
 
 
 def write_figure_csv(data: FigureData, fp: IO[str]) -> None:

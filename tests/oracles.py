@@ -1,0 +1,59 @@
+"""Retired census implementations, kept as differential oracles.
+
+``sieve_r2_range`` is the r2 fold of ``circles.factor_range`` that
+``circles.r2_range`` was before it counted lattice points, and
+``enumerated_figure_data`` is the ``harness.figure_data`` that enumerated
+every point-rich circle with ``circle_points`` and filtered it to the box.
+"""
+
+import numpy as np
+
+from dvm2d import circles, harness
+
+
+def sieve_r2_range(n_lo, n_hi, segment=circles.SIEVE_SEGMENT):
+    """Yield (lo, r2 array) per segment of [n_lo, n_hi] from the prime-power sieve.
+
+    4 * prod (alpha_p + 1) over p = 1 (mod 4), or 0 where some q = 3 (mod 4)
+    has an odd exponent, read from that prime's own exponents.
+    """
+    for lo, powers, c in circles.factor_range(n_lo, n_hi, segment):
+        dcount = np.where((c > 1) & (c & 3 == 1), 2, 1)
+        bad = c & 3 == 3
+        for p, start, e in powers:
+            if p & 3 == 1:
+                dcount[start::p] *= e + 1
+            elif p & 3 == 3:
+                bad[start::p] |= e & 1 == 1
+        yield lo, np.where(bad, 0, 4 * dcount)
+
+
+def enumerated_figure_data(query):
+    """figure_data by sieving r2, then enumerating each circle with r2 >= cut."""
+    lo, hi = query.coord_min, query.coord_max
+    n_lo = max(1, 2 * lo * lo) if lo > 0 else 1
+    n_hi = 2 * hi * hi
+    cut = query.threshold if query.comparison == "ge" else query.threshold + 1
+
+    pts_x, pts_y, pts_n, pts_r = [], [], [], []
+    for seg_lo, r2_vals in sieve_r2_range(n_lo, n_hi):
+        for off in np.nonzero(r2_vals >= cut)[0].tolist():
+            n = seg_lo + off
+            pts = circles.circle_points(n)
+            keep = (pts.xs >= lo) & (pts.xs <= hi) & (pts.ys >= lo) & (pts.ys <= hi)
+            for x, y in zip(pts.xs[keep].tolist(), pts.ys[keep].tolist()):
+                pts_x.append(x)
+                pts_y.append(y)
+                pts_n.append(n)
+                pts_r.append(pts.count)
+
+    points = np.stack(
+        [np.asarray(pts_x, dtype=np.int64), np.asarray(pts_y, dtype=np.int64)],
+        axis=-1,
+    ) if pts_x else np.zeros((0, 2), dtype=np.int64)
+    n_arr = np.asarray(pts_n, dtype=np.int64)
+    r_arr = np.asarray(pts_r, dtype=np.int64)
+    if len(points):
+        order = np.lexsort((points[:, 1], points[:, 0]))
+        points, n_arr, r_arr = points[order], n_arr[order], r_arr[order]
+    return harness.FigureData(query, points, n_arr, r_arr)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dvm2d import circles
 from dvm2d.errors import PreconditionError
 from dvm2d.numtheory import two_squares_prime
+from oracles import sieve_r2_range
 
 
 def brute_force_points(n: int) -> set[tuple[int, int]]:
@@ -115,6 +116,73 @@ def test_r2_range_inert_parity_per_prime():
     for n, want in ((21, 0), (3 * 7 * 25, 0), (3**3 * 7, 0), (3**2 * 7**2, 4)):
         (_, got), = circles.r2_range(n, n)
         assert got.tolist() == [want] == [circles.r2(n)], n
+
+
+def test_r2_range_matches_sieve_fold_at_2e8():
+    n_lo = 2 * 10**8
+    n_hi = n_lo + circles.R2_SEGMENT - 1
+    (lo, got), = circles.r2_range(n_lo, n_hi)
+    (want_lo, want), = sieve_r2_range(n_lo, n_hi)
+    assert lo == want_lo == n_lo
+    assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+
+
+def test_r2_range_empty_and_tiny_ranges():
+    assert list(circles.r2_range(1, 0)) == []
+    assert list(circles.r2_range(10, 9, 3)) == []
+    (lo, got), = circles.r2_range(1, 1)
+    assert lo == 1 and got.tolist() == [4]
+
+
+def test_isqrt_exact_near_squares():
+    ks = np.concatenate([np.arange(1, 2000), np.arange(2**26 - 10**5, 2**26)])
+    ms = np.concatenate([ks * ks - 1, ks * ks, [0, 2**52 - 1]])
+    r = circles._isqrt(ms)
+    assert r.dtype == np.int64
+    assert np.all(r * r <= ms) and np.all((r + 1) * (r + 1) > ms)
+    assert circles.MAX_R2_RANGE_N < 2**52
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2000),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=60),
+)
+def test_annulus_points_match_box_scan(s, width, x_lo, x_w, y_lo, y_w):
+    e = s + width
+    x, count, ys = circles.annulus_points(s, e, x_lo, x_lo + x_w, y_lo, y_lo + y_w)
+    xs = np.repeat(x, count)
+    want = [
+        (a, b)
+        for a in range(x_lo, x_lo + x_w + 1)
+        for b in range(y_lo, y_lo + y_w + 1)
+        if s <= a * a + b * b <= e
+    ]
+    assert xs.dtype == ys.dtype == np.int64
+    assert list(zip(xs.tolist(), ys.tolist())) == want
+
+
+def test_r2_range_refuses_unaffordable_n_hi():
+    tracemalloc.start()
+    try:
+        for n_hi in (10**18, circles.MAX_R2_RANGE_N + 1):
+            with pytest.raises(PreconditionError, match="MAX_R2_RANGE_N"):
+                next(circles.r2_range(n_hi, n_hi))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_smallest_prime_factor_sieve_small_limits():
+    assert circles.smallest_prime_factor_sieve(0).tolist() == [0]
+    assert circles.smallest_prime_factor_sieve(1).tolist() == [0, 1]
+    assert circles.smallest_prime_factor_sieve(10).tolist() == [0, 1, 2, 3, 2, 5, 2, 7, 2, 3, 2]
+    assert list(circles.factor_range(1, 0)) == []
 
 
 def test_circle_points_examples():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from dvm2d import harness
 from dvm2d.cli import main
 
 
@@ -156,6 +157,26 @@ def test_figure_bad_threshold_exits_2():
     runner = CliRunner()
     result = runner.invoke(main, ["figure", "--min", "1", "--max", "9", "--threshold", "70"])
     assert result.exit_code == 2
+
+
+def test_figure_single_point_box_writes_header_only(tmp_path):
+    # r2(0) = 1 is below any threshold, so the box {(0, 0)} keeps nothing.
+    out = tmp_path / "fig.csv"
+    result = CliRunner().invoke(
+        main, ["figure", "--min", "0", "--max", "0", "--threshold", "4", "--out", str(out)]
+    )
+    assert result.exit_code == 0, result.output
+    assert out.read_text() == "zeta1,zeta2,n,r2\n"
+    assert json.loads((tmp_path / "fig.csv.manifest.json").read_text())["config"]["count"] == 0
+
+
+def test_figure_beyond_memory_bound_exits_2(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_FIGURE_POINTS", 100)
+    result = CliRunner().invoke(
+        main, ["figure", "--min", "0", "--max", "20000", "--threshold", "4"]
+    )
+    assert result.exit_code == 2
+    assert "MAX_FIGURE_POINTS = 100" in result.output
 
 
 def test_max_r_command():

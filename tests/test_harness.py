@@ -1,13 +1,17 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dvm2d import circles, harness
 from dvm2d import collision as co
 from dvm2d.errors import PositivityLossError, PreconditionError
 from dvm2d.numtheory import is_prime
+from oracles import enumerated_figure_data
 
 MAXWELL = co.KernelSpec.maxwell()
 
@@ -87,6 +91,20 @@ def test_equid_term_precondition():
 def test_converge_study_rejects_non_decreasing_ladder():
     with pytest.raises(PreconditionError):
         harness.converge_study(co.Maxwellian(), MAXWELL, np.zeros(2), [0.25, 0.5], R=2.0)
+
+
+def test_converge_study_inner_integral_once(monkeypatch):
+    bi = co.bimaxwellian()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return co.angular_integral(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "angular_integral", counted)
+    harness.converge_study(bi, MAXWELL, np.zeros(2), [0.5, 0.25, 0.125], R=2.0, M_diag=8)
+    # The outer tail, the inner disk, then one lattice sum per h.
+    assert len(calls) == 5
 
 
 def test_converge_study_zero_f():
@@ -182,6 +200,50 @@ def test_figure_data_deterministic():
     b = harness.figure_data(q)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.n_values, b.n_values)
+
+
+def assert_same_figure(got, want):
+    for a, b in ((got.points, want.points), (got.n_values, want.n_values),
+                 (got.r_values, want.r_values)):
+        assert a.dtype == b.dtype == np.int64
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "query",
+    [(0, 0, 4, "ge"), (0, 1, 4, "ge"), (3, 3, 4, "ge"), (0, 120, 48, "gt"),
+     (0, 300, 96, "ge"), (10000, 10030, 72, "ge"), (19990, 20000, 96, "gt")],
+)
+def test_figure_data_matches_enumeration(query):
+    q = harness.FigureQuery(*query)
+    assert_same_figure(harness.figure_data(q), enumerated_figure_data(q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=150),
+    st.integers(min_value=0, max_value=60),
+    st.sampled_from([4, 8, 12, 16, 24, 32, 48, 64, 96]),
+    st.sampled_from(["ge", "gt"]),
+)
+def test_figure_data_matches_enumeration_property(lo, width, threshold, comparison):
+    q = harness.FigureQuery(lo, lo + width, threshold, comparison)
+    assert_same_figure(harness.figure_data(q), enumerated_figure_data(q))
+
+
+def test_figure_data_refuses_unaffordable_census(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_FIGURE_POINTS", 10**4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="MAX_FIGURE_POINTS"):
+            harness.figure_data(harness.FigureQuery(0, 20000, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    # Exactly at the bound the census still runs: 10**4 points in the 1..100 box.
+    data = harness.figure_data(harness.FigureQuery(1, 100, 4))
+    assert data.count == 10**4
 
 
 def test_figure_csv():
