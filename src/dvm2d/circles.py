@@ -6,13 +6,16 @@ representation count r2(n), and the exponential sums
     S(n, k) = sum over points u of exp(i k theta_u).
 
 Points are recovered exactly by Gaussian-integer multiplication from the
-factorization of n, or, for every n up to a bound at once, from one sweep
-over the lattice disk (circle_table); angles only ever enter in floating
-point.  r2 over a range of n is counted, not factorized: r2_range lays
-down the lattice points of each annulus row by row (annulus_points) and
-bins them by n.  |S(n,k)|/4 is multiplicative in n and vanishes unless
-4 | k, which makes the closed form, read off the segmented prime-power
-sieve factor_range, cheap enough to average over millions of circles.
+factorization of n, or, for every n up to a bound at once, from the
+lattice disk itself; angles only ever enter in floating point.  Every
+sweep over the disk goes through annulus_points, which lays down the
+lattice points of an annulus row by row: circle_table turns the quarter
+x >= 1, y >= 0 into every circle up to a bound, r2_range (and with it
+landau_count) bins each annulus by n instead of factorizing, and
+prime_angles keeps the points on prime circles.  |S(n,k)|/4 is
+multiplicative in n and vanishes unless 4 | k, which makes the closed
+form, read off the segmented prime-power sieve factor_range, cheap enough
+to average over millions of circles.
 """
 
 from __future__ import annotations
@@ -171,18 +174,11 @@ _circle_cache: dict[str, CircleTable] = {}
 
 def _build_circle_table(limit: int) -> CircleTable:
     k = math.isqrt(limit)
-    heights = [math.isqrt(limit - x * x) for x in range(-k, k + 1)]
-    total = sum(2 * m + 1 for m in heights) - 1  # the origin is left out
-    xs = np.empty(total, dtype=np.int64)
-    ys = np.empty(total, dtype=np.int64)
-    at = 0
-    for x, m in zip(range(-k, k + 1), heights):
-        y = np.arange(-m, m + 1, dtype=np.int64)
-        if x == 0:
-            y = y[y != 0]
-        xs[at : at + len(y)] = x
-        ys[at : at + len(y)] = y
-        at += len(y)
+    x, count, y = annulus_points(1, limit, 1, k, 0, k)
+    x = np.repeat(x, count)
+    xs = np.concatenate((x, -y, -x, y))
+    ys = np.concatenate((y, x, -y, -x))
+    del x, y
     n = xs * xs + ys * ys
     angles = np.arctan2(ys, xs)
     order = np.lexsort((angles, n))
@@ -200,9 +196,11 @@ def _build_circle_table(limit: int) -> CircleTable:
 def circle_table(limit: int) -> CircleTable:
     """All circles 1 <= n <= limit from one sweep over the lattice disk.
 
-    Each x-row of the disk x^2 + y^2 <= limit is laid down in turn; one
-    lexsort by (n, angle) then cuts the points into circles, so no n is
-    factorized.  Points, angles and their order equal circle_points(n)'s.
+    annulus_points lays down the quarter x >= 1, y >= 0 of the disk
+    x^2 + y^2 <= limit, whose four quarter turns cover every nonzero point
+    of the disk once; one lexsort by (n, angle) then cuts the points into
+    circles, so no n is factorized.  Points, angles and their order equal
+    circle_points(n)'s.
     Cached and grown monotonically; a limit above MAX_CIRCLE_TABLE_LIMIT
     raises PreconditionError before anything is allocated.
     """
@@ -262,12 +260,6 @@ def exp_sum_closed(n: int, k: int) -> float:
     gf = gaussian_factorize(n)
     if not gf.is_sum_of_two_squares():
         return 0.0
-    if k == 0:
-        mag = 4.0
-        for s in gf.splittings:
-            alpha = next(f.alpha for f in gf.factors if f.p == s.p)
-            mag *= alpha + 1
-        return mag
     mag = 4.0
     for s in gf.splittings:
         alpha = next(f.alpha for f in gf.factors if f.p == s.p)
@@ -418,21 +410,25 @@ def prime_angles(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Primes p <= limit with p = 1 (mod 4) and their angles theta_p = atan2(y, x).
 
     By Fermat each such p is x^2 + y^2 with x > y > 0 in exactly one way,
-    so one sweep over the lattice pairs inside the circle of squared radius
-    limit, kept where x^2 + y^2 is prime, yields every p with its legs; no
-    primality test or square root of -1 runs.  Cached and grown
-    monotonically.
+    so the lattice points of the disk of squared radius limit, read one
+    annulus at a time through annulus_points and kept where y < x and
+    x^2 + y^2 is prime, yield every p with its legs; no primality test or
+    square root of -1 runs.  Cached and grown monotonically.
     """
     if _theta_cache["limit"] < limit:
         is_p = prime_mask(limit)
-        ps = [np.empty(0, dtype=np.int64)]
-        thetas = [np.empty(0, dtype=np.float64)]
-        for x in range(2, math.isqrt(limit) + 1):
-            y = np.arange(1, min(x - 1, math.isqrt(limit - x * x)) + 1, dtype=np.int64)
+        ps, thetas = [], []
+        k = math.isqrt(limit)
+        for s in range(1, limit + 1, R2_SEGMENT):
+            e = min(s + R2_SEGMENT - 1, limit)
+            # A row with 2 x^2 < s holds only points with y > x.
+            x, count, y = annulus_points(s, e, max(2, math.isqrt(s // 2)), k, 1, k)
+            x = np.repeat(x, count)
             p = x * x + y * y
-            keep = is_p[p]
+            keep = (y < x) & is_p[p]
             ps.append(p[keep])
-            thetas.append(np.array([math.atan2(v, x) for v in y[keep].tolist()]))
+            xk, yk = x[keep].tolist(), y[keep].tolist()
+            thetas.append(np.array([math.atan2(b, a) for a, b in zip(xk, yk)]))
         ps = np.concatenate(ps)
         order = np.argsort(ps)
         _theta_cache.update(
@@ -448,10 +444,12 @@ def prime_angles(limit: int) -> tuple[np.ndarray, np.ndarray]:
 RANGE_BYTES_PER_M = 9
 MAX_RANGE_X = (2 << 30) // RANGE_BYTES_PER_M
 
-# landau_count sieves a 1-byte flag per m <= x.  mertens_check sieves the
-# same flags, then holds each prime and two float arrays over the primes,
-# 24 bytes per prime, which is under 2 bytes per m from x = 10**6 on.  x up
-# to MAX_MASK_X keeps 2 bytes per m in 2 GiB.
+# mertens_check sieves a 1-byte prime flag per m <= x, then holds each prime
+# and two float arrays over the primes, 24 bytes per prime, which is under 2
+# bytes per m from x = 10**6 on.  x up to MAX_MASK_X keeps 2 bytes per m in
+# 2 GiB.  landau_count streams r2_range in about 35 MB peak RSS, so for it
+# the cap is a time budget: x = 10**8 takes about 1 s and x = MAX_MASK_X
+# about 16 s (2 cores, Python 3.11, numpy 2.4).
 MASK_BYTES_PER_M = 2
 MAX_MASK_X = (2 << 30) // MASK_BYTES_PER_M
 
@@ -466,10 +464,6 @@ def _check_size(name: str, X: int, bytes_per_m: int, cap_name: str, cap: int) ->
 
 def _check_range_size(name: str, X: int) -> None:
     _check_size(name, X, RANGE_BYTES_PER_M, "MAX_RANGE_X", MAX_RANGE_X)
-
-
-def _check_mask_size(name: str, X: int) -> None:
-    _check_size(name, X, MASK_BYTES_PER_M, "MAX_MASK_X", MAX_MASK_X)
 
 
 @dataclass(frozen=True)
@@ -565,7 +559,7 @@ def mertens_check(x: int) -> float:
     """
     if x < 10:
         raise PreconditionError(f"mertens_check requires x >= 10, got {x}")
-    _check_mask_size("mertens_check", x)
+    _check_size("mertens_check", x, MASK_BYTES_PER_M, "MAX_MASK_X", MAX_MASK_X)
     ps = np.flatnonzero(prime_mask(x))
     log_prod = float(np.log1p(-1.0 / ps).sum())
     return math.exp(log_prod + np.euler_gamma) * math.log(x)
@@ -587,18 +581,19 @@ def angular_discrepancy(n: int) -> float:
 
 
 def landau_count(x: int) -> int:
-    """Number of 1 <= n <= x that are sums of two squares.
+    """Number of 1 <= n <= x that are sums of two squares: the n with r2(n) > 0.
 
-    x above MAX_MASK_X raises PreconditionError before anything is allocated.
+    Streams r2_range, so it holds one segment at a time.  x above
+    MAX_MASK_X raises PreconditionError before any work is done.
     """
     if x < 2:
         raise PreconditionError(f"landau_count requires x >= 2, got {x}")
-    _check_mask_size("landau_count", x)
-    mask = np.zeros(x + 1, dtype=bool)
-    for a in range(math.isqrt(x) + 1):
-        b = np.arange(math.isqrt(x - a * a) + 1)
-        mask[a * a + b * b] = True
-    return int(mask[1:].sum())
+    if x > MAX_MASK_X:
+        raise PreconditionError(
+            f"landau_count counts about pi x / 4 lattice points; x = {x} exceeds "
+            f"MAX_MASK_X = {MAX_MASK_X}"
+        )
+    return sum(int(np.count_nonzero(r)) for _, r in r2_range(1, x))
 
 
 # ---------------------------------------------------------------------------

@@ -164,7 +164,7 @@ def collide(f_name, file, h, R, v_text, grid, out):
     kernel = co.KernelSpec.maxwell()
     buf = io.StringIO()
     if grid:
-        op = co.FastCollisionOperator(h, R, kernel, out_bound=f_h.bound)
+        op = co.FastCollisionOperator(h, R, kernel, f_h.bound, f_h.bound)
         co.write_qh_csv(op.apply(f_h), h, f_h.bound, buf)
     else:
         zx, zy = f_h.lattice_coords(v)

@@ -153,6 +153,10 @@ def bimaxwellian(
 
 def lattice_bound(h: float, radius: float) -> int:
     """Integer coordinate bound B = floor(radius / h) of a lattice disk."""
+    if h <= 0:
+        raise PreconditionError("h must be positive")
+    if radius < 0:
+        raise PreconditionError(f"disk radius must be nonnegative, got {radius}")
     return int(math.floor(radius / h + 1e-9))
 
 
@@ -169,10 +173,8 @@ class LatticeDistribution:
     grid: Array  # (2B+1, 2B+1), grid[ix + B, iy + B] = f at zeta=(ix, iy)
 
     def __post_init__(self) -> None:
-        if self.h <= 0:
-            raise PreconditionError("h must be positive")
+        b = self.bound  # refuses h <= 0 and a negative support radius
         self.grid = np.array(self.grid, dtype=np.float64)
-        b = self.bound
         if self.grid.shape != (2 * b + 1, 2 * b + 1):
             raise PreconditionError(
                 f"grid shape {self.grid.shape} does not match support radius"
@@ -229,9 +231,9 @@ class LatticeDistribution:
         cls, h: float, support_radius: float, values: dict[tuple[int, int], float]
     ) -> "LatticeDistribution":
         zero = cls.zeros(h, support_radius)
-        b, grid = zero.bound, zero.grid
+        b, grid, disk = zero.bound, zero.grid, zero.disk
         for (zx, zy), val in values.items():
-            if abs(zx) > b or abs(zy) > b:
+            if abs(zx) > b or abs(zy) > b or not disk[zx + b, zy + b]:
                 raise PreconditionError(f"point {(zx, zy)} outside declared support")
             grid[zx + b, zy + b] = val
         return cls(h, support_radius, grid)
@@ -491,6 +493,8 @@ def q_discrete_detailed(
     enough to hold that reach and read by plain indexing; a v farther
     than that from the state's square gets (0.0, 0.0) at once.
     """
+    if R <= 0:
+        raise PreconditionError("h and R must be positive")
     h = f.h
     zvx, zvy = f.lattice_coords(np.asarray(v, dtype=np.float64))
     b = f.bound
@@ -548,36 +552,6 @@ def _harmonic_weights(xs: Array, ys: Array, n: int, m: int) -> tuple[Array, Arra
     return cos_m, sin_m
 
 
-@dataclass(frozen=True)
-class _FastCircle:
-    """Points and gain weight matrices of one circle |zeta|^2 = n."""
-
-    xs: Array  # (r,) all points of the circle
-    ys: Array
-    half_xs: Array  # (r/2,) one point of each +-zeta pair
-    half_ys: Array
-    inner: Array  # (channels, r/2) 2 cos(m phi_j) / 2 sin(m phi_j) on the half circle
-    outer: Array  # (r, channels) (2 pi / r) q1 c_m cos(m phi_i) / sin(m phi_i)
-
-
-@dataclass(frozen=True)
-class _BoundPlan:
-    """Slices and loss band of a FastCollisionOperator for one input bound."""
-
-    bound: int
-    # Per circle, per half point j: (j, mid box, box of x + zeta, box of x - zeta).
-    products: list[list[tuple]]
-    # Per circle, per point i: flat offset of the shift x -> x - zeta_i into
-    # the gain frame.
-    offsets: list[list[int]]
-    loss_rows: Array  # (2c+1, 2K+1) state row of v_x + 2a, or 2 bound + 1 (zero row)
-    # Per parity class: (input columns, output columns, band of weights by
-    # (a, input y; output y)).
-    loss_parts: list[tuple[slice, slice, Array]]
-    loss_out: slice  # output rows/columns |v| <= c = min(out_bound, bound)
-    loss_in: slice  # the same velocities as input rows/columns
-
-
 class FastCollisionOperator:
     """Q^h on a whole grid of output velocities; use it inside time-stepping loops.
 
@@ -606,23 +580,30 @@ class FastCollisionOperator:
       correlation, evaluated as a banded matmul: rows v_x + 2 zeta_x of the
       state, side by side, times a band that maps input to output columns.
       An output column reads input columns of one parity only, so the band
-      is kept as two halves.  It is built on the first apply for an input
-      bound and cached; its weights come from the exact integer scattering
+      is kept as two halves.  It is built once per operator, for its one
+      input bound; its weights come from the exact integer scattering
       cosines, as in q_discrete.
 
     Same operator as q_discrete up to floating-point association.
     """
 
-    def __init__(self, h: float, R: float, kernel: KernelSpec, out_bound: int):
+    def __init__(self, h: float, R: float, kernel: KernelSpec, bound: int, out_bound: int):
         if h <= 0 or R <= 0:
             raise PreconditionError("h and R must be positive")
+        k = lattice_bound(h, R)
+        # A state farther out than this cannot reach the output grid.
+        if not 0 <= bound <= out_bound + 2 * k:
+            raise PreconditionError(
+                f"state bound {bound} outside the operator frame [0, {out_bound + 2 * k}]"
+            )
         self.h = h
         self.R = R
         self.kernel = kernel
+        self.bound = bound
         self.out_bound = out_bound
-        self.reach = lattice_bound(h, R)
-        # A state farther out than this cannot reach the output grid.
-        self.max_bound = out_bound + 2 * self.reach
+        self.reach = k
+        side = 2 * bound + 1
+        width = side + 2 * k
 
         if kernel.kind == "maxwell":
             harmonics = [(0, 1.0)]
@@ -633,7 +614,14 @@ class FastCollisionOperator:
                 if c != 0.0 and m % 2 == 0
             ]
         self._single_channel = [m for m, _ in harmonics] == [0]
-        self._circles: list[_FastCircle] = []
+        # Per circle with a product on the state: (inner, outer, boxes, offsets).
+        # inner (channels, r/2): 2 cos(m phi_j) / 2 sin(m phi_j) on the half
+        # circle, one point of each +-zeta pair.  outer (r, channels):
+        # (2 pi / r) q1 c_m cos(m phi_i) / sin(m phi_i).  boxes, per half
+        # point j: (j, mid box, box of x + zeta, box of x - zeta).  offsets,
+        # per point i: flat offset of the shift x -> x - zeta_i into the gain
+        # frame.
+        self._circles: list[tuple] = []
         loss_x, loss_y, loss_w = [], [], []
         for n, xs, ys, q in _circles(h, R, kernel):
             r = len(xs)
@@ -648,32 +636,8 @@ class FastCollisionOperator:
                 if m != 0:
                     inner.append(2 * sin_m[half])
                     outer.append(coef * sin_m)
-            self._circles.append(
-                _FastCircle(
-                    xs, ys, xs[half], ys[half],
-                    np.array(inner).reshape(-1, r // 2),
-                    np.array(outer).reshape(-1, r).T,
-                )
-            )
-            loss_x += xs.tolist()
-            loss_y += ys.tolist()
-            loss_w += ((2 * math.pi / r) * q.sum(axis=1)).tolist()
-        self._loss_x = np.array(loss_x, dtype=np.int64)
-        self._loss_y = np.array(loss_y, dtype=np.int64)
-        self._loss_w = np.array(loss_w, dtype=np.float64)
-        self._plan: _BoundPlan | None = None
-
-    def _plan_for(self, bound: int) -> _BoundPlan:
-        if self._plan is not None and self._plan.bound == bound:
-            return self._plan
-        side = 2 * bound + 1
-        k = self.reach
-        width = side + 2 * k
-        products, offsets = [], []
-        for circle in self._circles:
             boxes = []
-            half = zip(circle.half_xs.tolist(), circle.half_ys.tolist())
-            for j, (x, y) in enumerate(half):
+            for j, (x, y) in enumerate(zip(xs[half].tolist(), ys[half].tolist())):
                 ax, ay = abs(x), abs(y)
                 if ax > bound or ay > bound:
                     continue
@@ -683,102 +647,106 @@ class FastCollisionOperator:
                     (slice(ax + x, side - ax + x), slice(ay + y, side - ay + y)),
                     (slice(ax - x, side - ax - x), slice(ay - y, side - ay - y)),
                 ))
-            products.append(boxes)
-            offsets.append(((k - circle.xs) * width + (k - circle.ys)).tolist())
+            if boxes:
+                self._circles.append((
+                    np.array(inner).reshape(-1, r // 2),
+                    np.array(outer).reshape(-1, r).T,
+                    boxes,
+                    ((k - xs) * width + (k - ys)).tolist(),
+                ))
+            loss_x += xs.tolist()
+            loss_y += ys.tolist()
+            loss_w += ((2 * math.pi / r) * q.sum(axis=1)).tolist()
+        loss_x = np.array(loss_x, dtype=np.int64)
+        loss_y = np.array(loss_y, dtype=np.int64)
+        loss_w = np.array(loss_w, dtype=np.float64)
 
-        c = min(self.out_bound, bound)
+        c = min(out_bound, bound)
         vel = np.arange(-c, c + 1)
         rows = vel[:, None] + 2 * np.arange(-k, k + 1)[None, :]
-        loss_rows = np.where(np.abs(rows) <= bound, rows + bound, side)
+        # (2c+1, 2K+1) state row of v_x + 2a, or 2 bound + 1 (a zero row).
+        self._loss_rows = np.where(np.abs(rows) <= bound, rows + bound, side)
         # Output column v_y reads input column v_y + 2 zeta_y, which has the
         # parity of v_y + bound: each parity class has its own half band.
-        loss_parts = []
+        # Per class: (input columns, output columns, band of weights by
+        # (a, input y; output y)).
+        self._loss_parts = []
         for parity in (0, 1):
             ys = slice((parity + bound - c) % 2, None, 2)
             n_y = len(range(side)[ys])
             v_out = vel[parity::2]
             band = np.zeros((2 * k + 1, n_y, len(v_out)))
             for a in range(-k, k + 1):
-                on_a = self._loss_x == a
-                y_in = v_out[None, :] + 2 * self._loss_y[on_a, None] + bound
+                on_a = loss_x == a
+                y_in = v_out[None, :] + 2 * loss_y[on_a, None] + bound
                 pt, col = np.nonzero((y_in >= 0) & (y_in < side))
-                band[a + k, y_in[pt, col] // 2, col] = self._loss_w[on_a][pt]
+                band[a + k, y_in[pt, col] // 2, col] = loss_w[on_a][pt]
             band = band.reshape((2 * k + 1) * n_y, len(v_out))
-            loss_parts.append((ys, slice(parity, None, 2), band))
-        self._plan = _BoundPlan(
-            bound, products, offsets, loss_rows, loss_parts,
-            slice(self.out_bound - c, self.out_bound + c + 1),
-            slice(bound - c, bound + c + 1),
-        )
-        return self._plan
+            self._loss_parts.append((ys, slice(parity, None, 2), band))
+        # Output rows/columns |v| <= c, and the same velocities as input ones.
+        self._loss_out = slice(out_bound - c, out_bound + c + 1)
+        self._loss_in = slice(bound - c, bound + c + 1)
 
-    def apply_grid(self, grid: Array, bound: int) -> Array:
+    def apply_grid(self, grid: Array) -> Array:
         """Q^h on the output grid for the state grid[ix + bound, iy + bound]."""
         grid = np.asarray(grid, dtype=np.float64)
-        if not 0 <= bound <= self.max_bound:
-            raise PreconditionError(
-                f"state bound {bound} outside the operator frame [0, {self.max_bound}]"
-            )
-        side = 2 * bound + 1
+        side = 2 * self.bound + 1
         if grid.shape != (side, side):
             raise PreconditionError(
-                f"state grid shape {grid.shape} does not match bound {bound}"
+                f"state grid shape {grid.shape} does not match bound {self.bound}"
             )
-        plan = self._plan_for(bound)
         out_side = 2 * self.out_bound + 1
         total = np.zeros((out_side, out_side))
-        mid = bound + self.reach
+        mid = self.bound + self.reach
         c = min(self.out_bound, mid)
         lo = self.out_bound - c
-        total[lo : lo + 2 * c + 1, lo : lo + 2 * c + 1] = self._gain(grid, plan)[
+        total[lo : lo + 2 * c + 1, lo : lo + 2 * c + 1] = self._gain(grid)[
             mid - c : mid + c + 1, mid - c : mid + c + 1
         ]
-        box = (plan.loss_out, plan.loss_out)
-        total[box] -= grid[plan.loss_in, plan.loss_in] * self._loss(grid, plan)
+        box = (self._loss_out, self._loss_out)
+        total[box] -= grid[self._loss_in, self._loss_in] * self._loss(grid)
         return (2 * self.h) ** 2 * total
 
-    def _gain(self, grid: Array, plan: _BoundPlan) -> Array:
+    def _gain(self, grid: Array) -> Array:
         """Gain term on the frame |v| <= bound + R/h, without the (2h)^2."""
-        side = 2 * plan.bound + 1
+        side = 2 * self.bound + 1
         width = side + 2 * self.reach
         span = (side - 1) * width + side  # a state-sized block at the frame's stride
         gain = np.zeros(width * width)
         w = np.zeros((side, width))
         w_state = w[:, :side]
-        for circle, boxes, offsets in zip(self._circles, plan.products, plan.offsets):
-            if not boxes:
-                continue
+        for inner, outer, boxes, offsets in self._circles:
             if self._single_channel:
                 w_state.fill(0.0)
                 for _, box, plus, minus in boxes:
                     w_state[box] += grid[plus] * grid[minus]
-                w_state *= circle.inner[0, 0] * circle.outer[0, 0]  # 2 x circle weight
+                w_state *= inner[0, 0] * outer[0, 0]  # 2 x circle weight
                 w_flat = w.reshape(-1)[:span]
                 for off in offsets:
                     gain[off : off + span] += w_flat
             else:
-                n_half = len(circle.half_xs)
+                n_half = inner.shape[1]
                 prods = np.zeros((n_half, side, width))
                 for j, box, plus, minus in boxes:
                     np.multiply(grid[plus], grid[minus], out=prods[j][box])
-                chans = (circle.inner @ prods.reshape(n_half, -1))[:, :span]
-                for weights, off in zip(circle.outer, offsets):
+                chans = (inner @ prods.reshape(n_half, -1))[:, :span]
+                for weights, off in zip(outer, offsets):
                     gain[off : off + span] += weights @ chans
         return gain.reshape(width, width)
 
-    def _loss(self, grid: Array, plan: _BoundPlan) -> Array:
+    def _loss(self, grid: Array) -> Array:
         """sum_zeta w(zeta) f(v + 2 zeta) for |v| <= min(out_bound, bound)."""
         stacked = np.vstack([grid, np.zeros((1, grid.shape[1]))])
-        n_out = len(plan.loss_rows)
+        n_out = len(self._loss_rows)
         loss = np.empty((n_out, n_out))
-        for ys, cols, band in plan.loss_parts:
-            loss[:, cols] = stacked[:, ys][plan.loss_rows].reshape(n_out, -1) @ band
+        for ys, cols, band in self._loss_parts:
+            loss[:, cols] = stacked[:, ys][self._loss_rows].reshape(n_out, -1) @ band
         return loss
 
     def apply(self, f: LatticeDistribution) -> Array:
         if abs(f.h - self.h) > 1e-12:
             raise PreconditionError("distribution step does not match operator")
-        return self.apply_grid(f.grid, f.bound)
+        return self.apply_grid(f.grid)
 
 
 @dataclass(frozen=True)
@@ -800,7 +768,7 @@ def collision_invariants(
     so that is the output grid.  All reductions use compensated summation.
     """
     wide = f.widened()
-    q = FastCollisionOperator(f.h, R, kernel, wide.bound).apply(f)
+    q = FastCollisionOperator(f.h, R, kernel, f.bound, wide.bound).apply(f)
     vx, vy = wide.velocities()
     v2 = vx**2 + vy**2
     mass = math.fsum(q.ravel())

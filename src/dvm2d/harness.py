@@ -166,6 +166,8 @@ def converge_study(
     the comparison isolates discretization error.
     """
     h_list = list(h_list)
+    if not h_list:
+        raise PreconditionError("h_list must not be empty")
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise PreconditionError("h_list must be strictly decreasing")
     v = np.asarray(v, dtype=np.float64)
@@ -423,16 +425,18 @@ def relax_simulate(
     """
     if dt <= 0 or steps < 1:
         raise PreconditionError("dt must be positive and steps >= 1")
+    if record_every < 1:
+        raise PreconditionError(f"record_every must be >= 1, got {record_every}")
     h = f0.h
     wide = f0.widened()
-    op = FastCollisionOperator(h, R, kernel, out_bound=wide.bound)
+    op = FastCollisionOperator(h, R, kernel, wide.bound, wide.bound)
     state = wide.grid
     disk = wide.disk
     vx, vy = wide.velocities()
     v2 = vx**2 + vy**2
 
     def rate(s: Array) -> Array:
-        return op.apply_grid(s, wide.bound) * disk
+        return op.apply_grid(s) * disk
 
     def snapshot(t: float, s: Array) -> RelaxState:
         clamped = np.maximum(s, 0.0)

@@ -1,5 +1,8 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -146,6 +149,49 @@ def test_converge_command(tmp_path):
     assert manifest["config"]["h_list"] == [0.5, 0.25]
 
 
+def test_converge_empty_h_list_exits_2():
+    result = CliRunner().invoke(main, ["converge", "--h-list", "", "--R", "2", "--M", "8"])
+    assert result.exit_code == 2
+    assert "h_list must not be empty" in result.output
+
+
+@pytest.mark.parametrize("grid", [[], ["--grid"]], ids=["pointwise", "grid"])
+@pytest.mark.parametrize("R", ["-2", "-0.5", "0"])
+def test_collide_nonpositive_R_exits_2(tmp_path, grid, R):
+    import dvm2d.collision as co
+
+    result = CliRunner().invoke(main, ["collide", "--f", "maxwellian", "--h", "0.5", "--R", R, *grid])
+    assert result.exit_code == 2, result.output
+    assert "precondition violation" in result.output
+    path = tmp_path / "f.csv"
+    with open(path, "w") as fp:
+        co.write_lattice_csv(co.sample_on_lattice(co.Maxwellian(), 0.5, 2.0), fp)
+    result = CliRunner().invoke(
+        main, ["collide", "--f", "file", "--file", str(path), "--R", R, *grid]
+    )
+    assert result.exit_code == 2, result.output
+    assert "h and R must be positive" in result.output
+
+
+def test_readme_cli_examples_parse(tmp_path, monkeypatch):
+    """Every dvm2d line of the README's CLI block parses; none is run."""
+    import dvm2d.collision as co
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    examples = [
+        shlex.split(line.split("#")[0])[1:]
+        for block in re.findall(r"^```\n(.*?)^```", readme, re.S | re.M)
+        for line in block.splitlines()
+        if line.startswith("dvm2d ")
+    ]
+    assert examples
+    monkeypatch.chdir(tmp_path)  # --file f.csv must name an existing file
+    with open("f.csv", "w") as fp:
+        co.write_lattice_csv(co.sample_on_lattice(co.Maxwellian(), 0.5, 2.0), fp)
+    for args in examples:
+        main.commands[args[0]].make_context(args[0], args[1:])
+
+
 def test_figure_command():
     runner = CliRunner()
     result = runner.invoke(main, ["figure", "--min", "1", "--max", "9", "--threshold", "8"])
@@ -198,6 +244,16 @@ def test_simulate_command(tmp_path):
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "t,mass,momentum_x,momentum_y,energy,H"
     assert len(lines) == 5
+
+
+def test_simulate_record_every_below_one_exits_2():
+    result = CliRunner().invoke(
+        main,
+        ["simulate", "--f", "maxwellian", "--h", "0.5", "--support", "2.0",
+         "--R", "1.0", "--dt", "0.01", "--steps", "3", "--record-every", "0"],
+    )
+    assert result.exit_code == 2
+    assert "record_every" in result.output
 
 
 def test_simulate_positivity_loss_exits_3():

@@ -191,6 +191,25 @@ def test_lattice_distribution_basics():
         co.LatticeDistribution(0.5, 1.0, -np.ones((5, 5)))
 
 
+def test_lattice_distribution_refuses_negative_support_radius():
+    with pytest.raises(PreconditionError, match="radius must be nonnegative"):
+        co.LatticeDistribution(0.5, -1.0, np.ones((1, 1)))
+    with pytest.raises(PreconditionError, match="radius must be nonnegative"):
+        co.LatticeDistribution.zeros(0.5, -3.0)
+    with pytest.raises(PreconditionError, match="radius must be nonnegative"):
+        co.sample_on_lattice(co.Maxwellian(), 0.5, -3.0)
+    assert co.LatticeDistribution.zeros(0.5, 0.0).grid.shape == (1, 1)
+    with pytest.raises(PreconditionError, match="h must be positive"):
+        co.LatticeDistribution.zeros(0.0, 2.0)
+
+
+def test_q_discrete_refuses_nonpositive_R():
+    f = co.sample_on_lattice(co.Maxwellian(), 0.5, 3.0)
+    for R in (0.0, -2.0):
+        with pytest.raises(PreconditionError, match="h and R must be positive"):
+            co.q_discrete_detailed(f, np.zeros(2), MAXWELL, R)
+
+
 def test_q_discrete_rejects_off_lattice_v():
     f = co.sample_on_lattice(co.Maxwellian(), 0.5, 3.0)
     with pytest.raises(PreconditionError):
@@ -250,7 +269,7 @@ def test_grid_operators_match_pointwise():
     h, b = 0.25, 10
     f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
     for kernel in (MAXWELL, co.KernelSpec.product_power(1.0, (1.0, 0.0, 0.2, 0.0, 0.05))):
-        qg = co.FastCollisionOperator(h, 2.0, kernel, out_bound=b).apply(f)
+        qg = co.FastCollisionOperator(h, 2.0, kernel, b, b).apply(f)
         for zv in ((0, 0), (4, -3), (-7, 2)):
             qp = co.q_discrete(f, np.array([zv[0] * h, zv[1] * h]), kernel, 2.0)
             assert qp == pytest.approx(qg[zv[0] + b, zv[1] + b], rel=1e-12, abs=1e-30)
@@ -315,11 +334,24 @@ def test_lattice_csv_roundtrip():
     assert np.array_equal(g.grid, f.grid)
 
 
+def test_lattice_values_outside_the_disk_are_refused():
+    # (2, 2) lies inside the square |zeta| <= 2 but outside the disk of radius 2.
+    text = '# {"h": 1.0, "R_support": 2.0}\nzeta_x,zeta_y,value\n0,0,1.0\n2,2,5.0\n'
+    with pytest.raises(PreconditionError, match=r"point \(2, 2\) outside declared support"):
+        co.read_lattice_csv(io.StringIO(text))
+    for point in ((2, 2), (-2, 1), (3, 0)):
+        with pytest.raises(PreconditionError, match="outside declared support"):
+            co.LatticeDistribution.from_values(1.0, 2.0, {(0, 0): 1.0, point: 5.0})
+    # The disk's own tolerance: (3, 4) is on the rim of radius 5 = 2.5 / 0.5.
+    f = co.LatticeDistribution.from_values(0.5, 2.5, {(3, 4): 2.0, (0, -5): 1.0})
+    assert f.value(3, 4) == 2.0 and f.value(0, -5) == 1.0
+
+
 def test_qh_csv_format():
     rng = np.random.default_rng(3)
     h, b = 0.5, 4
     f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
-    q = co.FastCollisionOperator(h, 1.5, MAXWELL, out_bound=b).apply(f)
+    q = co.FastCollisionOperator(h, 1.5, MAXWELL, b, b).apply(f)
     buf = io.StringIO()
     co.write_qh_csv(q, h, b, buf)
     lines = buf.getvalue().strip().splitlines()
@@ -434,7 +466,7 @@ ORACLE_KERNELS = [
 
 
 def _assert_matches_oracle(h, R, kernel, out_bound, grid, bound):
-    new = co.FastCollisionOperator(h, R, kernel, out_bound).apply_grid(grid, bound)
+    new = co.FastCollisionOperator(h, R, kernel, bound, out_bound).apply_grid(grid)
     old = OldFastCollisionOperator(h, R, kernel, out_bound).apply_grid(grid, bound)
     assert new.shape == old.shape == (2 * out_bound + 1, 2 * out_bound + 1)
     assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max()
@@ -471,32 +503,18 @@ def test_fast_operator_matches_padded_oracle_random(h, reach, out_bound, bound, 
     _assert_matches_oracle(h, reach * h, kernel, out_bound, grid, bound)
 
 
-def test_fast_operator_caches_loss_band_per_bound():
-    rng = np.random.default_rng(5)
-    op = co.FastCollisionOperator(0.5, 2.0, MAXWELL, out_bound=6)
-    grids = {b: rng.random((2 * b + 1, 2 * b + 1)) for b in (4, 6)}
-    first = op.apply_grid(grids[4], 4)
-    plan = op._plan
-    assert op.apply_grid(grids[4], 4) is not first and op._plan is plan
-    op.apply_grid(grids[6], 6)
-    assert op._plan.bound == 6
-    assert np.array_equal(op.apply_grid(grids[4], 4), first)
-
-
 def test_fast_operator_rejects_bad_state_shape():
-    op = co.FastCollisionOperator(0.5, 2.0, MAXWELL, out_bound=4)
-    assert op.max_bound == 4 + 2 * 4
-    with pytest.raises(PreconditionError, match="does not match bound"):
-        op.apply_grid(np.ones((9, 9)), 5)
-    for bad in (-1, op.max_bound + 1):
-        with pytest.raises(PreconditionError, match="outside the operator frame"):
-            op.apply_grid(np.ones((2 * abs(bad) + 1,) * 2), bad)
-    # Both entry points refuse a state past the frame with the same error.
-    b = op.max_bound + 1
-    f = co.LatticeDistribution(0.5, b * 0.5, np.ones((2 * b + 1, 2 * b + 1)))
-    with pytest.raises(PreconditionError, match="outside the operator frame") as via_grid:
-        op.apply_grid(f.grid, f.bound)
-    with pytest.raises(PreconditionError, match="outside the operator frame") as via_f:
+    # out_bound 4 and reach 2.0 / 0.5 = 4 put the frame at [0, 12].
+    for bad in (-1, 13):
+        with pytest.raises(PreconditionError, match=r"outside the operator frame \[0, 12\]"):
+            co.FastCollisionOperator(0.5, 2.0, MAXWELL, bad, 4)
+    assert co.FastCollisionOperator(0.5, 2.0, MAXWELL, 12, 4).bound == 12
+    op = co.FastCollisionOperator(0.5, 2.0, MAXWELL, 4, 4)
+    # Both entry points refuse a state of another size with the same error.
+    f = co.LatticeDistribution(0.5, 2.5, np.ones((11, 11)))
+    with pytest.raises(PreconditionError, match="does not match bound 4") as via_grid:
+        op.apply_grid(f.grid)
+    with pytest.raises(PreconditionError, match="does not match bound") as via_f:
         op.apply(f)
     assert str(via_grid.value) == str(via_f.value)
     with pytest.raises(PreconditionError, match="step"):
@@ -510,7 +528,7 @@ def test_fast_operator_conserves_invariants(kernel):
     h, b = 0.5, 8
     out_bound = int(math.ceil(math.sqrt(2.0) * b)) + 1
     f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
-    q = co.FastCollisionOperator(h, b * h, kernel, out_bound).apply(f)
+    q = co.FastCollisionOperator(h, b * h, kernel, b, out_bound).apply(f)
     ix = np.arange(-out_bound, out_bound + 1) * h
     vx, vy = np.meshgrid(ix, ix, indexing="ij")
     norm = math.fsum((np.abs(q) * (1 + vx**2 + vy**2)).ravel())

@@ -93,6 +93,11 @@ def test_converge_study_rejects_non_decreasing_ladder():
         harness.converge_study(co.Maxwellian(), MAXWELL, np.zeros(2), [0.25, 0.5], R=2.0)
 
 
+def test_converge_study_rejects_empty_h_list():
+    with pytest.raises(PreconditionError, match="h_list must not be empty"):
+        harness.converge_study(co.Maxwellian(), MAXWELL, np.zeros(2), [], R=2.0)
+
+
 def test_converge_study_inner_integral_once(monkeypatch):
     bi = co.bimaxwellian()
     calls = []
@@ -359,3 +364,6 @@ def test_relax_preconditions():
         harness.relax_simulate(f0, MAXWELL, R=1.0, dt=-0.1, steps=5)
     with pytest.raises(PreconditionError):
         harness.relax_simulate(f0, MAXWELL, R=1.0, dt=0.1, steps=0)
+    for every in (0, -1):
+        with pytest.raises(PreconditionError, match="record_every"):
+            harness.relax_simulate(f0, MAXWELL, R=1.0, dt=0.1, steps=5, record_every=every)
