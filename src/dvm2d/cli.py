@@ -63,11 +63,22 @@ def _guarded(fn):
     return wrapper
 
 
+def _parse_floats(text: str) -> list[float]:
+    """Comma-separated finite floats; empty fields are skipped."""
+    try:
+        values = [float(t) for t in text.split(",") if t]
+    except ValueError:
+        raise PreconditionError(f"expected comma-separated numbers, got {text!r}") from None
+    if not all(np.isfinite(values)):
+        raise PreconditionError(f"values must be finite, got {text!r}")
+    return values
+
+
 def _parse_v(text: str) -> np.ndarray:
-    parts = text.split(",")
-    if len(parts) != 2:
+    values = _parse_floats(text)
+    if len(values) != 2 or text.count(",") != 1:
         raise PreconditionError(f"expected 'vx,vy', got {text!r}")
-    return np.array([float(parts[0]), float(parts[1])])
+    return np.array(values)
 
 
 def _make_f(name: str, file: Path | None):
@@ -186,7 +197,7 @@ def collide(f_name, file, h, R, v_text, grid, out):
 @_guarded
 def converge(f_name, h_list, R, M, v_text, out):
     """Consistency study: Q^h vs the quadrature reference, with budgets."""
-    hs = [float(t) for t in h_list.split(",") if t]
+    hs = _parse_floats(h_list)
     f = _make_f(f_name, None)
     study = harness.converge_study(f, co.KernelSpec.maxwell(), _parse_v(v_text), hs, R, M)
     buf = io.StringIO()

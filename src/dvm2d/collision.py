@@ -7,7 +7,12 @@ The continuous operator is evaluated as
 
 with v' = v + w + R_theta w and v*' = v + w - R_theta w, by a tensor rule
 that is spectrally accurate for smooth rapidly decaying f: uniform
-trapezoid in theta (periodic) and a uniform midpoint grid in w.
+trapezoid in theta (periodic) and a uniform midpoint grid in w.  Turning
+theta by pi swaps v' and v*' (R_{theta+pi} w = -R_theta w), so the gain
+product f(v') f(v*') is pi-periodic: the rule takes an even number of
+theta nodes and evaluates each product once for the node pair theta,
+theta + pi, which then carries the kernel weight q(cos theta) +
+q(-cos theta).
 
 The lattice operator replaces w by h * zeta and the angular integral by
 an equal-weight quadrature over the integer points zeta' on the circle
@@ -153,10 +158,10 @@ def bimaxwellian(
 
 def lattice_bound(h: float, radius: float) -> int:
     """Integer coordinate bound B = floor(radius / h) of a lattice disk."""
-    if h <= 0:
-        raise PreconditionError("h must be positive")
-    if radius < 0:
-        raise PreconditionError(f"disk radius must be nonnegative, got {radius}")
+    if not (math.isfinite(h) and h > 0):
+        raise PreconditionError(f"h must be positive and finite, got {h}")
+    if not (math.isfinite(radius) and radius >= 0):
+        raise PreconditionError(f"disk radius must be nonnegative and finite, got {radius}")
     return int(math.floor(radius / h + 1e-9))
 
 
@@ -251,16 +256,17 @@ class LatticeDistribution:
         """Integer coordinates of a velocity that must lie on the lattice."""
         z = np.asarray(v, dtype=np.float64) / self.h
         zr = np.rint(z)
-        if np.max(np.abs(z - zr)) > 1e-9:
+        if not np.max(np.abs(z - zr)) <= 1e-9:  # NaN is off the lattice too
             raise PreconditionError(f"velocity {v} is not on the h-lattice")
         return int(zr[0]), int(zr[1])
 
     def __call__(self, v: Array) -> Array:
         """Evaluate at lattice velocities; 0 outside the stored support."""
         v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-        z = np.rint(v / self.h).astype(np.int64)
-        if np.max(np.abs(v / self.h - z)) > 1e-9:
+        z = np.rint(v / self.h)
+        if not np.max(np.abs(v / self.h - z)) <= 1e-9:
             raise PreconditionError("velocities are not on the h-lattice")
+        z = z.astype(np.int64)
         return self.at(z[..., 0], z[..., 1])
 
     def scaled(self, factor: float) -> "LatticeDistribution":
@@ -365,13 +371,34 @@ def g_eval(
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tensor rule: n_w midpoint cells per side on [-r_quad, r_quad]^2
-    restricted to the disk, n_theta trapezoid nodes on [-pi, pi)."""
+    restricted to the disk, n_theta trapezoid nodes on [-pi, pi).
+
+    n_theta must be even (see angular_integral).
+    """
 
     r_quad: float
     n_w: int = 128
     n_theta: int = 128
     rtol: float = 1e-6
     atol: float = 1e-12
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.r_quad) and self.r_quad > 0):
+            raise PreconditionError(f"r_quad must be positive and finite, got {self.r_quad}")
+        if self.n_w < 1:
+            raise PreconditionError(f"n_w must be >= 1, got {self.n_w}")
+        _check_n_theta(self.n_theta)
+        # A NaN tolerance would make q_reference's self-convergence check never fire.
+        if not all(math.isfinite(t) and t >= 0 for t in (self.rtol, self.atol)):
+            raise PreconditionError(
+                f"rtol and atol must be nonnegative and finite, got {self.rtol}, {self.atol}"
+            )
+
+
+def _check_n_theta(n_theta: int) -> None:
+    """The paired trapezoid rule needs an even node count of at least 2."""
+    if n_theta < 2 or n_theta % 2:
+        raise PreconditionError(f"n_theta must be even and >= 2, got {n_theta}")
 
 
 @dataclass(frozen=True)
@@ -390,22 +417,31 @@ def angular_integral(
 ) -> Array:
     """G_v(w) = integral over theta in [-pi, pi) of g_v(w, theta), per w.
 
-    Uniform trapezoid rule, which is spectrally accurate for the periodic
-    smooth integrand.  ``w`` has shape (M, 2); the result has shape (M,).
+    Uniform trapezoid rule on the n_theta nodes theta_j = -pi + 2 pi j /
+    n_theta, which is spectrally accurate for the periodic smooth
+    integrand.  ``w`` has shape (M, 2); the result has shape (M,).
+
+    n_theta must be even and at least 2.  The rule then visits only the
+    nodes in [-pi, 0): node theta_j + pi has v' and v*' swapped, hence
+    the same gain product, so each product is formed once and weighted
+    by q(|w|, cos theta_j) + q(|w|, -cos theta_j), which also holds for
+    kernels with odd cosine harmonics, where q differs at theta + pi.
     """
+    _check_n_theta(n_theta)
     v = np.asarray(v, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
     w_norm = np.hypot(w[:, 0], w[:, 1])
-    thetas = -math.pi + 2 * math.pi * np.arange(n_theta) / n_theta
+    thetas = -math.pi + 2 * math.pi * np.arange(n_theta // 2) / n_theta
     f_vv = float(np.asarray(f(v[None, :])).ravel()[0])
     loss = f_vv * np.asarray(f(v[None, :] + 2 * w))  # (M,)
+    base = v[None, :] + w
 
     total = np.zeros(len(w))
     for th in thetas:
         c = math.cos(th)
         rw = rotate(w, c, math.sin(th))
-        gain = np.asarray(f(v[None, :] + w + rw)) * np.asarray(f(v[None, :] + w - rw))
-        total += (gain - loss) * kernel.evaluate(w_norm, c)
+        gain = np.asarray(f(base + rw)) * np.asarray(f(base - rw))
+        total += (gain - loss) * (kernel.evaluate(w_norm, c) + kernel.evaluate(w_norm, -c))
     return total * (2 * math.pi / n_theta)
 
 
@@ -493,8 +529,8 @@ def q_discrete_detailed(
     enough to hold that reach and read by plain indexing; a v farther
     than that from the state's square gets (0.0, 0.0) at once.
     """
-    if R <= 0:
-        raise PreconditionError("h and R must be positive")
+    if not (math.isfinite(R) and R > 0):
+        raise PreconditionError(f"h and R must be positive and finite, got R = {R}")
     h = f.h
     zvx, zvy = f.lattice_coords(np.asarray(v, dtype=np.float64))
     b = f.bound
@@ -588,8 +624,8 @@ class FastCollisionOperator:
     """
 
     def __init__(self, h: float, R: float, kernel: KernelSpec, bound: int, out_bound: int):
-        if h <= 0 or R <= 0:
-            raise PreconditionError("h and R must be positive")
+        if not (math.isfinite(h) and h > 0 and math.isfinite(R) and R > 0):
+            raise PreconditionError(f"h and R must be positive and finite, got {h}, {R}")
         k = lattice_bound(h, R)
         # A state farther out than this cannot reach the output grid.
         if not 0 <= bound <= out_bound + 2 * k:
@@ -794,17 +830,28 @@ def write_lattice_csv(f: LatticeDistribution, fp: IO[str]) -> None:
 
 
 def read_lattice_csv(fp: IO[str]) -> LatticeDistribution:
+    """Inverse of write_lattice_csv; malformed input raises PreconditionError."""
     header = fp.readline()
     if not header.startswith("#"):
         raise PreconditionError("missing JSON header line")
-    meta = json.loads(header[1:].strip())
-    rows = list(csv.reader(fp))
+    try:
+        meta = json.loads(header[1:].strip())
+    except json.JSONDecodeError as exc:
+        raise PreconditionError(f"header is not JSON: {exc}") from None
+    if not isinstance(meta, dict) or not {"h", "R_support"} <= meta.keys():
+        raise PreconditionError("header must give h and R_support")
+    rows = [r for r in csv.reader(fp) if r]
     if rows and rows[0] == ["zeta_x", "zeta_y", "value"]:
         rows = rows[1:]
-    values = {(int(r[0]), int(r[1])): float(r[2]) for r in rows if r}
-    return LatticeDistribution.from_values(
-        float(meta["h"]), float(meta["R_support"]), values
-    )
+    try:
+        h, support = float(meta["h"]), float(meta["R_support"])
+        values = {}
+        for r in rows:
+            zx, zy, val = r  # ValueError unless exactly three fields
+            values[int(zx), int(zy)] = float(val)
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"malformed lattice CSV: {exc}") from None
+    return LatticeDistribution.from_values(h, support, values)
 
 
 def write_qh_csv(

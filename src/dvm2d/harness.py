@@ -423,8 +423,8 @@ def relax_simulate(
     PositivityLossError if any value drops below -1e-12 * max f, the
     sign that dt is too large.
     """
-    if dt <= 0 or steps < 1:
-        raise PreconditionError("dt must be positive and steps >= 1")
+    if not (math.isfinite(dt) and dt > 0) or steps < 1:
+        raise PreconditionError("dt must be positive and finite and steps >= 1")
     if record_every < 1:
         raise PreconditionError(f"record_every must be >= 1, got {record_every}")
     h = f0.h

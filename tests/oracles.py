@@ -1,14 +1,38 @@
-"""Retired census implementations, kept as differential oracles.
+"""Retired implementations, kept as differential oracles.
 
 ``sieve_r2_range`` is the r2 fold of ``circles.factor_range`` that
 ``circles.r2_range`` was before it counted lattice points, and
 ``enumerated_figure_data`` is the ``harness.figure_data`` that enumerated
 every point-rich circle with ``circle_points`` and filtered it to the box.
+``all_nodes_angular_integral`` is ``collision.angular_integral`` before it
+paired the nodes theta and theta + pi: it forms the gain product at every
+node.
 """
+
+import math
 
 import numpy as np
 
 from dvm2d import circles, harness
+from dvm2d.collision import rotate
+
+
+def all_nodes_angular_integral(f, v, kernel, w, n_theta):
+    """Trapezoid rule over all n_theta nodes on [-pi, pi), one gain product each."""
+    v = np.asarray(v, dtype=np.float64)
+    w = np.asarray(w, dtype=np.float64)
+    w_norm = np.hypot(w[:, 0], w[:, 1])
+    thetas = -math.pi + 2 * math.pi * np.arange(n_theta) / n_theta
+    f_vv = float(np.asarray(f(v[None, :])).ravel()[0])
+    loss = f_vv * np.asarray(f(v[None, :] + 2 * w))  # (M,)
+
+    total = np.zeros(len(w))
+    for th in thetas:
+        c = math.cos(th)
+        rw = rotate(w, c, math.sin(th))
+        gain = np.asarray(f(v[None, :] + w + rw)) * np.asarray(f(v[None, :] + w - rw))
+        total += (gain - loss) * kernel.evaluate(w_norm, c)
+    return total * (2 * math.pi / n_theta)
 
 
 def sieve_r2_range(n_lo, n_hi, segment=circles.SIEVE_SEGMENT):

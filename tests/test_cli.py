@@ -155,6 +155,54 @@ def test_converge_empty_h_list_exits_2():
     assert "h_list must not be empty" in result.output
 
 
+@pytest.mark.parametrize("h_list", ["0.5,abc", "0.5,nan", "inf,0.5"])
+def test_converge_malformed_h_list_exits_2(h_list):
+    result = CliRunner().invoke(main, ["converge", "--h-list", h_list, "--R", "2", "--M", "8"])
+    assert result.exit_code == 2, result.output
+    assert "precondition violation" in result.output
+
+
+@pytest.mark.parametrize("v", ["a,b", "1,", "nan,0"])
+def test_collide_malformed_v_exits_2(v):
+    result = CliRunner().invoke(main, ["collide", "--f", "maxwellian", "--R", "2", "--v", v])
+    assert result.exit_code == 2, result.output
+    assert "precondition violation" in result.output
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        (["--h", "0.5", "--R", "nan"], "radius must be nonnegative and finite"),
+        (["--h", "nan", "--R", "2"], "h must be positive and finite"),
+        (["--h", "inf", "--R", "2"], "h must be positive and finite"),
+    ],
+    ids=["R-nan", "h-nan", "h-inf"],
+)
+@pytest.mark.parametrize("grid", [[], ["--grid"]], ids=["pointwise", "grid"])
+def test_collide_non_finite_step_or_radius_exits_2(args, match, grid):
+    result = CliRunner().invoke(main, ["collide", "--f", "maxwellian", *args, *grid])
+    assert result.exit_code == 2, result.output
+    assert match in result.output
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("# {}\n0,0,1.0\n", "header must give h and R_support"),
+        ("# not json\n0,0,1.0\n", "header is not JSON"),
+        ('# {"h": 0.5, "R_support": 1.0}\nzeta_x,zeta_y,value\n0,0,abc\n',
+         "malformed lattice CSV"),
+    ],
+    ids=["no-keys", "not-json", "non-numeric"],
+)
+def test_collide_malformed_lattice_csv_exits_2(tmp_path, text, match):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    result = CliRunner().invoke(main, ["collide", "--f", "file", "--file", str(path), "--R", "1"])
+    assert result.exit_code == 2, result.output
+    assert match in result.output
+
+
 @pytest.mark.parametrize("grid", [[], ["--grid"]], ids=["pointwise", "grid"])
 @pytest.mark.parametrize("R", ["-2", "-0.5", "0"])
 def test_collide_nonpositive_R_exits_2(tmp_path, grid, R):

@@ -360,8 +360,9 @@ def test_relax_csv():
 
 def test_relax_preconditions():
     f0 = co.sample_on_lattice(co.Maxwellian(), 0.5, 2.0)
-    with pytest.raises(PreconditionError):
-        harness.relax_simulate(f0, MAXWELL, R=1.0, dt=-0.1, steps=5)
+    for dt in (-0.1, math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="dt must be positive and finite"):
+            harness.relax_simulate(f0, MAXWELL, R=1.0, dt=dt, steps=5)
     with pytest.raises(PreconditionError):
         harness.relax_simulate(f0, MAXWELL, R=1.0, dt=0.1, steps=0)
     for every in (0, -1):
