@@ -56,20 +56,18 @@ Array = np.ndarray
 class KernelSpec:
     """Cross section q(|w|, cos theta) = q1(|w|) * q2(theta).
 
-    ``maxwell`` is q = 1.  ``product_power`` has q1 = |w|**alpha with
-    alpha in [0, 1] and q2 an even trigonometric polynomial given by its
-    cosine coefficients (c0 + c1 cos theta + c2 cos 2 theta + ...), which
-    is automatically C-infinity; singular angular kernels cannot be
-    represented and are rejected here by construction.
+    q1 = |w|**alpha with alpha in [0, 1] and q2 an even trigonometric
+    polynomial given by its cosine coefficients (c0 + c1 cos theta + c2
+    cos 2 theta + ...), which is automatically C-infinity; singular
+    angular kernels cannot be represented and are rejected here by
+    construction.  The default, alpha = 0 and q2 = 1, is Maxwell
+    molecules: q = 1.
     """
 
-    kind: str = "maxwell"
     alpha: float = 0.0
     cos_coeffs: tuple[float, ...] = (1.0,)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("maxwell", "product_power"):
-            raise PreconditionError(f"unknown kernel kind {self.kind!r}")
         if not 0.0 <= self.alpha <= 1.0:
             raise PreconditionError(f"alpha must be in [0, 1], got {self.alpha}")
         if not all(math.isfinite(c) for c in self.cos_coeffs):
@@ -77,6 +75,11 @@ class KernelSpec:
         grid = np.cos(np.linspace(0.0, math.pi, 4096))
         if _cheb.chebval(grid, self.cos_coeffs).min() < -1e-12:
             raise PreconditionError("q2 must be nonnegative")
+
+    @property
+    def kind(self) -> str:
+        """Name of the kernel family: maxwell for q = 1, else product_power."""
+        return "maxwell" if self.alpha == 0.0 and self.cos_coeffs == (1.0,) else "product_power"
 
     @classmethod
     def maxwell(cls) -> "KernelSpec":
@@ -86,12 +89,10 @@ class KernelSpec:
     def product_power(
         cls, alpha: float, cos_coeffs: Sequence[float]
     ) -> "KernelSpec":
-        return cls("product_power", alpha, tuple(cos_coeffs))
+        return cls(alpha, tuple(cos_coeffs))
 
     def evaluate(self, w_norm, cos_theta):
         """q at speed |w| and scattering cosine; broadcasts over arrays."""
-        if self.kind == "maxwell":
-            return np.ones(np.broadcast(w_norm, cos_theta).shape)
         # T_m(cos theta) = cos(m theta), so the cosine series is a
         # Chebyshev series in the scattering cosine.
         q2 = _cheb.chebval(np.asarray(cos_theta, dtype=np.float64), self.cos_coeffs)
@@ -225,13 +226,6 @@ class LatticeDistribution:
         return cls(h, support_radius, np.zeros((side, side)))
 
     @classmethod
-    def from_function(
-        cls, f: Callable[[Array], Array], h: float, support_radius: float
-    ) -> "LatticeDistribution":
-        vx, vy = cls.zeros(h, support_radius).velocities()
-        return cls(h, support_radius, f(np.stack([vx, vy], axis=-1)))
-
-    @classmethod
     def from_values(
         cls, h: float, support_radius: float, values: dict[tuple[int, int], float]
     ) -> "LatticeDistribution":
@@ -277,7 +271,8 @@ def sample_on_lattice(
     f: Callable[[Array], Array], h: float, support_radius: float
 ) -> LatticeDistribution:
     """Point-sample a closed-form distribution onto the lattice."""
-    return LatticeDistribution.from_function(f, h, support_radius)
+    vx, vy = LatticeDistribution.zeros(h, support_radius).velocities()
+    return LatticeDistribution(h, support_radius, f(np.stack([vx, vy], axis=-1)))
 
 
 # ---------------------------------------------------------------------------
@@ -589,17 +584,21 @@ def _harmonic_weights(xs: Array, ys: Array, n: int, m: int) -> tuple[Array, Arra
 
 
 class FastCollisionOperator:
-    """Q^h on a whole grid of output velocities; use it inside time-stepping loops.
+    """Q^h on a whole grid of velocities; use it inside time-stepping loops.
 
-    The input state lives on [-bound, bound]^2 (zero outside it), the
-    output on [-out_bound, out_bound]^2, both in integer coordinates.  An
-    apply evaluates the sums of q_discrete at every output velocity,
-    arranged so that no work is spent on exact zeros or duplicate terms:
+    The state lives on the square [-bound, bound]^2 in integer
+    coordinates (zero outside it), and an apply returns Q^h on that same
+    square, as Q^h(f, f) is a function on the lattice of f.  Q^h can be
+    nonzero up to sqrt(2) times the support radius (collisions conserve
+    energy), so a caller that needs all of it applies the operator to
+    the widened state (LatticeDistribution.widened).  An apply evaluates
+    the sums of q_discrete at every velocity of the square, arranged so
+    that no work is spent on exact zeros or duplicate terms:
 
     * Gain.  Per circle |zeta|^2 = n the products P_j(x) = f(x + zeta_j)
       f(x - zeta_j) are formed only on the box of mid-points x where both
-      factors lie on the input square, and only for one point of each
-      +-zeta pair, with weight 2, since both signs give the same product.
+      factors lie on the square, and only for one point of each +-zeta
+      pair, with weight 2, since both signs give the same product.
       The kernel's cosine series splits the pair weight,
       cos(m(phi_i - phi_j)) = cos cos + sin sin, into channels
       W = sum_j 2 (cos, sin)(m phi_j) P_j; odd harmonics cancel exactly
@@ -614,41 +613,32 @@ class FastCollisionOperator:
       _harmonic_weights).
     * Loss.  f(v) sum_zeta w(zeta) f(v + 2 zeta) is one fixed 2-D
       correlation, evaluated as a banded matmul: rows v_x + 2 zeta_x of the
-      state, side by side, times a band that maps input to output columns.
-      An output column reads input columns of one parity only, so the band
-      is kept as two halves.  It is built once per operator, for its one
-      input bound; its weights come from the exact integer scattering
-      cosines, as in q_discrete.
+      state, side by side, times a band that maps columns to columns.
+      Column v_y reads only columns of its own parity, so the band is kept
+      as two halves.  It is built once per operator, for its one bound;
+      its weights come from the exact integer scattering cosines, as in
+      q_discrete.
 
     Same operator as q_discrete up to floating-point association.
     """
 
-    def __init__(self, h: float, R: float, kernel: KernelSpec, bound: int, out_bound: int):
+    def __init__(self, h: float, R: float, kernel: KernelSpec, bound: int):
         if not (math.isfinite(h) and h > 0 and math.isfinite(R) and R > 0):
             raise PreconditionError(f"h and R must be positive and finite, got {h}, {R}")
+        if bound < 0:
+            raise PreconditionError(f"state bound must be >= 0, got {bound}")
         k = lattice_bound(h, R)
-        # A state farther out than this cannot reach the output grid.
-        if not 0 <= bound <= out_bound + 2 * k:
-            raise PreconditionError(
-                f"state bound {bound} outside the operator frame [0, {out_bound + 2 * k}]"
-            )
         self.h = h
         self.R = R
         self.kernel = kernel
         self.bound = bound
-        self.out_bound = out_bound
         self.reach = k
         side = 2 * bound + 1
         width = side + 2 * k
 
-        if kernel.kind == "maxwell":
-            harmonics = [(0, 1.0)]
-        else:
-            harmonics = [
-                (m, c)
-                for m, c in enumerate(kernel.cos_coeffs)
-                if c != 0.0 and m % 2 == 0
-            ]
+        harmonics = [
+            (m, c) for m, c in enumerate(kernel.cos_coeffs) if c != 0.0 and m % 2 == 0
+        ]
         self._single_channel = [m for m, _ in harmonics] == [0]
         # Per circle with a product on the state: (inner, outer, boxes, offsets).
         # inner (channels, r/2): 2 cos(m phi_j) / 2 sin(m phi_j) on the half
@@ -661,7 +651,7 @@ class FastCollisionOperator:
         loss_x, loss_y, loss_w = [], [], []
         for n, xs, ys, q in _circles(h, R, kernel):
             r = len(xs)
-            q1 = 1.0 if kernel.kind == "maxwell" else float(h * math.sqrt(n)) ** kernel.alpha
+            q1 = float(h * math.sqrt(n)) ** kernel.alpha
             half = (ys > 0) | ((ys == 0) & (xs > 0))
             inner, outer = [], []
             for m, c in harmonics:
@@ -697,51 +687,36 @@ class FastCollisionOperator:
         loss_y = np.array(loss_y, dtype=np.int64)
         loss_w = np.array(loss_w, dtype=np.float64)
 
-        c = min(out_bound, bound)
-        vel = np.arange(-c, c + 1)
+        vel = np.arange(-bound, bound + 1)
         rows = vel[:, None] + 2 * np.arange(-k, k + 1)[None, :]
-        # (2c+1, 2K+1) state row of v_x + 2a, or 2 bound + 1 (a zero row).
+        # (side, 2K+1) state row of v_x + 2a, or side (a zero row).
         self._loss_rows = np.where(np.abs(rows) <= bound, rows + bound, side)
-        # Output column v_y reads input column v_y + 2 zeta_y, which has the
-        # parity of v_y + bound: each parity class has its own half band.
-        # Per class: (input columns, output columns, band of weights by
-        # (a, input y; output y)).
+        # Column v_y reads column v_y + 2 zeta_y, of the same parity: per
+        # parity class, (its columns, band of weights by (a, column in; column out)).
         self._loss_parts = []
         for parity in (0, 1):
-            ys = slice((parity + bound - c) % 2, None, 2)
-            n_y = len(range(side)[ys])
-            v_out = vel[parity::2]
-            band = np.zeros((2 * k + 1, n_y, len(v_out)))
+            cols = slice(parity, None, 2)
+            v_out = vel[cols]
+            n_col = len(v_out)
+            band = np.zeros((2 * k + 1, n_col, n_col))
             for a in range(-k, k + 1):
                 on_a = loss_x == a
                 y_in = v_out[None, :] + 2 * loss_y[on_a, None] + bound
                 pt, col = np.nonzero((y_in >= 0) & (y_in < side))
                 band[a + k, y_in[pt, col] // 2, col] = loss_w[on_a][pt]
-            band = band.reshape((2 * k + 1) * n_y, len(v_out))
-            self._loss_parts.append((ys, slice(parity, None, 2), band))
-        # Output rows/columns |v| <= c, and the same velocities as input ones.
-        self._loss_out = slice(out_bound - c, out_bound + c + 1)
-        self._loss_in = slice(bound - c, bound + c + 1)
+            self._loss_parts.append((cols, band.reshape((2 * k + 1) * n_col, n_col)))
 
     def apply_grid(self, grid: Array) -> Array:
-        """Q^h on the output grid for the state grid[ix + bound, iy + bound]."""
+        """Q^h on the square for the state grid[ix + bound, iy + bound]."""
         grid = np.asarray(grid, dtype=np.float64)
         side = 2 * self.bound + 1
         if grid.shape != (side, side):
             raise PreconditionError(
                 f"state grid shape {grid.shape} does not match bound {self.bound}"
             )
-        out_side = 2 * self.out_bound + 1
-        total = np.zeros((out_side, out_side))
-        mid = self.bound + self.reach
-        c = min(self.out_bound, mid)
-        lo = self.out_bound - c
-        total[lo : lo + 2 * c + 1, lo : lo + 2 * c + 1] = self._gain(grid)[
-            mid - c : mid + c + 1, mid - c : mid + c + 1
-        ]
-        box = (self._loss_out, self._loss_out)
-        total[box] -= grid[self._loss_in, self._loss_in] * self._loss(grid)
-        return (2 * self.h) ** 2 * total
+        k = self.reach
+        gain = self._gain(grid)[k : k + side, k : k + side]
+        return (2 * self.h) ** 2 * (gain - grid * self._loss(grid))
 
     def _gain(self, grid: Array) -> Array:
         """Gain term on the frame |v| <= bound + R/h, without the (2h)^2."""
@@ -771,12 +746,12 @@ class FastCollisionOperator:
         return gain.reshape(width, width)
 
     def _loss(self, grid: Array) -> Array:
-        """sum_zeta w(zeta) f(v + 2 zeta) for |v| <= min(out_bound, bound)."""
+        """sum_zeta w(zeta) f(v + 2 zeta) on the square."""
         stacked = np.vstack([grid, np.zeros((1, grid.shape[1]))])
-        n_out = len(self._loss_rows)
-        loss = np.empty((n_out, n_out))
-        for ys, cols, band in self._loss_parts:
-            loss[:, cols] = stacked[:, ys][self._loss_rows].reshape(n_out, -1) @ band
+        side = len(grid)
+        loss = np.empty((side, side))
+        for cols, band in self._loss_parts:
+            loss[:, cols] = stacked[:, cols][self._loss_rows].reshape(side, -1) @ band
         return loss
 
     def apply(self, f: LatticeDistribution) -> Array:
@@ -801,10 +776,11 @@ def collision_invariants(
     """sum_v Q^h(v) (1, v, |v|^2) over every v where Q^h can be nonzero.
 
     Gains vanish beyond sqrt(2) times the support radius (energy bound),
-    so that is the output grid.  All reductions use compensated summation.
+    so Q^h is taken on the state widened to that disk.  All reductions
+    use compensated summation.
     """
     wide = f.widened()
-    q = FastCollisionOperator(f.h, R, kernel, f.bound, wide.bound).apply(f)
+    q = FastCollisionOperator(f.h, R, kernel, wide.bound).apply(wide)
     vx, vy = wide.velocities()
     v2 = vx**2 + vy**2
     mass = math.fsum(q.ravel())
@@ -854,13 +830,14 @@ def read_lattice_csv(fp: IO[str]) -> LatticeDistribution:
     return LatticeDistribution.from_values(h, support, values)
 
 
-def write_qh_csv(
-    q: Array, h: float, out_bound: int, fp: IO[str]
-) -> None:
-    """Rows (zeta_x, zeta_y, Qh_value) for a grid evaluation of Q^h."""
+def write_qh_csv(q: Array, h: float, fp: IO[str]) -> None:
+    """Rows (zeta_x, zeta_y, Qh_value) for Q^h on the square [-B, B]^2 of q."""
+    b = len(q) // 2
+    if q.shape != (2 * b + 1, 2 * b + 1):
+        raise PreconditionError(f"Q^h grid shape {q.shape} is not an odd square")
     fp.write("# " + json.dumps({"h": h}) + "\n")
     w = csv.writer(fp)
     w.writerow(["zeta_x", "zeta_y", "Qh_value"])
-    for ix in range(-out_bound, out_bound + 1):
-        for iy in range(-out_bound, out_bound + 1):
-            w.writerow([ix, iy, f"{q[ix + out_bound, iy + out_bound]:.17g}"])
+    for ix in range(-b, b + 1):
+        for iy in range(-b, b + 1):
+            w.writerow([ix, iy, f"{q[ix + b, iy + b]:.17g}"])

@@ -156,8 +156,6 @@ def converge_study(
     h_list: Iterable[float],
     R: float,
     M_diag: int = 64,
-    quad: QuadratureConfig | None = None,
-    tail_factor: float = 2.0,
 ) -> ConvergenceStudy:
     """Consistency experiment: Q^h against the quadrature reference.
 
@@ -171,13 +169,11 @@ def converge_study(
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise PreconditionError("h_list must be strictly decreasing")
     v = np.asarray(v, dtype=np.float64)
-    if quad is None:
-        quad = QuadratureConfig(r_quad=tail_factor * R)
+    quad = QuadratureConfig(r_quad=2 * R)
     ref = q_reference(f_spec, v, kernel, quad)
 
     # Shared diagnostics: the tail of |G_v| outside R and the fitted C3.
-    n_tail = max(64, quad.n_w)
-    w_all, step_t = midpoint_disk(tail_factor * R, 2 * n_tail)
+    w_all, step_t = midpoint_disk(2 * R, 2 * quad.n_w)
     norms = np.hypot(w_all[:, 0], w_all[:, 1])
     outside = norms >= R
     g_out = angular_integral(f_spec, v, kernel, w_all[outside], quad.n_theta)
@@ -429,7 +425,7 @@ def relax_simulate(
         raise PreconditionError(f"record_every must be >= 1, got {record_every}")
     h = f0.h
     wide = f0.widened()
-    op = FastCollisionOperator(h, R, kernel, wide.bound, wide.bound)
+    op = FastCollisionOperator(h, R, kernel, wide.bound)
     state = wide.grid
     disk = wide.disk
     vx, vy = wide.velocities()

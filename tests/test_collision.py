@@ -27,6 +27,21 @@ def test_kernel_spec_validation():
     assert np.all(np.asarray(MAXWELL.evaluate(np.zeros(3), np.zeros(3))) == 1.0)
 
 
+def test_maxwell_is_the_constant_product_power_kernel():
+    """Maxwell is product_power(0, (1,)): the same spec and bit-identical Q^h."""
+    constant = co.KernelSpec.product_power(0, (1,))
+    assert constant == MAXWELL == co.KernelSpec()
+    assert constant.kind == MAXWELL.kind == "maxwell"
+    assert co.KernelSpec.product_power(0.0, (2.0,)).kind == "product_power"
+    assert co.KernelSpec.product_power(0.5, (1.0,)).kind == "product_power"
+    rng = np.random.default_rng(5)
+    h, b = 0.25, 10
+    grid = rng.random((2 * b + 1, 2 * b + 1))
+    q_max = co.FastCollisionOperator(h, 2.0, MAXWELL, b).apply_grid(grid)
+    q_pp = co.FastCollisionOperator(h, 2.0, constant, b).apply_grid(grid)
+    assert q_max.tobytes() == q_pp.tobytes()
+
+
 def test_kernel_q2_even():
     k = co.KernelSpec.product_power(0.0, (1.0, 0.0, 0.4, 0.0, 0.1))
     for theta in (0.3, 1.2, 2.9):
@@ -352,7 +367,7 @@ def test_grid_operators_match_pointwise():
     h, b = 0.25, 10
     f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
     for kernel in (MAXWELL, co.KernelSpec.product_power(1.0, (1.0, 0.0, 0.2, 0.0, 0.05))):
-        qg = co.FastCollisionOperator(h, 2.0, kernel, b, b).apply(f)
+        qg = co.FastCollisionOperator(h, 2.0, kernel, b).apply(f)
         for zv in ((0, 0), (4, -3), (-7, 2)):
             qp = co.q_discrete(f, np.array([zv[0] * h, zv[1] * h]), kernel, 2.0)
             assert qp == pytest.approx(qg[zv[0] + b, zv[1] + b], rel=1e-12, abs=1e-30)
@@ -466,7 +481,7 @@ def test_non_finite_steps_and_radii_are_refused():
             co.q_discrete_detailed(f, np.zeros(2), MAXWELL, R)
     for h, R in ((math.nan, 2.0), (math.inf, 2.0), (0.5, math.nan), (0.5, math.inf)):
         with pytest.raises(PreconditionError, match="h and R must be positive and finite"):
-            co.FastCollisionOperator(h, R, MAXWELL, 4, 4)
+            co.FastCollisionOperator(h, R, MAXWELL, 4)
     with pytest.raises(PreconditionError, match="not on the h-lattice"):
         f.lattice_coords(np.array([math.nan, 0.0]))
     with pytest.raises(PreconditionError, match="not on the h-lattice"):
@@ -477,9 +492,9 @@ def test_qh_csv_format():
     rng = np.random.default_rng(3)
     h, b = 0.5, 4
     f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
-    q = co.FastCollisionOperator(h, 1.5, MAXWELL, b, b).apply(f)
+    q = co.FastCollisionOperator(h, 1.5, MAXWELL, b).apply(f)
     buf = io.StringIO()
-    co.write_qh_csv(q, h, b, buf)
+    co.write_qh_csv(q, h, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == "zeta_x,zeta_y,Qh_value"
@@ -487,6 +502,9 @@ def test_qh_csv_format():
     row = lines[2].split(",")
     assert (int(row[0]), int(row[1])) == (-b, -b)
     assert float(row[2]) == q[0, 0]
+    for shape in ((9, 7), (8, 8), (9,)):
+        with pytest.raises(PreconditionError, match="not an odd square"):
+            co.write_qh_csv(np.zeros(shape), h, io.StringIO())
 
 
 class OldFastCollisionOperator:
@@ -591,51 +609,51 @@ ORACLE_KERNELS = [
 ]
 
 
-def _assert_matches_oracle(h, R, kernel, out_bound, grid, bound):
-    new = co.FastCollisionOperator(h, R, kernel, bound, out_bound).apply_grid(grid)
-    old = OldFastCollisionOperator(h, R, kernel, out_bound).apply_grid(grid, bound)
-    assert new.shape == old.shape == (2 * out_bound + 1, 2 * out_bound + 1)
+def _assert_matches_oracle(h, R, kernel, grid, bound):
+    new = co.FastCollisionOperator(h, R, kernel, bound).apply_grid(grid)
+    old = OldFastCollisionOperator(h, R, kernel, bound).apply_grid(grid, bound)
+    assert new.shape == old.shape == (2 * bound + 1, 2 * bound + 1)
     assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max()
 
 
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
 @pytest.mark.parametrize(
-    "h, R, bound, out_bound",
+    "h, R, support, bound",
     [
-        (0.25, 2.0, 10, 10),  # bound == out_bound
-        (0.25, 2.0, 8, 13),  # bound < out_bound: the collision_invariants shape
-        (0.25, 2.0, 11, 6),  # bound > out_bound, odd difference
+        (0.25, 2.0, 10, 10),  # the state fills the square
+        (0.25, 2.0, 8, 13),  # zeros around it: the collision_invariants shape
         (0.25, 2.5, 5, 7),  # R/h > bound
     ],
 )
-def test_fast_operator_matches_padded_oracle(kernel, h, R, bound, out_bound):
-    rng = np.random.default_rng(bound * 100 + out_bound)
-    grid = rng.random((2 * bound + 1, 2 * bound + 1))
-    _assert_matches_oracle(h, R, kernel, out_bound, grid, bound)
+def test_fast_operator_matches_padded_oracle(kernel, h, R, support, bound):
+    rng = np.random.default_rng(support * 100 + bound)
+    grid = np.zeros((2 * bound + 1, 2 * bound + 1))
+    lo = bound - support
+    grid[lo : lo + 2 * support + 1, lo : lo + 2 * support + 1] = rng.random(
+        (2 * support + 1, 2 * support + 1)
+    )
+    _assert_matches_oracle(h, R, kernel, grid, bound)
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     h=st.sampled_from([1.0, 0.5, 0.25]),
     reach=st.integers(1, 7),
-    out_bound=st.integers(0, 9),
     bound=st.integers(0, 9),
     kernel=st.sampled_from(ORACLE_KERNELS),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fast_operator_matches_padded_oracle_random(h, reach, out_bound, bound, kernel, seed):
-    bound = min(bound, out_bound + 2 * reach)
+def test_fast_operator_matches_padded_oracle_random(h, reach, bound, kernel, seed):
     grid = np.random.default_rng(seed).random((2 * bound + 1, 2 * bound + 1))
-    _assert_matches_oracle(h, reach * h, kernel, out_bound, grid, bound)
+    _assert_matches_oracle(h, reach * h, kernel, grid, bound)
 
 
 def test_fast_operator_rejects_bad_state_shape():
-    # out_bound 4 and reach 2.0 / 0.5 = 4 put the frame at [0, 12].
-    for bad in (-1, 13):
-        with pytest.raises(PreconditionError, match=r"outside the operator frame \[0, 12\]"):
-            co.FastCollisionOperator(0.5, 2.0, MAXWELL, bad, 4)
-    assert co.FastCollisionOperator(0.5, 2.0, MAXWELL, 12, 4).bound == 12
-    op = co.FastCollisionOperator(0.5, 2.0, MAXWELL, 4, 4)
+    with pytest.raises(PreconditionError, match="state bound must be >= 0, got -1"):
+        co.FastCollisionOperator(0.5, 2.0, MAXWELL, -1)
+    # A one-point state has no collision partner.
+    assert co.FastCollisionOperator(0.5, 2.0, MAXWELL, 0).apply_grid(np.ones((1, 1))).tolist() == [[0.0]]
+    op = co.FastCollisionOperator(0.5, 2.0, MAXWELL, 4)
     # Both entry points refuse a state of another size with the same error.
     f = co.LatticeDistribution(0.5, 2.5, np.ones((11, 11)))
     with pytest.raises(PreconditionError, match="does not match bound 4") as via_grid:
@@ -649,14 +667,13 @@ def test_fast_operator_rejects_bad_state_shape():
 
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
 def test_fast_operator_conserves_invariants(kernel):
-    """Sums of Q^h against 1, v, |v|^2 vanish on the collision_invariants grid."""
+    """Sums of Q^h against 1, v, |v|^2 vanish on the widened state's square."""
     rng = np.random.default_rng(77)
     h, b = 0.5, 8
-    out_bound = int(math.ceil(math.sqrt(2.0) * b)) + 1
     f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
-    q = co.FastCollisionOperator(h, b * h, kernel, b, out_bound).apply(f)
-    ix = np.arange(-out_bound, out_bound + 1) * h
-    vx, vy = np.meshgrid(ix, ix, indexing="ij")
+    wide = f.widened()
+    q = co.FastCollisionOperator(h, b * h, kernel, wide.bound).apply(wide)
+    vx, vy = wide.velocities()
     norm = math.fsum((np.abs(q) * (1 + vx**2 + vy**2)).ravel())
     for weight in (1.0, vx, vy, vx**2 + vy**2):
         assert abs(math.fsum((q * weight).ravel())) <= 1e-10 * norm
