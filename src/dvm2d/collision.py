@@ -34,9 +34,10 @@ v' = v*' = v = v* and contributes nothing.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import IO, Callable, Sequence
 
 import numpy as np
@@ -91,16 +92,19 @@ class KernelSpec:
     ) -> "KernelSpec":
         return cls(alpha, tuple(cos_coeffs))
 
-    def evaluate(self, w_norm, cos_theta):
-        """q at speed |w| and scattering cosine; broadcasts over arrays."""
+    def speed_factor(self, w_norm):
+        """q1 = |w|**alpha; exactly 1.0 for alpha = 0."""
+        return 1.0 if self.alpha == 0.0 else np.power(w_norm, self.alpha)
+
+    def angular_factor(self, cos_theta):
+        """q2 at the scattering cosine; broadcasts over arrays."""
         # T_m(cos theta) = cos(m theta), so the cosine series is a
         # Chebyshev series in the scattering cosine.
-        q2 = _cheb.chebval(np.asarray(cos_theta, dtype=np.float64), self.cos_coeffs)
-        if self.alpha == 0.0:
-            q1 = 1.0
-        else:
-            q1 = np.power(w_norm, self.alpha)
-        return q1 * q2
+        return _cheb.chebval(np.asarray(cos_theta, dtype=np.float64), self.cos_coeffs)
+
+    def evaluate(self, w_norm, cos_theta):
+        """q at speed |w| and scattering cosine; broadcasts over arrays."""
+        return self.speed_factor(w_norm) * self.angular_factor(cos_theta)
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +402,19 @@ def _check_n_theta(n_theta: int) -> None:
 
 @dataclass(frozen=True)
 class QuadratureResult:
+    """The fine level's value and its gap to the coarse level.
+
+    nodes and angular are the fine level's midpoints w (cell side step) and
+    G_v(w) there, integrated with 2 * config.n_theta angle nodes, so that a
+    caller can reuse parts of the fine level without integrating it again.
+    """
+
     value: float
     self_convergence: float
     config: QuadratureConfig
+    nodes: Array = field(repr=False, compare=False)
+    angular: Array = field(repr=False, compare=False)
+    step: float
 
 
 def angular_integral(
@@ -472,21 +486,30 @@ def q_reference(
 
     Evaluates the tensor rule at the configured resolution and at double
     resolution; raises QuadratureError when the two levels disagree
-    beyond quad.rtol (relative, floored by quad.atol).
+    beyond quad.rtol (relative, floored by quad.atol).  The result keeps
+    the fine level's nodes and per-node angular integrals.
     """
     coarse = _tensor_level(f, v, kernel, quad.r_quad, quad.n_w, quad.n_theta)
-    fine = _tensor_level(f, v, kernel, quad.r_quad, 2 * quad.n_w, 2 * quad.n_theta)
+    # The fine level, kept whole for the result.
+    nodes, step = midpoint_disk(quad.r_quad, 2 * quad.n_w)
+    angular = angular_integral(f, v, kernel, nodes, 2 * quad.n_theta)
+    fine = 4.0 * step * step * float(angular.sum())
     err = abs(fine - coarse)
     if err > quad.rtol * max(abs(fine), abs(coarse)) + quad.atol:
         raise QuadratureError(
             f"quadrature did not self-converge: levels {coarse:.6e} vs {fine:.6e}"
         )
-    return QuadratureResult(fine, err, quad)
+    return QuadratureResult(fine, err, quad, nodes, angular, step)
 
 
 # ---------------------------------------------------------------------------
 # Lattice operator
 # ---------------------------------------------------------------------------
+
+def circle_limit(h: float, R: float) -> int:
+    """Largest squared radius n of the lattice sum: n <= (R/h)^2."""
+    return int(math.floor((R / h) ** 2 + 1e-9))
+
 
 def _circles(h: float, R: float, kernel: KernelSpec):
     """Every circle |zeta|^2 = n <= (R/h)^2 that has points, as (n, xs, ys, q).
@@ -496,7 +519,7 @@ def _circles(h: float, R: float, kernel: KernelSpec):
     zeta_i -> zeta_j, with cos theta_ij = zeta_i . zeta_j / n from the
     exact integer dot product.
     """
-    table = circle_table(int(math.floor((R / h) ** 2 + 1e-9)))
+    table = circle_table(circle_limit(h, R))
     starts = table.starts.tolist()
     for n in range(1, table.limit + 1):
         lo, hi = starts[n], starts[n + 1]
@@ -506,6 +529,41 @@ def _circles(h: float, R: float, kernel: KernelSpec):
         dots = xs[:, None] * xs[None, :] + ys[:, None] * ys[None, :]
         q = kernel.evaluate(h * math.sqrt(n), dots.astype(np.float64) / n)
         yield n, xs, ys, np.asarray(q, dtype=np.float64)
+
+
+def _paired_circle_sums(flat, at, width, f_v, kernel, table, ns, firsts, rs):
+    """Gain and loss sums, without 2 pi / r and q1, of circles stored back to back.
+
+    flat is the padded state, read at at + the flat offset (x, y) ->
+    x * width + y.  Circle c has rs[c] points from table index firsts[c]
+    on.  Gain: sum over i < r, j < r/2 of f(v') f(v*') (q2(cos theta_ij)
+    + q2(-cos theta_ij)).  Loss: sum over i of f(v) f(v + 2 zeta_i) sum_j
+    q2(cos theta_ij).
+    """
+    m, half = len(rs), rs // 2
+    counts = rs * half
+    circ = np.repeat(np.arange(m), counts)  # circle of each pair
+    i, j = np.divmod(np.arange(len(circ)) - (np.cumsum(counts) - counts)[circ], half[circ])
+    pi = firsts[circ] + i
+    pj = pi - i + j
+    xi, yi, xj, yj = table.xs[pi], table.ys[pi], table.xs[pj], table.ys[pj]
+    gain = flat[at + (xi + xj) * width + (yi + yj)] * flat[at + (xi - xj) * width + (yi - yj)]
+    cos = (xi * xj + yi * yj) / ns[circ]
+    weight = kernel.angular_factor(cos) + kernel.angular_factor(-cos)
+
+    p0, p1 = firsts[0], firsts[-1] + rs[-1]
+    qsum = np.bincount(pi - p0, weights=weight, minlength=p1 - p0)  # sum_j q2_ij
+    loss = f_v * flat[at + 2 * (table.xs[p0:p1] * width + table.ys[p0:p1])] * qsum
+    return (
+        np.bincount(circ, weights=gain * weight, minlength=m),
+        np.bincount(np.repeat(np.arange(m), rs), weights=loss, minlength=m),
+    )
+
+
+# Most (zeta_i, zeta_j) pairs one chunk of q_discrete_detailed gathers.  A
+# chunk holds whole circles, so a circle with more pairs is a chunk alone.
+# The chunk's index and value arrays peak at about 2.5 MB (traced) at 2**14.
+Q_DISCRETE_CHUNK_PAIRS = 1 << 14
 
 
 def q_discrete_detailed(
@@ -520,9 +578,19 @@ def q_discrete_detailed(
     natural scale against which the signed total cancels; it sets the
     roundoff floor for near-equilibrium states.
 
-    Every lookup lies within 2 R/h of v, so the state is zero-padded just
-    enough to hold that reach and read by plain indexing; a v farther
-    than that from the state's square gets (0.0, 0.0) at once.
+    Every lookup lies within 2 R/h of v, so the state is zero-padded only
+    where that reach leaves its square and read through flat offsets; a v
+    farther than that from the state's square gets (0.0, 0.0) at once.
+
+    The circles of circle_table are taken in chunks of whole circles of at
+    most Q_DISCRETE_CHUNK_PAIRS pairs, each gathered with flat index
+    arrays.  In the table's angle order point j + r/2 of a circle is
+    -zeta_j, and turning zeta' into -zeta' swaps v' and v*', so only the
+    columns j < r/2 are gathered, each weighted by q2(cos) + q2(-cos); the
+    loss of point i is f(v) f(v + 2 zeta_i) sum_j q2_ij.  np.bincount
+    gives the per-circle sums, and the value and the gross magnitude are
+    each one math.fsum over the per-circle terms, so neither depends on
+    the chunk size.
     """
     if not (math.isfinite(R) and R > 0):
         raise PreconditionError(f"h and R must be positive and finite, got R = {R}")
@@ -534,22 +602,34 @@ def q_discrete_detailed(
     if dist > b + reach:
         return 0.0, 0.0
     pad = max(0, dist + reach - b)
-    g = np.pad(f.grid, pad)
-    ox, oy = zvx + b + pad, zvy + b + pad  # v's row and column in g
-    f_v = float(g[ox, oy])
+    g = np.pad(f.grid, pad) if pad else f.grid
+    width = g.shape[1]
+    flat = g.reshape(-1)
+    at = (zvx + b + pad) * width + (zvy + b + pad)  # v's flat index in g
+    f_v = float(flat[at])
 
-    per_circle: list[float] = []
-    gross = 0.0
-    for _, xs, ys, q in _circles(h, R, kernel):
-        r = len(xs)
-        gain = (
-            g[ox + xs[:, None] + xs[None, :], oy + ys[:, None] + ys[None, :]]
-            * g[ox + xs[:, None] - xs[None, :], oy + ys[:, None] - ys[None, :]]
+    table = circle_table(circle_limit(h, R))
+    counts = np.diff(table.starts)
+    ns = np.flatnonzero(counts)  # the circles that have points
+    rs = counts[ns]
+    firsts = table.starts[ns]
+    pairs = rs * (rs // 2)
+    ends = np.cumsum(pairs)
+    coef = 2 * math.pi / rs * kernel.speed_factor(h * np.sqrt(ns))
+
+    values: list[float] = []
+    grosses: list[float] = []
+    c0 = 0
+    while c0 < len(ns):
+        limit = ends[c0] - pairs[c0] + Q_DISCRETE_CHUNK_PAIRS
+        c1 = max(c0 + 1, int(np.searchsorted(ends, limit, side="right")))
+        gain, loss = _paired_circle_sums(
+            flat, at, width, f_v, kernel, table, ns[c0:c1], firsts[c0:c1], rs[c0:c1]
         )
-        loss = f_v * g[ox + 2 * xs, oy + 2 * ys]  # (r,)
-        per_circle.append(2 * math.pi / r * float(((gain - loss[:, None]) * q).sum()))
-        gross += 2 * math.pi / r * float(((gain + loss[:, None]) * q).sum())
-    return (2 * h) ** 2 * math.fsum(per_circle), (2 * h) ** 2 * gross
+        values += (coef[c0:c1] * (gain - loss)).tolist()
+        grosses += (coef[c0:c1] * (gain + loss)).tolist()
+        c0 = c1
+    return (2 * h) ** 2 * math.fsum(values), (2 * h) ** 2 * math.fsum(grosses)
 
 
 def q_discrete(
@@ -597,8 +677,10 @@ class FastCollisionOperator:
 
     * Gain.  Per circle |zeta|^2 = n the products P_j(x) = f(x + zeta_j)
       f(x - zeta_j) are formed only on the box of mid-points x where both
-      factors lie on the square, and only for one point of each +-zeta
-      pair, with weight 2, since both signs give the same product.
+      factors lie on the square, clipped to the inside of the ring on
+      which the state is zero (the widened state has one), and only for
+      one point of each +-zeta pair, with weight 2, since both signs give
+      the same product.
       The kernel's cosine series splits the pair weight,
       cos(m(phi_i - phi_j)) = cos cos + sin sin, into channels
       W = sum_j 2 (cos, sin)(m phi_j) P_j; odd harmonics cancel exactly
@@ -640,13 +722,12 @@ class FastCollisionOperator:
             (m, c) for m, c in enumerate(kernel.cos_coeffs) if c != 0.0 and m % 2 == 0
         ]
         self._single_channel = [m for m, _ in harmonics] == [0]
-        # Per circle with a product on the state: (inner, outer, boxes, offsets).
+        # Per circle with a product on the state: (inner, outer, half, offsets).
         # inner (channels, r/2): 2 cos(m phi_j) / 2 sin(m phi_j) on the half
         # circle, one point of each +-zeta pair.  outer (r, channels):
-        # (2 pi / r) q1 c_m cos(m phi_i) / sin(m phi_i).  boxes, per half
-        # point j: (j, mid box, box of x + zeta, box of x - zeta).  offsets,
-        # per point i: flat offset of the shift x -> x - zeta_i into the gain
-        # frame.
+        # (2 pi / r) q1 c_m cos(m phi_i) / sin(m phi_i).  half: the half
+        # circle's points.  offsets, per point i: flat offset of the shift
+        # x -> x - zeta_i into the gain frame.
         self._circles: list[tuple] = []
         loss_x, loss_y, loss_w = [], [], []
         for n, xs, ys, q in _circles(h, R, kernel):
@@ -662,22 +743,12 @@ class FastCollisionOperator:
                 if m != 0:
                     inner.append(2 * sin_m[half])
                     outer.append(coef * sin_m)
-            boxes = []
-            for j, (x, y) in enumerate(zip(xs[half].tolist(), ys[half].tolist())):
-                ax, ay = abs(x), abs(y)
-                if ax > bound or ay > bound:
-                    continue
-                boxes.append((
-                    j,
-                    (slice(ax, side - ax), slice(ay, side - ay)),
-                    (slice(ax + x, side - ax + x), slice(ay + y, side - ay + y)),
-                    (slice(ax - x, side - ax - x), slice(ay - y, side - ay - y)),
-                ))
-            if boxes:
+            half_points = list(zip(xs[half].tolist(), ys[half].tolist()))
+            if any(abs(x) <= bound and abs(y) <= bound for x, y in half_points):
                 self._circles.append((
                     np.array(inner).reshape(-1, r // 2),
                     np.array(outer).reshape(-1, r).T,
-                    boxes,
+                    half_points,
                     ((k - xs) * width + (k - ys)).tolist(),
                 ))
             loss_x += xs.tolist()
@@ -706,6 +777,44 @@ class FastCollisionOperator:
                 band[a + k, y_in[pt, col] // 2, col] = loss_w[on_a][pt]
             self._loss_parts.append((cols, band.reshape((2 * k + 1) * n_col, n_col)))
 
+    @functools.cached_property
+    def _whole_square_plan(self) -> list[tuple]:
+        return self._plan(0)
+
+    def _plan(self, ring: int) -> list[tuple]:
+        """Per circle, (inner, outer, boxes, offsets) for a state that is zero
+        on the outer ring of the square of that width.
+
+        boxes, per half point j whose product can be nonzero: (j, mid box,
+        box of x + zeta, box of x - zeta), clipped to the square inside the
+        ring; circles without such a point are left out.
+        """
+        side = 2 * self.bound + 1
+        plan = []
+        for inner, outer, half_points, offsets in self._circles:
+            boxes = []
+            for j, (x, y) in enumerate(half_points):
+                ax, ay = abs(x) + ring, abs(y) + ring
+                if 2 * ax >= side or 2 * ay >= side:
+                    continue
+                boxes.append((
+                    j,
+                    (slice(ax, side - ax), slice(ay, side - ay)),
+                    (slice(ax + x, side - ax + x), slice(ay + y, side - ay + y)),
+                    (slice(ax - x, side - ax - x), slice(ay - y, side - ay - y)),
+                ))
+            if boxes:
+                plan.append((inner, outer, boxes, offsets))
+        return plan
+
+    def _zero_ring(self, grid: Array) -> int:
+        """Width of the outer ring of the square on which grid is zero."""
+        rows = np.flatnonzero(grid.any(axis=1))
+        cols = np.flatnonzero(grid.any(axis=0))
+        if len(rows) == 0:
+            return self.bound + 1
+        return int(min(rows[0], cols[0], len(grid) - 1 - rows[-1], len(grid) - 1 - cols[-1]))
+
     def apply_grid(self, grid: Array) -> Array:
         """Q^h on the square for the state grid[ix + bound, iy + bound]."""
         grid = np.asarray(grid, dtype=np.float64)
@@ -719,30 +828,42 @@ class FastCollisionOperator:
         return (2 * self.h) ** 2 * (gain - grid * self._loss(grid))
 
     def _gain(self, grid: Array) -> Array:
-        """Gain term on the frame |v| <= bound + R/h, without the (2h)^2."""
+        """Gain term on the frame |v| <= bound + R/h, without the (2h)^2.
+
+        Products are formed only inside the state's zero ring (none at
+        all on an all-zero state), so the exact zeros that the ring would
+        give are skipped; each shifted add covers the block that can hold
+        a nonzero W.
+        """
         side = 2 * self.bound + 1
         width = side + 2 * self.reach
-        span = (side - 1) * width + side  # a state-sized block at the frame's stride
+        ring = self._zero_ring(grid)
+        # A state with a zero ring is a one-off (collision_invariants, the
+        # first stages of relax_simulate); only the whole square's plan is kept.
+        plan = self._plan(ring) if ring else self._whole_square_plan
+        lo = ring * (width + 1)  # W is zero outside rows and columns ring .. side - ring
+        hi = (side - 1 - ring) * width + side - ring  # below lo only for an all-zero state
         gain = np.zeros(width * width)
         w = np.zeros((side, width))
         w_state = w[:, :side]
-        for inner, outer, boxes, offsets in self._circles:
+        w_inside = w[ring : side - ring, ring : side - ring]
+        w_flat = w.reshape(-1)[lo:hi]
+        for inner, outer, boxes, offsets in plan:
             if self._single_channel:
-                w_state.fill(0.0)
+                w_inside.fill(0.0)
                 for _, box, plus, minus in boxes:
                     w_state[box] += grid[plus] * grid[minus]
-                w_state *= inner[0, 0] * outer[0, 0]  # 2 x circle weight
-                w_flat = w.reshape(-1)[:span]
+                w_inside *= inner[0, 0] * outer[0, 0]  # 2 x circle weight
                 for off in offsets:
-                    gain[off : off + span] += w_flat
+                    gain[off + lo : off + hi] += w_flat
             else:
                 n_half = inner.shape[1]
                 prods = np.zeros((n_half, side, width))
                 for j, box, plus, minus in boxes:
                     np.multiply(grid[plus], grid[minus], out=prods[j][box])
-                chans = (inner @ prods.reshape(n_half, -1))[:, :span]
+                chans = inner @ prods.reshape(n_half, -1)[:, lo:hi]
                 for weights, off in zip(outer, offsets):
-                    gain[off : off + span] += weights @ chans
+                    gain[off + lo : off + hi] += weights @ chans
         return gain.reshape(width, width)
 
     def _loss(self, grid: Array) -> Array:

@@ -23,7 +23,8 @@ from .collision import (
     LatticeDistribution,
     QuadratureConfig,
     angular_integral,
-    midpoint_disk,
+    circle_limit,
+    lattice_bound,
     q_discrete,
     q_reference,
     rotate,
@@ -98,7 +99,7 @@ def equid_term(h: float, R: float, M: int) -> float:
     """
     if M < 5:
         raise PreconditionError(f"M must be >= 5 so some 4 | k contributes, got {M}")
-    x = int(math.floor((R / h) ** 2 + 1e-9))
+    x = circle_limit(h, R)
     best = 0.0
     for k in range(4, M, 4):
         values = circles.abs_S_closed_range(x, k)
@@ -114,10 +115,11 @@ def equid_term(h: float, R: float, M: int) -> float:
 class ErrorBudget:
     """Observed four-term error decomposition for one (v, h, R, M).
 
-    tail_R and riemann_h are measured directly by quadrature; the Fourier
-    tail and equidistribution terms use the fitted angular-decay constant
-    C3.  All terms are nonnegative; only tail_R is a rigorous bound on
-    the piece it describes, so no inequality against total_observed is
+    tail_R and riemann_h are measured directly by quadrature, both with
+    the reference's fine angular rule (n_theta = 256); the Fourier tail
+    and equidistribution terms use the fitted angular-decay constant C3.
+    All terms are nonnegative; only tail_R is a rigorous bound on the
+    piece it describes, so no inequality against total_observed is
     implied.
     """
 
@@ -149,6 +151,15 @@ class ConvergenceStudy:
     qref_self_convergence: float
 
 
+# Sampling a closed-form state peaks at 64 bytes per lattice point (traced,
+# bi-Maxwellian).  The Riemann sum of an h reads the R disk, whose square
+# has at most a quarter of the state's points, at about 136 bytes per disk
+# point, so it fits the same budget.  MAX_CONVERGE_STATE_POINTS keeps each
+# h within 1 GiB.
+CONVERGE_BYTES_PER_POINT = 64
+MAX_CONVERGE_STATE_POINTS = (1 << 30) // CONVERGE_BYTES_PER_POINT
+
+
 def converge_study(
     f_spec: Callable[[Array], Array],
     kernel: KernelSpec,
@@ -161,7 +172,15 @@ def converge_study(
 
     For each h the closed-form state is sampled on a lattice wide enough
     that every velocity reached by the truncated sum sees the true f, so
-    the comparison isolates discretization error.
+    the comparison isolates discretization error.  Every h is checked
+    first: a circle table beyond circles.MAX_CIRCLE_TABLE_LIMIT or a state
+    of more than MAX_CONVERGE_STATE_POINTS points raises PreconditionError
+    before anything is sampled.
+
+    The reference's fine level (midpoints of the 2 n_w grid on the disk of
+    radius 2R, n_theta = 256) also gives tail_R, its |G_v| outside R, and
+    the inner-disk integral that riemann_h compares with each lattice
+    Riemann sum; that sum takes the same 256 angle nodes.
     """
     h_list = list(h_list)
     if not h_list:
@@ -169,20 +188,33 @@ def converge_study(
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise PreconditionError("h_list must be strictly decreasing")
     v = np.asarray(v, dtype=np.float64)
+    supports = [float(np.hypot(v[0], v[1])) + 2 * R + 2 * h for h in h_list]
+    for h, support in zip(h_list, supports):
+        side = 2 * lattice_bound(h, support) + 1  # refuses a bad h or R
+        n_max = circle_limit(h, R)
+        if n_max > circles.MAX_CIRCLE_TABLE_LIMIT:
+            raise PreconditionError(
+                f"h = {h}: (R/h)^2 = {n_max} exceeds "
+                f"MAX_CIRCLE_TABLE_LIMIT = {circles.MAX_CIRCLE_TABLE_LIMIT}"
+            )
+        if side * side > MAX_CONVERGE_STATE_POINTS:
+            raise PreconditionError(
+                f"h = {h}: the sampled state has {side}^2 points, more than "
+                f"MAX_CONVERGE_STATE_POINTS = {MAX_CONVERGE_STATE_POINTS} "
+                f"({CONVERGE_BYTES_PER_POINT} bytes each, 1 GiB)"
+            )
     quad = QuadratureConfig(r_quad=2 * R)
     ref = q_reference(f_spec, v, kernel, quad)
+    n_theta = 2 * quad.n_theta  # the fine level's angular rule
 
-    # Shared diagnostics: the tail of |G_v| outside R and the fitted C3.
-    w_all, step_t = midpoint_disk(2 * R, 2 * quad.n_w)
-    norms = np.hypot(w_all[:, 0], w_all[:, 1])
-    outside = norms >= R
-    g_out = angular_integral(f_spec, v, kernel, w_all[outside], quad.n_theta)
-    tail = 4.0 * step_t * step_t * float(np.abs(g_out).sum())
-    # Inner-disk quadrature, compared per h with the lattice Riemann sum of
-    # the same exact-angular G_v; this isolates the outer-discretization error.
-    inner = 4.0 * step_t * step_t * float(
-        angular_integral(f_spec, v, kernel, w_all[~outside], quad.n_theta).sum()
-    )
+    # Shared diagnostics from the fine level: the tail of |G_v| outside R,
+    # and the inner-disk quadrature that each h's lattice Riemann sum of the
+    # same exact-angular G_v is compared with, which isolates the
+    # outer-discretization error.
+    outside = np.hypot(ref.nodes[:, 0], ref.nodes[:, 1]) >= R
+    cell = 4.0 * ref.step * ref.step
+    tail = cell * float(np.abs(ref.angular[outside]).sum())
+    inner = cell * float(ref.angular[~outside].sum())
 
     c3 = 0.0
     probe_radius = max(1, int(round(R / (2 * max(h_list)))))
@@ -192,8 +224,7 @@ def converge_study(
     s_m = 2 * sum(1.0 / (1 + k * k) for k in range(1, M_diag))
 
     rows = []
-    for h in h_list:
-        support = float(np.hypot(v[0], v[1])) + 2 * R + 2 * h
+    for h, support in zip(h_list, supports):
         f_h = sample_on_lattice(f_spec, h, support)
         qh = q_discrete(f_h, v, kernel, R)
         abs_err = abs(qh - ref.value)
@@ -203,7 +234,7 @@ def converge_study(
         keep = frame.disk & ((wx != 0) | (wy != 0))
         lattice_w = np.stack([wx[keep], wy[keep]], axis=-1)
         riemann = (2 * h) ** 2 * float(
-            angular_integral(f_spec, v, kernel, lattice_w, quad.n_theta).sum()
+            angular_integral(f_spec, v, kernel, lattice_w, n_theta).sum()
         )
         riemann_err = abs(inner - riemann)
 

@@ -6,7 +6,9 @@
 every point-rich circle with ``circle_points`` and filtered it to the box.
 ``all_nodes_angular_integral`` is ``collision.angular_integral`` before it
 paired the nodes theta and theta + pi: it forms the gain product at every
-node.
+node.  ``full_circle_q_discrete_detailed`` is
+``collision.q_discrete_detailed`` before the flat, paired gather: one
+iteration per circle over every (zeta_i, zeta_j) of the full circle.
 """
 
 import math
@@ -14,7 +16,7 @@ import math
 import numpy as np
 
 from dvm2d import circles, harness
-from dvm2d.collision import rotate
+from dvm2d.collision import _circles, lattice_bound, rotate
 
 
 def all_nodes_angular_integral(f, v, kernel, w, n_theta):
@@ -81,3 +83,31 @@ def enumerated_figure_data(query):
         order = np.lexsort((points[:, 1], points[:, 0]))
         points, n_arr, r_arr = points[order], n_arr[order], r_arr[order]
     return harness.FigureData(query, points, n_arr, r_arr)
+
+
+def full_circle_q_discrete_detailed(f, v, kernel, R):
+    """(Q^h(f, f)(v), gross) by a loop over circles, r x r products each."""
+    h = f.h
+    zvx, zvy = f.lattice_coords(np.asarray(v, dtype=np.float64))
+    b = f.bound
+    reach = 2 * lattice_bound(h, R)  # farthest lookup from v, per coordinate
+    dist = max(abs(zvx), abs(zvy))
+    if dist > b + reach:
+        return 0.0, 0.0
+    pad = max(0, dist + reach - b)
+    g = np.pad(f.grid, pad)
+    ox, oy = zvx + b + pad, zvy + b + pad  # v's row and column in g
+    f_v = float(g[ox, oy])
+
+    per_circle = []
+    gross = 0.0
+    for _, xs, ys, q in _circles(h, R, kernel):
+        r = len(xs)
+        gain = (
+            g[ox + xs[:, None] + xs[None, :], oy + ys[:, None] + ys[None, :]]
+            * g[ox + xs[:, None] - xs[None, :], oy + ys[:, None] - ys[None, :]]
+        )
+        loss = f_v * g[ox + 2 * xs, oy + 2 * ys]  # (r,)
+        per_circle.append(2 * math.pi / r * float(((gain - loss[:, None]) * q).sum()))
+        gross += 2 * math.pi / r * float(((gain + loss[:, None]) * q).sum())
+    return (2 * h) ** 2 * math.fsum(per_circle), (2 * h) ** 2 * gross

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from dvm2d import harness
 from dvm2d.cli import main
+from oracles import full_circle_q_discrete_detailed
 
 
 def test_circle_command_stdout():
@@ -130,7 +131,8 @@ def test_collide_grid_matches_pointwise(tmp_path):
     }
     assert len(rows) == (2 * b + 1) ** 2
     for zx, zy in ((0, 0), (2, -3), (-4, 1)):
-        qp = co.q_discrete(f, np.array([zx * h, zy * h]), co.KernelSpec.maxwell(), 1.5)
+        v = np.array([zx * h, zy * h])
+        qp = full_circle_q_discrete_detailed(f, v, co.KernelSpec.maxwell(), 1.5)[0]
         assert rows[zx, zy] == pytest.approx(qp, rel=1e-12, abs=1e-30)
 
 
@@ -153,6 +155,12 @@ def test_converge_empty_h_list_exits_2():
     result = CliRunner().invoke(main, ["converge", "--h-list", "", "--R", "2", "--M", "8"])
     assert result.exit_code == 2
     assert "h_list must not be empty" in result.output
+
+
+def test_converge_unaffordable_h_exits_2():
+    result = CliRunner().invoke(main, ["converge", "--h-list", "0.001", "--R", "3"])
+    assert result.exit_code == 2, result.output
+    assert "MAX_CIRCLE_TABLE_LIMIT" in result.output
 
 
 @pytest.mark.parametrize("h_list", ["0.5,abc", "0.5,nan", "inf,0.5"])

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvm2d import collision as co
-from dvm2d.circles import circle_points
+from dvm2d.circles import circle_points, circle_table
 from dvm2d.errors import PreconditionError, QuadratureError
-from oracles import all_nodes_angular_integral
+from oracles import all_nodes_angular_integral, full_circle_q_discrete_detailed
 
 
 MAXWELL = co.KernelSpec.maxwell()
@@ -369,7 +369,7 @@ def test_grid_operators_match_pointwise():
     for kernel in (MAXWELL, co.KernelSpec.product_power(1.0, (1.0, 0.0, 0.2, 0.0, 0.05))):
         qg = co.FastCollisionOperator(h, 2.0, kernel, b).apply(f)
         for zv in ((0, 0), (4, -3), (-7, 2)):
-            qp = co.q_discrete(f, np.array([zv[0] * h, zv[1] * h]), kernel, 2.0)
+            qp = full_circle_q_discrete_detailed(f, np.array([zv[0] * h, zv[1] * h]), kernel, 2.0)[0]
             assert qp == pytest.approx(qg[zv[0] + b, zv[1] + b], rel=1e-12, abs=1e-30)
 
 
@@ -396,7 +396,8 @@ def test_collision_invariants_normalization_matches_pointwise(kernel):
     wide = f.widened()
     vx, vy = wide.velocities()
     terms = [
-        abs(co.q_discrete(f, np.array([x, y]), kernel, b * h)) * (1 + x * x + y * y)
+        abs(full_circle_q_discrete_detailed(f, np.array([x, y]), kernel, b * h)[0])
+        * (1 + x * x + y * y)
         for x, y in zip(vx.ravel().tolist(), vy.ravel().tolist())
     ]
     assert inv.normalization == pytest.approx(math.fsum(terms), rel=1e-12)
@@ -679,6 +680,27 @@ def test_fast_operator_conserves_invariants(kernel):
         assert abs(math.fsum((q * weight).ravel())) <= 1e-10 * norm
 
 
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
+def test_fast_operator_zero_ring_clip_is_bit_identical(monkeypatch, kernel):
+    """Products inside the state's zero ring only: Q^h equals, bit for bit,
+    the apply that forms them on the whole square."""
+    rng = np.random.default_rng(5)
+    h, b = 0.25, 8
+    wide = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1))).widened()
+    one_sided = wide.grid.copy()
+    one_sided[: wide.bound + 3] = 0.0  # the ring is as wide as its narrowest side
+    signed = wide.grid - 1e-13 * (rng.random(wide.grid.shape) < 0.2)  # RK4 stages dip below 0
+    grids = [wide.grid, one_sided, signed, np.zeros_like(wide.grid)]
+    op = co.FastCollisionOperator(h, 2.0, kernel, wide.bound)
+    assert [op._zero_ring(g) for g in grids] == [wide.bound - b, wide.bound - b, 0, wide.bound + 1]
+    clipped = [op.apply_grid(g) for g in grids]
+    monkeypatch.setattr(co.FastCollisionOperator, "_zero_ring", lambda self, grid: 0)
+    whole = [co.FastCollisionOperator(h, 2.0, kernel, wide.bound).apply_grid(g) for g in grids]
+    for c, w in zip(clipped, whole):
+        assert np.array_equal(c, w)
+    assert not clipped[-1].any()
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 25, 65, 325, 1105, 5525, 4 * 1105])
 def test_harmonic_weights_exact(n):
     pts = circle_points(n)
@@ -736,27 +758,26 @@ def old_q_discrete_detailed(f, v, kernel, R):
 
 
 GATHER_KERNELS = [MAXWELL, co.KernelSpec.product_power(0.5, (1, 0, 0.5))]
+PAIRED_KERNELS = GATHER_KERNELS + [co.KernelSpec.product_power(1.0, (1, 0.3, 0.2))]
+GATHER_POINTS = [
+    (0, 0),  # centre
+    (6, 0),  # on the support edge (B = 6)
+    (4, -4),  # off the disk, on the stored square
+    (10, 3),  # outside the support, within reach 2 R/h = 8
+    (14, -14),  # at B + reach: the last shell the padded gather reads
+    (15, 0),  # beyond reach
+    (-40, 7),  # far beyond reach
+]
 
 
 @pytest.mark.parametrize("kernel", GATHER_KERNELS, ids=["maxwell", "pp05"])
-@pytest.mark.parametrize(
-    "zv",
-    [
-        (0, 0),  # centre
-        (6, 0),  # on the support edge (B = 6)
-        (4, -4),  # off the disk, on the stored square
-        (10, 3),  # outside the support, within reach 2 R/h = 8
-        (14, -14),  # at B + reach: the last shell the padded gather reads
-        (15, 0),  # beyond reach
-        (-40, 7),  # far beyond reach
-    ],
-)
+@pytest.mark.parametrize("zv", GATHER_POINTS)
 def test_q_discrete_padded_gather_matches_f_at_loop(kernel, zv):
     h, support, R = 0.5, 3.0, 2.0
     grid = np.random.default_rng(31).random((13, 13))
     f = co.LatticeDistribution(h, support, grid)
     v = np.array([zv[0] * h, zv[1] * h])
-    got = co.q_discrete_detailed(f, v, kernel, R)
+    got = full_circle_q_discrete_detailed(f, v, kernel, R)
     want = old_q_discrete_detailed(f, v, kernel, R)
     assert got[0] == want[0] and got[1] == want[1]
     if max(map(abs, zv)) > 6 + 8:
@@ -770,7 +791,7 @@ def test_q_discrete_ladder_states_match_f_at_loop():
             f = co.sample_on_lattice(spec, h, 2 * R + 2 * h)
             for kernel in GATHER_KERNELS:
                 for v in ([0.0, 0.0], [1.0, -0.5], [4.0, 3.0]):
-                    got = co.q_discrete_detailed(f, np.array(v), kernel, R)
+                    got = full_circle_q_discrete_detailed(f, np.array(v), kernel, R)
                     assert got == old_q_discrete_detailed(f, np.array(v), kernel, R)
 
 
@@ -804,6 +825,92 @@ def test_q_discrete_padded_gather_matches_f_at_loop_random(
         h, b * h, np.random.default_rng(seed).random((2 * b + 1, 2 * b + 1))
     )
     v = np.array([zvx * h, zvy * h])
-    got = co.q_discrete_detailed(f, v, kernel, reach * h)
+    got = full_circle_q_discrete_detailed(f, v, kernel, reach * h)
     want = old_q_discrete_detailed(f, v, kernel, reach * h)
     assert got[0] == want[0] and got[1] == want[1]
+
+
+def _assert_paired_matches_full_circle(f, v, kernel, R):
+    """The paired gather against the full-circle loop: the value within
+    1e-14 of the gross magnitude, the gross magnitude within 1e-14 of itself."""
+    got = co.q_discrete_detailed(f, v, kernel, R)
+    want = full_circle_q_discrete_detailed(f, v, kernel, R)
+    assert abs(got[0] - want[0]) <= 1e-14 * want[1]
+    assert abs(got[1] - want[1]) <= 1e-14 * want[1]
+    if want[1] == 0.0:
+        assert got == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("kernel", PAIRED_KERNELS, ids=["maxwell", "pp05", "pp_odd"])
+@pytest.mark.parametrize("zv", GATHER_POINTS)
+def test_q_discrete_paired_gather_matches_full_circle(kernel, zv):
+    f = co.LatticeDistribution(0.5, 3.0, np.random.default_rng(31).random((13, 13)))
+    _assert_paired_matches_full_circle(f, np.array([zv[0] * 0.5, zv[1] * 0.5]), kernel, 2.0)
+
+
+@pytest.mark.parametrize("kernel", PAIRED_KERNELS, ids=["maxwell", "pp05", "pp_odd"])
+def test_q_discrete_paired_gather_matches_full_circle_on_ladder_states(kernel):
+    R = 6.6
+    for spec in (co.Maxwellian(), co.bimaxwellian()):
+        for h in (0.5, 0.25):
+            f = co.sample_on_lattice(spec, h, 2 * R + 2 * h)
+            for v in ([0.0, 0.0], [1.0, -0.5], [4.0, 3.0]):
+                _assert_paired_matches_full_circle(f, np.array(v), kernel, R)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    h=st.sampled_from([1.0, 0.5, 0.25]),
+    support_cells=st.integers(0, 10),
+    reach=st.integers(1, 12),
+    zvx=st.integers(-40, 40),
+    zvy=st.integers(-40, 40),
+    kernel=st.sampled_from(PAIRED_KERNELS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_q_discrete_paired_gather_matches_full_circle_random(
+    h, support_cells, reach, zvx, zvy, kernel, seed
+):
+    b = support_cells
+    f = co.LatticeDistribution(
+        h, b * h, np.random.default_rng(seed).random((2 * b + 1, 2 * b + 1))
+    )
+    _assert_paired_matches_full_circle(f, np.array([zvx * h, zvy * h]), kernel, reach * h)
+
+
+def test_circle_table_second_half_negates_the_first():
+    """The pairing q_discrete_detailed relies on: point j + r/2 is -zeta_j."""
+    table = circle_table(20000)
+    starts = table.starts.tolist()
+    for n in range(1, table.limit + 1):
+        lo, hi = starts[n], starts[n + 1]
+        half = (hi - lo) // 2
+        assert (hi - lo) % 4 == 0
+        assert np.array_equal(table.xs[lo + half : hi], -table.xs[lo : lo + half])
+        assert np.array_equal(table.ys[lo + half : hi], -table.ys[lo : lo + half])
+
+
+@pytest.mark.parametrize("kernel", PAIRED_KERNELS, ids=["maxwell", "pp05", "pp_odd"])
+def test_q_discrete_does_not_depend_on_the_chunk_size(monkeypatch, kernel):
+    f = co.sample_on_lattice(co.bimaxwellian(), 0.25, 3.5)
+    calls = [(f, np.array(v), kernel, 3.0) for v in ([0.0, 0.0], [1.0, -0.5], [-2.25, 3.0])]
+    wide = [co.q_discrete_detailed(*args) for args in calls]
+    monkeypatch.setattr(co, "Q_DISCRETE_CHUNK_PAIRS", 64)  # 7 of 58 circles have more
+    narrow = [co.q_discrete_detailed(*args) for args in calls]
+    assert narrow == wide
+
+
+def test_q_discrete_ladder_call_peak_memory():
+    """One h = 0.0625, R = 6.6 call (3040 circles, 253k pairs) holds one chunk
+    of pair arrays at a time: a traced peak of 2.3-2.5 MB, bound 4 MB.  The
+    state needs no padding here, so it is read in place."""
+    h, R = 0.0625, 6.6
+    f = co.sample_on_lattice(co.bimaxwellian(), h, 2 * R + 2 * h)
+    co.q_discrete_detailed(f, np.zeros(2), MAXWELL, R)  # builds the cached circle table
+    tracemalloc.start()
+    try:
+        co.q_discrete_detailed(f, np.zeros(2), MAXWELL, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20

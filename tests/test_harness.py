@@ -101,15 +101,61 @@ def test_converge_study_rejects_empty_h_list():
 def test_converge_study_inner_integral_once(monkeypatch):
     bi = co.bimaxwellian()
     calls = []
+    angular_integral = co.angular_integral
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return co.angular_integral(*args, **kwargs)
+        return angular_integral(*args, **kwargs)
 
+    monkeypatch.setattr(co, "angular_integral", counted)
     monkeypatch.setattr(harness, "angular_integral", counted)
     harness.converge_study(bi, MAXWELL, np.zeros(2), [0.5, 0.25, 0.125], R=2.0, M_diag=8)
-    # The outer tail, the inner disk, then one lattice sum per h.
+    # The reference's coarse and fine levels, then one lattice sum per h; the
+    # tail and the inner disk are read off the fine level.
     assert len(calls) == 5
+
+
+def test_converge_study_budget_reads_the_fine_level():
+    """tail_R and the inner disk come from q_reference's fine level: the
+    same numbers as integrating its midpoints again at n_theta = 256."""
+    bi, v, R = co.bimaxwellian(), np.array([0.5, -1.0]), 2.0
+    quad = co.QuadratureConfig(r_quad=2 * R)
+    ref = co.q_reference(bi, v, MAXWELL, quad)
+    w, step = co.midpoint_disk(2 * R, 2 * quad.n_w)
+    assert np.array_equal(ref.nodes, w) and ref.step == step
+    assert np.array_equal(ref.angular, co.angular_integral(bi, v, MAXWELL, w, 2 * quad.n_theta))
+    assert ref.value == 4.0 * step * step * float(ref.angular.sum())
+
+    outside = np.hypot(w[:, 0], w[:, 1]) >= R
+    study = harness.converge_study(bi, MAXWELL, v, [0.5], R=R, M_diag=8)
+    budget = study.rows[0].budget
+    g_out = co.angular_integral(bi, v, MAXWELL, w[outside], 256)
+    assert budget.tail_R == 4.0 * step * step * float(np.abs(g_out).sum())
+    # riemann_h: the inner disk against the lattice Riemann sum, both at 256 nodes.
+    inner = 4.0 * step * step * float(co.angular_integral(bi, v, MAXWELL, w[~outside], 256).sum())
+    frame = co.LatticeDistribution.zeros(0.5, R)
+    wx, wy = frame.velocities()
+    keep = frame.disk & ((wx != 0) | (wy != 0))
+    lattice_w = np.stack([wx[keep], wy[keep]], axis=-1)
+    riemann = (2 * 0.5) ** 2 * float(co.angular_integral(bi, v, MAXWELL, lattice_w, 256).sum())
+    assert budget.riemann_h == abs(inner - riemann)
+
+
+def test_converge_study_refuses_unaffordable_h_before_sampling(monkeypatch):
+    # A small cap, so that a check that failed to fire would sample a small
+    # state, not a huge one: h = 0.05 samples 245^2 points.
+    monkeypatch.setattr(harness, "MAX_CONVERGE_STATE_POINTS", 200**2)
+    tracemalloc.start()
+    try:
+        # (R/h)^2 = 9e6 is past the circle table's limit, although 0.5 is fine.
+        with pytest.raises(PreconditionError, match="MAX_CIRCLE_TABLE_LIMIT"):
+            harness.converge_study(co.bimaxwellian(), MAXWELL, np.zeros(2), [0.5, 0.001], R=3.0)
+        with pytest.raises(PreconditionError, match="245\\^2 points"):
+            harness.converge_study(co.bimaxwellian(), MAXWELL, np.zeros(2), [0.5, 0.05], R=3.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_converge_study_zero_f():
