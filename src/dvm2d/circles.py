@@ -11,11 +11,11 @@ lattice disk itself; angles only ever enter in floating point.  Every
 sweep over the disk goes through annulus_points, which lays down the
 lattice points of an annulus row by row: circle_table turns the quarter
 x >= 1, y >= 0 into every circle up to a bound, r2_range (and with it
-landau_count) bins each annulus by n instead of factorizing, and
-prime_angles keeps the points on prime circles.  |S(n,k)|/4 is
-multiplicative in n and vanishes unless 4 | k, which makes the closed
-form, read off the segmented prime-power sieve factor_range, cheap enough
-to average over millions of circles.
+landau_count) bins each annulus by n instead of factorizing,
+prime_angles keeps the points on prime circles, and the |S| statistics
+(abs_S_closed_range, avg_abs_S) bin ((x + iy) / sqrt(n))^k by n.
+|S(n,k)|/4 is multiplicative in n and vanishes unless 4 | k; for one n,
+exp_sum_closed evaluates that closed form from the factorization.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain, islice
 from itertools import product as _iproduct
 from typing import IO
 
@@ -268,11 +269,15 @@ def exp_sum_closed(n: int, k: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Sieve-backed machinery for averages over 1 <= m <= X.
+# Lattice sweeps for statistics over 1 <= m <= X.
 # ---------------------------------------------------------------------------
 
 def smallest_prime_factor_sieve(limit: int) -> np.ndarray:
-    """spf[m] = smallest prime factor of m, for 0 <= m <= limit."""
+    """spf[m] = smallest prime factor of m, for 0 <= m <= limit.
+
+    No range statistic uses it; the sieve oracles in tests/ do, and
+    perfbench/tracer.py wraps it by name.
+    """
     spf = np.zeros(limit + 1, dtype=np.int64)
     spf[1:2] = 1  # empty when limit = 0
     for i in range(2, math.isqrt(limit) + 1):
@@ -282,42 +287,6 @@ def smallest_prime_factor_sieve(limit: int) -> np.ndarray:
     primes_mask[:2] = False
     spf[primes_mask] = np.nonzero(primes_mask)[0]
     return spf
-
-
-SIEVE_SEGMENT = 1 << 20
-
-
-def factor_range(n_lo: int, n_hi: int, segment: int = SIEVE_SEGMENT):
-    """Factor every n in [n_lo, n_hi], yielding (lo, powers, cofactor) per segment.
-
-    ``powers`` lists (p, start, e) for each prime p <= sqrt(segment end),
-    ascending: e[j] is the exponent of p in n = lo + start + j*p.
-    ``cofactor[i]`` is what is left of lo + i, 1 or a prime above every p
-    in ``powers``.  Each power q = p^j touches only the multiples of q, so
-    a segment costs about size * log log n instead of size * pi(sqrt n).
-    """
-    if n_lo < 1:
-        raise PreconditionError(f"factor_range requires n_lo >= 1, got {n_lo}")
-    primes = smallest_prime_factor_sieve(math.isqrt(n_hi))
-    primes = np.nonzero(primes == np.arange(len(primes)))[0][2:].tolist()
-    for seg_lo in range(n_lo, n_hi + 1, segment):
-        seg_hi = min(seg_lo + segment - 1, n_hi)
-        rem = np.arange(seg_lo, seg_hi + 1, dtype=np.int64)
-        ex = np.zeros(len(rem), dtype=np.int8)
-        powers = []
-        for p in primes:
-            if p * p > seg_hi:
-                break
-            q = p
-            while q <= seg_hi:
-                start = -seg_lo % q
-                rem[start::q] //= p
-                ex[start::q] += 1
-                q *= p
-            start = -seg_lo % p
-            powers.append((p, start, ex[start::p].copy()))
-            ex[start::p] = 0
-        yield seg_lo, powers, rem
 
 
 def _isqrt(m: np.ndarray) -> np.ndarray:
@@ -389,6 +358,36 @@ def r2_range(n_lo: int, n_hi: int, segment: int = R2_SEGMENT):
         yield s, 4 * np.bincount(n, minlength=e - s + 1)
 
 
+def _abs_S_segments(X: int, k: int):
+    """Yield |S(m, k)| for 1 <= m <= X, one float64 array per R2_SEGMENT segment.
+
+    Needs 4 | k.  Then the quarter turns multiply each point by i^k = 1,
+    so S(m, k) = 4 * sum of ((x + iy) / sqrt(m))^k over the points x >= 1,
+    y >= 0 of circle m, which annulus_points lays down as in r2_range.
+    z^4 = (u + iv)^2 / m^2 with u + iv = (x + iy)^2 is formed in exact
+    integers and rounded once; z^|k| is |k| / 4 multiplications by it, so
+    k = 0 gives r2(m) and -k the same values as k.  A circle lies in one
+    segment and its points come in the same order whatever the segment
+    length, so each value does too.
+    """
+    for s in range(1, X + 1, R2_SEGMENT):
+        e = min(s + R2_SEGMENT - 1, X)
+        r = math.isqrt(e)
+        x, count, y = annulus_points(s, e, 1, r, 0, r)
+        x = np.repeat(x, count)
+        n = x * x + y * y
+        u, v = x * x - y * y, 2 * x * y
+        m2 = n * n
+        z4 = (u * u - v * v) / m2 + 1j * (2 * u * v / m2)
+        w = np.ones(len(n), dtype=np.complex128)
+        for _ in range(abs(k) // 4):
+            w *= z4
+        n -= s
+        re = np.bincount(n, w.real, minlength=e - s + 1)
+        im = np.bincount(n, w.imag, minlength=e - s + 1)
+        yield 4 * np.hypot(re, im)
+
+
 def prime_mask(limit: int) -> np.ndarray:
     """is_p[m] is True exactly when m is prime, for 0 <= m <= limit; one byte per m."""
     is_p = np.ones(limit + 1, dtype=bool)
@@ -439,8 +438,12 @@ def prime_angles(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return ps[keep], _theta_cache["thetas"][keep]
 
 
-# A range statistic over 1 <= m <= X holds an 8-byte |S| value and a 1-byte
-# prime flag per m; X up to MAX_RANGE_X keeps those 9 bytes per m in 2 GiB.
+# prime_angle_sum sieves a 1-byte prime flag per m <= X (prime_mask) and then
+# holds the primes and their angles; MAX_RANGE_X, set when a dense 8-byte |S|
+# table sat beside that flag, keeps 9 bytes per m in 2 GiB.  avg_abs_S streams
+# the lattice sweep in about 56 MB peak RSS whatever X is, so for it the cap
+# is a time budget: X = 10**8 takes about 10 s and X = MAX_RANGE_X about 24 s
+# (2 cores, Python 3.11, numpy 2.4).
 RANGE_BYTES_PER_M = 9
 MAX_RANGE_X = (2 << 30) // RANGE_BYTES_PER_M
 
@@ -478,41 +481,28 @@ class AngleStatistics:
 
 
 def abs_S_closed_range(X: int, k: int) -> np.ndarray:
-    """|S(m, k)| for all 0 <= m <= X via the closed form (index 0 unused).
+    """|S(m, k)| for all 0 <= m <= X and 4 | k (index 0 holds 0).
 
-    The |S| fold of factor_range: from 4, each split prime p multiplies in
-    |sin((alpha+1) k theta_p) / sin(k theta_p)| from a table indexed by
-    alpha, in ascending p like the per-m product; odd inert powers give 0.
+    The concatenation of _abs_S_segments' segments: a lattice-point sum,
+    not the multiplicative closed form; the name stays because
+    perfbench/tracer.py wraps it.  Each value is within r2(m) * |k| * eps / 4
+    of the exact sum (tested for m <= 5000).
     """
-    ps, thetas = prime_angles(X)
-    single = np.array([_split_factor_magnitude(k * t, 1) for t in thetas.tolist()])
-    out = np.zeros(X + 1, dtype=np.float64)
-    for lo, powers, c in factor_range(1, X):
-        mag = out[lo : lo + len(c)]
-        mag[:] = 4.0
-        for p, start, e in powers:
-            if p & 3 == 1:
-                x = k * thetas[np.searchsorted(ps, p)]
-                alphas = range(e.max(initial=0) + 1)
-                table = np.array([_split_factor_magnitude(x, a) for a in alphas])
-                mag[start::p] *= table[e]
-            elif p & 3 == 3:
-                mag[start::p][e & 1 == 1] = 0.0
-        # The cofactor is a prime above every sieved p, so it comes last.
-        split = (c > 1) & (c & 3 == 1)
-        mag[split] *= single[np.searchsorted(ps, c[split])]
-        mag[c & 3 == 3] = 0.0
-    return out
+    if k % 4 != 0:
+        raise PreconditionError(f"abs_S_closed_range requires 4 | k, got k={k}")
+    return np.concatenate([np.zeros(1), *_abs_S_segments(X, k)])
 
 
 def avg_abs_S(X: int, k: int) -> AngleStatistics:
-    """Exact mean (1/X) sum_{m<=X} |S(m, k)| using the closed form.
+    """Mean (1/X) sum_{m<=X} |S(m, k)|, streamed from the lattice sweep.
 
-    k must be a nonzero multiple of 4 for a nonvanishing result; other k
-    are flagged and return an identically zero table.  Partial sums end
-    at the decades, so a decade's mean does not depend on X.  X above
-    MAX_RANGE_X = 238609294 (9 bytes per m in 2 GiB) raises
-    PreconditionError before anything is allocated.
+    k not divisible by 4 is flagged and returns an identically zero table;
+    k = 0 gives the mean of r2(m), which tends to pi.  |S| comes one
+    segment at a time from _abs_S_segments, and each decade's sum is one
+    exactly rounded math.fsum over that decade's values, so a decade's mean
+    depends on neither X nor the segment length, and memory does not grow
+    with X.  X above MAX_RANGE_X = 238609294 raises PreconditionError
+    before any work is done.
     """
     if X < 100:
         raise PreconditionError(f"avg_abs_S requires X >= 100, got {X}")
@@ -522,16 +512,16 @@ def avg_abs_S(X: int, k: int) -> AngleStatistics:
     if not decades or decades[-1] != X:
         decades.append(X)
 
-    if k == 0 or k % 4 != 0:
+    if k % 4 != 0:
         table = tuple((d, 0.0) for d in decades)
         return AngleStatistics(X, k, 0.0, table, vanishing_k=True)
 
-    values = abs_S_closed_range(X, k)
+    values = chain.from_iterable(v.tolist() for v in _abs_S_segments(X, k))
     partials: list[float] = []
     lo = 1
     decade_means: list[tuple[int, float]] = []
     for hi in decades:
-        partials.append(float(values[lo : hi + 1].sum()))
+        partials.append(math.fsum(islice(values, hi - lo + 1)))
         decade_means.append((hi, math.fsum(partials) / hi))
         lo = hi + 1
     return AngleStatistics(X, k, decade_means[-1][1], tuple(decade_means))

@@ -94,8 +94,9 @@ def equid_term(h: float, R: float, M: int) -> float:
     """(2h)^2 * max over 0 < |k| < M, 4 | k, of sum_{zeta} |S(|zeta|^2, k)| / r.
 
     The sum over lattice points zeta in the truncation disk collapses to
-    sum over 1 <= n <= (R/h)^2 of |S(n, k)|, evaluated with the closed
-    form; frequencies not divisible by 4 contribute nothing.
+    sum over 1 <= n <= (R/h)^2 of |S(n, k)|, read from the lattice sweep
+    of circles.abs_S_closed_range; frequencies not divisible by 4
+    contribute nothing.
     """
     if M < 5:
         raise PreconditionError(f"M must be >= 5 so some 4 | k contributes, got {M}")

@@ -1,7 +1,11 @@
 """Retired implementations, kept as differential oracles.
 
-``sieve_r2_range`` is the r2 fold of ``circles.factor_range`` that
+``factor_range`` is the segmented prime-power sieve that every range
+statistic once read.  ``sieve_r2_range`` is its r2 fold, which
 ``circles.r2_range`` was before it counted lattice points, and
+``sieve_abs_S_closed_range`` its |S| fold, which
+``circles.abs_S_closed_range`` was before it summed lattice points;
+``exact_abs_S`` is |S(n, k)| from exact Gaussian-integer powers.
 ``enumerated_figure_data`` is the ``harness.figure_data`` that enumerated
 every point-rich circle with ``circle_points`` and filtered it to the box.
 ``all_nodes_angular_integral`` is ``collision.angular_integral`` before it
@@ -17,6 +21,7 @@ import numpy as np
 
 from dvm2d import circles, harness
 from dvm2d.collision import _circles, lattice_bound, rotate
+from dvm2d.errors import PreconditionError
 
 
 def all_nodes_angular_integral(f, v, kernel, w, n_theta):
@@ -37,13 +42,49 @@ def all_nodes_angular_integral(f, v, kernel, w, n_theta):
     return total * (2 * math.pi / n_theta)
 
 
-def sieve_r2_range(n_lo, n_hi, segment=circles.SIEVE_SEGMENT):
+SIEVE_SEGMENT = 1 << 20
+
+
+def factor_range(n_lo, n_hi, segment=SIEVE_SEGMENT):
+    """Factor every n in [n_lo, n_hi], yielding (lo, powers, cofactor) per segment.
+
+    ``powers`` lists (p, start, e) for each prime p <= sqrt(segment end),
+    ascending: e[j] is the exponent of p in n = lo + start + j*p.
+    ``cofactor[i]`` is what is left of lo + i, 1 or a prime above every p
+    in ``powers``.  Each power q = p^j touches only the multiples of q, so
+    a segment costs about size * log log n instead of size * pi(sqrt n).
+    """
+    if n_lo < 1:
+        raise PreconditionError(f"factor_range requires n_lo >= 1, got {n_lo}")
+    primes = circles.smallest_prime_factor_sieve(math.isqrt(n_hi))
+    primes = np.nonzero(primes == np.arange(len(primes)))[0][2:].tolist()
+    for seg_lo in range(n_lo, n_hi + 1, segment):
+        seg_hi = min(seg_lo + segment - 1, n_hi)
+        rem = np.arange(seg_lo, seg_hi + 1, dtype=np.int64)
+        ex = np.zeros(len(rem), dtype=np.int8)
+        powers = []
+        for p in primes:
+            if p * p > seg_hi:
+                break
+            q = p
+            while q <= seg_hi:
+                start = -seg_lo % q
+                rem[start::q] //= p
+                ex[start::q] += 1
+                q *= p
+            start = -seg_lo % p
+            powers.append((p, start, ex[start::p].copy()))
+            ex[start::p] = 0
+        yield seg_lo, powers, rem
+
+
+def sieve_r2_range(n_lo, n_hi, segment=SIEVE_SEGMENT):
     """Yield (lo, r2 array) per segment of [n_lo, n_hi] from the prime-power sieve.
 
     4 * prod (alpha_p + 1) over p = 1 (mod 4), or 0 where some q = 3 (mod 4)
     has an odd exponent, read from that prime's own exponents.
     """
-    for lo, powers, c in circles.factor_range(n_lo, n_hi, segment):
+    for lo, powers, c in factor_range(n_lo, n_hi, segment):
         dcount = np.where((c > 1) & (c & 3 == 1), 2, 1)
         bad = c & 3 == 3
         for p, start, e in powers:
@@ -52,6 +93,53 @@ def sieve_r2_range(n_lo, n_hi, segment=circles.SIEVE_SEGMENT):
             elif p & 3 == 3:
                 bad[start::p] |= e & 1 == 1
         yield lo, np.where(bad, 0, 4 * dcount)
+
+
+def sieve_abs_S_closed_range(X, k):
+    """|S(m, k)| for all 0 <= m <= X via the closed form (index 0 unused).
+
+    From 4, each split prime p multiplies in
+    |sin((alpha+1) k theta_p) / sin(k theta_p)| from a table indexed by
+    alpha, in ascending p like the per-m product; odd inert powers give 0.
+    """
+    ps, thetas = circles.prime_angles(X)
+    single = np.array([circles._split_factor_magnitude(k * t, 1) for t in thetas.tolist()])
+    out = np.zeros(X + 1, dtype=np.float64)
+    for lo, powers, c in factor_range(1, X):
+        mag = out[lo : lo + len(c)]
+        mag[:] = 4.0
+        for p, start, e in powers:
+            if p & 3 == 1:
+                x = k * thetas[np.searchsorted(ps, p)]
+                alphas = range(e.max(initial=0) + 1)
+                table = np.array([circles._split_factor_magnitude(x, a) for a in alphas])
+                mag[start::p] *= table[e]
+            elif p & 3 == 3:
+                mag[start::p][e & 1 == 1] = 0.0
+        # The cofactor is a prime above every sieved p, so it comes last.
+        split = (c > 1) & (c & 3 == 1)
+        mag[split] *= single[np.searchsorted(ps, c[split])]
+        mag[c & 3 == 3] = 0.0
+    return out
+
+
+def exact_abs_S(n, k):
+    """|S(n, k)| = |sum of (x + iy)^k| / n^(k/2) over circle n, for k >= 0.
+
+    The points come from circle_points and the powers are exact Gaussian
+    integers; the only roundings are the correctly rounded int division and
+    the square root, so the result is within one ulp of the true value.
+    """
+    re = im = 0
+    for x, y in circles.circle_points(n).points:
+        a, b = 1, 0
+        for bit in bin(k)[2:]:
+            a, b = a * a - b * b, 2 * a * b
+            if bit == "1":
+                a, b = a * x - b * y, a * y + b * x
+        re += a
+        im += b
+    return math.sqrt((re * re + im * im) / n**k)
 
 
 def enumerated_figure_data(query):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from dvm2d import circles
 from dvm2d.errors import PreconditionError
 from dvm2d.numtheory import two_squares_prime
-from oracles import sieve_r2_range
+from oracles import exact_abs_S, factor_range, sieve_abs_S_closed_range, sieve_r2_range
 
 
 def brute_force_points(n: int) -> set[tuple[int, int]]:
@@ -182,7 +182,7 @@ def test_smallest_prime_factor_sieve_small_limits():
     assert circles.smallest_prime_factor_sieve(0).tolist() == [0]
     assert circles.smallest_prime_factor_sieve(1).tolist() == [0, 1]
     assert circles.smallest_prime_factor_sieve(10).tolist() == [0, 1, 2, 3, 2, 5, 2, 7, 2, 3, 2]
-    assert list(circles.factor_range(1, 0)) == []
+    assert list(factor_range(1, 0)) == []
 
 
 def test_circle_points_examples():
@@ -384,7 +384,7 @@ def test_exp_sum_closed_vs_direct():
 
 
 def old_abs_S_closed_range(X, k):
-    """Reference: the per-m spf loop that the |S| fold of factor_range replaced."""
+    """Reference: the per-m spf loop that the sieve's |S| fold replaced."""
     spf = circles.smallest_prime_factor_sieve(X)
     ps, thetas = circles.prime_angles(X)
     theta_of = np.zeros(X + 1, dtype=np.float64)
@@ -421,7 +421,46 @@ def old_abs_S_closed_range(X, k):
 
 @pytest.mark.parametrize("X, k", [(10**5, k) for k in range(4, 65, 4)] + [(2, 4)])
 def test_abs_S_closed_range_matches_per_m_loop(X, k):
-    assert np.array_equal(circles.abs_S_closed_range(X, k), old_abs_S_closed_range(X, k))
+    assert np.array_equal(sieve_abs_S_closed_range(X, k), old_abs_S_closed_range(X, k))
+
+
+def r2_table(X):
+    """r2(m) for 0 <= m <= X (index 0 holds 0)."""
+    return np.concatenate([[0], *[r for _, r in circles.r2_range(1, X)]])
+
+
+def test_abs_S_closed_range_matches_exact_oracle():
+    """Lattice |S| within r2(m) * k * eps / 4 of exact Gaussian-integer sums, m <= 5000.
+
+    Measured: 0.125 r2(m) k eps.  Forming z^4 in floating point from
+    (x + iy) / sqrt(m) would reach 0.83.
+    """
+    X = 5000
+    r2 = r2_table(X).tolist()
+    eps = np.finfo(np.float64).eps
+    for k in range(4, 65, 4):
+        got = circles.abs_S_closed_range(X, k).tolist()
+        assert got[0] == 0.0
+        for m in range(1, X + 1):
+            if r2[m] == 0:
+                assert got[m] == 0.0, (m, k)
+            else:
+                assert abs(got[m] - exact_abs_S(m, k)) <= r2[m] * k * eps / 4, (m, k)
+
+
+def test_abs_S_closed_range_matches_sieve_fold():
+    """Lattice sum vs the closed-form fold, m <= 10**5: |difference| <= 1e-11.
+
+    The fold is itself up to about 30 r2(m) k eps off where sin(k theta_p)
+    is small (4.2e-12 at k = 60); both give exact 0 where r2(m) = 0.
+    """
+    X = 10**5
+    empty = r2_table(X) == 0
+    for k in range(4, 65, 4):
+        got, want = circles.abs_S_closed_range(X, k), sieve_abs_S_closed_range(X, k)
+        assert got.shape == want.shape == (X + 1,)
+        assert np.all(got[empty] == 0.0) and np.all(want[empty] == 0.0)
+        assert np.abs(got - want).max() <= 1e-11, k
 
 
 def test_exp_sum_vanishes_unless_4_divides_k():
@@ -492,8 +531,8 @@ def test_avg_abs_S_decays_between_decades():
 
 
 def test_avg_abs_S_decade_means_do_not_depend_on_X():
-    # With one worker the partial sums end at the decades, so a decade's
-    # mean is the same number whatever X is.
+    # The partial sums end at the decades, so a decade's mean is the same
+    # number whatever X is.
     small = dict(circles.avg_abs_S(10**4, 4).decades)
     large = dict(circles.avg_abs_S(3 * 10**4, 4).decades)
     assert sorted(small) == [100, 1000, 10**4]
@@ -502,6 +541,44 @@ def test_avg_abs_S_decade_means_do_not_depend_on_X():
 
 def test_avg_abs_S_is_repeatable():
     assert circles.avg_abs_S(2000, 4) == circles.avg_abs_S(2000, 4)
+
+
+def test_avg_abs_S_decade_sums_are_exactly_rounded():
+    X = 10**4
+    values = circles.abs_S_closed_range(X, 4).tolist()
+    sums = [math.fsum(values[1:101]), math.fsum(values[101:1001]), math.fsum(values[1001:])]
+    want = [(d, math.fsum(sums[: i + 1]) / d) for i, d in enumerate((100, 1000, X))]
+    assert list(circles.avg_abs_S(X, 4).decades) == want
+
+
+def test_avg_abs_S_decade_means_do_not_depend_on_segment(monkeypatch):
+    want = circles.avg_abs_S(3 * 10**4, 8)
+    monkeypatch.setattr(circles, "R2_SEGMENT", 1000)
+    assert circles.avg_abs_S(3 * 10**4, 8) == want
+
+
+def test_avg_abs_S_k0_is_mean_r2():
+    X = 10**4
+    stats = circles.avg_abs_S(X, 0)
+    assert not stats.vanishing_k
+    assert stats.mean_abs_S == int(r2_table(X).sum()) / X
+
+
+def test_avg_abs_S_negative_k_equals_positive():
+    minus, plus = circles.avg_abs_S(10**4, -4), circles.avg_abs_S(10**4, 4)
+    assert minus.decades == plus.decades and minus.mean_abs_S == plus.mean_abs_S
+
+
+def test_avg_abs_S_streams_in_bounded_memory():
+    # A dense X + 1 table peaks at 58.6 MiB at this X; the streamed sweep
+    # holds one segment at a time (14.9 MiB measured), whatever X is.
+    tracemalloc.start()
+    try:
+        circles.avg_abs_S(4 * 10**6, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
 
 
 def test_prime_angle_sum_examples():
@@ -578,10 +655,10 @@ def test_prime_angles_match_per_prime_loop_property(limits):
         assert_same_angles(got, old_prime_angles(limit))
 
 
-def test_avg_abs_S_with_per_prime_loop_angles(monkeypatch):
-    want = circles.avg_abs_S(10**5, 4)
+def test_prime_angle_sum_with_per_prime_loop_angles(monkeypatch):
+    want = circles.prime_angle_sum(10**5, 4)
     monkeypatch.setattr(circles, "prime_angles", old_prime_angles)
-    assert circles.avg_abs_S(10**5, 4) == want
+    assert circles.prime_angle_sum(10**5, 4) == want
 
 
 def test_range_statistics_refuse_unaffordable_X():
@@ -658,6 +735,8 @@ def test_preconditions_raise():
         circles.circle_points(0)
     with pytest.raises(PreconditionError):
         circles.avg_abs_S(50, 4)
+    with pytest.raises(PreconditionError):
+        circles.abs_S_closed_range(100, 2)
     with pytest.raises(PreconditionError):
         circles.angular_discrepancy(3)
     with pytest.raises(PreconditionError):

@@ -76,6 +76,15 @@ def test_avg_s_output(tmp_path):
     assert lines[0] == "X,k,mean_abs_S"
 
 
+def test_avg_s_k0_is_mean_r2(tmp_path):
+    out = tmp_path / "avg.csv"
+    result = CliRunner().invoke(main, ["avg-s", "1000", "0", "--out", str(out)])
+    assert result.exit_code == 0
+    manifest = json.loads((tmp_path / "avg.csv.manifest.json").read_text())
+    assert manifest["config"] == {"X": 1000, "k": 0, "vanishing_k": False}
+    assert out.read_text().strip().splitlines()[-1] == "1000,0,3.1480000000000001"
+
+
 def test_collide_single_value():
     runner = CliRunner()
     result = runner.invoke(
