@@ -13,7 +13,8 @@ lattice points of an annulus row by row: circle_table turns the quarter
 x >= 1, y >= 0 into every circle up to a bound, r2_range (and with it
 landau_count) bins each annulus by n instead of factorizing,
 prime_angles keeps the points on prime circles, and the |S| statistics
-(abs_S_closed_range, avg_abs_S) bin ((x + iy) / sqrt(n))^k by n.
+(abs_S_closed_range, avg_abs_S) bin ((x + iy) / sqrt(n))^k by n and
+evaluate |S| only at the n whose circle has points.
 |S(n,k)|/4 is multiplicative in n and vanishes unless 4 | k; for one n,
 exp_sum_closed evaluates that closed form from the factorization.
 """
@@ -23,7 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from itertools import product as _iproduct
 from typing import IO
 
@@ -359,16 +360,19 @@ def r2_range(n_lo: int, n_hi: int, segment: int = R2_SEGMENT):
 
 
 def _abs_S_segments(X: int, k: int):
-    """Yield |S(m, k)| for 1 <= m <= X, one float64 array per R2_SEGMENT segment.
+    """Yield (m, |S(m, k)|) per R2_SEGMENT segment of 1 <= m <= X, for the m with points.
 
-    Needs 4 | k.  Then the quarter turns multiply each point by i^k = 1,
-    so S(m, k) = 4 * sum of ((x + iy) / sqrt(m))^k over the points x >= 1,
+    m holds, ascending, the radii of the segment whose circle has lattice
+    points; every other m has S(m, k) = 0 and is left out.  Needs 4 | k.
+    Then the quarter turns multiply each point by i^k = 1, so
+    S(m, k) = 4 * sum of ((x + iy) / sqrt(m))^k over the points x >= 1,
     y >= 0 of circle m, which annulus_points lays down as in r2_range.
     z^4 = (u + iv)^2 / m^2 with u + iv = (x + iy)^2 is formed in exact
-    integers and rounded once; z^|k| is |k| / 4 multiplications by it, so
-    k = 0 gives r2(m) and -k the same values as k.  A circle lies in one
-    segment and its points come in the same order whatever the segment
-    length, so each value does too.
+    integers and rounded once; z^|k| is z^4 times |k| / 4 - 1 more
+    multiplications by it, so -k gives the same values as k, and k = 0
+    gives r2(m), four times the point count.  A circle lies in one segment
+    and its points come in the same order whatever the segment length, so
+    each value does too.
     """
     for s in range(1, X + 1, R2_SEGMENT):
         e = min(s + R2_SEGMENT - 1, X)
@@ -376,16 +380,23 @@ def _abs_S_segments(X: int, k: int):
         x, count, y = annulus_points(s, e, 1, r, 0, r)
         x = np.repeat(x, count)
         n = x * x + y * y
+        points = np.bincount(n - s)
+        i = np.flatnonzero(points)
+        if k == 0:
+            yield i + s, 4.0 * points[i]
+            continue
         u, v = x * x - y * y, 2 * x * y
         m2 = n * n
-        z4 = (u * u - v * v) / m2 + 1j * (2 * u * v / m2)
-        w = np.ones(len(n), dtype=np.complex128)
-        for _ in range(abs(k) // 4):
-            w *= z4
+        w_re, w_im = (u * u - v * v) / m2, 2 * u * v / m2
+        if abs(k) > 4:
+            z4 = w_re + 1j * w_im
+            w = z4.copy()
+            for _ in range(abs(k) // 4 - 1):
+                w *= z4
+            w_re, w_im = w.real, w.imag
         n -= s
-        re = np.bincount(n, w.real, minlength=e - s + 1)
-        im = np.bincount(n, w.imag, minlength=e - s + 1)
-        yield 4 * np.hypot(re, im)
+        re, im = np.bincount(n, w_re)[i], np.bincount(n, w_im)[i]
+        yield i + s, 4 * np.hypot(re, im)
 
 
 def prime_mask(limit: int) -> np.ndarray:
@@ -441,9 +452,9 @@ def prime_angles(limit: int) -> tuple[np.ndarray, np.ndarray]:
 # prime_angle_sum sieves a 1-byte prime flag per m <= X (prime_mask) and then
 # holds the primes and their angles; MAX_RANGE_X, set when a dense 8-byte |S|
 # table sat beside that flag, keeps 9 bytes per m in 2 GiB.  avg_abs_S streams
-# the lattice sweep in about 56 MB peak RSS whatever X is, so for it the cap
-# is a time budget: X = 10**8 takes about 10 s and X = MAX_RANGE_X about 24 s
-# (2 cores, Python 3.11, numpy 2.4).
+# the lattice sweep in about 47 MB peak RSS whatever X is, so for it the cap
+# is a time budget: `dvm2d avg-s X 4` takes about 5 s at X = 10**8 and about
+# 11 s at X = MAX_RANGE_X (2 cores, Python 3.11, numpy 2.4).
 RANGE_BYTES_PER_M = 9
 MAX_RANGE_X = (2 << 30) // RANGE_BYTES_PER_M
 
@@ -465,10 +476,6 @@ def _check_size(name: str, X: int, bytes_per_m: int, cap_name: str, cap: int) ->
         )
 
 
-def _check_range_size(name: str, X: int) -> None:
-    _check_size(name, X, RANGE_BYTES_PER_M, "MAX_RANGE_X", MAX_RANGE_X)
-
-
 @dataclass(frozen=True)
 class AngleStatistics:
     """Mean of |S(m, k)| over 1 <= m <= X, with per-decade sub-means."""
@@ -483,14 +490,41 @@ class AngleStatistics:
 def abs_S_closed_range(X: int, k: int) -> np.ndarray:
     """|S(m, k)| for all 0 <= m <= X and 4 | k (index 0 holds 0).
 
-    The concatenation of _abs_S_segments' segments: a lattice-point sum,
-    not the multiplicative closed form; the name stays because
+    _abs_S_segments' values scattered into zeros: a lattice-point sum, not
+    the multiplicative closed form; the name stays because
     perfbench/tracer.py wraps it.  Each value is within r2(m) * |k| * eps / 4
-    of the exact sum (tested for m <= 5000).
+    of the exact sum (tested for m <= 5000).  X < 0 raises
+    PreconditionError.
     """
+    if X < 0:
+        raise PreconditionError(f"abs_S_closed_range requires X >= 0, got {X}")
     if k % 4 != 0:
         raise PreconditionError(f"abs_S_closed_range requires 4 | k, got k={k}")
-    return np.concatenate([np.zeros(1), *_abs_S_segments(X, k)])
+    out = np.zeros(X + 1)
+    for m, values in _abs_S_segments(X, k):
+        out[m] = values
+    return out
+
+
+def _decade_pieces(X: int, k: int, decades: list[int]):
+    """Yield each decade's |S(m, k)| at the m with points as float lists, then None.
+
+    The decade ends, ascending and the last equal to X, are found inside
+    each segment with searchsorted.  A decade still open at a segment's
+    last m may go on in the next, so it is closed there; a decade without
+    a circle is closed with no values at all.
+    """
+    i = 0
+    for m, values in _abs_S_segments(X, k):
+        a = 0
+        for b in np.searchsorted(m, decades[i:], side="right").tolist():
+            yield values[a:b].tolist()
+            if b == len(m):
+                break
+            yield None
+            a = b
+            i += 1
+    yield from [None] * (len(decades) - i)
 
 
 def avg_abs_S(X: int, k: int) -> AngleStatistics:
@@ -498,15 +532,20 @@ def avg_abs_S(X: int, k: int) -> AngleStatistics:
 
     k not divisible by 4 is flagged and returns an identically zero table;
     k = 0 gives the mean of r2(m), which tends to pi.  |S| comes one
-    segment at a time from _abs_S_segments, and each decade's sum is one
-    exactly rounded math.fsum over that decade's values, so a decade's mean
+    segment at a time from _abs_S_segments, at the m with points only;
+    each decade's sum is one exactly rounded math.fsum over that decade's
+    values, to which the zeros left out add nothing.  So a decade's mean
     depends on neither X nor the segment length, and memory does not grow
     with X.  X above MAX_RANGE_X = 238609294 raises PreconditionError
     before any work is done.
     """
     if X < 100:
         raise PreconditionError(f"avg_abs_S requires X >= 100, got {X}")
-    _check_range_size("avg_abs_S", X)
+    if X > MAX_RANGE_X:
+        raise PreconditionError(
+            f"avg_abs_S sums about pi X / 4 lattice points, a time budget of about "
+            f"11 s at the cap; X = {X} exceeds MAX_RANGE_X = {MAX_RANGE_X}"
+        )
     decades = [10**d for d in range(2, 1 + math.floor(math.log10(X))) ]
     decades = [d for d in decades if d <= X]
     if not decades or decades[-1] != X:
@@ -516,14 +555,13 @@ def avg_abs_S(X: int, k: int) -> AngleStatistics:
         table = tuple((d, 0.0) for d in decades)
         return AngleStatistics(X, k, 0.0, table, vanishing_k=True)
 
-    values = chain.from_iterable(v.tolist() for v in _abs_S_segments(X, k))
+    pieces = _decade_pieces(X, k, decades)
     partials: list[float] = []
-    lo = 1
     decade_means: list[tuple[int, float]] = []
     for hi in decades:
-        partials.append(math.fsum(islice(values, hi - lo + 1)))
+        # The decade's pieces, one list at a time, up to its None.
+        partials.append(math.fsum(chain.from_iterable(iter(pieces.__next__, None))))
         decade_means.append((hi, math.fsum(partials) / hi))
-        lo = hi + 1
     return AngleStatistics(X, k, decade_means[-1][1], tuple(decade_means))
 
 
@@ -535,7 +573,12 @@ def prime_angle_sum(x: int, k: int) -> float:
     """
     if k % 4 != 0:
         raise PreconditionError(f"prime_angle_sum requires 4 | k, got k={k}")
-    _check_range_size("prime_angle_sum", x)
+    if x > MAX_RANGE_X:
+        raise PreconditionError(
+            f"prime_angle_sum sieves a one-byte prime mask per m <= x and holds the "
+            f"primes p = 1 (mod 4) with their angles, within {RANGE_BYTES_PER_M} bytes "
+            f"per m; x = {x} exceeds MAX_RANGE_X = {MAX_RANGE_X} (2 GiB)"
+        )
     ps, thetas = prime_angles(x)
     if len(ps) == 0:
         return 0.0

@@ -6,6 +6,9 @@ statistic once read.  ``sieve_r2_range`` is its r2 fold, which
 ``sieve_abs_S_closed_range`` its |S| fold, which
 ``circles.abs_S_closed_range`` was before it summed lattice points;
 ``exact_abs_S`` is |S(n, k)| from exact Gaussian-integer powers.
+``dense_abs_S_segments`` and ``dense_avg_abs_S`` are the lattice |S| sum
+and its decade means before they skipped the m whose circle is empty:
+one value for every m, zeros included, each put through ``math.fsum``.
 ``enumerated_figure_data`` is the ``harness.figure_data`` that enumerated
 every point-rich circle with ``circle_points`` and filtered it to the box.
 ``all_nodes_angular_integral`` is ``collision.angular_integral`` before it
@@ -16,6 +19,7 @@ iteration per circle over every (zeta_i, zeta_j) of the full circle.
 """
 
 import math
+from itertools import chain, islice
 
 import numpy as np
 
@@ -140,6 +144,55 @@ def exact_abs_S(n, k):
         re += a
         im += b
     return math.sqrt((re * re + im * im) / n**k)
+
+
+def dense_abs_S_segments(X, k):
+    """Yield |S(m, k)| for 1 <= m <= X, one float64 array per R2_SEGMENT segment.
+
+    Needs 4 | k.  z^4 is formed from exact integers and rounded once, and
+    z^|k| is |k| / 4 multiplications of ones by it; every m of the segment
+    gets a value, 0 where its circle is empty.
+    """
+    for s in range(1, X + 1, circles.R2_SEGMENT):
+        e = min(s + circles.R2_SEGMENT - 1, X)
+        r = math.isqrt(e)
+        x, count, y = circles.annulus_points(s, e, 1, r, 0, r)
+        x = np.repeat(x, count)
+        n = x * x + y * y
+        u, v = x * x - y * y, 2 * x * y
+        m2 = n * n
+        z4 = (u * u - v * v) / m2 + 1j * (2 * u * v / m2)
+        w = np.ones(len(n), dtype=np.complex128)
+        for _ in range(abs(k) // 4):
+            w *= z4
+        n -= s
+        re = np.bincount(n, w.real, minlength=e - s + 1)
+        im = np.bincount(n, w.imag, minlength=e - s + 1)
+        yield 4 * np.hypot(re, im)
+
+
+def dense_avg_abs_S(X, k):
+    """circles.avg_abs_S with one math.fsum over every m of each decade."""
+    if X < 100:
+        raise PreconditionError(f"avg_abs_S requires X >= 100, got {X}")
+    decades = [10**d for d in range(2, 1 + math.floor(math.log10(X)))]
+    decades = [d for d in decades if d <= X]
+    if not decades or decades[-1] != X:
+        decades.append(X)
+
+    if k % 4 != 0:
+        table = tuple((d, 0.0) for d in decades)
+        return circles.AngleStatistics(X, k, 0.0, table, vanishing_k=True)
+
+    values = chain.from_iterable(v.tolist() for v in dense_abs_S_segments(X, k))
+    partials = []
+    lo = 1
+    decade_means = []
+    for hi in decades:
+        partials.append(math.fsum(islice(values, hi - lo + 1)))
+        decade_means.append((hi, math.fsum(partials) / hi))
+        lo = hi + 1
+    return circles.AngleStatistics(X, k, decade_means[-1][1], tuple(decade_means))
 
 
 def enumerated_figure_data(query):

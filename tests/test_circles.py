@@ -12,7 +12,14 @@ from hypothesis import strategies as st
 from dvm2d import circles
 from dvm2d.errors import PreconditionError
 from dvm2d.numtheory import two_squares_prime
-from oracles import exact_abs_S, factor_range, sieve_abs_S_closed_range, sieve_r2_range
+from oracles import (
+    dense_abs_S_segments,
+    dense_avg_abs_S,
+    exact_abs_S,
+    factor_range,
+    sieve_abs_S_closed_range,
+    sieve_r2_range,
+)
 
 
 def brute_force_points(n: int) -> set[tuple[int, int]]:
@@ -557,6 +564,27 @@ def test_avg_abs_S_decade_means_do_not_depend_on_segment(monkeypatch):
     assert circles.avg_abs_S(3 * 10**4, 8) == want
 
 
+@pytest.mark.parametrize("X", [100, 1001, 12345, 100007])
+def test_avg_abs_S_equals_dense_oracle(monkeypatch, X):
+    # Segments of 7 put decade ends mid-segment and leave segments with no
+    # circle (the first is [379, 385]); r2(1001) = 0 (7 * 11 * 13), so
+    # X = 1001 ends on an empty decade.  At X = 100007 segments of 7 would
+    # take about 4 s, so that X runs with the other two lengths only.
+    want = {k: dense_avg_abs_S(X, k) for k in (0, 4, -4, 8, 12)}
+    segments = (circles.R2_SEGMENT, 1000, 7) if X < 10**5 else (circles.R2_SEGMENT, 1000)
+    for segment in segments:
+        monkeypatch.setattr(circles, "R2_SEGMENT", segment)
+        for k, stats in want.items():
+            assert circles.avg_abs_S(X, k) == stats, (segment, k)
+
+
+@pytest.mark.parametrize("k", [0, 4, 8])
+def test_abs_S_closed_range_equals_dense_oracle(k):
+    for X in (0, 1, 2, 1001, 12345, 10**5):
+        want = np.concatenate([np.zeros(1), *dense_abs_S_segments(X, k)])
+        assert np.array_equal(circles.abs_S_closed_range(X, k), want), X
+
+
 def test_avg_abs_S_k0_is_mean_r2():
     X = 10**4
     stats = circles.avg_abs_S(X, 0)
@@ -571,7 +599,7 @@ def test_avg_abs_S_negative_k_equals_positive():
 
 def test_avg_abs_S_streams_in_bounded_memory():
     # A dense X + 1 table peaks at 58.6 MiB at this X; the streamed sweep
-    # holds one segment at a time (14.9 MiB measured), whatever X is.
+    # holds one segment at a time (11.0 MiB measured), whatever X is.
     tracemalloc.start()
     try:
         circles.avg_abs_S(4 * 10**6, 4)
@@ -675,6 +703,14 @@ def test_range_statistics_refuse_unaffordable_X():
     assert peak < 1 << 20
 
 
+def test_avg_abs_S_refusal_names_a_time_budget():
+    # The streamed sum holds one segment whatever X is; only prime_angle_sum's
+    # prime mask still grows by bytes per m.
+    with pytest.raises(PreconditionError, match="MAX_RANGE_X") as refusal:
+        circles.avg_abs_S(circles.MAX_RANGE_X + 1, 4)
+    assert "bytes per m" not in str(refusal.value)
+
+
 def grid_scan_star_discrepancy(folded: np.ndarray, grid: int = 20000) -> float:
     ts = np.linspace(0.0, 1.0, grid + 1)
     emp = np.searchsorted(np.sort(folded), ts, side="left") / len(folded)
@@ -737,6 +773,8 @@ def test_preconditions_raise():
         circles.avg_abs_S(50, 4)
     with pytest.raises(PreconditionError):
         circles.abs_S_closed_range(100, 2)
+    with pytest.raises(PreconditionError, match="X >= 0"):
+        circles.abs_S_closed_range(-1, 4)
     with pytest.raises(PreconditionError):
         circles.angular_discrepancy(3)
     with pytest.raises(PreconditionError):
