@@ -166,20 +166,23 @@ def collide(f_name, file, h, R, v_text, grid, out):
     """Evaluate the lattice collision operator Q^h."""
     v = _parse_v(v_text)
     f = _make_f(f_name, file)
-    if isinstance(f, co.LatticeDistribution):
-        f_h = f
-        h = f.h
-    else:
-        support = float(np.hypot(v[0], v[1])) + 2 * R + 2 * h
-        f_h = co.sample_on_lattice(f, h, support)
     kernel = co.KernelSpec.maxwell()
     buf = io.StringIO()
+    lattice = isinstance(f, co.LatticeDistribution)
+    if lattice:
+        h = f.h
     if grid:
-        op = co.FastCollisionOperator(h, R, kernel, f_h.bound)
+        support = f.support_radius if lattice else float(np.hypot(v[0], v[1])) + 2 * R + 2 * h
+        if not lattice:
+            harness.check_state_points(h, support)
+        # Built first, so that its checks refuse before anything is sampled.
+        op = co.FastCollisionOperator(h, R, kernel, co.lattice_bound(h, support))
+        f_h = f if lattice else co.sample_on_lattice(f, h, support)
         co.write_qh_csv(op.apply(f_h), h, buf)
     else:
+        f_h, at = (f, v) if lattice else (harness.sample_about(f, v, h, R), np.zeros(2))
         zx, zy = f_h.lattice_coords(v)
-        qh = co.q_discrete(f_h, v, kernel, R)
+        qh = co.q_discrete(f_h, at, kernel, R)
         buf.write("zeta_x,zeta_y,Qh_value\n")
         buf.write(f"{zx},{zy},{qh:.17g}\n")
     config = {"f": f_name, "h": h, "R": R, "v": v.tolist(), "grid": grid}

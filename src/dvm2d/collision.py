@@ -511,26 +511,6 @@ def circle_limit(h: float, R: float) -> int:
     return int(math.floor((R / h) ** 2 + 1e-9))
 
 
-def _circles(h: float, R: float, kernel: KernelSpec):
-    """Every circle |zeta|^2 = n <= (R/h)^2 that has points, as (n, xs, ys, q).
-
-    The points are slices of the cached circles.circle_table, in angle
-    order.  q[i, j] = q(h sqrt(n), cos theta_ij) for the collision
-    zeta_i -> zeta_j, with cos theta_ij = zeta_i . zeta_j / n from the
-    exact integer dot product.
-    """
-    table = circle_table(circle_limit(h, R))
-    starts = table.starts.tolist()
-    for n in range(1, table.limit + 1):
-        lo, hi = starts[n], starts[n + 1]
-        if lo == hi:
-            continue
-        xs, ys = table.xs[lo:hi], table.ys[lo:hi]
-        dots = xs[:, None] * xs[None, :] + ys[:, None] * ys[None, :]
-        q = kernel.evaluate(h * math.sqrt(n), dots.astype(np.float64) / n)
-        yield n, xs, ys, np.asarray(q, dtype=np.float64)
-
-
 def _paired_circle_sums(flat, at, width, f_v, kernel, table, ns, firsts, rs):
     """Gain and loss sums, without 2 pi / r and q1, of circles stored back to back.
 
@@ -663,6 +643,14 @@ def _harmonic_weights(xs: Array, ys: Array, n: int, m: int) -> tuple[Array, Arra
     return cos_m, sin_m
 
 
+# The loss band is dense, 8 bytes per (row offset, column in, column out) of
+# each column parity: 8 (2K + 1) ((B + 1)^2 + B^2) bytes for K = R/h and
+# B = bound, which grows as h^-3 at fixed radii (8 MB at h = 0.1 and 63 MB
+# at h = 0.05 for the widened state of support 5 and R = 5).
+# MAX_LOSS_BAND_BYTES keeps it within 1 GiB.
+MAX_LOSS_BAND_BYTES = 1 << 30
+
+
 class FastCollisionOperator:
     """Q^h on a whole grid of velocities; use it inside time-stepping loops.
 
@@ -697,9 +685,12 @@ class FastCollisionOperator:
       correlation, evaluated as a banded matmul: rows v_x + 2 zeta_x of the
       state, side by side, times a band that maps columns to columns.
       Column v_y reads only columns of its own parity, so the band is kept
-      as two halves.  It is built once per operator, for its one bound;
-      its weights come from the exact integer scattering cosines, as in
-      q_discrete.
+      as two halves.  It is built once per operator, for its one bound,
+      and holds 8 (2 R/h + 1) ((bound + 1)^2 + bound^2) bytes, at most
+      MAX_LOSS_BAND_BYTES.  Its weight at zeta_i, (2 pi / r) sum_j
+      q(|h zeta|, cos theta_ij), comes from the gain's channels: for even
+      m, sum_j cos(m(phi_i - phi_j)) is cos(m phi_i) sum_j cos(m phi_j) +
+      sin(m phi_i) sum_j sin(m phi_j), and odd m sum to zero over +-zeta_j.
 
     Same operator as q_discrete up to floating-point association.
     """
@@ -710,6 +701,12 @@ class FastCollisionOperator:
         if bound < 0:
             raise PreconditionError(f"state bound must be >= 0, got {bound}")
         k = lattice_bound(h, R)
+        band_bytes = 8 * (2 * k + 1) * ((bound + 1) ** 2 + bound**2)
+        if band_bytes > MAX_LOSS_BAND_BYTES:
+            raise PreconditionError(
+                f"the loss band for R/h = {k} and bound = {bound} needs {band_bytes} "
+                f"bytes, more than MAX_LOSS_BAND_BYTES = {MAX_LOSS_BAND_BYTES} (1 GiB)"
+            )
         self.h = h
         self.R = R
         self.kernel = kernel
@@ -722,16 +719,21 @@ class FastCollisionOperator:
             (m, c) for m, c in enumerate(kernel.cos_coeffs) if c != 0.0 and m % 2 == 0
         ]
         self._single_channel = [m for m, _ in harmonics] == [0]
-        # Per circle with a product on the state: (inner, outer, half, offsets).
+        # Per circle (_plan drops those without a product on the state):
+        # (inner, outer, half, offsets).
         # inner (channels, r/2): 2 cos(m phi_j) / 2 sin(m phi_j) on the half
         # circle, one point of each +-zeta pair.  outer (r, channels):
         # (2 pi / r) q1 c_m cos(m phi_i) / sin(m phi_i).  half: the half
         # circle's points.  offsets, per point i: flat offset of the shift
         # x -> x - zeta_i into the gain frame.
         self._circles: list[tuple] = []
-        loss_x, loss_y, loss_w = [], [], []
-        for n, xs, ys, q in _circles(h, R, kernel):
-            r = len(xs)
+        table = circle_table(circle_limit(h, R))
+        # Loss weight of table point i: (2 pi / r) sum_j q(h sqrt(n), cos theta_ij).
+        loss_w = np.empty(len(table.xs))
+        for n in np.flatnonzero(np.diff(table.starts)).tolist():
+            lo, hi = int(table.starts[n]), int(table.starts[n + 1])
+            xs, ys = table.xs[lo:hi], table.ys[lo:hi]
+            r = hi - lo
             q1 = float(h * math.sqrt(n)) ** kernel.alpha
             half = (ys > 0) | ((ys == 0) & (xs > 0))
             inner, outer = [], []
@@ -743,20 +745,16 @@ class FastCollisionOperator:
                 if m != 0:
                     inner.append(2 * sin_m[half])
                     outer.append(coef * sin_m)
-            half_points = list(zip(xs[half].tolist(), ys[half].tolist()))
-            if any(abs(x) <= bound and abs(y) <= bound for x, y in half_points):
-                self._circles.append((
-                    np.array(inner).reshape(-1, r // 2),
-                    np.array(outer).reshape(-1, r).T,
-                    half_points,
-                    ((k - xs) * width + (k - ys)).tolist(),
-                ))
-            loss_x += xs.tolist()
-            loss_y += ys.tolist()
-            loss_w += ((2 * math.pi / r) * q.sum(axis=1)).tolist()
-        loss_x = np.array(loss_x, dtype=np.int64)
-        loss_y = np.array(loss_y, dtype=np.int64)
-        loss_w = np.array(loss_w, dtype=np.float64)
+            inner = np.array(inner).reshape(-1, r // 2)
+            outer = np.array(outer).reshape(-1, r).T
+            # The half circle's row sums are the full circle's (m is even).
+            loss_w[lo:hi] = outer @ inner.sum(axis=1)
+            self._circles.append((
+                inner,
+                outer,
+                list(zip(xs[half].tolist(), ys[half].tolist())),
+                ((k - xs) * width + (k - ys)).tolist(),
+            ))
 
         vel = np.arange(-bound, bound + 1)
         rows = vel[:, None] + 2 * np.arange(-k, k + 1)[None, :]
@@ -764,17 +762,17 @@ class FastCollisionOperator:
         self._loss_rows = np.where(np.abs(rows) <= bound, rows + bound, side)
         # Column v_y reads column v_y + 2 zeta_y, of the same parity: per
         # parity class, (its columns, band of weights by (a, column in; column out)).
+        # A point zeta fills row a = zeta_x at one column in per column out,
+        # distinct across the points of a row: no entry is written twice.
         self._loss_parts = []
         for parity in (0, 1):
             cols = slice(parity, None, 2)
             v_out = vel[cols]
             n_col = len(v_out)
             band = np.zeros((2 * k + 1, n_col, n_col))
-            for a in range(-k, k + 1):
-                on_a = loss_x == a
-                y_in = v_out[None, :] + 2 * loss_y[on_a, None] + bound
-                pt, col = np.nonzero((y_in >= 0) & (y_in < side))
-                band[a + k, y_in[pt, col] // 2, col] = loss_w[on_a][pt]
+            y_in = v_out[None, :] + 2 * table.ys[:, None] + bound
+            pt, col = np.nonzero((y_in >= 0) & (y_in < side))
+            band[table.xs[pt] + k, y_in[pt, col] // 2, col] = loss_w[pt]
             self._loss_parts.append((cols, band.reshape((2 * k + 1) * n_col, n_col)))
 
     @functools.cached_property
@@ -927,7 +925,8 @@ def write_lattice_csv(f: LatticeDistribution, fp: IO[str]) -> None:
 
 
 def read_lattice_csv(fp: IO[str]) -> LatticeDistribution:
-    """Inverse of write_lattice_csv; malformed input raises PreconditionError."""
+    """Inverse of write_lattice_csv; malformed input, a repeated point
+    included, raises PreconditionError."""
     header = fp.readline()
     if not header.startswith("#"):
         raise PreconditionError("missing JSON header line")
@@ -945,7 +944,10 @@ def read_lattice_csv(fp: IO[str]) -> LatticeDistribution:
         values = {}
         for r in rows:
             zx, zy, val = r  # ValueError unless exactly three fields
-            values[int(zx), int(zy)] = float(val)
+            point = int(zx), int(zy)
+            if point in values:
+                raise PreconditionError(f"lattice CSV repeats the row of point {point}")
+            values[point] = float(val)
     except (TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed lattice CSV: {exc}") from None
     return LatticeDistribution.from_values(h, support, values)

@@ -156,9 +156,45 @@ class ConvergenceStudy:
 # bi-Maxwellian).  The Riemann sum of an h reads the R disk, whose square
 # has at most a quarter of the state's points, at about 136 bytes per disk
 # point, so it fits the same budget.  MAX_CONVERGE_STATE_POINTS keeps each
-# h within 1 GiB.
+# sampled state (converge_study's and the CLI's collide) within 1 GiB.
 CONVERGE_BYTES_PER_POINT = 64
 MAX_CONVERGE_STATE_POINTS = (1 << 30) // CONVERGE_BYTES_PER_POINT
+
+# angular_fourier samples 4M + 4 angle nodes at a traced peak of 128-132
+# bytes per node (M = 10**4 .. 10**6, bi-Maxwellian), so M up to
+# MAX_CONVERGE_M keeps it within 1 GiB.  Time is not bounded by it: one
+# angular_fourier call takes 0.66 s at M = 10**5 and 5.6 s at M = 10**6
+# (converge_study makes three), and equid_term's M/4 lattice sweeps grow
+# as M^2, 0.46 s at M = 4000 and 39 s at M = 40000 for h = 0.125 and R = 3
+# (2 cores, Python 3.11, numpy 2.4).
+FOURIER_BYTES_PER_NODE = 132
+MAX_CONVERGE_M = (1 << 30) // (4 * FOURIER_BYTES_PER_NODE)
+
+
+def check_state_points(h: float, radius: float) -> None:
+    """Refuse to sample a state on the disk |v| <= radius of more than
+    MAX_CONVERGE_STATE_POINTS lattice points; nothing is allocated."""
+    side = 2 * lattice_bound(h, radius) + 1  # refuses a bad h or radius
+    if side * side > MAX_CONVERGE_STATE_POINTS:
+        raise PreconditionError(
+            f"h = {h}: the sampled state has {side}^2 points, more than "
+            f"MAX_CONVERGE_STATE_POINTS = {MAX_CONVERGE_STATE_POINTS} "
+            f"({CONVERGE_BYTES_PER_POINT} bytes each, 1 GiB)"
+        )
+
+
+def sample_about(
+    f_spec: Callable[[Array], Array], v: Array, h: float, R: float
+) -> LatticeDistribution:
+    """u -> f(u + v) on the disk |u| <= 2R + 2h, checked first for v on
+    the h-lattice and against MAX_CONVERGE_STATE_POINTS.
+
+    Q^h is translation invariant and Q^h(f, f)(v) reads f only within 2R
+    of v, so Q^h of this state at 0 is Q^h(f, f)(v) up to the rounding of
+    u + v, which is exact at v = 0."""
+    LatticeDistribution.zeros(h, 0.0).lattice_coords(v)
+    check_state_points(h, 2 * R + 2 * h)
+    return sample_on_lattice(lambda u: f_spec(u + v), h, 2 * R + 2 * h)
 
 
 def converge_study(
@@ -171,12 +207,14 @@ def converge_study(
 ) -> ConvergenceStudy:
     """Consistency experiment: Q^h against the quadrature reference.
 
-    For each h the closed-form state is sampled on a lattice wide enough
-    that every velocity reached by the truncated sum sees the true f, so
-    the comparison isolates discretization error.  Every h is checked
-    first: a circle table beyond circles.MAX_CIRCLE_TABLE_LIMIT or a state
-    of more than MAX_CONVERGE_STATE_POINTS points raises PreconditionError
-    before anything is sampled.
+    For each h the closed-form state is sampled about v (sample_about) on
+    a disk wide enough that every velocity reached by the truncated sum
+    sees the true f, so the comparison isolates discretization error.
+    Everything is checked first: M_diag outside 5 .. MAX_CONVERGE_M, a v
+    off some h's lattice, a circle table beyond
+    circles.MAX_CIRCLE_TABLE_LIMIT or a state of more than
+    MAX_CONVERGE_STATE_POINTS points raises PreconditionError before
+    anything is sampled.
 
     The reference's fine level (midpoints of the 2 n_w grid on the disk of
     radius 2R, n_theta = 256) also gives tail_R, its |G_v| outside R, and
@@ -188,22 +226,22 @@ def converge_study(
         raise PreconditionError("h_list must not be empty")
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise PreconditionError("h_list must be strictly decreasing")
+    if not 5 <= M_diag <= MAX_CONVERGE_M:
+        raise PreconditionError(
+            f"M must be in 5 .. MAX_CONVERGE_M = {MAX_CONVERGE_M} (angular_fourier "
+            f"holds 4M + 4 nodes at {FOURIER_BYTES_PER_NODE} bytes each), got {M_diag}"
+        )
     v = np.asarray(v, dtype=np.float64)
-    supports = [float(np.hypot(v[0], v[1])) + 2 * R + 2 * h for h in h_list]
-    for h, support in zip(h_list, supports):
-        side = 2 * lattice_bound(h, support) + 1  # refuses a bad h or R
+    for h in h_list:
+        lattice_bound(h, 2 * R + 2 * h)  # refuses a bad h or R
         n_max = circle_limit(h, R)
         if n_max > circles.MAX_CIRCLE_TABLE_LIMIT:
             raise PreconditionError(
                 f"h = {h}: (R/h)^2 = {n_max} exceeds "
                 f"MAX_CIRCLE_TABLE_LIMIT = {circles.MAX_CIRCLE_TABLE_LIMIT}"
             )
-        if side * side > MAX_CONVERGE_STATE_POINTS:
-            raise PreconditionError(
-                f"h = {h}: the sampled state has {side}^2 points, more than "
-                f"MAX_CONVERGE_STATE_POINTS = {MAX_CONVERGE_STATE_POINTS} "
-                f"({CONVERGE_BYTES_PER_POINT} bytes each, 1 GiB)"
-            )
+        check_state_points(h, 2 * R + 2 * h)
+        LatticeDistribution.zeros(h, 0.0).lattice_coords(v)
     quad = QuadratureConfig(r_quad=2 * R)
     ref = q_reference(f_spec, v, kernel, quad)
     n_theta = 2 * quad.n_theta  # the fine level's angular rule
@@ -225,9 +263,8 @@ def converge_study(
     s_m = 2 * sum(1.0 / (1 + k * k) for k in range(1, M_diag))
 
     rows = []
-    for h, support in zip(h_list, supports):
-        f_h = sample_on_lattice(f_spec, h, support)
-        qh = q_discrete(f_h, v, kernel, R)
+    for h in h_list:
+        qh = q_discrete(sample_about(f_spec, v, h, R), np.zeros(2), kernel, R)
         abs_err = abs(qh - ref.value)
 
         frame = LatticeDistribution.zeros(h, R)

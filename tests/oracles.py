@@ -16,6 +16,11 @@ paired the nodes theta and theta + pi: it forms the gain product at every
 node.  ``full_circle_q_discrete_detailed`` is
 ``collision.q_discrete_detailed`` before the flat, paired gather: one
 iteration per circle over every (zeta_i, zeta_j) of the full circle.
+``integer_dot_circles`` is ``collision._circles``, which gave that loop and
+the grid operator's loss weights an r x r matrix of kernel values from the
+integer dot products per circle; ``row_loop_loss_parts`` is the loss band
+that ``FastCollisionOperator`` built from it with one loop pass per row
+offset, before it took the weights from the gain's harmonic channels.
 """
 
 import math
@@ -24,7 +29,7 @@ from itertools import chain, islice
 import numpy as np
 
 from dvm2d import circles, harness
-from dvm2d.collision import _circles, lattice_bound, rotate
+from dvm2d.collision import circle_limit, lattice_bound, rotate
 from dvm2d.errors import PreconditionError
 
 
@@ -226,6 +231,56 @@ def enumerated_figure_data(query):
     return harness.FigureData(query, points, n_arr, r_arr)
 
 
+def integer_dot_circles(h, R, kernel):
+    """Every circle |zeta|^2 = n <= (R/h)^2 that has points, as (n, xs, ys, q).
+
+    The points are slices of the cached circles.circle_table, in angle
+    order.  q[i, j] = q(h sqrt(n), cos theta_ij) for the collision
+    zeta_i -> zeta_j, with cos theta_ij = zeta_i . zeta_j / n from the
+    exact integer dot product.
+    """
+    table = circles.circle_table(circle_limit(h, R))
+    starts = table.starts.tolist()
+    for n in range(1, table.limit + 1):
+        lo, hi = starts[n], starts[n + 1]
+        if lo == hi:
+            continue
+        xs, ys = table.xs[lo:hi], table.ys[lo:hi]
+        dots = xs[:, None] * xs[None, :] + ys[:, None] * ys[None, :]
+        q = kernel.evaluate(h * math.sqrt(n), dots.astype(np.float64) / n)
+        yield n, xs, ys, np.asarray(q, dtype=np.float64)
+
+
+def row_loop_loss_parts(h, R, kernel, bound):
+    """FastCollisionOperator._loss_parts: per column parity, (columns, band)."""
+    k = lattice_bound(h, R)
+    side = 2 * bound + 1
+    loss_x, loss_y, loss_w = [], [], []
+    for _, xs, ys, q in integer_dot_circles(h, R, kernel):
+        r = len(xs)
+        loss_x += xs.tolist()
+        loss_y += ys.tolist()
+        loss_w += ((2 * math.pi / r) * q.sum(axis=1)).tolist()
+    loss_x = np.array(loss_x, dtype=np.int64)
+    loss_y = np.array(loss_y, dtype=np.int64)
+    loss_w = np.array(loss_w, dtype=np.float64)
+
+    vel = np.arange(-bound, bound + 1)
+    parts = []
+    for parity in (0, 1):
+        cols = slice(parity, None, 2)
+        v_out = vel[cols]
+        n_col = len(v_out)
+        band = np.zeros((2 * k + 1, n_col, n_col))
+        for a in range(-k, k + 1):
+            on_a = loss_x == a
+            y_in = v_out[None, :] + 2 * loss_y[on_a, None] + bound
+            pt, col = np.nonzero((y_in >= 0) & (y_in < side))
+            band[a + k, y_in[pt, col] // 2, col] = loss_w[on_a][pt]
+        parts.append((cols, band.reshape((2 * k + 1) * n_col, n_col)))
+    return parts
+
+
 def full_circle_q_discrete_detailed(f, v, kernel, R):
     """(Q^h(f, f)(v), gross) by a loop over circles, r x r products each."""
     h = f.h
@@ -242,7 +297,7 @@ def full_circle_q_discrete_detailed(f, v, kernel, R):
 
     per_circle = []
     gross = 0.0
-    for _, xs, ys, q in _circles(h, R, kernel):
+    for _, xs, ys, q in integer_dot_circles(h, R, kernel):
         r = len(xs)
         gain = (
             g[ox + xs[:, None] + xs[None, :], oy + ys[:, None] + ys[None, :]]

@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shlex
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +173,53 @@ def test_converge_unaffordable_h_exits_2():
     assert "MAX_CIRCLE_TABLE_LIMIT" in result.output
 
 
+@pytest.mark.parametrize("M", ["4", str(harness.MAX_CONVERGE_M + 1)])
+def test_converge_M_out_of_range_exits_2_before_any_work(monkeypatch, M):
+    calls = []
+    monkeypatch.setattr(harness, "q_reference", lambda *args: calls.append(args))
+    result = CliRunner().invoke(main, ["converge", "--h-list", "0.5", "--R", "2", "--M", M])
+    assert result.exit_code == 2, result.output
+    assert "MAX_CONVERGE_M" in result.output
+    assert calls == []
+
+
+def test_converge_far_v_samples_only_the_reach():
+    # About the origin this state would have 20125^2 points, past the cap;
+    # about v it has 61^2.
+    result = CliRunner().invoke(
+        main, ["converge", "--v", "1000,0", "--h-list", "0.1", "--R", "3", "--M", "8"]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[1].startswith("0.10000000000000001,0,0,0,")
+
+
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        (["--h", "0.04", "--R", "3"], "305^2 points"),
+        (["--h", "0.04", "--R", "3", "--grid"], "305^2 points"),
+        (["--h", "0.05", "--R", "0.5", "--v", "6,0", "--grid"], "MAX_LOSS_BAND_BYTES"),
+    ],
+    ids=["pointwise-state", "grid-state", "grid-loss-band"],
+)
+def test_collide_unaffordable_size_exits_2_allocating_nothing(monkeypatch, args, match):
+    import dvm2d.collision as co
+
+    # Small caps, so that a check that failed to fire, or fired after
+    # sampling, would sample a few MB (305^2 or 285^2 points), not gigabytes.
+    monkeypatch.setattr(harness, "MAX_CONVERGE_STATE_POINTS", 300**2)
+    monkeypatch.setattr(co, "MAX_LOSS_BAND_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        result = CliRunner().invoke(main, ["collide", "--f", "maxwellian", *args])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2, result.output
+    assert match in result.output
+    assert peak < 1 << 20
+
+
 @pytest.mark.parametrize("h_list", ["0.5,abc", "0.5,nan", "inf,0.5"])
 def test_converge_malformed_h_list_exits_2(h_list):
     result = CliRunner().invoke(main, ["converge", "--h-list", h_list, "--R", "2", "--M", "8"])
@@ -209,8 +257,10 @@ def test_collide_non_finite_step_or_radius_exits_2(args, match, grid):
         ("# not json\n0,0,1.0\n", "header is not JSON"),
         ('# {"h": 0.5, "R_support": 1.0}\nzeta_x,zeta_y,value\n0,0,abc\n',
          "malformed lattice CSV"),
+        ('# {"h": 0.5, "R_support": 1.0}\nzeta_x,zeta_y,value\n0,0,1.0\n0,0,2.0\n',
+         "repeats the row of point (0, 0)"),
     ],
-    ids=["no-keys", "not-json", "non-numeric"],
+    ids=["no-keys", "not-json", "non-numeric", "repeated-point"],
 )
 def test_collide_malformed_lattice_csv_exits_2(tmp_path, text, match):
     path = tmp_path / "bad.csv"

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 from dvm2d import collision as co
 from dvm2d.circles import circle_points, circle_table
 from dvm2d.errors import PreconditionError, QuadratureError
-from oracles import all_nodes_angular_integral, full_circle_q_discrete_detailed
+from oracles import (
+    all_nodes_angular_integral,
+    full_circle_q_discrete_detailed,
+    integer_dot_circles,
+    row_loop_loss_parts,
+)
 
 
 MAXWELL = co.KernelSpec.maxwell()
@@ -460,9 +465,11 @@ def test_lattice_values_outside_the_disk_are_refused():
         ('# {"h": "abc", "R_support": 2.0}\n0,0,1.0\n', "malformed lattice CSV"),
         ('# {"h": null, "R_support": 2.0}\n0,0,1.0\n', "malformed lattice CSV"),
         ('# {"h": NaN, "R_support": 2.0}\n0,0,1.0\n', "h must be positive and finite"),
+        ('# {"h": 1.0, "R_support": 2.0}\n0,0,1.0\n1,0,3.0\n-0,0,2.0\n',
+         r"repeats the row of point \(0, 0\)"),
     ],
     ids=["empty-header", "no-R_support", "list-header", "not-json", "value-abc", "coord-x",
-         "two-fields", "four-fields", "h-abc", "h-null", "h-nan"],
+         "two-fields", "four-fields", "h-abc", "h-null", "h-nan", "repeated-point"],
 )
 def test_read_lattice_csv_refuses_malformed_input(text, match):
     with pytest.raises(PreconditionError, match=match):
@@ -534,7 +541,7 @@ class OldFastCollisionOperator:
                 (m, c) for m, c in enumerate(kernel.cos_coeffs) if c != 0.0
             ]
         self._circles = []
-        for n, xs, ys, q in co._circles(h, R, kernel):
+        for n, xs, ys, q in integer_dot_circles(h, R, kernel):
             r = len(xs)
             q1 = 1.0 if kernel.kind == "maxwell" else float(h * math.sqrt(n)) ** kernel.alpha
             phi = np.arctan2(ys, xs)
@@ -701,6 +708,38 @@ def test_fast_operator_zero_ring_clip_is_bit_identical(monkeypatch, kernel):
     assert not clipped[-1].any()
 
 
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
+@pytest.mark.parametrize("bound", [0, 7, 20, 30])  # R/h = 20
+def test_loss_band_matches_row_loop_oracle(kernel, bound):
+    """The band built from the gain's channels equals the per-row-offset band
+    of r x r integer-dot kernel values, entry by entry."""
+    h, R = 0.25, 5.0
+    op = co.FastCollisionOperator(h, R, kernel, bound)
+    oracle = row_loop_loss_parts(h, R, kernel, bound)
+    assert len(op._loss_parts) == len(oracle) == 2
+    for (cols, band), (old_cols, old) in zip(op._loss_parts, oracle):
+        assert cols == old_cols and band.shape == old.shape
+        assert np.all(np.abs(band - old) <= 1e-15 * np.abs(old))
+        if kernel == MAXWELL:
+            assert np.array_equal(band, old)
+
+
+def test_fast_operator_refuses_an_unaffordable_loss_band(monkeypatch):
+    assert co.MAX_LOSS_BAND_BYTES == 1 << 30
+    # A small cap, so that a check that failed to fire would build a 610 kB
+    # band, not gigabytes: R/h = 20 and bound 30 need 8 * 41 * (31^2 + 30^2).
+    monkeypatch.setattr(co, "MAX_LOSS_BAND_BYTES", 8 * 41 * (31**2 + 30**2) - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="bound = 30 needs 610408 bytes"):
+            co.FastCollisionOperator(0.25, 5.0, MAXWELL, 30)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert co.FastCollisionOperator(0.25, 5.0, MAXWELL, 29).bound == 29
+
+
 @pytest.mark.parametrize("n", [1, 2, 5, 25, 65, 325, 1105, 5525, 4 * 1105])
 def test_harmonic_weights_exact(n):
     pts = circle_points(n)
@@ -725,7 +764,7 @@ def test_harmonic_weights_exact(n):
 
 
 def old_circles(h, R, kernel):
-    """Reference: one circle_points call per n, as _circles did before the circle table."""
+    """Reference: one circle_points call per n, as integer_dot_circles did before circle_table."""
     n_max = int(math.floor((R / h) ** 2 + 1e-9))
     for n in range(1, n_max + 1):
         pts = circle_points(n)

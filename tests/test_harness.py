@@ -158,6 +158,40 @@ def test_converge_study_refuses_unaffordable_h_before_sampling(monkeypatch):
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize(
+    "v, h_list, M, match",
+    [
+        ((0.0, 0.0), [0.5], 4, "MAX_CONVERGE_M"),
+        ((0.0, 0.0), [0.5], harness.MAX_CONVERGE_M + 1, "MAX_CONVERGE_M"),
+        ((0.5, 0.0), [0.5, 0.2], 8, "not on the h-lattice"),
+    ],
+    ids=["M-4", "M-past-cap", "v-off-lattice"],
+)
+def test_converge_study_refuses_before_any_work(monkeypatch, v, h_list, M, match):
+    calls = []
+    monkeypatch.setattr(harness, "q_reference", lambda *args: calls.append(args))
+    with pytest.raises(PreconditionError, match=match):
+        harness.converge_study(co.bimaxwellian(), MAXWELL, np.array(v), h_list, R=2.0, M_diag=M)
+    assert calls == []
+
+
+@pytest.mark.parametrize("v", [(0.0, 0.0), (0.3, -0.7), (1.2, 0.5), (-2.5, 3.1)])
+def test_sample_about_matches_sampling_about_the_origin(v):
+    """Q^h at 0 of the state sampled about v is Q^h at v of the state
+    sampled about the origin, up to the rounding of u + v; at v = 0 the two
+    states are the same."""
+    bi, h, R = co.bimaxwellian(), 0.1, 1.5
+    v = np.array(v)
+    about = harness.sample_about(bi, v, h, R)
+    assert about.bound == co.lattice_bound(h, 2 * R + 2 * h)
+    whole = co.sample_on_lattice(bi, h, float(np.hypot(v[0], v[1])) + 2 * R + 2 * h)
+    new, gross = co.q_discrete_detailed(about, np.zeros(2), MAXWELL, R)
+    old = co.q_discrete(whole, v, MAXWELL, R)
+    assert abs(new - old) <= 1e-15 * gross  # measured up to 1.6e-16
+    if not v.any():
+        assert np.array_equal(about.grid, whole.grid) and new == old
+
+
 def test_converge_study_zero_f():
     zero = lambda pts: np.zeros(np.asarray(pts).shape[:-1])
     study = harness.converge_study(zero, MAXWELL, np.zeros(2), [0.5, 0.25], R=2.0, M_diag=8)
