@@ -334,8 +334,8 @@ R2_RANGE_BYTES_PER_ROW = 72
 MAX_R2_RANGE_N = ((1 << 30) // R2_RANGE_BYTES_PER_ROW) ** 2
 
 
-def r2_range(n_lo: int, n_hi: int, segment: int = R2_SEGMENT):
-    """Yield (lo, r2 array) per segment of [n_lo, n_hi], by counting lattice points.
+def r2_range(n_lo: int, n_hi: int):
+    """Yield (lo, r2 array) per R2_SEGMENT segment of [n_lo, n_hi], from lattice points.
 
     The points (x, y) with x >= 1 and y >= 0 meet every circle n >= 1 in a
     quarter of its points.  Per segment [s, e] they come from
@@ -350,8 +350,8 @@ def r2_range(n_lo: int, n_hi: int, segment: int = R2_SEGMENT):
             f"r2_range needs {R2_RANGE_BYTES_PER_ROW} bytes per row for isqrt(n_hi) "
             f"rows; n_hi = {n_hi} exceeds MAX_R2_RANGE_N = {MAX_R2_RANGE_N} (1 GiB)"
         )
-    for s in range(n_lo, n_hi + 1, segment):
-        e = min(s + segment - 1, n_hi)
+    for s in range(n_lo, n_hi + 1, R2_SEGMENT):
+        e = min(s + R2_SEGMENT - 1, n_hi)
         k = math.isqrt(e)
         x, count, n = annulus_points(s, e, 1, k, 0, k)
         n *= n

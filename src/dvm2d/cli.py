@@ -259,6 +259,7 @@ def simulate(f_name, file, h, support, R, dt, steps, record_every, out):
     """Space-homogeneous relaxation df/dt = Q^h(f, f) by RK4."""
     f = _make_f(f_name, file)
     if not isinstance(f, co.LatticeDistribution):
+        harness.check_relax_size(h, support, R)  # before anything is sampled
         f = co.sample_on_lattice(f, h, support)
     traj = harness.relax_simulate(
         f, co.KernelSpec.maxwell(), R=R, dt=dt, steps=steps, record_every=record_every

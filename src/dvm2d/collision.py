@@ -34,7 +34,6 @@ v' = v*' = v = v* and contributes nothing.
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -170,6 +169,12 @@ def lattice_bound(h: float, radius: float) -> int:
     return int(math.floor(radius / h + 1e-9))
 
 
+def widened_bound(bound: int) -> int:
+    """Bound of the square that LatticeDistribution.widened puts a state of
+    bound `bound` on: past sqrt(2) bound, the energy disk."""
+    return int(math.ceil(math.sqrt(2.0) * bound)) + 1
+
+
 @dataclass
 class LatticeDistribution:
     """Nonnegative values f_zeta on the lattice points |h zeta| <= R_support.
@@ -217,8 +222,7 @@ class LatticeDistribution:
         That disk holds every velocity where Q^h of the state can be
         nonzero, because collisions conserve energy.
         """
-        energy_bound = int(math.ceil(math.sqrt(2.0) * self.bound)) + 1
-        wide = LatticeDistribution.zeros(self.h, energy_bound * self.h)
+        wide = LatticeDistribution.zeros(self.h, widened_bound(self.bound) * self.h)
         lo = wide.bound - self.bound
         wide.grid[lo : lo + 2 * self.bound + 1, lo : lo + 2 * self.bound + 1] = self.grid
         return wide
@@ -651,39 +655,50 @@ def _harmonic_weights(xs: Array, ys: Array, n: int, m: int) -> tuple[Array, Arra
 MAX_LOSS_BAND_BYTES = 1 << 30
 
 
+def check_loss_band(h: float, R: float, bound: int) -> None:
+    """Refuse an operator whose loss band exceeds MAX_LOSS_BAND_BYTES;
+    nothing is allocated."""
+    k = lattice_bound(h, R)
+    band_bytes = 8 * (2 * k + 1) * ((bound + 1) ** 2 + bound**2)
+    if band_bytes > MAX_LOSS_BAND_BYTES:
+        raise PreconditionError(
+            f"the loss band for R/h = {k} and bound = {bound} needs {band_bytes} "
+            f"bytes, more than MAX_LOSS_BAND_BYTES = {MAX_LOSS_BAND_BYTES} (1 GiB)"
+        )
+
+
 class FastCollisionOperator:
     """Q^h on a whole grid of velocities; use it inside time-stepping loops.
 
     The state lives on the square [-bound, bound]^2 in integer
-    coordinates (zero outside it), and an apply returns Q^h on that same
-    square, as Q^h(f, f) is a function on the lattice of f.  Q^h can be
-    nonzero up to sqrt(2) times the support radius (collisions conserve
-    energy), so a caller that needs all of it applies the operator to
-    the widened state (LatticeDistribution.widened).  An apply evaluates
-    the sums of q_discrete at every velocity of the square, arranged so
-    that no work is spent on exact zeros or duplicate terms:
+    coordinates (zero outside it).  Off that square the loss vanishes
+    with f(v), and a gain product f(v + zeta + zeta') f(v + zeta - zeta')
+    needs its mid-point v + zeta on the square; as |zeta| <= R/h, Q^h
+    vanishes off the frame |v| <= bound + R/h (per coordinate).
+    apply_frame returns Q^h on that frame, apply_grid its crop to the
+    state's square.  An apply evaluates the sums of q_discrete at every
+    velocity, arranged so that no work is spent on exact zeros or
+    duplicate terms:
 
     * Gain.  Per circle |zeta|^2 = n the products P_j(x) = f(x + zeta_j)
       f(x - zeta_j) are formed only on the box of mid-points x where both
-      factors lie on the square, clipped to the inside of the ring on
-      which the state is zero (the widened state has one), and only for
-      one point of each +-zeta pair, with weight 2, since both signs give
-      the same product.
+      factors lie on the square, and only for one point of each +-zeta
+      pair, with weight 2, since both signs give the same product.
       The kernel's cosine series splits the pair weight,
       cos(m(phi_i - phi_j)) = cos cos + sin sin, into channels
       W = sum_j 2 (cos, sin)(m phi_j) P_j; odd harmonics cancel exactly
       under zeta -> -zeta and are skipped.  The gain at v is
       sum_i (2 pi / r) q1 c_m (cos, sin)(m phi_i) . W(v + zeta_i), added as
-      r shifted copies.  Gain arrays keep rows at the stride of the gain
-      frame |v| <= bound + R/h, so the zero columns past the state absorb
-      the row wrap and each shifted add is one contiguous slice.  A kernel
-      whose series is one constant (Maxwell) has a single channel:
-      products go straight into W and the circle weight is applied once.
-      The harmonic weights are exact integer quotients (see
-      _harmonic_weights).
-    * Loss.  f(v) sum_zeta w(zeta) f(v + 2 zeta) is one fixed 2-D
-      correlation, evaluated as a banded matmul: rows v_x + 2 zeta_x of the
-      state, side by side, times a band that maps columns to columns.
+      r shifted copies.  Gain arrays keep rows at the stride of the frame,
+      so the zero columns past the state absorb the row wrap and each
+      shifted add is one contiguous slice.  A kernel whose series is one
+      constant (Maxwell) has a single channel: products go straight into
+      W and the circle weight is applied once.  The harmonic weights are
+      exact integer quotients (see _harmonic_weights).
+    * Loss.  f(v) sum_zeta w(zeta) f(v + 2 zeta), zero off the square, is
+      one fixed 2-D correlation, evaluated as a banded matmul: rows
+      v_x + 2 zeta_x of the state, side by side, times a band that maps
+      columns to columns.
       Column v_y reads only columns of its own parity, so the band is kept
       as two halves.  It is built once per operator, for its one bound,
       and holds 8 (2 R/h + 1) ((bound + 1)^2 + bound^2) bytes, at most
@@ -700,13 +715,8 @@ class FastCollisionOperator:
             raise PreconditionError(f"h and R must be positive and finite, got {h}, {R}")
         if bound < 0:
             raise PreconditionError(f"state bound must be >= 0, got {bound}")
+        check_loss_band(h, R, bound)
         k = lattice_bound(h, R)
-        band_bytes = 8 * (2 * k + 1) * ((bound + 1) ** 2 + bound**2)
-        if band_bytes > MAX_LOSS_BAND_BYTES:
-            raise PreconditionError(
-                f"the loss band for R/h = {k} and bound = {bound} needs {band_bytes} "
-                f"bytes, more than MAX_LOSS_BAND_BYTES = {MAX_LOSS_BAND_BYTES} (1 GiB)"
-            )
         self.h = h
         self.R = R
         self.kernel = kernel
@@ -719,14 +729,14 @@ class FastCollisionOperator:
             (m, c) for m, c in enumerate(kernel.cos_coeffs) if c != 0.0 and m % 2 == 0
         ]
         self._single_channel = [m for m, _ in harmonics] == [0]
-        # Per circle (_plan drops those without a product on the state):
-        # (inner, outer, half, offsets).
+        # Per circle with a product on the state: (inner, outer, boxes, offsets).
         # inner (channels, r/2): 2 cos(m phi_j) / 2 sin(m phi_j) on the half
         # circle, one point of each +-zeta pair.  outer (r, channels):
-        # (2 pi / r) q1 c_m cos(m phi_i) / sin(m phi_i).  half: the half
-        # circle's points.  offsets, per point i: flat offset of the shift
-        # x -> x - zeta_i into the gain frame.
-        self._circles: list[tuple] = []
+        # (2 pi / r) q1 c_m cos(m phi_i) / sin(m phi_i).  boxes, per half
+        # point j whose product can be nonzero: (j, mid box, box of
+        # x + zeta_j, box of x - zeta_j).  offsets, per point i: flat offset
+        # of the shift x -> x - zeta_i into the gain frame.
+        self._plan: list[tuple] = []
         table = circle_table(circle_limit(h, R))
         # Loss weight of table point i: (2 pi / r) sum_j q(h sqrt(n), cos theta_ij).
         loss_w = np.empty(len(table.xs))
@@ -749,12 +759,19 @@ class FastCollisionOperator:
             outer = np.array(outer).reshape(-1, r).T
             # The half circle's row sums are the full circle's (m is even).
             loss_w[lo:hi] = outer @ inner.sum(axis=1)
-            self._circles.append((
-                inner,
-                outer,
-                list(zip(xs[half].tolist(), ys[half].tolist())),
-                ((k - xs) * width + (k - ys)).tolist(),
-            ))
+            boxes = []
+            for j, (x, y) in enumerate(zip(xs[half].tolist(), ys[half].tolist())):
+                ax, ay = abs(x), abs(y)
+                if 2 * ax >= side or 2 * ay >= side:
+                    continue
+                boxes.append((
+                    j,
+                    (slice(ax, side - ax), slice(ay, side - ay)),
+                    (slice(ax + x, side - ax + x), slice(ay + y, side - ay + y)),
+                    (slice(ax - x, side - ax - x), slice(ay - y, side - ay - y)),
+                ))
+            if boxes:
+                self._plan.append((inner, outer, boxes, ((k - xs) * width + (k - ys)).tolist()))
 
         vel = np.arange(-bound, bound + 1)
         rows = vel[:, None] + 2 * np.arange(-k, k + 1)[None, :]
@@ -775,46 +792,9 @@ class FastCollisionOperator:
             band[table.xs[pt] + k, y_in[pt, col] // 2, col] = loss_w[pt]
             self._loss_parts.append((cols, band.reshape((2 * k + 1) * n_col, n_col)))
 
-    @functools.cached_property
-    def _whole_square_plan(self) -> list[tuple]:
-        return self._plan(0)
-
-    def _plan(self, ring: int) -> list[tuple]:
-        """Per circle, (inner, outer, boxes, offsets) for a state that is zero
-        on the outer ring of the square of that width.
-
-        boxes, per half point j whose product can be nonzero: (j, mid box,
-        box of x + zeta, box of x - zeta), clipped to the square inside the
-        ring; circles without such a point are left out.
-        """
-        side = 2 * self.bound + 1
-        plan = []
-        for inner, outer, half_points, offsets in self._circles:
-            boxes = []
-            for j, (x, y) in enumerate(half_points):
-                ax, ay = abs(x) + ring, abs(y) + ring
-                if 2 * ax >= side or 2 * ay >= side:
-                    continue
-                boxes.append((
-                    j,
-                    (slice(ax, side - ax), slice(ay, side - ay)),
-                    (slice(ax + x, side - ax + x), slice(ay + y, side - ay + y)),
-                    (slice(ax - x, side - ax - x), slice(ay - y, side - ay - y)),
-                ))
-            if boxes:
-                plan.append((inner, outer, boxes, offsets))
-        return plan
-
-    def _zero_ring(self, grid: Array) -> int:
-        """Width of the outer ring of the square on which grid is zero."""
-        rows = np.flatnonzero(grid.any(axis=1))
-        cols = np.flatnonzero(grid.any(axis=0))
-        if len(rows) == 0:
-            return self.bound + 1
-        return int(min(rows[0], cols[0], len(grid) - 1 - rows[-1], len(grid) - 1 - cols[-1]))
-
-    def apply_grid(self, grid: Array) -> Array:
-        """Q^h on the square for the state grid[ix + bound, iy + bound]."""
+    def apply_frame(self, grid: Array) -> Array:
+        """Q^h on the frame |v| <= bound + R/h, which holds all of it, for
+        the state grid[ix + bound, iy + bound]."""
         grid = np.asarray(grid, dtype=np.float64)
         side = 2 * self.bound + 1
         if grid.shape != (side, side):
@@ -822,46 +802,42 @@ class FastCollisionOperator:
                 f"state grid shape {grid.shape} does not match bound {self.bound}"
             )
         k = self.reach
-        gain = self._gain(grid)[k : k + side, k : k + side]
-        return (2 * self.h) ** 2 * (gain - grid * self._loss(grid))
+        q = self._gain(grid)
+        q[k : k + side, k : k + side] -= grid * self._loss(grid)  # f = 0 off the square
+        q *= (2 * self.h) ** 2
+        return q
+
+    def apply_grid(self, grid: Array) -> Array:
+        """Q^h on the square for the state grid[ix + bound, iy + bound]."""
+        k = self.reach
+        side = 2 * self.bound + 1
+        return self.apply_frame(grid)[k : k + side, k : k + side]
 
     def _gain(self, grid: Array) -> Array:
-        """Gain term on the frame |v| <= bound + R/h, without the (2h)^2.
-
-        Products are formed only inside the state's zero ring (none at
-        all on an all-zero state), so the exact zeros that the ring would
-        give are skipped; each shifted add covers the block that can hold
-        a nonzero W.
-        """
+        """Gain term on the frame |v| <= bound + R/h, without the (2h)^2."""
         side = 2 * self.bound + 1
         width = side + 2 * self.reach
-        ring = self._zero_ring(grid)
-        # A state with a zero ring is a one-off (collision_invariants, the
-        # first stages of relax_simulate); only the whole square's plan is kept.
-        plan = self._plan(ring) if ring else self._whole_square_plan
-        lo = ring * (width + 1)  # W is zero outside rows and columns ring .. side - ring
-        hi = (side - 1 - ring) * width + side - ring  # below lo only for an all-zero state
+        hi = (side - 1) * width + side  # W is zero past the state's last column
         gain = np.zeros(width * width)
         w = np.zeros((side, width))
         w_state = w[:, :side]
-        w_inside = w[ring : side - ring, ring : side - ring]
-        w_flat = w.reshape(-1)[lo:hi]
-        for inner, outer, boxes, offsets in plan:
+        w_flat = w.reshape(-1)[:hi]
+        for inner, outer, boxes, offsets in self._plan:
             if self._single_channel:
-                w_inside.fill(0.0)
+                w_state.fill(0.0)
                 for _, box, plus, minus in boxes:
                     w_state[box] += grid[plus] * grid[minus]
-                w_inside *= inner[0, 0] * outer[0, 0]  # 2 x circle weight
+                w_state *= inner[0, 0] * outer[0, 0]  # 2 x circle weight
                 for off in offsets:
-                    gain[off + lo : off + hi] += w_flat
+                    gain[off : off + hi] += w_flat
             else:
                 n_half = inner.shape[1]
                 prods = np.zeros((n_half, side, width))
                 for j, box, plus, minus in boxes:
                     np.multiply(grid[plus], grid[minus], out=prods[j][box])
-                chans = inner @ prods.reshape(n_half, -1)[:, lo:hi]
+                chans = inner @ prods.reshape(n_half, -1)[:, :hi]
                 for weights, off in zip(outer, offsets):
-                    gain[off + lo : off + hi] += weights @ chans
+                    gain[off : off + hi] += weights @ chans
         return gain.reshape(width, width)
 
     def _loss(self, grid: Array) -> Array:
@@ -894,13 +870,13 @@ def collision_invariants(
 ) -> InvariantRates:
     """sum_v Q^h(v) (1, v, |v|^2) over every v where Q^h can be nonzero.
 
-    Gains vanish beyond sqrt(2) times the support radius (energy bound),
-    so Q^h is taken on the state widened to that disk.  All reductions
-    use compensated summation.
+    That is the operator's frame |v| <= bound + R/h (apply_frame).  All
+    reductions use compensated summation.
     """
-    wide = f.widened()
-    q = FastCollisionOperator(f.h, R, kernel, wide.bound).apply(wide)
-    vx, vy = wide.velocities()
+    op = FastCollisionOperator(f.h, R, kernel, f.bound)
+    q = op.apply_frame(f.grid)
+    vs = f.h * np.arange(-(f.bound + op.reach), f.bound + op.reach + 1)
+    vx, vy = np.meshgrid(vs, vs, indexing="ij")
     v2 = vx**2 + vy**2
     mass = math.fsum(q.ravel())
     mom_x = math.fsum((q * vx).ravel())

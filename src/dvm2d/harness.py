@@ -23,14 +23,17 @@ from .collision import (
     LatticeDistribution,
     QuadratureConfig,
     angular_integral,
+    check_loss_band,
     circle_limit,
     lattice_bound,
     q_discrete,
     q_reference,
     rotate,
     sample_on_lattice,
+    widened_bound,
 )
 from .errors import PositivityLossError, PreconditionError
+from .numtheory import is_prime
 
 # ---------------------------------------------------------------------------
 # Angular Fourier diagnostics
@@ -79,9 +82,7 @@ def angular_fourier(
     # theta_j = -pi + 2 pi j / n, so the DFT picks up a (-1)^k twiddle.
     spectrum = np.fft.fft(g) / n
     ks = np.arange(-K, K + 1)
-    coeffs = np.array(
-        [(-1.0) ** k * spectrum[k % n] for k in ks], dtype=np.complex128
-    )
+    coeffs = np.where(ks % 2 == 0, 1.0, -1.0) * spectrum[ks % n]
     c3 = float(np.max(np.abs(coeffs) * (1 + ks.astype(np.float64) ** 2)))
     return AngularFourier(ks, coeffs, c3)
 
@@ -177,8 +178,8 @@ def check_state_points(h: float, radius: float) -> None:
     side = 2 * lattice_bound(h, radius) + 1  # refuses a bad h or radius
     if side * side > MAX_CONVERGE_STATE_POINTS:
         raise PreconditionError(
-            f"h = {h}: the sampled state has {side}^2 points, more than "
-            f"MAX_CONVERGE_STATE_POINTS = {MAX_CONVERGE_STATE_POINTS} "
+            f"h = {h}: the state on the disk of radius {radius:g} has {side}^2 "
+            f"points, more than MAX_CONVERGE_STATE_POINTS = {MAX_CONVERGE_STATE_POINTS} "
             f"({CONVERGE_BYTES_PER_POINT} bytes each, 1 GiB)"
         )
 
@@ -397,18 +398,12 @@ def write_figure_csv(data: FigureData, fp: IO[str]) -> None:
 # ---------------------------------------------------------------------------
 
 def _primes_1mod4_ascending(limit_product: int) -> list[int]:
-    """Consecutive primes p = 1 (mod 4) while their running product fits.
-
-    Primality is read off circles.prime_mask, doubled whenever p outgrows it.
-    """
+    """Consecutive primes p = 1 (mod 4) while their running product fits."""
     out: list[int] = []
     running = 1
-    is_p = circles.prime_mask(64)
     p = 5
     while running * p <= limit_product:
-        if p >= len(is_p):
-            is_p = circles.prime_mask(2 * p)
-        if is_p[p]:
+        if is_prime(p):
             out.append(p)
             running *= p
         p += 4
@@ -472,6 +467,15 @@ def _entropy(grid: Array) -> float:
     return float(math.fsum(pos * np.log(pos)))
 
 
+def check_relax_size(h: float, support: float, R: float) -> None:
+    """Refuse a relaxation of a state of support radius `support` whose
+    widened state has more than MAX_CONVERGE_STATE_POINTS points, or whose
+    loss band exceeds MAX_LOSS_BAND_BYTES; nothing is allocated."""
+    wide = widened_bound(lattice_bound(h, support))
+    check_state_points(h, wide * h)
+    check_loss_band(h, R, wide)
+
+
 def relax_simulate(
     f0: LatticeDistribution,
     kernel: KernelSpec,
@@ -484,15 +488,16 @@ def relax_simulate(
 
     The state lives on a disk sqrt(2) wider than the initial support so
     every collision gain stays on the grid (up to exponentially small
-    tails); moments and H are recorded per step.  Aborts with
-    PositivityLossError if any value drops below -1e-12 * max f, the
-    sign that dt is too large.
+    tails); moments and H are recorded per step.  The sizes are checked
+    first (check_relax_size).  Aborts with PositivityLossError if any value
+    drops below -1e-12 * max f, the sign that dt is too large.
     """
     if not (math.isfinite(dt) and dt > 0) or steps < 1:
         raise PreconditionError("dt must be positive and finite and steps >= 1")
     if record_every < 1:
         raise PreconditionError(f"record_every must be >= 1, got {record_every}")
     h = f0.h
+    check_relax_size(h, f0.support_radius, R)
     wide = f0.widened()
     op = FastCollisionOperator(h, R, kernel, wide.bound)
     state = wide.grid

@@ -21,6 +21,11 @@ the grid operator's loss weights an r x r matrix of kernel values from the
 integer dot products per circle; ``row_loop_loss_parts`` is the loss band
 that ``FastCollisionOperator`` built from it with one loop pass per row
 offset, before it took the weights from the gain's harmonic channels.
+``widened_collision_invariants`` is ``collision.collision_invariants``
+before it summed the operator's own frame: it widens the state onto the
+energy disk and applies an operator built for that wider square.
+``comprehension_angular_fourier`` is ``harness.angular_fourier`` with its
+coefficients built one k at a time by a list comprehension.
 """
 
 import math
@@ -29,7 +34,13 @@ from itertools import chain, islice
 import numpy as np
 
 from dvm2d import circles, harness
-from dvm2d.collision import circle_limit, lattice_bound, rotate
+from dvm2d.collision import (
+    FastCollisionOperator,
+    InvariantRates,
+    circle_limit,
+    lattice_bound,
+    rotate,
+)
 from dvm2d.errors import PreconditionError
 
 
@@ -307,3 +318,44 @@ def full_circle_q_discrete_detailed(f, v, kernel, R):
         per_circle.append(2 * math.pi / r * float(((gain - loss[:, None]) * q).sum()))
         gross += 2 * math.pi / r * float(((gain + loss[:, None]) * q).sum())
     return (2 * h) ** 2 * math.fsum(per_circle), (2 * h) ** 2 * gross
+
+
+def widened_collision_invariants(f, kernel, R):
+    """InvariantRates of Q^h over the square of f.widened()."""
+    wide = f.widened()
+    q = FastCollisionOperator(f.h, R, kernel, wide.bound).apply(wide)
+    vx, vy = wide.velocities()
+    v2 = vx**2 + vy**2
+    mass = math.fsum(q.ravel())
+    mom_x = math.fsum((q * vx).ravel())
+    mom_y = math.fsum((q * vy).ravel())
+    energy = math.fsum((q * v2).ravel())
+    norm = math.fsum((np.abs(q) * (1 + v2)).ravel())
+    return InvariantRates(mass, (mom_x, mom_y), energy, norm)
+
+
+def comprehension_angular_fourier(f_spec, kernel, v, zeta, h, K):
+    """Trapezoid-rule Fourier coefficients of theta -> g_v(h zeta, theta), k = -K .. K."""
+    n = max(256, 4 * K + 4)
+    j = np.arange(n)
+    thetas = -math.pi + 2 * math.pi * j / n
+    v = np.asarray(v, dtype=np.float64)
+    w = h * np.asarray(zeta, dtype=np.float64)
+    w_norm = float(np.hypot(w[0], w[1]))
+
+    cos_t = np.cos(thetas)
+    rw = rotate(w, cos_t, np.sin(thetas))
+    vp = v[None, :] + w[None, :] + rw
+    vsp = v[None, :] + w[None, :] - rw
+    f_v = float(np.asarray(f_spec(v[None, :])).ravel()[0])
+    f_star = float(np.asarray(f_spec(v[None, :] + 2 * w[None, :])).ravel()[0])
+    g = (np.asarray(f_spec(vp)) * np.asarray(f_spec(vsp)) - f_v * f_star)
+    g = g * kernel.evaluate(w_norm, cos_t)
+
+    spectrum = np.fft.fft(g) / n
+    ks = np.arange(-K, K + 1)
+    coeffs = np.array(
+        [(-1.0) ** k * spectrum[k % n] for k in ks], dtype=np.complex128
+    )
+    c3 = float(np.max(np.abs(coeffs) * (1 + ks.astype(np.float64) ** 2)))
+    return harness.AngularFourier(ks, coeffs, c3)

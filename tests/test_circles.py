@@ -98,8 +98,9 @@ def old_r2_range_sieve(n_lo, n_hi, segment=4_000_000):
         (2 * 10**8, 2 * 10**8 + 99_999, 100_000),
     ],
 )
-def test_r2_range_matches_old_sieve(n_lo, n_hi, segment):
-    new = list(circles.r2_range(n_lo, n_hi, segment))
+def test_r2_range_matches_old_sieve(monkeypatch, n_lo, n_hi, segment):
+    monkeypatch.setattr(circles, "R2_SEGMENT", segment)
+    new = list(circles.r2_range(n_lo, n_hi))
     old = list(old_r2_range_sieve(n_lo, n_hi, segment))
     assert [lo for lo, _ in new] == [lo for lo, _ in old]
     for (_, a), (_, b) in zip(new, old):
@@ -114,7 +115,9 @@ def test_r2_range_matches_old_sieve(n_lo, n_hi, segment):
 )
 def test_r2_range_matches_r2_property(lo, width, segment):
     hi = lo + min(width, 40 * segment)  # at most ~40 segments per example
-    got = np.concatenate([r for _, r in circles.r2_range(lo, hi, segment)])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(circles, "R2_SEGMENT", segment)
+        got = np.concatenate([r for _, r in circles.r2_range(lo, hi)])
     assert got.tolist() == [circles.r2(n) for n in range(lo, hi + 1)]
 
 
@@ -134,11 +137,12 @@ def test_r2_range_matches_sieve_fold_at_2e8():
     assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
 
 
-def test_r2_range_empty_and_tiny_ranges():
+def test_r2_range_empty_and_tiny_ranges(monkeypatch):
     assert list(circles.r2_range(1, 0)) == []
-    assert list(circles.r2_range(10, 9, 3)) == []
     (lo, got), = circles.r2_range(1, 1)
     assert lo == 1 and got.tolist() == [4]
+    monkeypatch.setattr(circles, "R2_SEGMENT", 3)
+    assert list(circles.r2_range(10, 9)) == []
 
 
 def test_isqrt_exact_near_squares():

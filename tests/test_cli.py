@@ -371,6 +371,53 @@ def test_simulate_record_every_below_one_exits_2():
     assert "record_every" in result.output
 
 
+@pytest.mark.parametrize(
+    "args, match",
+    [
+        (["--h", "0.04", "--support", "5", "--R", "5"], "357^2 points"),
+        (["--h", "0.05", "--support", "5", "--R", "0.5"], "MAX_LOSS_BAND_BYTES"),
+    ],
+    ids=["widened-state", "loss-band"],
+)
+def test_simulate_unaffordable_size_exits_2_allocating_nothing(monkeypatch, args, match):
+    import dvm2d.collision as co
+
+    # Small caps, so that a check that failed to fire, or fired after
+    # sampling and widening, would allocate a few MB (251^2 or 201^2
+    # points sampled, widened to 357^2 or 287^2), not gigabytes.
+    monkeypatch.setattr(harness, "MAX_CONVERGE_STATE_POINTS", 300**2)
+    monkeypatch.setattr(co, "MAX_LOSS_BAND_BYTES", 1 << 20)
+    tracemalloc.start()
+    try:
+        result = CliRunner().invoke(
+            main, ["simulate", "--f", "maxwellian", *args, "--dt", "1e-3", "--steps", "1"]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2, result.output
+    assert match in result.output
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "h, match", [("0.001", "14147^2 points"), ("0.01", "MAX_LOSS_BAND_BYTES")], ids=["h0.001", "h0.01"]
+)
+def test_simulate_fine_h_exits_2_before_sampling(h, match):
+    """At h = 0.001 the widened state is too large, at h = 0.01 its loss band."""
+    tracemalloc.start()
+    try:
+        result = CliRunner().invoke(
+            main, ["simulate", "--h", h, "--support", "5", "--R", "5", "--dt", "1e-3", "--steps", "1"]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2, result.output
+    assert match in result.output
+    assert peak < 1 << 20
+
+
 def test_simulate_positivity_loss_exits_3():
     runner = CliRunner()
     result = runner.invoke(

@@ -16,6 +16,7 @@ from oracles import (
     full_circle_q_discrete_detailed,
     integer_dot_circles,
     row_loop_loss_parts,
+    widened_collision_invariants,
 )
 
 
@@ -393,7 +394,8 @@ def test_collision_invariants_random_f():
     "kernel", [MAXWELL, co.KernelSpec.product_power(0.5, (1, 0, 0.5))], ids=["maxwell", "pp05"]
 )
 def test_collision_invariants_normalization_matches_pointwise(kernel):
-    """normalization is sum |Q^h| (1 + |v|^2) over the whole widened grid."""
+    """normalization is sum |Q^h| (1 + |v|^2) over every v where Q^h can be
+    nonzero, all of which lie on the widened grid."""
     rng = np.random.default_rng(404)
     h, b = 0.5, 4
     f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
@@ -629,7 +631,7 @@ def _assert_matches_oracle(h, R, kernel, grid, bound):
     "h, R, support, bound",
     [
         (0.25, 2.0, 10, 10),  # the state fills the square
-        (0.25, 2.0, 8, 13),  # zeros around it: the collision_invariants shape
+        (0.25, 2.0, 8, 13),  # zeros around it: the relax_simulate shape
         (0.25, 2.5, 5, 7),  # R/h > bound
     ],
 )
@@ -654,6 +656,26 @@ def test_fast_operator_matches_padded_oracle(kernel, h, R, support, bound):
 def test_fast_operator_matches_padded_oracle_random(h, reach, bound, kernel, seed):
     grid = np.random.default_rng(seed).random((2 * bound + 1, 2 * bound + 1))
     _assert_matches_oracle(h, reach * h, kernel, grid, bound)
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
+@pytest.mark.parametrize("state", ["one-sided", "signed", "zero"])
+def test_fast_operator_matches_padded_oracle_on_edge_states(kernel, state):
+    """A widened state cut to one side, one that RK4 stages dip below 0
+    by 1e-13, and the zero state (whose Q^h is exactly 0)."""
+    rng = np.random.default_rng(5)
+    h, b = 0.25, 8
+    wide = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1))).widened()
+    grid = wide.grid.copy()
+    if state == "one-sided":
+        grid[: wide.bound + 3] = 0.0
+    elif state == "signed":
+        grid -= 1e-13 * (rng.random(grid.shape) < 0.2)
+    else:
+        grid[:] = 0.0
+    _assert_matches_oracle(h, 2.0, kernel, grid, wide.bound)
+    if state == "zero":
+        assert not co.FastCollisionOperator(h, 2.0, kernel, wide.bound).apply_frame(grid).any()
 
 
 def test_fast_operator_rejects_bad_state_shape():
@@ -687,25 +709,45 @@ def test_fast_operator_conserves_invariants(kernel):
         assert abs(math.fsum((q * weight).ravel())) <= 1e-10 * norm
 
 
+# Disk states of bound b: R = b h, and one R/h < b.
+FRAME_CASES = pytest.mark.parametrize(
+    "h, b, R", [(0.5, 8, 4.0), (0.25, 20, 5.0), (0.25, 20, 2.0)], ids=["B8", "B20", "B20-short-R"]
+)
+
+
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
-def test_fast_operator_zero_ring_clip_is_bit_identical(monkeypatch, kernel):
-    """Products inside the state's zero ring only: Q^h equals, bit for bit,
-    the apply that forms them on the whole square."""
-    rng = np.random.default_rng(5)
-    h, b = 0.25, 8
-    wide = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1))).widened()
-    one_sided = wide.grid.copy()
-    one_sided[: wide.bound + 3] = 0.0  # the ring is as wide as its narrowest side
-    signed = wide.grid - 1e-13 * (rng.random(wide.grid.shape) < 0.2)  # RK4 stages dip below 0
-    grids = [wide.grid, one_sided, signed, np.zeros_like(wide.grid)]
-    op = co.FastCollisionOperator(h, 2.0, kernel, wide.bound)
-    assert [op._zero_ring(g) for g in grids] == [wide.bound - b, wide.bound - b, 0, wide.bound + 1]
-    clipped = [op.apply_grid(g) for g in grids]
-    monkeypatch.setattr(co.FastCollisionOperator, "_zero_ring", lambda self, grid: 0)
-    whole = [co.FastCollisionOperator(h, 2.0, kernel, wide.bound).apply_grid(g) for g in grids]
-    for c, w in zip(clipped, whole):
-        assert np.array_equal(c, w)
-    assert not clipped[-1].any()
+@FRAME_CASES
+def test_collision_invariants_match_widened_oracle(kernel, h, b, R):
+    """Summed over the operator's frame, the rates equal those over the
+    widened state's square up to rounding."""
+    rng = np.random.default_rng(b * 10 + int(R))
+    f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
+    inv = co.collision_invariants(f, kernel, R)
+    old = widened_collision_invariants(f, kernel, R)
+    new_rates = (inv.mass_rate, *inv.momentum_rate, inv.energy_rate)
+    old_rates = (old.mass_rate, *old.momentum_rate, old.energy_rate)
+    for new, want in zip(new_rates, old_rates):
+        assert abs(new - want) <= 1e-15 * old.normalization
+    assert inv.normalization == pytest.approx(old.normalization, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
+@FRAME_CASES
+def test_apply_frame_holds_all_of_q(kernel, h, b, R):
+    """apply_frame: apply_grid on the state's square, bit for bit; Q^h of the
+    state zero-padded to the frame elsewhere; exact zeros past the energy disk."""
+    rng = np.random.default_rng(b * 10 + int(R))
+    f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
+    op = co.FastCollisionOperator(h, R, kernel, b)
+    frame = op.apply_frame(f.grid)
+    k = op.reach
+    assert frame.shape == (2 * (b + k) + 1,) * 2
+    assert np.array_equal(frame[k : k + 2 * b + 1, k : k + 2 * b + 1], op.apply_grid(f.grid))
+    padded = co.FastCollisionOperator(h, R, kernel, b + k).apply_grid(np.pad(f.grid, k))
+    assert np.abs(frame - padded).max() <= 1e-14 * np.abs(padded).max()
+    ix = np.arange(-(b + k), b + k + 1)
+    beyond = ix[:, None] ** 2 + ix[None, :] ** 2 > 2 * b * b
+    assert beyond.any() and not frame[beyond].any()
 
 
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])

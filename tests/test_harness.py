@@ -11,7 +11,7 @@ from dvm2d import circles, harness
 from dvm2d import collision as co
 from dvm2d.errors import PositivityLossError, PreconditionError
 from dvm2d.numtheory import is_prime
-from oracles import enumerated_figure_data
+from oracles import comprehension_angular_fourier, enumerated_figure_data
 
 MAXWELL = co.KernelSpec.maxwell()
 
@@ -47,6 +47,16 @@ def test_angular_fourier_decay_bound():
     assert np.all(np.abs(af.coeffs) * (1 + ks**2) <= af.c3_fit * (1 + 1e-12))
     # conjugate symmetry of a real integrand
     assert np.abs(af.coeffs - np.conj(af.coeffs[::-1])).max() <= 1e-14
+
+
+@pytest.mark.parametrize("K", [1, 16, 63, 64, 1001])  # n = 256 up to K = 63, 4K + 4 beyond
+def test_angular_fourier_coefficients_match_comprehension_oracle(K):
+    kernel = co.KernelSpec.product_power(0.5, (1, 0.3, 0.2))
+    args = (co.bimaxwellian(), kernel, np.array([0.25, -0.5]), (3, 2), 0.25, K)
+    af, old = harness.angular_fourier(*args), comprehension_angular_fourier(*args)
+    assert np.array_equal(af.ks, old.ks)
+    assert af.coeffs.dtype == old.coeffs.dtype and np.array_equal(af.coeffs, old.coeffs)
+    assert af.c3_fit == old.c3_fit
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +448,7 @@ def test_relax_csv():
     assert len(lines) == 1 + len(traj)
 
 
-def test_relax_preconditions():
+def test_relax_preconditions(monkeypatch):
     f0 = co.sample_on_lattice(co.Maxwellian(), 0.5, 2.0)
     for dt in (-0.1, math.nan, math.inf):
         with pytest.raises(PreconditionError, match="dt must be positive and finite"):
@@ -448,3 +458,8 @@ def test_relax_preconditions():
     for every in (0, -1):
         with pytest.raises(PreconditionError, match="record_every"):
             harness.relax_simulate(f0, MAXWELL, R=1.0, dt=0.1, steps=5, record_every=every)
+    # The widened state (bound 7) is checked before the state is widened.
+    monkeypatch.setattr(harness, "MAX_CONVERGE_STATE_POINTS", 15**2 - 1)
+    monkeypatch.setattr(co.LatticeDistribution, "widened", lambda self: pytest.fail("widened"))
+    with pytest.raises(PreconditionError, match=r"15\^2 points"):
+        harness.relax_simulate(f0, MAXWELL, R=1.0, dt=0.1, steps=5)
