@@ -13,8 +13,9 @@ lattice points of an annulus row by row: circle_table turns the quarter
 x >= 1, y >= 0 into every circle up to a bound, r2_range (and with it
 landau_count) bins each annulus by n instead of factorizing,
 prime_angles keeps the points on prime circles, and the |S| statistics
-(abs_S_closed_range, avg_abs_S) bin ((x + iy) / sqrt(n))^k by n and
-evaluate |S| only at the n whose circle has points.
+(abs_S_closed_range, avg_abs_S, and abs_S_sweep for every k below a
+bound at once) bin ((x + iy) / sqrt(n))^k by n and evaluate |S| only at
+the n whose circle has points.
 |S(n,k)|/4 is multiplicative in n and vanishes unless 4 | k; for one n,
 exp_sum_closed evaluates that closed form from the factorization.
 """
@@ -359,6 +360,49 @@ def r2_range(n_lo: int, n_hi: int):
         yield s, 4 * np.bincount(n, minlength=e - s + 1)
 
 
+def _segment_points(s: int, e: int):
+    """The points x >= 1, y >= 0 of the circles s <= m <= e, as int64 x, y
+    and n = x^2 + y^2, and the point count of each m - s."""
+    r = math.isqrt(e)
+    x, count, y = annulus_points(s, e, 1, r, 0, r)
+    x = np.repeat(x, count)
+    n = x * x + y * y
+    return x, y, n, np.bincount(n - s)
+
+
+def _z4(x, y, n):
+    """Real and imaginary parts of z^4 = ((x + iy) / sqrt(n))^4: u + iv =
+    (x + iy)^2 in exact integers, then (u + iv)^2 / n^2 rounded once."""
+    u, v = x * x - y * y, 2 * x * y
+    m2 = n * n
+    return (u * u - v * v) / m2, 2 * u * v / m2
+
+
+def abs_S_sweep(X: int, M: int):
+    """Yield (k, m, |S(m, k)|) for k = 4, 8, ..., < M, segment by segment.
+
+    The values are _abs_S_segments(X, k)'s, bit for bit, from one pass over
+    each R2_SEGMENT segment's points: w starts at z^4 and is multiplied by
+    z^4 from each k to k + 4, the same products in the same order as
+    _abs_S_segments' power of z^4 for each k on its own.  So the cost is
+    linear in M, not quadratic.  Within a segment the k ascend; the
+    segments ascend in m.
+    """
+    for s in range(1, X + 1, R2_SEGMENT):
+        e = min(s + R2_SEGMENT - 1, X)
+        x, y, n, points = _segment_points(s, e)
+        i = np.flatnonzero(points)
+        m = i + s
+        w_re, w_im = _z4(x, y, n)
+        n -= s
+        z4 = w_re + 1j * w_im
+        w = z4.copy()
+        for k in range(4, M, 4):
+            if k > 4:
+                w *= z4
+            yield k, m, 4 * np.hypot(np.bincount(n, w.real)[i], np.bincount(n, w.imag)[i])
+
+
 def _abs_S_segments(X: int, k: int):
     """Yield (m, |S(m, k)|) per R2_SEGMENT segment of 1 <= m <= X, for the m with points.
 
@@ -376,18 +420,12 @@ def _abs_S_segments(X: int, k: int):
     """
     for s in range(1, X + 1, R2_SEGMENT):
         e = min(s + R2_SEGMENT - 1, X)
-        r = math.isqrt(e)
-        x, count, y = annulus_points(s, e, 1, r, 0, r)
-        x = np.repeat(x, count)
-        n = x * x + y * y
-        points = np.bincount(n - s)
+        x, y, n, points = _segment_points(s, e)
         i = np.flatnonzero(points)
         if k == 0:
             yield i + s, 4.0 * points[i]
             continue
-        u, v = x * x - y * y, 2 * x * y
-        m2 = n * n
-        w_re, w_im = (u * u - v * v) / m2, 2 * u * v / m2
+        w_re, w_im = _z4(x, y, n)
         if abs(k) > 4:
             z4 = w_re + 1j * w_im
             w = z4.copy()

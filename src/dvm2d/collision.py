@@ -7,7 +7,10 @@ The continuous operator is evaluated as
 
 with v' = v + w + R_theta w and v*' = v + w - R_theta w, by a tensor rule
 that is spectrally accurate for smooth rapidly decaying f: uniform
-trapezoid in theta (periodic) and a uniform midpoint grid in w.  Turning
+trapezoid in theta (periodic) and, in w = rho (cos phi, sin phi), a polar
+rule (polar_disk): Gauss-Legendre in the radius on two panels, the inner
+one in t with rho proportional to t^2 to smooth the |w|^alpha kink at 0,
+and a uniform trapezoid in phi.  Turning
 theta by pi swaps v' and v*' (R_{theta+pi} w = -R_theta w), so the gain
 product f(v') f(v*') is pi-periodic: the rule takes an even number of
 theta nodes and evaluates each product once for the node pair theta,
@@ -373,23 +376,26 @@ def g_eval(
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tensor rule: n_w midpoint cells per side on [-r_quad, r_quad]^2
-    restricted to the disk, n_theta trapezoid nodes on [-pi, pi).
+    """Polar rule on the disk |w| <= r_quad (see polar_disk) times n_theta
+    trapezoid nodes on [-pi, pi).
 
-    n_theta must be even (see angular_integral).
+    n_w is the number of nodes on a diameter: each of the two radial panels
+    gets n_w / 4 Gauss-Legendre nodes and the polar angle n_w trapezoid
+    nodes, so n_w must be a positive multiple of 4.  n_theta must be even
+    (see angular_integral).  q_reference's fine level doubles both.
     """
 
     r_quad: float
-    n_w: int = 128
-    n_theta: int = 128
+    n_w: int = 96
+    n_theta: int = 32
     rtol: float = 1e-6
     atol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.r_quad) and self.r_quad > 0):
             raise PreconditionError(f"r_quad must be positive and finite, got {self.r_quad}")
-        if self.n_w < 1:
-            raise PreconditionError(f"n_w must be >= 1, got {self.n_w}")
+        if self.n_w < 4 or self.n_w % 4:
+            raise PreconditionError(f"n_w must be a positive multiple of 4, got {self.n_w}")
         _check_n_theta(self.n_theta)
         # A NaN tolerance would make q_reference's self-convergence check never fire.
         if not all(math.isfinite(t) and t >= 0 for t in (self.rtol, self.atol)):
@@ -408,9 +414,10 @@ def _check_n_theta(n_theta: int) -> None:
 class QuadratureResult:
     """The fine level's value and its gap to the coarse level.
 
-    nodes and angular are the fine level's midpoints w (cell side step) and
-    G_v(w) there, integrated with 2 * config.n_theta angle nodes, so that a
-    caller can reuse parts of the fine level without integrating it again.
+    nodes, weights and angular are the fine level's polar nodes w, their
+    weights (value = 4 * sum of weights * angular) and G_v(w) there,
+    integrated with 2 * config.n_theta angle nodes, so that a caller can
+    reuse parts of the fine level without integrating it again.
     """
 
     value: float
@@ -418,7 +425,7 @@ class QuadratureResult:
     config: QuadratureConfig
     nodes: Array = field(repr=False, compare=False)
     angular: Array = field(repr=False, compare=False)
-    step: float
+    weights: Array = field(repr=False, compare=False)
 
 
 def angular_integral(
@@ -458,26 +465,33 @@ def angular_integral(
     return total * (2 * math.pi / n_theta)
 
 
-def midpoint_disk(r_quad: float, n_w: int) -> tuple[Array, float]:
-    """Midpoints of the n_w x n_w cells of [-r, r]^2 inside the disk."""
-    step = 2 * r_quad / n_w
-    mids = -r_quad + step * (np.arange(n_w) + 0.5)
-    wx, wy = np.meshgrid(mids, mids, indexing="ij")
-    keep = wx**2 + wy**2 <= r_quad**2
-    return np.stack([wx[keep], wy[keep]], axis=-1), step
+def polar_disk(r_quad: float, n_w: int) -> tuple[Array, Array]:
+    """Nodes w, shape (n_w^2 / 2, 2), and weights of a rule for the
+    integral over the disk |w| <= r_quad, w = rho (cos phi, sin phi).
+
+    Two radial panels of n_w / 4 Gauss-Legendre nodes each: on [0, r/2]
+    rho = (r/2) t^2 with the nodes in t, so that rho drho = (r^2/2) t^3 dt
+    is smooth even where an integrand has the kink |w|^alpha at 0; on
+    [r/2, r] the nodes are in rho itself.  The angle phi takes the n_w
+    trapezoid nodes 2 pi j / n_w, spectrally accurate for the periodic
+    integrand.  The inner panel's nodes come first, and every inner node
+    has |w| < r/2 < every outer node's.
+    """
+    x, a = np.polynomial.legendre.leggauss(n_w // 4)
+    t, dt = (x + 1) / 2, a / 2  # Gauss-Legendre on [0, 1]
+    half = r_quad / 2
+    rho = np.concatenate([half * t * t, half * (1 + t)])
+    radial = np.concatenate([2 * half * half * t**3 * dt, half * (1 + t) * half * dt])
+    phi = 2 * math.pi * np.arange(n_w) / n_w
+    nodes = np.stack(
+        [np.outer(rho, np.cos(phi)).ravel(), np.outer(rho, np.sin(phi)).ravel()], axis=-1
+    )
+    return nodes, np.repeat(radial * (2 * math.pi / n_w), n_w)
 
 
-def _tensor_level(
-    f: Callable[[Array], Array],
-    v: Array,
-    kernel: KernelSpec,
-    r_quad: float,
-    n_w: int,
-    n_theta: int,
-) -> float:
-    w, step = midpoint_disk(r_quad, n_w)
-    angular = angular_integral(f, v, kernel, w, n_theta)
-    return 4.0 * step * step * float(angular.sum())
+def polar_sum(weights: Array, values: Array) -> float:
+    """4 * sum of weights * values, exactly rounded: the polar rule's value."""
+    return 4.0 * math.fsum((weights * values).tolist())
 
 
 def q_reference(
@@ -488,22 +502,24 @@ def q_reference(
 ) -> QuadratureResult:
     """Reference Q(f, f)(v) with a Richardson-style self-convergence check.
 
-    Evaluates the tensor rule at the configured resolution and at double
-    resolution; raises QuadratureError when the two levels disagree
-    beyond quad.rtol (relative, floored by quad.atol).  The result keeps
-    the fine level's nodes and per-node angular integrals.
+    Evaluates the polar rule (polar_disk times the angular trapezoid) at
+    (n_w, n_theta) and at (2 n_w, 2 n_theta); raises QuadratureError when
+    the two levels disagree beyond quad.rtol (relative, floored by
+    quad.atol).  The result keeps the fine level's nodes, weights and
+    per-node angular integrals.
     """
-    coarse = _tensor_level(f, v, kernel, quad.r_quad, quad.n_w, quad.n_theta)
+    nodes, weights = polar_disk(quad.r_quad, quad.n_w)
+    coarse = polar_sum(weights, angular_integral(f, v, kernel, nodes, quad.n_theta))
     # The fine level, kept whole for the result.
-    nodes, step = midpoint_disk(quad.r_quad, 2 * quad.n_w)
+    nodes, weights = polar_disk(quad.r_quad, 2 * quad.n_w)
     angular = angular_integral(f, v, kernel, nodes, 2 * quad.n_theta)
-    fine = 4.0 * step * step * float(angular.sum())
+    fine = polar_sum(weights, angular)
     err = abs(fine - coarse)
     if err > quad.rtol * max(abs(fine), abs(coarse)) + quad.atol:
         raise QuadratureError(
             f"quadrature did not self-converge: levels {coarse:.6e} vs {fine:.6e}"
         )
-    return QuadratureResult(fine, err, quad, nodes, angular, step)
+    return QuadratureResult(fine, err, quad, nodes, angular, weights)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .collision import (
     check_loss_band,
     circle_limit,
     lattice_bound,
+    polar_sum,
     q_discrete,
     q_reference,
     rotate,
@@ -95,18 +96,18 @@ def equid_term(h: float, R: float, M: int) -> float:
     """(2h)^2 * max over 0 < |k| < M, 4 | k, of sum_{zeta} |S(|zeta|^2, k)| / r.
 
     The sum over lattice points zeta in the truncation disk collapses to
-    sum over 1 <= n <= (R/h)^2 of |S(n, k)|, read from the lattice sweep
-    of circles.abs_S_closed_range; frequencies not divisible by 4
-    contribute nothing.
+    sum over 1 <= n <= (R/h)^2 of |S(n, k)|; frequencies not divisible by
+    4 contribute nothing, and -k gives the same sums as k.  One
+    circles.abs_S_sweep gives every k = 4, 8, ..., < M, so the time is
+    linear in M.  Each k's sum is one math.fsum per R2_SEGMENT segment,
+    exactly rounded when (R/h)^2 fits one segment.
     """
     if M < 5:
         raise PreconditionError(f"M must be >= 5 so some 4 | k contributes, got {M}")
-    x = circle_limit(h, R)
-    best = 0.0
-    for k in range(4, M, 4):
-        values = circles.abs_S_closed_range(x, k)
-        best = max(best, float(values[1:].sum()))
-    return (2 * h) ** 2 * best
+    sums = np.zeros((M - 1) // 4)
+    for k, _, values in circles.abs_S_sweep(circle_limit(h, R), M):
+        sums[k // 4 - 1] += math.fsum(values.tolist())
+    return (2 * h) ** 2 * float(sums.max())
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +119,7 @@ class ErrorBudget:
     """Observed four-term error decomposition for one (v, h, R, M).
 
     tail_R and riemann_h are measured directly by quadrature, both with
-    the reference's fine angular rule (n_theta = 256); the Fourier tail
+    the reference's fine angular rule (2 n_theta = 64); the Fourier tail
     and equidistribution terms use the fitted angular-decay constant C3.
     All terms are nonnegative; only tail_R is a rigorous bound on the
     piece it describes, so no inequality against total_observed is
@@ -165,9 +166,9 @@ MAX_CONVERGE_STATE_POINTS = (1 << 30) // CONVERGE_BYTES_PER_POINT
 # bytes per node (M = 10**4 .. 10**6, bi-Maxwellian), so M up to
 # MAX_CONVERGE_M keeps it within 1 GiB.  Time is not bounded by it: one
 # angular_fourier call takes 0.66 s at M = 10**5 and 5.6 s at M = 10**6
-# (converge_study makes three), and equid_term's M/4 lattice sweeps grow
-# as M^2, 0.46 s at M = 4000 and 39 s at M = 40000 for h = 0.125 and R = 3
-# (2 cores, Python 3.11, numpy 2.4).
+# (converge_study makes three), and equid_term's one sweep grows linearly
+# in M and in the disk's points, 26 ms at M = 4000 and 0.27 s at M = 40000
+# for h = 0.125 and R = 3 (2 cores, Python 3.11, numpy 2.4).
 FOURIER_BYTES_PER_NODE = 132
 MAX_CONVERGE_M = (1 << 30) // (4 * FOURIER_BYTES_PER_NODE)
 
@@ -217,10 +218,11 @@ def converge_study(
     MAX_CONVERGE_STATE_POINTS points raises PreconditionError before
     anything is sampled.
 
-    The reference's fine level (midpoints of the 2 n_w grid on the disk of
-    radius 2R, n_theta = 256) also gives tail_R, its |G_v| outside R, and
-    the inner-disk integral that riemann_h compares with each lattice
-    Riemann sum; that sum takes the same 256 angle nodes.
+    The reference's fine level (the polar rule on the disk of radius 2R,
+    2 n_theta = 64 angle nodes) has its panel split at |w| = R.  So it also
+    gives tail_R, the integral of |G_v| over the annulus R < |w| <= 2R, and
+    the integral over the disk |w| <= R that riemann_h compares with each
+    lattice Riemann sum; that sum takes the same 64 angle nodes.
     """
     h_list = list(h_list)
     if not h_list:
@@ -247,14 +249,13 @@ def converge_study(
     ref = q_reference(f_spec, v, kernel, quad)
     n_theta = 2 * quad.n_theta  # the fine level's angular rule
 
-    # Shared diagnostics from the fine level: the tail of |G_v| outside R,
-    # and the inner-disk quadrature that each h's lattice Riemann sum of the
-    # same exact-angular G_v is compared with, which isolates the
-    # outer-discretization error.
-    outside = np.hypot(ref.nodes[:, 0], ref.nodes[:, 1]) >= R
-    cell = 4.0 * ref.step * ref.step
-    tail = cell * float(np.abs(ref.angular[outside]).sum())
-    inner = cell * float(ref.angular[~outside].sum())
+    # Shared diagnostics from the fine level, whose panels split at |w| = R:
+    # the tail of |G_v| over the outer panel, and the inner panel's integral
+    # that each h's lattice Riemann sum of the same exact-angular G_v is
+    # compared with, which isolates the outer-discretization error.
+    outside = np.hypot(ref.nodes[:, 0], ref.nodes[:, 1]) > R
+    tail = polar_sum(ref.weights[outside], np.abs(ref.angular[outside]))
+    inner = polar_sum(ref.weights[~outside], ref.angular[~outside])
 
     c3 = 0.0
     probe_radius = max(1, int(round(R / (2 * max(h_list)))))
@@ -467,13 +468,33 @@ def _entropy(grid: Array) -> float:
     return float(math.fsum(pos * np.log(pos)))
 
 
+# Beyond the operator's own arrays (the loss band and the gain plan), one
+# RK4 step peaks at 50-261 bytes per point of the operator's frame, the
+# square |v| <= widened bound + R/h that apply_frame fills (traced, Maxwell
+# and product_power(0.5, (1, 0, 0.5)), R/h = 8 .. 100, widened states of
+# 27^2 .. 711^2 points).  Per widened-state point the same peaks read
+# 160-1050 bytes, growing with R/h, so the cap counts frame points; as the
+# state outgrows R/h the two counts meet, at about 300 bytes (298 at 711^2).
+# MAX_RELAX_FRAME_POINTS keeps the step within 1 GiB.
+RELAX_BYTES_PER_FRAME_POINT = 384
+MAX_RELAX_FRAME_POINTS = (1 << 30) // RELAX_BYTES_PER_FRAME_POINT
+
+
 def check_relax_size(h: float, support: float, R: float) -> None:
     """Refuse a relaxation of a state of support radius `support` whose
-    widened state has more than MAX_CONVERGE_STATE_POINTS points, or whose
-    loss band exceeds MAX_LOSS_BAND_BYTES; nothing is allocated."""
+    widened state has more than MAX_CONVERGE_STATE_POINTS points, whose
+    loss band exceeds MAX_LOSS_BAND_BYTES, or whose operator frame has more
+    than MAX_RELAX_FRAME_POINTS points; nothing is allocated."""
     wide = widened_bound(lattice_bound(h, support))
     check_state_points(h, wide * h)
     check_loss_band(h, R, wide)
+    side = 2 * (wide + lattice_bound(h, R)) + 1
+    if side * side > MAX_RELAX_FRAME_POINTS:
+        raise PreconditionError(
+            f"h = {h}: the relaxation's operator frame has {side}^2 points, more than "
+            f"MAX_RELAX_FRAME_POINTS = {MAX_RELAX_FRAME_POINTS} "
+            f"({RELAX_BYTES_PER_FRAME_POINT} bytes each, 1 GiB)"
+        )
 
 
 def relax_simulate(

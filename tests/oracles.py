@@ -26,6 +26,13 @@ before it summed the operator's own frame: it widens the state onto the
 energy disk and applies an operator built for that wider square.
 ``comprehension_angular_fourier`` is ``harness.angular_fourier`` with its
 coefficients built one k at a time by a list comprehension.
+``midpoint_disk`` and ``midpoint_level`` are ``collision.q_reference``'s
+rule in w before the polar rule: the midpoints of the n_w x n_w cells of
+[-r, r]^2 inside the disk, each of weight step^2.  It converges only
+algebraically where the integrand has the |w|^alpha kink at 0.
+``per_k_equid_term`` is ``harness.equid_term`` with one
+``circles.abs_S_closed_range`` per k, each powering z^4 afresh, and the
+dense numpy sum of its values.
 """
 
 import math
@@ -37,6 +44,7 @@ from dvm2d import circles, harness
 from dvm2d.collision import (
     FastCollisionOperator,
     InvariantRates,
+    angular_integral,
     circle_limit,
     lattice_bound,
     rotate,
@@ -60,6 +68,32 @@ def all_nodes_angular_integral(f, v, kernel, w, n_theta):
         gain = np.asarray(f(v[None, :] + w + rw)) * np.asarray(f(v[None, :] + w - rw))
         total += (gain - loss) * kernel.evaluate(w_norm, c)
     return total * (2 * math.pi / n_theta)
+
+
+def midpoint_disk(r_quad, n_w):
+    """Midpoints of the n_w x n_w cells of [-r, r]^2 inside the disk, and the cell side."""
+    step = 2 * r_quad / n_w
+    mids = -r_quad + step * (np.arange(n_w) + 0.5)
+    wx, wy = np.meshgrid(mids, mids, indexing="ij")
+    keep = wx**2 + wy**2 <= r_quad**2
+    return np.stack([wx[keep], wy[keep]], axis=-1), step
+
+
+def midpoint_level(f, v, kernel, r_quad, n_w, n_theta):
+    """4 * step^2 * sum of G_v over midpoint_disk: one level of the midpoint rule."""
+    w, step = midpoint_disk(r_quad, n_w)
+    angular = angular_integral(f, v, kernel, w, n_theta)
+    return 4.0 * step * step * float(angular.sum())
+
+
+def per_k_equid_term(h, R, M):
+    """(2h)^2 * max over k = 4, 8, ..., < M of the dense sum of |S(n, k)|, n >= 1."""
+    x = circle_limit(h, R)
+    best = 0.0
+    for k in range(4, M, 4):
+        values = circles.abs_S_closed_range(x, k)
+        best = max(best, float(values[1:].sum()))
+    return (2 * h) ** 2 * best
 
 
 SIEVE_SEGMENT = 1 << 20

@@ -474,6 +474,27 @@ def test_abs_S_closed_range_matches_sieve_fold():
         assert np.abs(got - want).max() <= 1e-11, k
 
 
+@pytest.mark.parametrize("X, M, segment", [(576, 4000, None), (3000, 200, 1000), (9, 60, 4)])
+def test_abs_S_sweep_equals_abs_S_closed_range(monkeypatch, X, M, segment):
+    """Each k's values from the one-pass sweep are abs_S_closed_range's bit
+    for bit, at the m with points, whatever the segment length; each
+    segment gives every k in ascending order."""
+    if segment:
+        monkeypatch.setattr(circles, "R2_SEGMENT", segment)
+    got = {}
+    order = []
+    for k, m, values in circles.abs_S_sweep(X, M):
+        order.append(k)
+        dense = got.setdefault(k, np.zeros(X + 1))
+        assert not dense[m].any()
+        dense[m] = values
+    ks = list(range(4, M, 4))
+    assert order == ks * len(range(1, X + 1, circles.R2_SEGMENT))
+    sampled = sorted({4, 8, 12, ks[len(ks) // 2], ks[-2], ks[-1]})
+    for k in sampled:
+        assert np.array_equal(got[k], circles.abs_S_closed_range(X, k)), k
+
+
 def test_exp_sum_vanishes_unless_4_divides_k():
     for n in range(1, 800):
         r = circles.r2(n)

@@ -400,6 +400,28 @@ def test_simulate_unaffordable_size_exits_2_allocating_nothing(monkeypatch, args
     assert peak < 1 << 20
 
 
+def test_simulate_just_over_the_relax_frame_cap_exits_2_before_sampling(monkeypatch):
+    """h = 0.25, support 5, R = 5: the widened state has bound 30 and the
+    operator reaches R/h = 20 past it, a frame of 101^2 points.  One point
+    over the cap refuses before anything is sampled; at the cap it runs."""
+    import dvm2d.collision as co
+
+    sampled = []
+    sample_on_lattice = co.sample_on_lattice
+    monkeypatch.setattr(co, "sample_on_lattice", lambda *a: sampled.append(a) or sample_on_lattice(*a))
+    args = ["simulate", "--f", "maxwellian", "--h", "0.25", "--support", "5", "--R", "5",
+            "--dt", "1e-3", "--steps", "1"]
+    monkeypatch.setattr(harness, "MAX_RELAX_FRAME_POINTS", 101**2 - 1)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert "frame has 101^2 points" in result.output and "MAX_RELAX_FRAME_POINTS" in result.output
+    assert sampled == []
+    monkeypatch.setattr(harness, "MAX_RELAX_FRAME_POINTS", 101**2)
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert len(sampled) == 1
+
+
 @pytest.mark.parametrize(
     "h, match", [("0.001", "14147^2 points"), ("0.01", "MAX_LOSS_BAND_BYTES")], ids=["h0.001", "h0.01"]
 )

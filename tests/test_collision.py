@@ -15,6 +15,7 @@ from oracles import (
     all_nodes_angular_integral,
     full_circle_q_discrete_detailed,
     integer_dot_circles,
+    midpoint_level,
     row_loop_loss_parts,
     widened_collision_invariants,
 )
@@ -183,10 +184,54 @@ def test_q_reference_radial_sign_consistent_between_resolutions():
     ring = lambda pts: np.exp(
         -(np.hypot(np.asarray(pts)[..., 0], np.asarray(pts)[..., 1]) - 1.5) ** 2
     )
-    a = co._tensor_level(ring, np.zeros(2), MAXWELL, 5.0, 48, 48)
-    b = co._tensor_level(ring, np.zeros(2), MAXWELL, 5.0, 96, 96)
+    a = midpoint_level(ring, np.zeros(2), MAXWELL, 5.0, 48, 48)
+    b = midpoint_level(ring, np.zeros(2), MAXWELL, 5.0, 96, 96)
     assert a != 0 and b != 0
     assert math.copysign(1, a) == math.copysign(1, b)
+
+
+@pytest.mark.parametrize("r_quad", [6.0, 6.6])
+@pytest.mark.parametrize("v", [(0.0, 0.0), (0.5, -1.0)])
+@pytest.mark.parametrize(
+    "kernel",
+    [MAXWELL, co.KernelSpec.product_power(0.5, (1, 0, 0.5))],
+    ids=["maxwell", "alpha0.5"],
+)
+def test_q_reference_polar_rule_matches_midpoint_oracle(kernel, v, r_quad):
+    """The polar rule against the midpoint rule it replaced, bi-Maxwellian.
+
+    For Maxwell the integrand is smooth and both rules are at roundoff
+    (measured up to 8.2e-15 relative).  For alpha > 0 the |w|^alpha kink
+    at 0 leaves the midpoint rule an algebraic error, so the bound is that
+    error, read as the gap between its 128 and 256 levels (6.7e-9 .. 6.5e-8
+    relative; the polar rule sat 7.4e-11 .. 7.2e-10 from the 256 level).
+    """
+    bi, v = co.bimaxwellian(), np.array(v)
+    ref = co.q_reference(bi, v, kernel, co.QuadratureConfig(r_quad=r_quad))
+    n_theta = 2 * ref.config.n_theta
+    fine = midpoint_level(bi, v, kernel, r_quad, 256, n_theta)
+    if kernel.alpha == 0:
+        assert abs(ref.value - fine) <= 1e-13 * abs(fine)
+    else:
+        coarse = midpoint_level(bi, v, kernel, r_quad, 128, n_theta)
+        assert abs(ref.value - fine) <= abs(coarse - fine)
+
+
+def test_polar_disk_weights_integrate_the_disk_and_split_at_half_radius():
+    """The weights integrate 1, |w|^2 and |w|^0.5 over the disk to roundoff;
+    the inner panel's nodes come first and lie below r/2 < the outer's."""
+    r = 3.0
+    w, weights = co.polar_disk(r, 64)
+    assert w.shape == (64 * 64 // 2, 2) and weights.shape == (len(w),)
+    rho = np.hypot(w[:, 0], w[:, 1])
+    inner = rho < r / 2
+    assert inner[: len(w) // 2].all() and not inner[len(w) // 2 :].any()
+    for p, exact in ((0, math.pi * r**2), (2, math.pi * r**4 / 2),
+                     (0.5, 2 * math.pi * r**2.5 / 2.5)):
+        assert math.fsum((weights * rho**p).tolist()) == pytest.approx(exact, rel=1e-14)
+    assert math.fsum(weights[inner].tolist()) == pytest.approx(math.pi * r**2 / 4, rel=1e-14)
+    # A level is 4 * sum of weights * values, exactly rounded.
+    assert co.polar_sum(np.ones(3), np.array([1e16, 1.0, -1e16])) == 4.0
 
 
 def test_q_reference_raises_on_nonconvergence():
@@ -267,8 +312,8 @@ def test_quadrature_config_refusals():
     for n_theta in (0, 1, 3, 97):
         with pytest.raises(PreconditionError, match="n_theta must be even and >= 2"):
             co.QuadratureConfig(r_quad=3.0, n_theta=n_theta)
-    for n_w in (0, -4):
-        with pytest.raises(PreconditionError, match="n_w must be >= 1"):
+    for n_w in (0, -4, 2, 6):
+        with pytest.raises(PreconditionError, match="n_w must be a positive multiple of 4"):
             co.QuadratureConfig(r_quad=3.0, n_w=n_w)
     for r_quad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(PreconditionError, match="r_quad must be positive and finite"):
@@ -276,8 +321,8 @@ def test_quadrature_config_refusals():
     for tol in ({"rtol": math.nan}, {"atol": math.nan}, {"rtol": -1e-6}, {"atol": math.inf}):
         with pytest.raises(PreconditionError, match="rtol and atol must be nonnegative and finite"):
             co.QuadratureConfig(r_quad=3.0, **tol)
-    quad = co.QuadratureConfig(r_quad=3.0, n_w=1, n_theta=2, rtol=0.0, atol=0.0)
-    assert (quad.n_w, quad.n_theta) == (1, 2)
+    quad = co.QuadratureConfig(r_quad=3.0, n_w=4, n_theta=2, rtol=0.0, atol=0.0)
+    assert (quad.n_w, quad.n_theta) == (4, 2)
 
 
 def test_lattice_distribution_basics():

@@ -11,7 +11,7 @@ from dvm2d import circles, harness
 from dvm2d import collision as co
 from dvm2d.errors import PositivityLossError, PreconditionError
 from dvm2d.numtheory import is_prime
-from oracles import comprehension_angular_fourier, enumerated_figure_data
+from oracles import comprehension_angular_fourier, enumerated_figure_data, per_k_equid_term
 
 MAXWELL = co.KernelSpec.maxwell()
 
@@ -84,6 +84,27 @@ def test_equid_term_matches_brute_force():
     assert fast == pytest.approx((2 * h) ** 2 * best, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "h, R, M, segment",
+    [(0.5, 3.0, 16, None), (0.25, 3.0, 16, None), (0.125, 3.0, 16, None),
+     (0.125, 3.0, 400, None), (0.1, 2.0, 9, None), (0.125, 3.0, 400, 100)],
+)
+def test_equid_term_matches_per_k_oracle(monkeypatch, h, R, M, segment):
+    """The one-pass sweep against one abs_S_closed_range per k: the same
+    values, summed with math.fsum instead of numpy's pairwise sum of the
+    dense table (measured up to 2.2e-16 relative).  Within one segment
+    each k's sum is exactly rounded; across segments the partial sums add
+    up (segment = 100 splits the 576 radii into six)."""
+    if segment:
+        monkeypatch.setattr(circles, "R2_SEGMENT", segment)
+    got = harness.equid_term(h, R, M)
+    assert got == pytest.approx(per_k_equid_term(h, R, M), rel=1e-15)
+    x = co.circle_limit(h, R)
+    if x <= circles.R2_SEGMENT:
+        exact = max(math.fsum(circles.abs_S_closed_range(x, k).tolist()) for k in range(4, M, 4))
+        assert got == (2 * h) ** 2 * exact
+
+
 def test_equid_term_decreases_as_h_halves():
     vals = [harness.equid_term(h, 3.0, 12) for h in (0.5, 0.25, 0.125)]
     assert vals[0] > vals[1] > vals[2]
@@ -127,28 +148,46 @@ def test_converge_study_inner_integral_once(monkeypatch):
 
 def test_converge_study_budget_reads_the_fine_level():
     """tail_R and the inner disk come from q_reference's fine level: the
-    same numbers as integrating its midpoints again at n_theta = 256."""
+    same numbers as integrating its polar panels again at 2 n_theta nodes."""
     bi, v, R = co.bimaxwellian(), np.array([0.5, -1.0]), 2.0
     quad = co.QuadratureConfig(r_quad=2 * R)
     ref = co.q_reference(bi, v, MAXWELL, quad)
-    w, step = co.midpoint_disk(2 * R, 2 * quad.n_w)
-    assert np.array_equal(ref.nodes, w) and ref.step == step
-    assert np.array_equal(ref.angular, co.angular_integral(bi, v, MAXWELL, w, 2 * quad.n_theta))
-    assert ref.value == 4.0 * step * step * float(ref.angular.sum())
+    n_theta = 2 * quad.n_theta
+    w, weights = co.polar_disk(2 * R, 2 * quad.n_w)
+    assert np.array_equal(ref.nodes, w) and np.array_equal(ref.weights, weights)
+    assert np.array_equal(ref.angular, co.angular_integral(bi, v, MAXWELL, w, n_theta))
+    assert ref.value == 4.0 * math.fsum((weights * ref.angular).tolist())
 
-    outside = np.hypot(w[:, 0], w[:, 1]) >= R
+    # The panels split at |w| = R: the inner panel's nodes are the first half.
+    half = len(w) // 2
+    outer = slice(half, None)
+    assert np.hypot(w[half - 1, 0], w[half - 1, 1]) < R < np.hypot(w[half, 0], w[half, 1])
     study = harness.converge_study(bi, MAXWELL, v, [0.5], R=R, M_diag=8)
     budget = study.rows[0].budget
-    g_out = co.angular_integral(bi, v, MAXWELL, w[outside], 256)
-    assert budget.tail_R == 4.0 * step * step * float(np.abs(g_out).sum())
-    # riemann_h: the inner disk against the lattice Riemann sum, both at 256 nodes.
-    inner = 4.0 * step * step * float(co.angular_integral(bi, v, MAXWELL, w[~outside], 256).sum())
+    g_out = co.angular_integral(bi, v, MAXWELL, w[outer], n_theta)
+    assert budget.tail_R == 4.0 * math.fsum((weights[outer] * np.abs(g_out)).tolist())
+    # riemann_h: the inner disk against the lattice Riemann sum, both at 2 n_theta nodes.
+    g_in = co.angular_integral(bi, v, MAXWELL, w[:half], n_theta)
+    inner = 4.0 * math.fsum((weights[:half] * g_in).tolist())
     frame = co.LatticeDistribution.zeros(0.5, R)
     wx, wy = frame.velocities()
     keep = frame.disk & ((wx != 0) | (wy != 0))
     lattice_w = np.stack([wx[keep], wy[keep]], axis=-1)
-    riemann = (2 * 0.5) ** 2 * float(co.angular_integral(bi, v, MAXWELL, lattice_w, 256).sum())
+    riemann = (2 * 0.5) ** 2 * float(co.angular_integral(bi, v, MAXWELL, lattice_w, n_theta).sum())
     assert budget.riemann_h == abs(inner - riemann)
+
+
+@pytest.mark.parametrize("v", [(0.0, 0.0), (0.5, -1.0)])
+def test_converge_study_inner_panel_is_the_reference_on_the_R_disk(v):
+    """The fine level's inner panel (r_quad = 2R) and q_reference with
+    r_quad = R integrate G_v over the same disk |w| <= R with different
+    nodes; both rules are spectral, so they agree to roundoff."""
+    bi, v, R = co.bimaxwellian(), np.array(v), 3.0
+    ref = co.q_reference(bi, v, MAXWELL, co.QuadratureConfig(r_quad=2 * R))
+    inside = np.hypot(ref.nodes[:, 0], ref.nodes[:, 1]) < R
+    inner = 4.0 * math.fsum((ref.weights[inside] * ref.angular[inside]).tolist())
+    on_R = co.q_reference(bi, v, MAXWELL, co.QuadratureConfig(r_quad=R)).value
+    assert abs(inner - on_R) <= 1e-13 * abs(on_R)
 
 
 def test_converge_study_refuses_unaffordable_h_before_sampling(monkeypatch):
