@@ -10,12 +10,12 @@ factorization of n, or, for every n up to a bound at once, from the
 lattice disk itself; angles only ever enter in floating point.  Every
 sweep over the disk goes through annulus_points, which lays down the
 lattice points of an annulus row by row: circle_table turns the quarter
-x >= 1, y >= 0 into every circle up to a bound, r2_range (and with it
-landau_count) bins each annulus by n instead of factorizing,
-prime_angles keeps the points on prime circles, and the |S| statistics
-(abs_S_closed_range, avg_abs_S, and abs_S_sweep for every k below a
-bound at once) bin ((x + iy) / sqrt(n))^k by n and evaluate |S| only at
-the n whose circle has points.
+x >= 1, y >= 0 into every circle up to a bound, r2_range bins each
+annulus by n instead of factorizing, prime_angles keeps the points on
+prime circles, and abs_S_sweep, the one |S| generator behind
+abs_S_closed_range, avg_abs_S and the harness's equidistribution term,
+bins ((x + iy) / sqrt(n))^k by n for each requested k and evaluates |S|
+only at the n whose circle has points.
 |S(n,k)|/4 is multiplicative in n and vanishes unless 4 | k; for one n,
 exp_sum_closed evaluates that closed form from the factorization.
 """
@@ -38,8 +38,6 @@ from .numtheory import (
     factorize,
     gaussian_factorize,
 )
-
-QUARTER_TURN = math.pi / 2
 
 
 def r2(n: int) -> int:
@@ -378,63 +376,49 @@ def _z4(x, y, n):
     return (u * u - v * v) / m2, 2 * u * v / m2
 
 
-def abs_S_sweep(X: int, M: int):
-    """Yield (k, m, |S(m, k)|) for k = 4, 8, ..., < M, segment by segment.
+def abs_S_sweep(X: int, ks):
+    """Yield (k, m, |S(m, k)|) per R2_SEGMENT segment of 1 <= m <= X, for each k of ks.
 
-    The values are _abs_S_segments(X, k)'s, bit for bit, from one pass over
-    each R2_SEGMENT segment's points: w starts at z^4 and is multiplied by
-    z^4 from each k to k + 4, the same products in the same order as
-    _abs_S_segments' power of z^4 for each k on its own.  So the cost is
-    linear in M, not quadratic.  Within a segment the k ascend; the
-    segments ascend in m.
+    ks ascends through multiples of 4 with k >= 0.  m holds, ascending,
+    the radii of the segment whose circle has lattice points; every other
+    m has S(m, k) = 0 and is left out.  For 4 | k the quarter turns
+    multiply each point by i^k = 1, so S(m, k) = 4 * sum of
+    ((x + iy) / sqrt(m))^k over the points x >= 1, y >= 0 of circle m,
+    which annulus_points lays down as in r2_range; k = 0 gives r2(m),
+    four times the point count.  z^4 = (u + iv)^2 / m^2 with
+    u + iv = (x + iy)^2 is formed in exact integers and rounded once, and
+    w = z^k is carried from each requested k to the next by
+    multiplications by z^4, so z^k is z^4 times k / 4 - 1 of them, in the
+    same order whichever ks hold k: a value does not depend on the other
+    k requested.  np.bincount runs only at the requested k, and k = 4
+    stays two float arrays.  A circle lies in one segment and its points
+    come in the same order whatever the segment length, so each value
+    does too.  Within a segment the k ascend; the segments ascend in m.
     """
+    ks = list(ks)
+    if any(k % 4 or k < prev for prev, k in zip([0, *ks], ks)):
+        raise PreconditionError(f"abs_S_sweep needs ascending multiples of 4 >= 0, got {ks}")
     for s in range(1, X + 1, R2_SEGMENT):
         e = min(s + R2_SEGMENT - 1, X)
         x, y, n, points = _segment_points(s, e)
         i = np.flatnonzero(points)
         m = i + s
-        w_re, w_im = _z4(x, y, n)
-        n -= s
-        z4 = w_re + 1j * w_im
-        w = z4.copy()
-        for k in range(4, M, 4):
-            if k > 4:
+        power, w, z4 = 0, None, None  # w = z^power: (re, im) until z4 is formed
+        for k in ks:
+            if k == 0:
+                yield k, m, 4.0 * points[i]
+                continue
+            if power == 0:
+                w, power = _z4(x, y, n), 4
+                n -= s
+            if k > power and z4 is None:
+                z4 = w[0] + 1j * w[1]
+                w = z4.copy()
+            for _ in range((k - power) // 4):
                 w *= z4
-            yield k, m, 4 * np.hypot(np.bincount(n, w.real)[i], np.bincount(n, w.imag)[i])
-
-
-def _abs_S_segments(X: int, k: int):
-    """Yield (m, |S(m, k)|) per R2_SEGMENT segment of 1 <= m <= X, for the m with points.
-
-    m holds, ascending, the radii of the segment whose circle has lattice
-    points; every other m has S(m, k) = 0 and is left out.  Needs 4 | k.
-    Then the quarter turns multiply each point by i^k = 1, so
-    S(m, k) = 4 * sum of ((x + iy) / sqrt(m))^k over the points x >= 1,
-    y >= 0 of circle m, which annulus_points lays down as in r2_range.
-    z^4 = (u + iv)^2 / m^2 with u + iv = (x + iy)^2 is formed in exact
-    integers and rounded once; z^|k| is z^4 times |k| / 4 - 1 more
-    multiplications by it, so -k gives the same values as k, and k = 0
-    gives r2(m), four times the point count.  A circle lies in one segment
-    and its points come in the same order whatever the segment length, so
-    each value does too.
-    """
-    for s in range(1, X + 1, R2_SEGMENT):
-        e = min(s + R2_SEGMENT - 1, X)
-        x, y, n, points = _segment_points(s, e)
-        i = np.flatnonzero(points)
-        if k == 0:
-            yield i + s, 4.0 * points[i]
-            continue
-        w_re, w_im = _z4(x, y, n)
-        if abs(k) > 4:
-            z4 = w_re + 1j * w_im
-            w = z4.copy()
-            for _ in range(abs(k) // 4 - 1):
-                w *= z4
-            w_re, w_im = w.real, w.imag
-        n -= s
-        re, im = np.bincount(n, w_re)[i], np.bincount(n, w_im)[i]
-        yield i + s, 4 * np.hypot(re, im)
+            power = k
+            re, im = w if z4 is None else (w.real, w.imag)
+            yield k, m, 4 * np.hypot(np.bincount(n, re)[i], np.bincount(n, im)[i])
 
 
 def prime_mask(limit: int) -> np.ndarray:
@@ -487,31 +471,10 @@ def prime_angles(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return ps[keep], _theta_cache["thetas"][keep]
 
 
-# prime_angle_sum sieves a 1-byte prime flag per m <= X (prime_mask) and then
-# holds the primes and their angles; MAX_RANGE_X, set when a dense 8-byte |S|
-# table sat beside that flag, keeps 9 bytes per m in 2 GiB.  avg_abs_S streams
-# the lattice sweep in about 47 MB peak RSS whatever X is, so for it the cap
-# is a time budget: `dvm2d avg-s X 4` takes about 5 s at X = 10**8 and about
-# 11 s at X = MAX_RANGE_X (2 cores, Python 3.11, numpy 2.4).
-RANGE_BYTES_PER_M = 9
-MAX_RANGE_X = (2 << 30) // RANGE_BYTES_PER_M
-
-# mertens_check sieves a 1-byte prime flag per m <= x, then holds each prime
-# and two float arrays over the primes, 24 bytes per prime, which is under 2
-# bytes per m from x = 10**6 on.  x up to MAX_MASK_X keeps 2 bytes per m in
-# 2 GiB.  landau_count streams r2_range in about 35 MB peak RSS, so for it
-# the cap is a time budget: x = 10**8 takes about 1 s and x = MAX_MASK_X
-# about 16 s (2 cores, Python 3.11, numpy 2.4).
-MASK_BYTES_PER_M = 2
-MAX_MASK_X = (2 << 30) // MASK_BYTES_PER_M
-
-
-def _check_size(name: str, X: int, bytes_per_m: int, cap_name: str, cap: int) -> None:
-    if X > cap:
-        raise PreconditionError(
-            f"{name} needs {bytes_per_m} bytes per m <= X; X = {X} exceeds "
-            f"{cap_name} = {cap} (2 GiB)"
-        )
+# avg_abs_S streams the lattice sweep in about 47 MB peak RSS whatever X is, so
+# its cap is a time budget: `dvm2d avg-s X 4` takes about 5 s at X = 10**8 and
+# about 11 s at X = MAX_RANGE_X (2 cores, Python 3.11, numpy 2.4).
+MAX_RANGE_X = 238609294
 
 
 @dataclass(frozen=True)
@@ -528,18 +491,18 @@ class AngleStatistics:
 def abs_S_closed_range(X: int, k: int) -> np.ndarray:
     """|S(m, k)| for all 0 <= m <= X and 4 | k (index 0 holds 0).
 
-    _abs_S_segments' values scattered into zeros: a lattice-point sum, not
-    the multiplicative closed form; the name stays because
-    perfbench/tracer.py wraps it.  Each value is within r2(m) * |k| * eps / 4
-    of the exact sum (tested for m <= 5000).  X < 0 raises
-    PreconditionError.
+    abs_S_sweep(X, [|k|])'s values scattered into zeros, so -k gives the
+    same values as k: a lattice-point sum, not the multiplicative closed
+    form; the name stays because perfbench/tracer.py wraps it.  Each value
+    is within r2(m) * |k| * eps / 4 of the exact sum (tested for
+    m <= 5000).  X < 0 raises PreconditionError.
     """
     if X < 0:
         raise PreconditionError(f"abs_S_closed_range requires X >= 0, got {X}")
     if k % 4 != 0:
         raise PreconditionError(f"abs_S_closed_range requires 4 | k, got k={k}")
     out = np.zeros(X + 1)
-    for m, values in _abs_S_segments(X, k):
+    for _, m, values in abs_S_sweep(X, [abs(k)]):
         out[m] = values
     return out
 
@@ -553,7 +516,7 @@ def _decade_pieces(X: int, k: int, decades: list[int]):
     a circle is closed with no values at all.
     """
     i = 0
-    for m, values in _abs_S_segments(X, k):
+    for _, m, values in abs_S_sweep(X, [abs(k)]):
         a = 0
         for b in np.searchsorted(m, decades[i:], side="right").tolist():
             yield values[a:b].tolist()
@@ -570,7 +533,7 @@ def avg_abs_S(X: int, k: int) -> AngleStatistics:
 
     k not divisible by 4 is flagged and returns an identically zero table;
     k = 0 gives the mean of r2(m), which tends to pi.  |S| comes one
-    segment at a time from _abs_S_segments, at the m with points only;
+    segment at a time from abs_S_sweep(X, [|k|]), at the m with points only;
     each decade's sum is one exactly rounded math.fsum over that decade's
     values, to which the zeros left out add nothing.  So a decade's mean
     depends on neither X nor the segment length, and memory does not grow
@@ -601,70 +564,6 @@ def avg_abs_S(X: int, k: int) -> AngleStatistics:
         partials.append(math.fsum(chain.from_iterable(iter(pieces.__next__, None))))
         decade_means.append((hi, math.fsum(partials) / hi))
     return AngleStatistics(X, k, decade_means[-1][1], tuple(decade_means))
-
-
-def prime_angle_sum(x: int, k: int) -> float:
-    """sum over primes p <= x, p = 1 (mod 4), of |cos(k theta_p)| / p.
-
-    x above MAX_RANGE_X = 238609294 raises PreconditionError before
-    anything is allocated, as in avg_abs_S.
-    """
-    if k % 4 != 0:
-        raise PreconditionError(f"prime_angle_sum requires 4 | k, got k={k}")
-    if x > MAX_RANGE_X:
-        raise PreconditionError(
-            f"prime_angle_sum sieves a one-byte prime mask per m <= x and holds the "
-            f"primes p = 1 (mod 4) with their angles, within {RANGE_BYTES_PER_M} bytes "
-            f"per m; x = {x} exceeds MAX_RANGE_X = {MAX_RANGE_X} (2 GiB)"
-        )
-    ps, thetas = prime_angles(x)
-    if len(ps) == 0:
-        return 0.0
-    return float(np.sum(np.abs(np.cos(k * thetas)) / ps))
-
-
-def mertens_check(x: int) -> float:
-    """prod_{p<=x} (1 - 1/p) * log(x) * e^gamma; tends to 1 as x grows.
-
-    x above MAX_MASK_X raises PreconditionError before anything is allocated.
-    """
-    if x < 10:
-        raise PreconditionError(f"mertens_check requires x >= 10, got {x}")
-    _check_size("mertens_check", x, MASK_BYTES_PER_M, "MAX_MASK_X", MAX_MASK_X)
-    ps = np.flatnonzero(prime_mask(x))
-    log_prod = float(np.log1p(-1.0 / ps).sum())
-    return math.exp(log_prod + np.euler_gamma) * math.log(x)
-
-
-def angular_discrepancy(n: int) -> float:
-    """Star discrepancy of the circle angles folded mod pi/2.
-
-    The four-fold unit symmetry makes the full-circle distribution
-    trivially periodic, so the fold measures the spread that matters.
-    """
-    pts = circle_points(n)
-    if pts.count == 0:
-        raise PreconditionError(f"circle of squared radius {n} has no points")
-    folded = np.sort(np.mod(pts.angles, QUARTER_TURN) / QUARTER_TURN)
-    m = len(folded)
-    i = np.arange(1, m + 1)
-    return float(np.maximum(i / m - folded, folded - (i - 1) / m).max())
-
-
-def landau_count(x: int) -> int:
-    """Number of 1 <= n <= x that are sums of two squares: the n with r2(n) > 0.
-
-    Streams r2_range, so it holds one segment at a time.  x above
-    MAX_MASK_X raises PreconditionError before any work is done.
-    """
-    if x < 2:
-        raise PreconditionError(f"landau_count requires x >= 2, got {x}")
-    if x > MAX_MASK_X:
-        raise PreconditionError(
-            f"landau_count counts about pi x / 4 lattice points; x = {x} exceeds "
-            f"MAX_MASK_X = {MAX_MASK_X}"
-        )
-    return sum(int(np.count_nonzero(r)) for _, r in r2_range(1, x))
 
 
 # ---------------------------------------------------------------------------

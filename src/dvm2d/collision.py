@@ -290,39 +290,14 @@ def sample_on_lattice(
 # Collision geometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CollisionPair:
-    """Velocities before (v, v_star) and after (v_prime, v_star_prime)."""
-
-    v: Array
-    v_star: Array
-    v_prime: Array
-    v_star_prime: Array
-
-
 def rotate(w: Array, c, s) -> Array:
     """R_theta w for cos theta = c, sin theta = s.
 
     w has shape (..., 2) and broadcasts against c and s.  Callers pass
-    their own cosines (math.cos or np.cos), which may differ in the last
-    bit, so each keeps its results bit for bit.
+    their own cosines: angular_integral math.cos per node, angular_fourier
+    np.cos over its grid.
     """
     return np.stack([c * w[..., 0] - s * w[..., 1], s * w[..., 0] + c * w[..., 1]], axis=-1)
-
-
-def post_collision(v: Array, w: Array, theta) -> CollisionPair:
-    """v' = v + w + R_theta w, v*' = v + w - R_theta w, v* = v + 2w.
-
-    theta may be an array; v' and v*' then gain its shape in front, and
-    each angle gives bit for bit the pair of a scalar call.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    th = np.asarray(theta, dtype=np.float64)
-    c = np.array([math.cos(t) for t in th.ravel().tolist()]).reshape(th.shape)
-    s = np.array([math.sin(t) for t in th.ravel().tolist()]).reshape(th.shape)
-    rw = rotate(w, c, s)
-    return CollisionPair(v, v + 2 * w, v + w + rw, v + w - rw)
 
 
 def lattice_post_collision(
@@ -342,32 +317,6 @@ def lattice_post_collision(
         (vx + zx + px, vy + zy + py),
         (vx + zx - px, vy + zy - py),
     )
-
-
-@dataclass(frozen=True)
-class GValue:
-    """Integrand value g_v(w, theta) = (f(v')f(v*') - f(v)f(v*)) q."""
-
-    w: Array
-    theta: float
-    value: float
-
-
-def g_eval(
-    f: Callable[[Array], Array],
-    v: Array,
-    w: Array,
-    theta: float,
-    kernel: KernelSpec,
-) -> GValue:
-    pair = post_collision(v, w, theta)
-    fp = float(np.asarray(f(pair.v_prime[None, :])).ravel()[0])
-    fsp = float(np.asarray(f(pair.v_star_prime[None, :])).ravel()[0])
-    fv = float(np.asarray(f(pair.v[None, :])).ravel()[0])
-    fs = float(np.asarray(f(pair.v_star[None, :])).ravel()[0])
-    w_norm = float(np.hypot(w[0], w[1]))
-    q = float(kernel.evaluate(w_norm, math.cos(theta)))
-    return GValue(np.asarray(w, dtype=np.float64), theta, (fp * fsp - fv * fs) * q)
 
 
 # ---------------------------------------------------------------------------
@@ -797,15 +746,21 @@ class FastCollisionOperator:
         # parity class, (its columns, band of weights by (a, column in; column out)).
         # A point zeta fills row a = zeta_x at one column in per column out,
         # distinct across the points of a row: no entry is written twice.
+        # Table points go in chunks of (2K + 1) n_col / 4, so the scatter's
+        # (points, columns) temporaries hold a quarter of the band's entries,
+        # not (R/h)^2 bound of them.
         self._loss_parts = []
         for parity in (0, 1):
             cols = slice(parity, None, 2)
             v_out = vel[cols]
             n_col = len(v_out)
             band = np.zeros((2 * k + 1, n_col, n_col))
-            y_in = v_out[None, :] + 2 * table.ys[:, None] + bound
-            pt, col = np.nonzero((y_in >= 0) & (y_in < side))
-            band[table.xs[pt] + k, y_in[pt, col] // 2, col] = loss_w[pt]
+            step = max(1, (2 * k + 1) * n_col // 4)
+            for lo in range(0, len(table.ys), step):
+                chunk = slice(lo, lo + step)
+                y_in = v_out[None, :] + 2 * table.ys[chunk, None] + bound
+                pt, col = np.nonzero((y_in >= 0) & (y_in < side))
+                band[table.xs[chunk][pt] + k, y_in[pt, col] // 2, col] = loss_w[chunk][pt]
             self._loss_parts.append((cols, band.reshape((2 * k + 1) * n_col, n_col)))
 
     def apply_frame(self, grid: Array) -> Array:

@@ -98,14 +98,15 @@ def equid_term(h: float, R: float, M: int) -> float:
     The sum over lattice points zeta in the truncation disk collapses to
     sum over 1 <= n <= (R/h)^2 of |S(n, k)|; frequencies not divisible by
     4 contribute nothing, and -k gives the same sums as k.  One
-    circles.abs_S_sweep gives every k = 4, 8, ..., < M, so the time is
-    linear in M.  Each k's sum is one math.fsum per R2_SEGMENT segment,
-    exactly rounded when (R/h)^2 fits one segment.
+    circles.abs_S_sweep over ks = range(4, M, 4) gives every k, carrying
+    z^k from each k to the next, so the time is linear in M.  Each k's
+    sum is one math.fsum per R2_SEGMENT segment, exactly rounded when
+    (R/h)^2 fits one segment.
     """
     if M < 5:
         raise PreconditionError(f"M must be >= 5 so some 4 | k contributes, got {M}")
     sums = np.zeros((M - 1) // 4)
-    for k, _, values in circles.abs_S_sweep(circle_limit(h, R), M):
+    for k, _, values in circles.abs_S_sweep(circle_limit(h, R), range(4, M, 4)):
         sums[k // 4 - 1] += math.fsum(values.tolist())
     return (2 * h) ** 2 * float(sums.max())
 

@@ -304,7 +304,7 @@ def test_circle_table_matches_circle_points():
         assert np.array_equal(got.angles, want.angles), n
         empty += got.count == 0
     assert table.circle(3).count == 0 and table.circle(21).count == 0
-    assert empty == TABLE_LIMIT - circles.landau_count(TABLE_LIMIT)
+    assert empty == np.count_nonzero(r2_table(TABLE_LIMIT)[1:] == 0)
     assert_same_table(table, TABLE_LIMIT)
 
 
@@ -474,25 +474,45 @@ def test_abs_S_closed_range_matches_sieve_fold():
         assert np.abs(got - want).max() <= 1e-11, k
 
 
-@pytest.mark.parametrize("X, M, segment", [(576, 4000, None), (3000, 200, 1000), (9, 60, 4)])
+@pytest.mark.parametrize(
+    "X, M, segment",
+    [
+        (576, 4000, None),
+        (3000, 200, 1000),
+        (9, 60, 4),
+        pytest.param(576, (0, 8, 20), None, id="576-0,8,20-None"),
+        pytest.param(3000, (0, 8, 20, 44), 1000, id="3000-0,8,20,44-1000"),
+        pytest.param(9, (0, 12), 4, id="9-0,12-4"),
+    ],
+)
 def test_abs_S_sweep_equals_abs_S_closed_range(monkeypatch, X, M, segment):
-    """Each k's values from the one-pass sweep are abs_S_closed_range's bit
-    for bit, at the m with points, whatever the segment length; each
-    segment gives every k in ascending order."""
+    """Each requested k's values from the one-pass sweep are
+    abs_S_closed_range's and the dense oracle's bit for bit, at the m with
+    points, whatever the segment length; each segment gives every k in
+    ascending order.  An int M asks for every k = 4, 8, ..., < M, a tuple
+    for its own k only, with 0 and gaps."""
     if segment:
         monkeypatch.setattr(circles, "R2_SEGMENT", segment)
+    ks = list(range(4, M, 4)) if isinstance(M, int) else list(M)
     got = {}
     order = []
-    for k, m, values in circles.abs_S_sweep(X, M):
+    for k, m, values in circles.abs_S_sweep(X, ks):
         order.append(k)
         dense = got.setdefault(k, np.zeros(X + 1))
         assert not dense[m].any()
         dense[m] = values
-    ks = list(range(4, M, 4))
     assert order == ks * len(range(1, X + 1, circles.R2_SEGMENT))
-    sampled = sorted({4, 8, 12, ks[len(ks) // 2], ks[-2], ks[-1]})
+    sampled = sorted({4, 8, 12, ks[len(ks) // 2], ks[-2], ks[-1]}) if isinstance(M, int) else ks
     for k in sampled:
         assert np.array_equal(got[k], circles.abs_S_closed_range(X, k)), k
+        want = np.concatenate([np.zeros(1), *dense_abs_S_segments(X, k)])
+        assert np.array_equal(got[k], want), k
+
+
+@pytest.mark.parametrize("ks", [[4, 2], [8, 4], [-4], [0, 6]])
+def test_abs_S_sweep_refuses_bad_ks(ks):
+    with pytest.raises(PreconditionError, match="ascending multiples of 4"):
+        next(circles.abs_S_sweep(100, ks))
 
 
 def test_exp_sum_vanishes_unless_4_divides_k():
@@ -634,9 +654,16 @@ def test_avg_abs_S_streams_in_bounded_memory():
     assert peak < 24 << 20
 
 
+def prime_angle_sum(x, k):
+    """sum over primes p <= x, p = 1 (mod 4), of |cos(k theta_p)| / p."""
+    ps, thetas = circles.prime_angles(x)
+    return float(np.sum(np.abs(np.cos(k * thetas)) / ps))
+
+
 def test_prime_angle_sum_examples():
+    """prime_angles' angles against brute-force splittings of p < 100."""
     # Only p = 5 contributes below 10: |cos(4 theta_5)| / 5 = (7/25)/5.
-    assert circles.prime_angle_sum(10, 4) == pytest.approx(7 / 125)
+    assert prime_angle_sum(10, 4) == pytest.approx(7 / 125)
     # Independent oracle below 100: brute-force splittings.
     expected = 0.0
     for p in (5, 13, 17, 29, 37, 41, 53, 61, 73, 89, 97):
@@ -645,22 +672,29 @@ def test_prime_angle_sum_examples():
             x = math.isqrt(x2)
             if x * x == x2 and x > y:
                 expected += abs(math.cos(4 * math.atan2(y, x))) / p
-    assert circles.prime_angle_sum(100, 4) == pytest.approx(expected, rel=1e-12)
+    assert prime_angle_sum(100, 4) == pytest.approx(expected, rel=1e-12)
 
 
 def test_prime_angle_sum_bound_shape():
-    """Growth between decades is at most the (1/pi) loglog x slope."""
-    v4 = circles.prime_angle_sum(10**4, 4)
-    v6 = circles.prime_angle_sum(10**6, 4)
+    """Growth between decades of prime_angles' sum is at most the (1/pi)
+    loglog x slope (Hecke: the angles equidistribute)."""
+    v4 = prime_angle_sum(10**4, 4)
+    v6 = prime_angle_sum(10**6, 4)
     assert v6 > v4
     slope_cap = (1 / math.pi) * (math.log(math.log(10**6)) - math.log(math.log(10**4)))
     assert v6 - v4 <= slope_cap + 0.05
 
 
 def test_mertens_check():
-    assert abs(circles.mertens_check(10**6) - 1) <= 0.05
-    assert abs(circles.mertens_check(10**3) - 1) <= 0.15
-    assert circles.mertens_check(10) > 0
+    """Mertens' product from prime_mask: prod_{p<=x} (1 - 1/p) log(x) e^gamma -> 1."""
+
+    def mertens(x):
+        ps = np.flatnonzero(circles.prime_mask(x))
+        return math.exp(float(np.log1p(-1.0 / ps).sum()) + np.euler_gamma) * math.log(x)
+
+    assert abs(mertens(10**6) - 1) <= 0.05
+    assert abs(mertens(10**3) - 1) <= 0.15
+    assert mertens(10) > 0
 
 
 def old_prime_angles(limit):
@@ -708,20 +742,12 @@ def test_prime_angles_match_per_prime_loop_property(limits):
         assert_same_angles(got, old_prime_angles(limit))
 
 
-def test_prime_angle_sum_with_per_prime_loop_angles(monkeypatch):
-    want = circles.prime_angle_sum(10**5, 4)
-    monkeypatch.setattr(circles, "prime_angles", old_prime_angles)
-    assert circles.prime_angle_sum(10**5, 4) == want
-
-
 def test_range_statistics_refuse_unaffordable_X():
     tracemalloc.start()
     try:
         for X in (10**12, circles.MAX_RANGE_X + 1):
             with pytest.raises(PreconditionError, match="MAX_RANGE_X"):
                 circles.avg_abs_S(X, 4)
-            with pytest.raises(PreconditionError, match="MAX_RANGE_X"):
-                circles.prime_angle_sum(X, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -729,64 +755,33 @@ def test_range_statistics_refuse_unaffordable_X():
 
 
 def test_avg_abs_S_refusal_names_a_time_budget():
-    # The streamed sum holds one segment whatever X is; only prime_angle_sum's
-    # prime mask still grows by bytes per m.
+    # The streamed sum holds one segment whatever X is, so the cap bounds
+    # time, not bytes per m.
     with pytest.raises(PreconditionError, match="MAX_RANGE_X") as refusal:
         circles.avg_abs_S(circles.MAX_RANGE_X + 1, 4)
     assert "bytes per m" not in str(refusal.value)
 
 
-def grid_scan_star_discrepancy(folded: np.ndarray, grid: int = 20000) -> float:
-    ts = np.linspace(0.0, 1.0, grid + 1)
-    emp = np.searchsorted(np.sort(folded), ts, side="left") / len(folded)
-    return float(np.max(np.abs(emp - ts)))
-
-
-def test_angular_discrepancy_examples():
-    assert circles.angular_discrepancy(1) == pytest.approx(1.0)
-    assert circles.angular_discrepancy(5) == pytest.approx(2 * math.atan(0.5) / math.pi)
-    assert circles.angular_discrepancy(243061325) < 0.05
-
-
-@pytest.mark.parametrize("n", [1, 2, 5, 25, 325, 1105, 243061325])
-def test_angular_discrepancy_matches_grid_scan(n):
-    pts = circles.circle_points(n)
-    folded = np.mod(pts.angles, circles.QUARTER_TURN) / circles.QUARTER_TURN
-    approx = grid_scan_star_discrepancy(folded)
-    exact = circles.angular_discrepancy(n)
-    assert exact >= approx - 1e-12
-    assert exact - approx <= 2e-4
+def landau_count(x):
+    """Number of 1 <= n <= x with r2(n) > 0, from r2_range."""
+    return int(np.count_nonzero(r2_table(x)))
 
 
 def test_landau_count_examples():
-    assert circles.landau_count(2) == 2
+    assert landau_count(2) == 2
     # Brute-force oracle for small x.
     for x in (10, 50, 200):
         expected = sum(1 for n in range(1, x + 1) if brute_force_points(n))
-        assert circles.landau_count(x) == expected
-    assert circles.landau_count(10) == 7
+        assert landau_count(x) == expected
+    assert landau_count(10) == 7
 
 
 def test_landau_count_ratio_stability():
-    c5 = circles.landau_count(10**5)
-    c6 = circles.landau_count(10**6)
+    c5 = landau_count(10**5)
+    c6 = landau_count(10**6)
     r5 = c5 / (10**5 / math.sqrt(math.log(10**5)))
     r6 = c6 / (10**6 / math.sqrt(math.log(10**6)))
     assert abs(r5 / r6 - 1) <= 0.05
-
-
-def test_mask_statistics_refuse_unaffordable_x():
-    tracemalloc.start()
-    try:
-        for x in (10**12, circles.MAX_MASK_X + 1):
-            with pytest.raises(PreconditionError, match="MAX_MASK_X"):
-                circles.landau_count(x)
-            with pytest.raises(PreconditionError, match="MAX_MASK_X"):
-                circles.mertens_check(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
 
 
 def test_preconditions_raise():
@@ -800,10 +795,6 @@ def test_preconditions_raise():
         circles.abs_S_closed_range(100, 2)
     with pytest.raises(PreconditionError, match="X >= 0"):
         circles.abs_S_closed_range(-1, 4)
-    with pytest.raises(PreconditionError):
-        circles.angular_discrepancy(3)
-    with pytest.raises(PreconditionError):
-        circles.prime_angle_sum(100, 3)
     with pytest.raises(PreconditionError):
         next(circles.r2_range(0, 10))
 
