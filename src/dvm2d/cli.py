@@ -117,7 +117,11 @@ def circle(n: int, out: Path | None):
     _emit(buf.getvalue(), out, _manifest("circle", {"n": n, "count": pts.count}))
 
 
-@main.command()
+# K may be negative: "-8" is a value, not an unknown option.
+NEGATIVE_K = {"ignore_unknown_options": True}
+
+
+@main.command(context_settings=NEGATIVE_K)
 @click.argument("n", type=int)
 @click.argument("k", type=int)
 @out_option
@@ -135,7 +139,7 @@ def expsum(n: int, k: int, out: Path | None):
     _emit(buf.getvalue(), out, _manifest("expsum", {"n": n, "k": k}))
 
 
-@main.command(name="avg-s")
+@main.command(name="avg-s", context_settings=NEGATIVE_K)
 @click.argument("x", type=int)
 @click.argument("k", type=int)
 @out_option

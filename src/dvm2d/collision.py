@@ -591,22 +591,38 @@ def q_discrete(
     return q_discrete_detailed(f, v, kernel, R)[0]
 
 
-def _harmonic_weights(xs: Array, ys: Array, n: int, m: int) -> tuple[Array, Array]:
-    """cos(m phi) and sin(m phi) at the points (x, y) of the circle x^2 + y^2 = n.
+def _harmonic_weights(xs: Array, ys: Array, n, m: int) -> tuple[Array, Array]:
+    """cos(m phi) and sin(m phi) at the points (x, y) with x^2 + y^2 = n
+    (one n, or one per point).
 
-    Re and Im of the Gaussian integer (x + iy)^m are exact Python ints.
+    Re and Im of the Gaussian integer (x + iy)^m are exact integers.
     For even m, the only harmonics the gain uses, n^(m/2) is an integer
     too, so each weight is one correctly rounded quotient and axis points
-    give exactly 0 and +-1.
+    give exactly 0 and +-1.  While n^m < 2^104 the powers run in int64 over
+    all points at once: no intermediate reaches 2^63, and Re, Im and
+    n^(m//2) stay below 2^53, so the float quotient is the one Python ints
+    give.  Beyond that the powers are Python ints, point by point.
     """
+    xs = np.asarray(xs, dtype=np.int64)
+    ys = np.asarray(ys, dtype=np.int64)
+    ns = np.broadcast_to(np.asarray(n, dtype=np.int64), xs.shape)
+    if m == 0:
+        return np.ones(len(xs)), np.zeros(len(xs))
+    if len(xs) == 0 or int(ns.max()) ** m < 1 << 104:
+        re, im = xs, ys
+        for _ in range(m - 1):
+            re, im = re * xs - im * ys, re * ys + im * xs
+        den = ns ** (m // 2)
+        odd = np.sqrt(ns) if m % 2 else 1.0
+        return re / den / odd, im / den / odd
     cos_m = np.empty(len(xs))
     sin_m = np.empty(len(xs))
-    den = n ** (m // 2)
-    odd = math.sqrt(n) if m % 2 else 1.0
-    for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+    for k, (x, y, nk) in enumerate(zip(xs.tolist(), ys.tolist(), ns.tolist())):
         re, im = 1, 0
         for _ in range(m):
             re, im = re * x - im * y, re * y + im * x
+        den = nk ** (m // 2)
+        odd = math.sqrt(nk) if m % 2 else 1.0
         cos_m[k] = re / den / odd
         sin_m[k] = im / den / odd
     return cos_m, sin_m
@@ -642,24 +658,36 @@ class FastCollisionOperator:
     vanishes off the frame |v| <= bound + R/h (per coordinate).
     apply_frame returns Q^h on that frame, apply_grid its crop to the
     state's square.  An apply evaluates the sums of q_discrete at every
-    velocity, arranged so that no work is spent on exact zeros or
-    duplicate terms:
+    velocity, arranged so that no work is spent on duplicate terms:
 
     * Gain.  Per circle |zeta|^2 = n the products P_j(x) = f(x + zeta_j)
-      f(x - zeta_j) are formed only on the box of mid-points x where both
-      factors lie on the square, and only for one point of each +-zeta
-      pair, with weight 2, since both signs give the same product.
+      f(x - zeta_j) are formed for one point of each +-zeta pair, with
+      weight 2, since both signs give the same product.  All gain arrays
+      are flat, with rows at the frame's stride width = side + 2 R/h: the
+      state is copied into a buffer F of that stride with a zero row above
+      and below, so P_j is one contiguous slice product,
+      F[q + o_j] F[q - o_j] with o_j = zeta_x width + zeta_y, over the
+      mid-point rows |zeta_x| .. side - |zeta_x|.  The 2 R/h zero columns
+      past each state row absorb the row wrap: as |zeta_y| <= R/h, a
+      mid-point on the state reads at most R/h columns past either edge,
+      which are zero columns of its own row or of the row before, and a
+      mid-point in the zero columns has one factor there too.  So every
+      product off the box where both factors lie on the state is an
+      exact 0.
       The kernel's cosine series splits the pair weight,
       cos(m(phi_i - phi_j)) = cos cos + sin sin, into channels
       W = sum_j 2 (cos, sin)(m phi_j) P_j; odd harmonics cancel exactly
       under zeta -> -zeta and are skipped.  The gain at v is
       sum_i (2 pi / r) q1 c_m (cos, sin)(m phi_i) . W(v + zeta_i), added as
-      r shifted copies.  Gain arrays keep rows at the stride of the frame,
-      so the zero columns past the state absorb the row wrap and each
-      shifted add is one contiguous slice.  A kernel whose series is one
-      constant (Maxwell) has a single channel: products go straight into
-      W and the circle weight is applied once.  The harmonic weights are
-      exact integer quotients (see _harmonic_weights).
+      r shifted copies, each one contiguous slice over the rows where the
+      circle's W can be nonzero.  With harmonic channels the copies come
+      from one gemm per circle, T = outer[:r/2] @ (inner @ P): for even m
+      the weights of zeta_i and of its antipode -zeta_i (table point
+      i + r/2) are equal, so each row of T feeds two shifted adds.  A
+      kernel whose series is one constant (Maxwell) has a single channel:
+      products go straight into W and the circle weight is applied once.
+      The harmonic weights are exact integer quotients (see
+      _harmonic_weights).
     * Loss.  f(v) sum_zeta w(zeta) f(v + 2 zeta), zero off the square, is
       one fixed 2-D correlation, evaluated as a banded matmul: rows
       v_x + 2 zeta_x of the state, side by side, times a band that maps
@@ -671,6 +699,11 @@ class FastCollisionOperator:
       q(|h zeta|, cos theta_ij), comes from the gain's channels: for even
       m, sum_j cos(m(phi_i - phi_j)) is cos(m phi_i) sum_j cos(m phi_j) +
       sin(m phi_i) sum_j sin(m phi_j), and odd m sum to zero over +-zeta_j.
+
+    The slices of every apply are views built once, in __init__, over
+    buffers the operator owns.  apply_frame and apply_grid return fresh
+    arrays, but an operator is not re-entrant: two applies must not run
+    on one operator at the same time.
 
     Same operator as q_discrete up to floating-point association.
     """
@@ -694,15 +727,13 @@ class FastCollisionOperator:
             (m, c) for m, c in enumerate(kernel.cos_coeffs) if c != 0.0 and m % 2 == 0
         ]
         self._single_channel = [m for m, _ in harmonics] == [0]
-        # Per circle with a product on the state: (inner, outer, boxes, offsets).
-        # inner (channels, r/2): 2 cos(m phi_j) / 2 sin(m phi_j) on the half
-        # circle, one point of each +-zeta pair.  outer (r, channels):
-        # (2 pi / r) q1 c_m cos(m phi_i) / sin(m phi_i).  boxes, per half
-        # point j whose product can be nonzero: (j, mid box, box of
-        # x + zeta_j, box of x - zeta_j).  offsets, per point i: flat offset
-        # of the shift x -> x - zeta_i into the gain frame.
-        self._plan: list[tuple] = []
+        circles = []  # (inner, outer, kept half points, offsets) per circle
         table = circle_table(circle_limit(h, R))
+        # cos(m phi), sin(m phi) at every table point, per harmonic.
+        weights = [
+            _harmonic_weights(table.xs, table.ys, table.xs**2 + table.ys**2, m)
+            for m, _ in harmonics
+        ]
         # Loss weight of table point i: (2 pi / r) sum_j q(h sqrt(n), cos theta_ij).
         loss_w = np.empty(len(table.xs))
         for n in np.flatnonzero(np.diff(table.starts)).tolist():
@@ -712,8 +743,8 @@ class FastCollisionOperator:
             q1 = float(h * math.sqrt(n)) ** kernel.alpha
             half = (ys > 0) | ((ys == 0) & (xs > 0))
             inner, outer = [], []
-            for m, c in harmonics:
-                cos_m, sin_m = _harmonic_weights(xs, ys, n, m)
+            for (m, c), (cos_all, sin_all) in zip(harmonics, weights):
+                cos_m, sin_m = cos_all[lo:hi], sin_all[lo:hi]
                 coef = 2 * math.pi / r * q1 * c
                 inner.append(2 * cos_m[half])
                 outer.append(coef * cos_m)
@@ -724,19 +755,17 @@ class FastCollisionOperator:
             outer = np.array(outer).reshape(-1, r).T
             # The half circle's row sums are the full circle's (m is even).
             loss_w[lo:hi] = outer @ inner.sum(axis=1)
-            boxes = []
-            for j, (x, y) in enumerate(zip(xs[half].tolist(), ys[half].tolist())):
-                ax, ay = abs(x), abs(y)
-                if 2 * ax >= side or 2 * ay >= side:
-                    continue
-                boxes.append((
-                    j,
-                    (slice(ax, side - ax), slice(ay, side - ay)),
-                    (slice(ax + x, side - ax + x), slice(ay + y, side - ay + y)),
-                    (slice(ax - x, side - ax - x), slice(ay - y, side - ay - y)),
-                ))
-            if boxes:
-                self._plan.append((inner, outer, boxes, ((k - xs) * width + (k - ys)).tolist()))
+            # Half points (j, x, y) whose product is nonzero somewhere on the state.
+            kept = [
+                (j, x, y)
+                for j, (x, y) in enumerate(zip(xs[half].tolist(), ys[half].tolist()))
+                if 2 * abs(x) < side and 2 * abs(y) < side
+            ]
+            if kept:
+                # Flat offset of the shift x -> x - zeta_i into the gain frame.
+                circles.append((inner, outer, kept, ((k - xs) * width + (k - ys)).tolist()))
+        self._plan = self._gain_plan(circles, side, width)
+        del circles  # free the per-circle lists before the loss band's temporaries
 
         vel = np.arange(-bound, bound + 1)
         rows = vel[:, None] + 2 * np.arange(-k, k + 1)[None, :]
@@ -763,9 +792,78 @@ class FastCollisionOperator:
                 band[table.xs[chunk][pt] + k, y_in[pt, col] // 2, col] = loss_w[chunk][pt]
             self._loss_parts.append((cols, band.reshape((2 * k + 1) * n_col, n_col)))
 
+    def _gain_plan(self, circles: list, side: int, width: int) -> list[tuple]:
+        """The views of every gain apply, over buffers built here once.
+
+        The state is copied to a buffer F at row stride width with a zero row
+        above and below it for the row wrap: state point (i, j) is at flat
+        index width + s, s = i width + j, and so is mid-point s of W, P and
+        T.  Per circle, W (single channel) or T
+        (harmonic channels) is nonzero only on the mid-point rows
+        a .. side - a, a = min |zeta_x| over its kept points: the flat range
+        [s0, s1), which ends at the state's last column.
+
+        Single channel, per circle: (W on [s0, s1), per kept point
+        (F[q + o], F[q - o], W on its own rows), 2 x circle weight, the r
+        gain slices).  Harmonic channels: (inner on the kept points,
+        outer[:r/2], P, T, per kept point (F[q + o], F[q - o], its P row on
+        its own rows), the P row parts outside them, per table point i
+        (row i mod r/2 of T, its gain slice)).  P and T share one scratch
+        buffer, as T is formed once P has been read; so each apply zeroes
+        the P row parts outside a point's rows again.
+        """
+        padded = np.zeros((side + 2, width))
+        self._state = padded[1 : side + 1, :side]
+        reads = padded.reshape(-1)
+        self._gain_frame = np.zeros((width, width))
+        gain = self._gain_frame.reshape(-1)
+
+        def span(a: int) -> tuple[int, int]:
+            return a * width, (side - 1 - a) * width + side
+
+        spans = [span(min(abs(x) for _, x, _ in kept)) for _, _, kept, _ in circles]
+        if self._single_channel:
+            w = np.zeros(side * width)
+        else:
+            scratch = np.zeros(max(
+                (len(offsets) // 2 * (s1 - s0)
+                 for (*_, offsets), (s0, s1) in zip(circles, spans)),
+                default=0,
+            ))
+        plan = []
+        for (inner, outer, kept, offsets), (s0, s1) in zip(circles, spans):
+            adds = [gain[off + s0 : off + s1] for off in offsets]
+            products, gaps = [], []
+            for slot, (_, x, y) in enumerate(kept):
+                lo, hi = span(abs(x))
+                plus = width + x * width + y  # F index of mid-point 0 plus zeta_j
+                minus = width - x * width - y
+                if self._single_channel:
+                    out = w[lo:hi]
+                else:  # row slot of P, which holds [s0, s1)
+                    row = slot * (s1 - s0) - s0
+                    out = scratch[row + lo : row + hi]
+                    if lo > s0:
+                        gaps += [scratch[row + s0 : row + lo], scratch[row + hi : row + s1]]
+                products.append(
+                    (reads[lo + plus : hi + plus], reads[lo + minus : hi + minus], out)
+                )
+            if self._single_channel:
+                plan.append((w[s0:s1], products, inner[0, 0] * outer[0, 0], adds))
+                continue
+            r2 = len(offsets) // 2
+            prods = scratch[: len(kept) * (s1 - s0)].reshape(len(kept), -1)
+            tab = scratch[: r2 * (s1 - s0)].reshape(r2, -1)
+            if len(kept) < r2:
+                inner = np.ascontiguousarray(inner[:, [j for j, _, _ in kept]])
+            rows = list(tab)
+            adds = list(zip(rows + rows, adds))
+            plan.append((inner, outer[:r2].copy(), prods, tab, products, gaps, adds))
+        return plan
+
     def apply_frame(self, grid: Array) -> Array:
         """Q^h on the frame |v| <= bound + R/h, which holds all of it, for
-        the state grid[ix + bound, iy + bound]."""
+        the state grid[ix + bound, iy + bound]; a fresh array."""
         grid = np.asarray(grid, dtype=np.float64)
         side = 2 * self.bound + 1
         if grid.shape != (side, side):
@@ -775,8 +873,7 @@ class FastCollisionOperator:
         k = self.reach
         q = self._gain(grid)
         q[k : k + side, k : k + side] -= grid * self._loss(grid)  # f = 0 off the square
-        q *= (2 * self.h) ** 2
-        return q
+        return q * (2 * self.h) ** 2
 
     def apply_grid(self, grid: Array) -> Array:
         """Q^h on the square for the state grid[ix + bound, iy + bound]."""
@@ -785,31 +882,28 @@ class FastCollisionOperator:
         return self.apply_frame(grid)[k : k + side, k : k + side]
 
     def _gain(self, grid: Array) -> Array:
-        """Gain term on the frame |v| <= bound + R/h, without the (2h)^2."""
-        side = 2 * self.bound + 1
-        width = side + 2 * self.reach
-        hi = (side - 1) * width + side  # W is zero past the state's last column
-        gain = np.zeros(width * width)
-        w = np.zeros((side, width))
-        w_state = w[:, :side]
-        w_flat = w.reshape(-1)[:hi]
-        for inner, outer, boxes, offsets in self._plan:
-            if self._single_channel:
-                w_state.fill(0.0)
-                for _, box, plus, minus in boxes:
-                    w_state[box] += grid[plus] * grid[minus]
-                w_state *= inner[0, 0] * outer[0, 0]  # 2 x circle weight
-                for off in offsets:
-                    gain[off : off + hi] += w_flat
-            else:
-                n_half = inner.shape[1]
-                prods = np.zeros((n_half, side, width))
-                for j, box, plus, minus in boxes:
-                    np.multiply(grid[plus], grid[minus], out=prods[j][box])
-                chans = inner @ prods.reshape(n_half, -1)[:, :hi]
-                for weights, off in zip(outer, offsets):
-                    gain[off : off + hi] += weights @ chans
-        return gain.reshape(width, width)
+        """Gain term on the frame |v| <= bound + R/h, without the (2h)^2, in
+        the operator's own buffer."""
+        self._state[...] = grid
+        self._gain_frame.fill(0.0)
+        if self._single_channel:
+            for w, products, weight, adds in self._plan:
+                w.fill(0.0)
+                for plus, minus, out in products:
+                    out += plus * minus
+                w *= weight
+                for g in adds:
+                    g += w
+        else:
+            for inner, outer, prods, tab, products, gaps, adds in self._plan:
+                for gap in gaps:
+                    gap.fill(0.0)
+                for plus, minus, out in products:
+                    np.multiply(plus, minus, out=out)
+                np.matmul(outer, inner @ prods, out=tab)
+                for t, g in adds:
+                    g += t
+        return self._gain_frame
 
     def _loss(self, grid: Array) -> Array:
         """sum_zeta w(zeta) f(v + 2 zeta) on the square."""

@@ -469,15 +469,19 @@ def _entropy(grid: Array) -> float:
     return float(math.fsum(pos * np.log(pos)))
 
 
-# Beyond the operator's own arrays (the loss band and the gain plan), one
-# RK4 step peaks at 50-261 bytes per point of the operator's frame, the
-# square |v| <= widened bound + R/h that apply_frame fills (traced, Maxwell
-# and product_power(0.5, (1, 0, 0.5)), R/h = 8 .. 100, widened states of
-# 27^2 .. 711^2 points).  Per widened-state point the same peaks read
-# 160-1050 bytes, growing with R/h, so the cap counts frame points; as the
-# state outgrows R/h the two counts meet, at about 300 bytes (298 at 711^2).
+# Beyond the loss band, one RK4 step peaks at 83-520 bytes per point of the
+# operator's frame, the square |v| <= widened bound + R/h that apply_frame
+# fills (traced with the circle table cached, Maxwell and
+# product_power(0.5, (1, 0, 0.5)), R/h = 8 .. 100, widened states of
+# 27^2 .. 711^2 points).  That includes the gain plan's frame-sized buffers
+# and views, which the operator keeps.  The top, 520 at R/h = 100 over
+# 287^2, is product-power's r/2 x side x width product buffer (r/2 = 24
+# there) on top of the loss gather's temporary; Maxwell reads 380 there.
+# Per widened-state point the same peaks read 310-2150 bytes, growing with
+# R/h, so the cap counts frame points; as the state outgrows R/h the two
+# counts meet (284 and 325 bytes for Maxwell at 711^2).
 # MAX_RELAX_FRAME_POINTS keeps the step within 1 GiB.
-RELAX_BYTES_PER_FRAME_POINT = 384
+RELAX_BYTES_PER_FRAME_POINT = 576
 MAX_RELAX_FRAME_POINTS = (1 << 30) // RELAX_BYTES_PER_FRAME_POINT
 
 

@@ -26,6 +26,12 @@ before it summed the operator's own frame: it widens the state onto the
 energy disk and applies an operator built for that wider square.
 ``comprehension_angular_fourier`` is ``harness.angular_fourier`` with its
 coefficients built one k at a time by a list comprehension.
+``box_loop_gain`` is ``FastCollisionOperator._gain`` before its flat
+plan: per circle, products on 2-D boxes of mid-points, a fresh product
+array and one gemv per shifted add; ``box_loop_apply_frame`` puts it into
+``apply_frame``.  ``int_loop_harmonic_weights`` is
+``collision._harmonic_weights`` before it ran the powers in int64 over
+all points at once: exact Python ints, one point at a time.
 ``midpoint_disk`` and ``midpoint_level`` are ``collision.q_reference``'s
 rule in w before the polar rule: the midpoints of the n_w x n_w cells of
 [-r, r]^2 inside the disk, each of weight step^2.  It converges only
@@ -393,3 +399,96 @@ def comprehension_angular_fourier(f_spec, kernel, v, zeta, h, K):
     )
     c3 = float(np.max(np.abs(coeffs) * (1 + ks.astype(np.float64) ** 2)))
     return harness.AngularFourier(ks, coeffs, c3)
+
+
+def box_loop_apply_frame(op, grid):
+    """FastCollisionOperator.apply_frame with its gain from box_loop_gain."""
+    k, side = op.reach, 2 * op.bound + 1
+    q = box_loop_gain(op.h, op.R, op.kernel, op.bound, grid)
+    q[k : k + side, k : k + side] -= grid * op._loss(grid)
+    q *= (2 * op.h) ** 2
+    return q
+
+
+def box_loop_gain(h, R, kernel, bound, grid):
+    """Gain of FastCollisionOperator on its frame, without the (2h)^2.
+
+    Per circle, each half point's product is formed on the 2-D box of
+    mid-points where both factors lie on the state and added into W with
+    one get/add/set per box; a frame-sized product array is allocated per
+    circle, and each of the r shifted adds is one channel-weight gemv.
+    """
+    k = lattice_bound(h, R)
+    side = 2 * bound + 1
+    width = side + 2 * k
+    hi = (side - 1) * width + side  # W is zero past the state's last column
+    harmonics = [(m, c) for m, c in enumerate(kernel.cos_coeffs) if c != 0.0 and m % 2 == 0]
+    single_channel = [m for m, _ in harmonics] == [0]
+    gain = np.zeros(width * width)
+    w = np.zeros((side, width))
+    w_state = w[:, :side]
+    w_flat = w.reshape(-1)[:hi]
+    table = circles.circle_table(circle_limit(h, R))
+    for n in np.flatnonzero(np.diff(table.starts)).tolist():
+        lo, hi_n = int(table.starts[n]), int(table.starts[n + 1])
+        xs, ys = table.xs[lo:hi_n], table.ys[lo:hi_n]
+        r = hi_n - lo
+        q1 = float(h * math.sqrt(n)) ** kernel.alpha
+        half = (ys > 0) | ((ys == 0) & (xs > 0))
+        inner, outer = [], []
+        for m, c in harmonics:
+            cos_m, sin_m = int_loop_harmonic_weights(xs, ys, n, m)
+            coef = 2 * math.pi / r * q1 * c
+            inner.append(2 * cos_m[half])
+            outer.append(coef * cos_m)
+            if m != 0:
+                inner.append(2 * sin_m[half])
+                outer.append(coef * sin_m)
+        inner = np.array(inner).reshape(-1, r // 2)
+        outer = np.array(outer).reshape(-1, r).T
+        boxes = []
+        for j, (x, y) in enumerate(zip(xs[half].tolist(), ys[half].tolist())):
+            ax, ay = abs(x), abs(y)
+            if 2 * ax >= side or 2 * ay >= side:
+                continue
+            boxes.append((
+                j,
+                (slice(ax, side - ax), slice(ay, side - ay)),
+                (slice(ax + x, side - ax + x), slice(ay + y, side - ay + y)),
+                (slice(ax - x, side - ax - x), slice(ay - y, side - ay - y)),
+            ))
+        if not boxes:
+            continue
+        offsets = ((k - xs) * width + (k - ys)).tolist()
+        if single_channel:
+            w_state.fill(0.0)
+            for _, box, plus, minus in boxes:
+                w_state[box] += grid[plus] * grid[minus]
+            w_state *= inner[0, 0] * outer[0, 0]  # 2 x circle weight
+            for off in offsets:
+                gain[off : off + hi] += w_flat
+        else:
+            n_half = inner.shape[1]
+            prods = np.zeros((n_half, side, width))
+            for j, box, plus, minus in boxes:
+                np.multiply(grid[plus], grid[minus], out=prods[j][box])
+            chans = inner @ prods.reshape(n_half, -1)[:, :hi]
+            for weights, off in zip(outer, offsets):
+                gain[off : off + hi] += weights @ chans
+    return gain.reshape(width, width)
+
+
+def int_loop_harmonic_weights(xs, ys, n, m):
+    """cos(m phi), sin(m phi) on the circle x^2 + y^2 = n, as correctly
+    rounded quotients of the Python ints Re, Im (x + iy)^m and n^(m/2)."""
+    cos_m = np.empty(len(xs))
+    sin_m = np.empty(len(xs))
+    den = n ** (m // 2)
+    odd = math.sqrt(n) if m % 2 else 1.0
+    for k, (x, y) in enumerate(zip(xs.tolist(), ys.tolist())):
+        re, im = 1, 0
+        for _ in range(m):
+            re, im = re * x - im * y, re * y + im * x
+        cos_m[k] = re / den / odd
+        sin_m[k] = im / den / odd
+    return cos_m, sin_m

@@ -52,6 +52,28 @@ def test_expsum_command():
     assert abs(float(vals[5]) - 56 / 25) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "command, args", [("avg-s", ["1000", "-8"]), ("expsum", ["25", "-3"]), ("expsum", ["5", "-4"])]
+)
+def test_negative_k_parses_without_double_dash(command, args):
+    runner = CliRunner()
+    plain = runner.invoke(main, [command, *args])
+    dashed = runner.invoke(main, [command, "--", *args])
+    assert plain.exit_code == dashed.exit_code == 0, plain.output
+    assert plain.output == dashed.output
+    assert f",{args[1]}," in plain.output
+
+
+def test_negative_k_keeps_out_and_rejects_unknown_options(tmp_path):
+    out = tmp_path / "avg.csv"
+    result = CliRunner().invoke(main, ["avg-s", "1000", "-8", "--out", str(out)])
+    assert result.exit_code == 0
+    dashed = CliRunner().invoke(main, ["avg-s", "--", "1000", "-8"])
+    assert out.read_text() == dashed.output
+    bogus = CliRunner().invoke(main, ["avg-s", "1000", "--bogus"])
+    assert bogus.exit_code == 2 and "not a valid integer" in bogus.output
+
+
 def test_avg_s_flags_bad_k():
     runner = CliRunner()
     result = runner.invoke(main, ["avg-s", "1000", "2"])

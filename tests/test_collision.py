@@ -13,7 +13,10 @@ from dvm2d.circles import circle_points, circle_table
 from dvm2d.errors import PreconditionError, QuadratureError
 from oracles import (
     all_nodes_angular_integral,
+    box_loop_apply_frame,
+    box_loop_gain,
     full_circle_q_discrete_detailed,
+    int_loop_harmonic_weights,
     integer_dot_circles,
     midpoint_level,
     row_loop_loss_parts,
@@ -693,6 +696,92 @@ def test_fast_operator_matches_padded_oracle_on_edge_states(kernel, state):
         assert not co.FastCollisionOperator(h, 2.0, kernel, wide.bound).apply_frame(grid).any()
 
 
+def _assert_matches_box_loop(h, R, kernel, grid, bound):
+    """apply_frame against the box-loop gain it replaced: Maxwell bit for
+    bit; harmonic channels to 1e-15 of the (2h)^2-scaled gain's maximum.
+    The gemm per circle rounds T differently from one gemv per point by
+    1-2 ulp of the gain, and the gain can exceed max|Q^h| tenfold."""
+    op = co.FastCollisionOperator(h, R, kernel, bound)
+    new = op.apply_frame(grid)
+    old = box_loop_apply_frame(op, grid)
+    assert new.shape == old.shape == (2 * (bound + op.reach) + 1,) * 2
+    if kernel == MAXWELL:
+        assert np.array_equal(new, old)
+    else:
+        scale = (2 * h) ** 2 * np.abs(box_loop_gain(h, R, kernel, bound, grid)).max()
+        assert np.abs(new - old).max() <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
+@pytest.mark.parametrize(
+    "h, R, support, bound",
+    [
+        (0.25, 2.0, 10, 10),  # the state fills the square
+        (0.25, 2.0, 8, 13),  # zeros around it
+        (0.25, 2.5, 5, 7),  # R/h > bound
+        (0.5, 2.0, 0, 0),  # one point: no product is kept
+    ],
+)
+def test_flat_gain_matches_box_loop(kernel, h, R, support, bound):
+    rng = np.random.default_rng(support * 100 + bound)
+    grid = np.zeros((2 * bound + 1, 2 * bound + 1))
+    lo = bound - support
+    grid[lo : lo + 2 * support + 1, lo : lo + 2 * support + 1] = rng.random(
+        (2 * support + 1, 2 * support + 1)
+    )
+    _assert_matches_box_loop(h, R, kernel, grid, bound)
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
+@pytest.mark.parametrize("state", ["one-sided", "signed", "zero", "relax"])
+def test_flat_gain_matches_box_loop_on_edge_states(kernel, state):
+    """The widened edge states of the padded-oracle test, and the
+    benchmark's relax state (widened bound 30, R/h = 20)."""
+    rng = np.random.default_rng(5)
+    h, b, R = 0.25, 8, 2.0
+    wide = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1))).widened()
+    grid = wide.grid.copy()
+    if state == "one-sided":
+        grid[: wide.bound + 3] = 0.0
+    elif state == "signed":
+        grid -= 1e-13 * (rng.random(grid.shape) < 0.2)
+    elif state == "zero":
+        grid[:] = 0.0
+    else:
+        wide, R = co.sample_on_lattice(co.bimaxwellian(), h, 5.0).widened(), 5.0
+        grid = wide.grid
+    _assert_matches_box_loop(h, R, kernel, grid, wide.bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=st.sampled_from([1.0, 0.5, 0.25]),
+    reach=st.integers(1, 7),
+    bound=st.integers(0, 9),
+    kernel=st.sampled_from(ORACLE_KERNELS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_flat_gain_matches_box_loop_random(h, reach, bound, kernel, seed):
+    grid = np.random.default_rng(seed).random((2 * bound + 1, 2 * bound + 1))
+    _assert_matches_box_loop(h, reach * h, kernel, grid, bound)
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
+def test_applies_return_arrays_the_next_apply_leaves_alone(kernel):
+    """An operator reuses its buffers, but what an apply returned is the
+    caller's: RK4 keeps k1 .. k4 from one operator."""
+    rng = np.random.default_rng(11)
+    h, b = 0.5, 6
+    op = co.FastCollisionOperator(h, 3.0, kernel, b)
+    first, second = rng.random((2, 2 * b + 1, 2 * b + 1))
+    frame, grid = op.apply_frame(first), op.apply_grid(first)
+    kept_frame, kept_grid = frame.copy(), grid.copy()
+    assert not np.array_equal(op.apply_frame(second), kept_frame)
+    op.apply_grid(second)
+    assert np.array_equal(frame, kept_frame) and np.array_equal(grid, kept_grid)
+    assert np.array_equal(op.apply_frame(first), kept_frame)
+
+
 def test_fast_operator_rejects_bad_state_shape():
     with pytest.raises(PreconditionError, match="state bound must be >= 0, got -1"):
         co.FastCollisionOperator(0.5, 2.0, MAXWELL, -1)
@@ -784,7 +873,7 @@ def test_loss_band_matches_row_loop_oracle(kernel, bound):
 def test_loss_band_build_peak_stays_near_what_it_keeps():
     """R/h = 100 over bound 72: one scatter over every (table point, column)
     pair peaked at 3.2 times the operator's bytes; the chunked scatter
-    keeps the build within 1.5 times (1.42 measured)."""
+    keeps the build within 1.5 times (1.40 measured)."""
     h, R, bound = 0.04, 4.0, 72
     circle_table(co.circle_limit(h, R))  # cached; not part of the build
     tracemalloc.start()
@@ -834,6 +923,27 @@ def test_harmonic_weights_exact(n):
             # (-z)^m = z^m: the half-circle gain relies on equal weights.
             assert np.array_equal(cos_m[opposite], cos_m)
             assert np.array_equal(sin_m[opposite], sin_m)
+
+
+def test_harmonic_weights_match_python_int_loop():
+    """The int64 powers over the whole table equal the Python-int quotients
+    bit for bit, and so do the Python-int powers past n^m = 2^104."""
+    table = circle_table(10000)
+    ns = table.xs**2 + table.ys**2
+    starts = table.starts.tolist()
+    for m in range(0, 9):
+        cos_all, sin_all = co._harmonic_weights(table.xs, table.ys, ns, m)
+        for n in (1, 2, 5, 25, 65, 325, 1105, 5525, 9925):
+            lo, hi = starts[n], starts[n + 1]
+            want = int_loop_harmonic_weights(table.xs[lo:hi], table.ys[lo:hi], n, m)
+            assert np.array_equal(cos_all[lo:hi], want[0])
+            assert np.array_equal(sin_all[lo:hi], want[1])
+    pts = circle_points(5525)
+    assert 5525**10 >= 1 << 104  # the Python-int branch
+    for m in (10, 11):
+        got = co._harmonic_weights(pts.xs, pts.ys, 5525, m)
+        want = int_loop_harmonic_weights(pts.xs, pts.ys, 5525, m)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def old_circles(h, R, kernel):
