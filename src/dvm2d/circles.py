@@ -10,9 +10,10 @@ factorization of n, or, for every n up to a bound at once, from the
 lattice disk itself; angles only ever enter in floating point.  Every
 sweep over the disk goes through annulus_points, which lays down the
 lattice points of an annulus row by row: circle_table turns the quarter
-x >= 1, y >= 0 into every circle up to a bound, r2_range bins each
-annulus by n instead of factorizing, prime_angles keeps the points on
-prime circles, and abs_S_sweep, the one |S| generator behind
+x >= 1, y >= 0 into every circle up to a bound, r2_range bins the octant
+0 <= y <= x of each annulus by n instead of factorizing and counts the
+mirror images, prime_angles keeps the points on prime circles, and
+abs_S_sweep, the one |S| generator behind
 abs_S_closed_range, avg_abs_S and the harness's equidistribution term,
 bins ((x + iy) / sqrt(n))^k by n for each requested k and evaluates |S|
 only at the n whose circle has points.
@@ -299,19 +300,28 @@ def _isqrt(m: np.ndarray) -> np.ndarray:
     return np.sqrt(m).astype(np.int64)
 
 
-def annulus_points(s: int, e: int, x_lo: int, x_hi: int, y_lo: int, y_hi: int):
+def annulus_points(
+    s: int, e: int, x_lo: int, x_hi: int, y_lo: int, y_hi: int, octant: bool = False
+):
     """Lattice points of a box whose squared radius lies in [s, e], row by row.
 
     For each x in [x_lo, min(x_hi, isqrt(e))] the points (x, y) with
     y_lo <= y <= y_hi and s <= x^2 + y^2 <= e form one y-interval, whose
     ends are integer square roots; np.repeat expands the intervals.
+    octant caps y at x as well, so only the points on or below the
+    diagonal remain, and starts the rows at isqrt((s - 1) / 2) + 1, the
+    first x with 2 x^2 >= s.
     Returns int64 (x, count, ys): the rows, their point counts and the y
     of every point, row after row with y ascending, so the points are
     (np.repeat(x, count), ys).  Needs x_lo, y_lo >= 0.
     """
+    if octant and s > 1:
+        x_lo = max(x_lo, math.isqrt((s - 1) // 2) + 1)
     x = np.arange(x_lo, min(x_hi, math.isqrt(e)) + 1, dtype=np.int64)
     x2 = x * x
     top = np.minimum(_isqrt(e - x2), y_hi)
+    if octant:
+        np.minimum(top, x, out=top)
     below = s - 1 - x2  # y^2 must exceed this
     bottom = np.maximum(_isqrt(np.maximum(below, 0)) + (below >= 0), y_lo)
     count = np.maximum(top - bottom + 1, 0)
@@ -325,10 +335,12 @@ def annulus_points(s: int, e: int, x_lo: int, x_hi: int, y_lo: int, y_hi: int):
 # arrays; at 2**17 radii a segment's traced peak is under 4 MB.
 R2_SEGMENT = 1 << 17
 
-# A segment of r2_range holds 64 bytes (a traced peak) for each of its
-# isqrt(n_hi) rows, plus its own points; R2_RANGE_BYTES_PER_ROW leaves room
-# for those.  n_hi up to MAX_R2_RANGE_N keeps the rows in 1 GiB, and below
-# 2**52, where _isqrt is exact.
+# A segment of r2_range holds about 64 bytes for each of its octant rows,
+# isqrt(e) - isqrt((s - 1) / 2) of them, plus its own points: a traced peak
+# of 19.6 bytes per isqrt(e) for the segment at n = 10**12.
+# R2_RANGE_BYTES_PER_ROW counts all isqrt(n_hi) rows, which leaves room for
+# those.  n_hi up to MAX_R2_RANGE_N keeps the rows in 1 GiB, and below 2**52,
+# where _isqrt is exact.
 R2_RANGE_BYTES_PER_ROW = 72
 MAX_R2_RANGE_N = ((1 << 30) // R2_RANGE_BYTES_PER_ROW) ** 2
 
@@ -336,11 +348,14 @@ MAX_R2_RANGE_N = ((1 << 30) // R2_RANGE_BYTES_PER_ROW) ** 2
 def r2_range(n_lo: int, n_hi: int):
     """Yield (lo, r2 array) per R2_SEGMENT segment of [n_lo, n_hi], from lattice points.
 
-    The points (x, y) with x >= 1 and y >= 0 meet every circle n >= 1 in a
-    quarter of its points.  Per segment [s, e] they come from
-    annulus_points, and r2 = 4 * bincount(x^2 + y^2 - s); nothing is
-    factorized.  The arrays are int64.  An n_hi above MAX_R2_RANGE_N
-    raises PreconditionError before anything is allocated.
+    The octant x >= 1, 0 <= y <= x meets every circle n >= 1, and the
+    mirror (x, y) -> (y, x) and the quarter turns carry it onto the rest of
+    the circle.  An axis point (x, 0) and a diagonal point (x, x) are each
+    their own mirror, so r2(n) = 8 * #octant(n) - 4 [n = x^2] - 4 [n = 2 x^2].
+    Per segment [s, e] the octant comes from annulus_points, binned by
+    x^2 + y^2 - s; nothing is factorized.  The arrays are int64.  An n_hi
+    above MAX_R2_RANGE_N raises PreconditionError before anything is
+    allocated.
     """
     if n_lo < 1:
         raise PreconditionError(f"r2_range requires n_lo >= 1, got {n_lo}")
@@ -352,10 +367,15 @@ def r2_range(n_lo: int, n_hi: int):
     for s in range(n_lo, n_hi + 1, R2_SEGMENT):
         e = min(s + R2_SEGMENT - 1, n_hi)
         k = math.isqrt(e)
-        x, count, n = annulus_points(s, e, 1, k, 0, k)
+        x, count, n = annulus_points(s, e, 1, k, 0, k, octant=True)
         n *= n
         n += np.repeat(x * x - s, count)
-        yield s, 4 * np.bincount(n, minlength=e - s + 1)
+        r2 = np.bincount(n, minlength=e - s + 1)
+        r2 *= 8
+        for d in (1, 2):  # the axis n = a^2 and the diagonal n = 2 a^2
+            a = np.arange(math.isqrt((s - 1) // d) + 1, math.isqrt(e // d) + 1)
+            r2[d * a * a - s] -= 4
+        yield s, r2
 
 
 def _segment_points(s: int, e: int):

@@ -943,11 +943,11 @@ def collision_invariants(
     vs = f.h * np.arange(-(f.bound + op.reach), f.bound + op.reach + 1)
     vx, vy = np.meshgrid(vs, vs, indexing="ij")
     v2 = vx**2 + vy**2
-    mass = math.fsum(q.ravel())
-    mom_x = math.fsum((q * vx).ravel())
-    mom_y = math.fsum((q * vy).ravel())
-    energy = math.fsum((q * v2).ravel())
-    norm = math.fsum((np.abs(q) * (1 + v2)).ravel())
+    mass = math.fsum(q.ravel().tolist())
+    mom_x = math.fsum((q * vx).ravel().tolist())
+    mom_y = math.fsum((q * vy).ravel().tolist())
+    energy = math.fsum((q * v2).ravel().tolist())
+    norm = math.fsum((np.abs(q) * (1 + v2)).ravel().tolist())
     return InvariantRates(mass, (mom_x, mom_y), energy, norm)
 
 

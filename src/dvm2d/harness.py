@@ -338,8 +338,11 @@ class FigureData:
 
 
 # A kept point is held as four int64 values (x, y, n, r2) while the segments
-# stream, and the final lexsort and gathers add at most as much again; the
-# traced peak is FIGURE_BYTES_PER_POINT.  MAX_FIGURE_POINTS keeps it in 1 GiB.
+# stream, a mirrored point as its own four, and the final lexsort and gathers
+# add at most as much again.  The traced peak is FIGURE_BYTES_PER_POINT plus
+# under 0.6 MB: 65.5 bytes per point for the 361200 points of the box
+# (0, 600, 4), 64.2 for the 2253000 of (0, 1500, 4).  MAX_FIGURE_POINTS keeps
+# it in 1 GiB.
 FIGURE_BYTES_PER_POINT = 64
 MAX_FIGURE_POINTS = (1 << 30) // FIGURE_BYTES_PER_POINT
 
@@ -349,10 +352,13 @@ def figure_data(query: FigureQuery) -> FigureData:
 
     circles.r2_range streams r2 over the reachable squared radii
     [2 lo^2, 2 hi^2]; for each of its segments circles.annulus_points gives
-    the box points on those radii, whose r2 is then read by indexing.  No
-    circle is enumerated or factorized.  One lexsort orders the kept
-    points.  When the kept points would pass MAX_FIGURE_POINTS (1 GiB)
-    the query raises PreconditionError before that segment is stored.
+    the points of the half box lo <= y <= x <= hi on those radii, whose r2
+    is then read by indexing.  The mirror (y, x) of a kept point lies on
+    the same circle and in the box, so each kept point off the diagonal is
+    kept mirrored too.  No circle is enumerated or factorized.  One lexsort
+    orders the kept points.  When the kept points would pass
+    MAX_FIGURE_POINTS (1 GiB) the query raises PreconditionError before
+    that segment is stored.
     """
     lo, hi = query.coord_min, query.coord_max
     cut = query.threshold if query.comparison == "ge" else query.threshold + 1
@@ -361,20 +367,22 @@ def figure_data(query: FigureQuery) -> FigureData:
     total = 0
     for s, r2_vals in circles.r2_range(max(1, 2 * lo * lo), 2 * hi * hi):
         e = s + len(r2_vals) - 1
-        x, count, ys = circles.annulus_points(s, e, lo, hi, lo, hi)
+        x, count, ys = circles.annulus_points(s, e, lo, hi, lo, hi, octant=True)
         xs = np.repeat(x, count)
         ns = xs * xs + ys * ys
         rs = r2_vals[ns - s]
-        keep = rs >= cut
-        total += int(np.count_nonzero(keep))
+        keep = np.flatnonzero(rs >= cut)
+        xs, ys, ns, rs = xs[keep], ys[keep], ns[keep], rs[keep]
+        off = xs != ys
+        total += len(xs) + int(np.count_nonzero(off))
         if total > MAX_FIGURE_POINTS:
             raise PreconditionError(
                 f"figure keeps more than MAX_FIGURE_POINTS = {MAX_FIGURE_POINTS} "
                 f"points ({FIGURE_BYTES_PER_POINT} bytes each, 1 GiB); raise the "
                 f"threshold or shrink the box"
             )
-        for chunks, a in zip(kept, (xs, ys, ns, rs)):
-            chunks.append(a[keep])
+        for chunks, a, mirror in zip(kept, (xs, ys, ns, rs), (ys, xs, ns, rs)):
+            chunks.append(np.concatenate((a, mirror[off])))
 
     cols = []
     for chunks in kept:  # each column's chunks go as soon as it is joined
@@ -388,11 +396,19 @@ def figure_data(query: FigureQuery) -> FigureData:
     return FigureData(query, points, cols[2][order], cols[3][order])
 
 
+# write_figure_csv formats this many rows per write, so the format string
+# and the tuple of row values stay about 10 MB whatever the count.
+FIGURE_CSV_ROWS = 1 << 16
+
+
 def write_figure_csv(data: FigureData, fp: IO[str]) -> None:
-    w = csv.writer(fp)
-    w.writerow(["zeta1", "zeta2", "n", "r2"])
-    for (x, y), n, r in zip(data.points.tolist(), data.n_values.tolist(), data.r_values.tolist()):
-        w.writerow([x, y, n, r])
+    """Rows (zeta1, zeta2, n, r2) ending in CRLF, as csv.writer writes them:
+    one %-format per FIGURE_CSV_ROWS rows over their values as one list."""
+    fp.write("zeta1,zeta2,n,r2\r\n")
+    for i in range(0, data.count, FIGURE_CSV_ROWS):
+        j = min(i + FIGURE_CSV_ROWS, data.count)
+        rows = np.column_stack((data.points[i:j], data.n_values[i:j], data.r_values[i:j]))
+        fp.write(("%d,%d,%d,%d\r\n" * (j - i)) % tuple(rows.ravel().tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +482,7 @@ class RelaxState:
 def _entropy(grid: Array) -> float:
     flat = grid.ravel()
     pos = flat[flat > 0]
-    return float(math.fsum(pos * np.log(pos)))
+    return math.fsum((pos * np.log(pos)).tolist())
 
 
 # Beyond the loss band, one RK4 step peaks at 83-520 bytes per point of the
@@ -541,12 +557,12 @@ def relax_simulate(
             t,
             f,
             _entropy(clamped),
-            math.fsum((clamped * (h * h)).ravel()),
+            math.fsum((clamped * (h * h)).ravel().tolist()),
             (
-                math.fsum((clamped * vx * (h * h)).ravel()),
-                math.fsum((clamped * vy * (h * h)).ravel()),
+                math.fsum((clamped * vx * (h * h)).ravel().tolist()),
+                math.fsum((clamped * vy * (h * h)).ravel().tolist()),
             ),
-            math.fsum((clamped * v2 * (h * h)).ravel()),
+            math.fsum((clamped * v2 * (h * h)).ravel().tolist()),
         )
 
     trajectory = [snapshot(0.0, state)]

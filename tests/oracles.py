@@ -11,6 +11,10 @@ and its decade means before they skipped the m whose circle is empty:
 one value for every m, zeros included, each put through ``math.fsum``.
 ``enumerated_figure_data`` is the ``harness.figure_data`` that enumerated
 every point-rich circle with ``circle_points`` and filtered it to the box.
+``quarter_r2_range`` and ``quarter_figure_data`` are ``circles.r2_range``
+and ``harness.figure_data`` before the octant sweep: they lay down every
+point of the quarter plane x >= 1, y >= 0 (of the box, for the figure)
+instead of the half at or below the diagonal and its mirror.
 ``all_nodes_angular_integral`` is ``collision.angular_integral`` before it
 paired the nodes theta and theta + pi: it forms the gain product at every
 node.  ``full_circle_q_discrete_detailed`` is
@@ -280,6 +284,37 @@ def enumerated_figure_data(query):
         order = np.lexsort((points[:, 1], points[:, 0]))
         points, n_arr, r_arr = points[order], n_arr[order], r_arr[order]
     return harness.FigureData(query, points, n_arr, r_arr)
+
+
+def quarter_r2_range(n_lo, n_hi):
+    """Yield (lo, r2 array) per R2_SEGMENT segment: 4 * bincount over the quarter plane."""
+    for s in range(n_lo, n_hi + 1, circles.R2_SEGMENT):
+        e = min(s + circles.R2_SEGMENT - 1, n_hi)
+        k = math.isqrt(e)
+        x, count, n = circles.annulus_points(s, e, 1, k, 0, k)
+        n *= n
+        n += np.repeat(x * x - s, count)
+        yield s, 4 * np.bincount(n, minlength=e - s + 1)
+
+
+def quarter_figure_data(query):
+    """figure_data over every box point, its r2 read off quarter_r2_range."""
+    lo, hi = query.coord_min, query.coord_max
+    cut = query.threshold if query.comparison == "ge" else query.threshold + 1
+    kept = [[], [], [], []]  # x, y, n, r2 per segment
+    for s, r2_vals in quarter_r2_range(max(1, 2 * lo * lo), 2 * hi * hi):
+        e = s + len(r2_vals) - 1
+        x, count, ys = circles.annulus_points(s, e, lo, hi, lo, hi)
+        xs = np.repeat(x, count)
+        ns = xs * xs + ys * ys
+        rs = r2_vals[ns - s]
+        keep = rs >= cut
+        for chunks, a in zip(kept, (xs, ys, ns, rs)):
+            chunks.append(a[keep])
+    cols = [np.concatenate(c) if c else np.zeros(0, dtype=np.int64) for c in kept]
+    order = np.lexsort((cols[1], cols[0]))
+    points = np.stack([cols[0][order], cols[1][order]], axis=-1)
+    return harness.FigureData(query, points, cols[2][order], cols[3][order])
 
 
 def integer_dot_circles(h, R, kernel):

@@ -17,6 +17,7 @@ from oracles import (
     dense_avg_abs_S,
     exact_abs_S,
     factor_range,
+    quarter_r2_range,
     sieve_abs_S_closed_range,
     sieve_r2_range,
 )
@@ -171,6 +172,60 @@ def test_annulus_points_match_box_scan(s, width, x_lo, x_w, y_lo, y_w):
         (a, b)
         for a in range(x_lo, x_lo + x_w + 1)
         for b in range(y_lo, y_lo + y_w + 1)
+        if s <= a * a + b * b <= e
+    ]
+    assert xs.dtype == ys.dtype == np.int64
+    assert list(zip(xs.tolist(), ys.tolist())) == want
+
+
+# Radii on a^2 and 2 a^2, where the octant's axis and diagonal points sit,
+# and one off either side of them.
+EDGE_RADII = sorted(
+    {d * a * a + j for a in (1, 2, 3, 4, 7, 12, 29, 40) for d in (1, 2) for j in (-1, 0, 1)}
+    - {0}
+)
+
+
+@pytest.mark.parametrize("segment", [1, 2, 3, 7, 997])
+def test_octant_r2_range_matches_quarter_oracle(monkeypatch, segment):
+    """Ranges from and to every edge radius, so with every segment length the
+    axis and diagonal corrections fall on a segment's first and last radius."""
+    monkeypatch.setattr(circles, "R2_SEGMENT", segment)
+    pairs = [(a, b) for i, a in enumerate(EDGE_RADII) for b in EDGE_RADII[i : i + 4]]
+    pairs += [(1, EDGE_RADII[-1]), (EDGE_RADII[1], EDGE_RADII[-2])]
+    for n_lo, n_hi in pairs:
+        got = list(circles.r2_range(n_lo, n_hi))
+        want = list(quarter_r2_range(n_lo, n_hi))
+        assert [s for s, _ in got] == [s for s, _ in want], (n_lo, n_hi)
+        for (_, a), (_, b) in zip(got, want):
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), (n_lo, n_hi)
+
+
+def test_octant_r2_range_matches_quarter_oracle_to_the_census_top():
+    got = np.concatenate([r for _, r in circles.r2_range(1, 2 * 1999**2)])
+    want = np.concatenate([r for _, r in quarter_r2_range(1, 2 * 1999**2)])
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=2000),
+    st.integers(min_value=0, max_value=400),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=60),
+)
+def test_annulus_points_octant_match_box_scan(s, width, x_lo, x_w, y_lo, y_w):
+    e = s + width
+    x, count, ys = circles.annulus_points(
+        s, e, x_lo, x_lo + x_w, y_lo, y_lo + y_w, octant=True
+    )
+    xs = np.repeat(x, count)
+    want = [
+        (a, b)
+        for a in range(x_lo, x_lo + x_w + 1)
+        for b in range(y_lo, min(a, y_lo + y_w) + 1)
         if s <= a * a + b * b <= e
     ]
     assert xs.dtype == ys.dtype == np.int64

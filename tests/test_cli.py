@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -360,6 +361,31 @@ def test_figure_beyond_memory_bound_exits_2(monkeypatch):
     )
     assert result.exit_code == 2
     assert "MAX_FIGURE_POINTS = 100" in result.output
+
+
+# sha256 and length of the census outputs, each written with --out.
+CENSUS_OUTPUTS = [
+    (["figure", "--min", "0", "--max", "1999", "--threshold", "72", "--cmp", "gt"],
+     "91cfba640856a1e9ba10c15ceccb16cd4defe415628a7a64f36e1496606ce8c8", 767534),
+    (["max-r", "--bound", "20000"],
+     "b8f8ec00c6ce71ff896abee4817a869441536fe3992c0bb3a3f4741d4bdc30da", 28),
+    (["circle", "243061325"],
+     "741b4405d104575bf2119027e5c43dad9ea9564b8df728539ecad1dd55aca209", 16427),
+]
+
+
+@pytest.mark.parametrize(
+    "args, sha256, size", CENSUS_OUTPUTS, ids=[args[0] for args, _, _ in CENSUS_OUTPUTS]
+)
+def test_census_outputs_are_byte_identical(tmp_path, args, sha256, size):
+    """The census CSVs, CRLF line ends included, byte for byte as the
+    quarter-plane sweep and csv.writer wrote them."""
+    out = tmp_path / "out.csv"
+    result = CliRunner().invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    data = out.read_bytes()
+    assert len(data) == size
+    assert hashlib.sha256(data).hexdigest() == sha256
 
 
 def test_max_r_command():

@@ -1,3 +1,4 @@
+import csv
 import io
 import math
 import tracemalloc
@@ -11,7 +12,12 @@ from dvm2d import circles, harness
 from dvm2d import collision as co
 from dvm2d.errors import PositivityLossError, PreconditionError
 from dvm2d.numtheory import is_prime
-from oracles import comprehension_angular_fourier, enumerated_figure_data, per_k_equid_term
+from oracles import (
+    comprehension_angular_fourier,
+    enumerated_figure_data,
+    per_k_equid_term,
+    quarter_figure_data,
+)
 
 MAXWELL = co.KernelSpec.maxwell()
 
@@ -380,6 +386,49 @@ def test_figure_data_refuses_unaffordable_census(monkeypatch):
     assert data.count == 10**4
 
 
+@pytest.mark.parametrize(
+    "query",
+    [(0, 0, 4, "ge"), (5, 5, 4, "ge"), (5, 5, 12, "ge"), (5, 5, 12, "gt"),
+     (25, 25, 4, "gt"), (7, 90, 8, "ge"), (7, 90, 8, "gt"), (0, 400, 48, "gt"),
+     (1000, 1100, 72, "ge"), (1000, 1100, 72, "gt")],
+)
+def test_figure_data_matches_quarter_oracle(query):
+    """The half box and its mirror give the quarter sweep's arrays; lo = hi is
+    the single diagonal point (lo, lo)."""
+    q = harness.FigureQuery(*query)
+    assert_same_figure(harness.figure_data(q), quarter_figure_data(q))
+
+
+@pytest.mark.parametrize(
+    "query, segment",
+    [((5, 5, 4, "ge"), 1 << 17), ((3, 60, 8, "ge"), 97), ((0, 200, 24, "gt"), 1 << 17),
+     ((0, 200, 24, "gt"), 1000)],
+)
+def test_figure_data_refusal_counts_the_mirror_exactly(monkeypatch, query, segment):
+    """At exactly MAX_FIGURE_POINTS the census runs, one point fewer refuses:
+    each off-diagonal point counts twice and each diagonal point once."""
+    monkeypatch.setattr(circles, "R2_SEGMENT", segment)
+    q = harness.FigureQuery(*query)
+    count = quarter_figure_data(q).count
+    assert count > 0
+    monkeypatch.setattr(harness, "MAX_FIGURE_POINTS", count)
+    assert harness.figure_data(q).count == count
+    monkeypatch.setattr(harness, "MAX_FIGURE_POINTS", count - 1)
+    with pytest.raises(PreconditionError, match="MAX_FIGURE_POINTS"):
+        harness.figure_data(q)
+
+
+def test_figure_data_traced_peak_within_its_bytes_per_point():
+    tracemalloc.start()
+    try:
+        data = harness.figure_data(harness.FigureQuery(0, 600, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data.count == 601 * 601 - 1  # every box point but the origin
+    assert peak <= harness.FIGURE_BYTES_PER_POINT * data.count + (4 << 20)
+
+
 def test_figure_csv():
     data = harness.figure_data(harness.FigureQuery(1, 9, 8, "ge"))
     buf = io.StringIO()
@@ -387,6 +436,24 @@ def test_figure_csv():
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "zeta1,zeta2,n,r2"
     assert len(lines) == 1 + data.count
+
+
+@pytest.mark.parametrize("rows", [1, 7, 1 << 16])
+@pytest.mark.parametrize("query", [(0, 0, 4, "ge"), (5, 5, 4, "ge"), (0, 120, 8, "ge")])
+def test_figure_csv_matches_csv_writer(monkeypatch, rows, query):
+    """The %-formatted table is csv.writer's text, CRLF included, whatever the
+    rows per write."""
+    monkeypatch.setattr(harness, "FIGURE_CSV_ROWS", rows)
+    data = harness.figure_data(harness.FigureQuery(*query))
+    want = io.StringIO()
+    w = csv.writer(want)
+    w.writerow(["zeta1", "zeta2", "n", "r2"])
+    for (x, y), n, r in zip(data.points.tolist(), data.n_values.tolist(),
+                            data.r_values.tolist()):
+        w.writerow([x, y, n, r])
+    got = io.StringIO()
+    harness.write_figure_csv(data, got)
+    assert got.getvalue() == want.getvalue()
 
 
 # ---------------------------------------------------------------------------
