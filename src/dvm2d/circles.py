@@ -23,12 +23,10 @@ exp_sum_closed evaluates that closed form from the factorization.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from itertools import chain
 from itertools import product as _iproduct
-from typing import IO
 
 import numpy as np
 
@@ -584,23 +582,3 @@ def avg_abs_S(X: int, k: int) -> AngleStatistics:
         partials.append(math.fsum(chain.from_iterable(iter(pieces.__next__, None))))
         decade_means.append((hi, math.fsum(partials) / hi))
     return AngleStatistics(X, k, decade_means[-1][1], tuple(decade_means))
-
-
-# ---------------------------------------------------------------------------
-# CSV emitters
-# ---------------------------------------------------------------------------
-
-def write_circle_csv(pts: CirclePointSet, fp: IO[str]) -> None:
-    """Rows (n, x, y, theta) in angle order."""
-    w = csv.writer(fp)
-    w.writerow(["n", "x", "y", "theta"])
-    for x, y, t in zip(pts.xs.tolist(), pts.ys.tolist(), pts.angles.tolist()):
-        w.writerow([pts.n, x, y, f"{t:.17g}"])
-
-
-def write_angle_stats_csv(stats: AngleStatistics, fp: IO[str]) -> None:
-    """Rows (X, k, mean_abs_S), one per decade."""
-    w = csv.writer(fp)
-    w.writerow(["X", "k", "mean_abs_S"])
-    for x_i, mean_i in stats.decades:
-        w.writerow([x_i, stats.k, f"{mean_i:.17g}"])

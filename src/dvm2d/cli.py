@@ -1,25 +1,27 @@
 """Command line interface.
 
-Every subcommand writes CSV to stdout or, with --out, to a file; file
-output is accompanied by <out>.manifest.json recording the full
-configuration and library versions.  Exit codes: 0 on
+Every subcommand computes its result first, then streams it as CSV to
+stdout or, with --out, to a file; a file is followed, once it is
+written, by <out>.manifest.json recording the full configuration and
+library versions.  Exit codes: 0 on
 success, 2 on precondition violations, 3 on numerical failures
 (positivity loss, quadrature non-convergence).
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
-import io
 import json
 import platform
 import sys
 from pathlib import Path
+from typing import IO, Iterator
 
 import click
 import numpy as np
 
-from . import __version__, circles, harness
+from . import __version__, circles, harness, tables
 from . import collision as co
 from .errors import NumericalError, PreconditionError
 
@@ -27,24 +29,21 @@ EXIT_PRECONDITION = 2
 EXIT_NUMERICAL = 3
 
 
-def _manifest(command: str, config: dict) -> dict:
-    return {
-        "command": command,
-        "config": config,
-        "versions": {
-            "dvm2d": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
-    }
-
-
-def _emit(text: str, out: Path | None, manifest: dict) -> None:
+@contextlib.contextmanager
+def _sink(out: Path | None, command: str, config: dict) -> Iterator[IO[str]]:
+    """The stream a command writes its result into, opened only once that
+    result is computed: stdout, or the --out file, which is followed by its
+    manifest only when the body has written it without error."""
     if out is None:
-        click.echo(text, nl=False)
+        stdout = click.get_text_stream("stdout")
+        yield stdout
+        stdout.flush()
         return
-    out.write_text(text)
-    Path(str(out) + ".manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    with out.open("w") as fp:
+        yield fp
+    versions = {"dvm2d": __version__, "numpy": np.__version__, "python": platform.python_version()}
+    manifest = {"command": command, "config": config, "versions": versions}
+    Path(f"{out}.manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     click.echo(f"wrote {out}", err=True)
 
 
@@ -90,7 +89,7 @@ def _make_f(name: str, file: Path | None):
         if file is None:
             raise PreconditionError("--file is required with --f file")
         with open(file) as fp:
-            return co.read_lattice_csv(fp)
+            return tables.read_lattice_csv(fp)
     raise PreconditionError(f"unknown distribution {name!r}")
 
 
@@ -112,9 +111,8 @@ def main():
 def circle(n: int, out: Path | None):
     """All integer points on the circle of squared radius N."""
     pts = circles.circle_points(n)
-    buf = io.StringIO()
-    circles.write_circle_csv(pts, buf)
-    _emit(buf.getvalue(), out, _manifest("circle", {"n": n, "count": pts.count}))
+    with _sink(out, "circle", {"n": n, "count": pts.count}) as fp:
+        tables.write_circle_csv(pts, fp)
 
 
 # K may be negative: "-8" is a value, not an unknown option.
@@ -130,13 +128,10 @@ def expsum(n: int, k: int, out: Path | None):
     """Exponential sum S(N, K), direct and closed form."""
     direct = circles.exp_sum_direct(n, k)
     closed = circles.exp_sum_closed(n, k)
-    buf = io.StringIO()
-    buf.write("n,k,re,im,abs,closed_abs\n")
-    buf.write(
-        f"{n},{k},{direct.value.real:.17g},{direct.value.imag:.17g},"
-        f"{abs(direct.value):.17g},{closed:.17g}\n"
-    )
-    _emit(buf.getvalue(), out, _manifest("expsum", {"n": n, "k": k}))
+    z = direct.value
+    with _sink(out, "expsum", {"n": n, "k": k}) as fp:
+        fp.write(f"n,k,re,im,abs,closed_abs\n{n},{k},{z.real:.17g},{z.imag:.17g},"
+                 f"{abs(z):.17g},{closed:.17g}\n")
 
 
 @main.command(name="avg-s", context_settings=NEGATIVE_K)
@@ -147,10 +142,9 @@ def expsum(n: int, k: int, out: Path | None):
 def avg_s(x: int, k: int, out: Path | None):
     """Mean of |S(m, K)| over m <= X, with per-decade sub-means."""
     stats = circles.avg_abs_S(x, k)
-    buf = io.StringIO()
-    circles.write_angle_stats_csv(stats, buf)
     config = {"X": x, "k": k, "vanishing_k": stats.vanishing_k}
-    _emit(buf.getvalue(), out, _manifest("avg-s", config))
+    with _sink(out, "avg-s", config) as fp:
+        tables.write_angle_stats_csv(stats, fp)
     if stats.vanishing_k:
         click.echo("note: 4 does not divide k, mean is identically 0", err=True)
 
@@ -171,7 +165,6 @@ def collide(f_name, file, h, R, v_text, grid, out):
     v = _parse_v(v_text)
     f = _make_f(f_name, file)
     kernel = co.KernelSpec.maxwell()
-    buf = io.StringIO()
     lattice = isinstance(f, co.LatticeDistribution)
     if lattice:
         h = f.h
@@ -182,15 +175,17 @@ def collide(f_name, file, h, R, v_text, grid, out):
         # Built first, so that its checks refuse before anything is sampled.
         op = co.FastCollisionOperator(h, R, kernel, co.lattice_bound(h, support))
         f_h = f if lattice else co.sample_on_lattice(f, h, support)
-        co.write_qh_csv(op.apply(f_h), h, buf)
+        q = op.apply(f_h)
     else:
         f_h, at = (f, v) if lattice else (harness.sample_about(f, v, h, R), np.zeros(2))
         zx, zy = f_h.lattice_coords(v)
         qh = co.q_discrete(f_h, at, kernel, R)
-        buf.write("zeta_x,zeta_y,Qh_value\n")
-        buf.write(f"{zx},{zy},{qh:.17g}\n")
     config = {"f": f_name, "h": h, "R": R, "v": v.tolist(), "grid": grid}
-    _emit(buf.getvalue(), out, _manifest("collide", config))
+    with _sink(out, "collide", config) as fp:
+        if grid:
+            tables.write_qh_csv(q, h, fp)
+        else:
+            fp.write(f"zeta_x,zeta_y,Qh_value\n{zx},{zy},{qh:.17g}\n")
 
 
 @main.command()
@@ -207,11 +202,10 @@ def converge(f_name, h_list, R, M, v_text, out):
     hs = _parse_floats(h_list)
     f = _make_f(f_name, None)
     study = harness.converge_study(f, co.KernelSpec.maxwell(), _parse_v(v_text), hs, R, M)
-    buf = io.StringIO()
-    harness.write_convergence_csv(study, buf)
     config = {"f": f_name, "h_list": hs, "R": R, "M": M, "v": v_text,
               "qref_self_convergence": study.qref_self_convergence}
-    _emit(buf.getvalue(), out, _manifest("converge", config))
+    with _sink(out, "converge", config) as fp:
+        tables.write_convergence_csv(study, fp)
 
 
 @main.command()
@@ -227,11 +221,10 @@ def figure(coord_min, coord_max, threshold, comparison, out):
     data = harness.figure_data(
         harness.FigureQuery(coord_min, coord_max, threshold, comparison)
     )
-    buf = io.StringIO()
-    harness.write_figure_csv(data, buf)
     config = {"min": coord_min, "max": coord_max, "threshold": threshold,
               "cmp": comparison, "count": data.count}
-    _emit(buf.getvalue(), out, _manifest("figure", config))
+    with _sink(out, "figure", config) as fp:
+        tables.write_figure_csv(data, fp)
     click.echo(f"count: {data.count}", err=True)
 
 
@@ -242,8 +235,8 @@ def figure(coord_min, coord_max, threshold, comparison, out):
 def max_r(bound, out):
     """Largest point count on circles with radius up to BOUND."""
     n_best, r_best = harness.max_r_search(bound)
-    text = f"n_best,r_best\n{n_best},{r_best}\n"
-    _emit(text, out, _manifest("max-r", {"bound": bound}))
+    with _sink(out, "max-r", {"bound": bound}) as fp:
+        fp.write(f"n_best,r_best\n{n_best},{r_best}\n")
 
 
 @main.command()
@@ -268,11 +261,10 @@ def simulate(f_name, file, h, support, R, dt, steps, record_every, out):
     traj = harness.relax_simulate(
         f, co.KernelSpec.maxwell(), R=R, dt=dt, steps=steps, record_every=record_every
     )
-    buf = io.StringIO()
-    harness.write_relax_csv(traj, buf)
     config = {"f": f_name, "h": f.h, "support": f.support_radius, "R": R,
               "dt": dt, "steps": steps, "record_every": record_every}
-    _emit(buf.getvalue(), out, _manifest("simulate", config))
+    with _sink(out, "simulate", config) as fp:
+        tables.write_relax_csv(traj, fp)
 
 
 if __name__ == "__main__":

@@ -36,11 +36,9 @@ v' = v*' = v = v* and contributes nothing.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
-from typing import IO, Callable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -636,6 +634,15 @@ def _harmonic_weights(xs: Array, ys: Array, n, m: int) -> tuple[Array, Array]:
 MAX_LOSS_BAND_BYTES = 1 << 30
 
 
+# FastCollisionOperator._loss gathers the state rows v_x + 2a of a run of
+# band rows a at once, a (side, run, columns of one parity) temporary, with
+# runs as long as fit in LOSS_GATHER_BYTES, as Q_DISCRETE_CHUNK_PAIRS bounds
+# q_discrete's gathers.  The relax and ladder sizes gather at most 0.7 MB:
+# one run, one gemm.  At R/h = 100 over a 287^2 state one gather of every
+# row would hold 66 MB, as much as the band.
+LOSS_GATHER_BYTES = 4 << 20
+
+
 def check_loss_band(h: float, R: float, bound: int) -> None:
     """Refuse an operator whose loss band exceeds MAX_LOSS_BAND_BYTES;
     nothing is allocated."""
@@ -906,12 +913,22 @@ class FastCollisionOperator:
         return self._gain_frame
 
     def _loss(self, grid: Array) -> Array:
-        """sum_zeta w(zeta) f(v + 2 zeta) on the square."""
+        """sum_zeta w(zeta) f(v + 2 zeta) on the square, one gemm per run of
+        band rows whose gathered state rows fit in LOSS_GATHER_BYTES."""
         stacked = np.vstack([grid, np.zeros((1, grid.shape[1]))])
-        side = len(grid)
+        side, offsets = self._loss_rows.shape
         loss = np.empty((side, side))
         for cols, band in self._loss_parts:
-            loss[:, cols] = stacked[:, cols][self._loss_rows].reshape(side, -1) @ band
+            part = stacked[:, cols]
+            n_col = band.shape[1]
+            run = max(1, LOSS_GATHER_BYTES // (8 * side * max(n_col, 1)))
+            for a in range(0, offsets, run):
+                rows, weights = self._loss_rows[:, a : a + run], band[a * n_col : (a + run) * n_col]
+                term = part[rows].reshape(side, -1) @ weights
+                if a == 0:
+                    loss[:, cols] = term
+                else:
+                    loss[:, cols] += term
         return loss
 
     def apply(self, f: LatticeDistribution) -> Array:
@@ -949,59 +966,3 @@ def collision_invariants(
     energy = math.fsum((q * v2).ravel().tolist())
     norm = math.fsum((np.abs(q) * (1 + v2)).ravel().tolist())
     return InvariantRates(mass, (mom_x, mom_y), energy, norm)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-def write_lattice_csv(f: LatticeDistribution, fp: IO[str]) -> None:
-    """JSON header line, then rows (zeta_x, zeta_y, value) inside the disk."""
-    fp.write("# " + json.dumps({"h": f.h, "R_support": f.support_radius}) + "\n")
-    w = csv.writer(fp)
-    w.writerow(["zeta_x", "zeta_y", "value"])
-    b = f.bound
-    for ix, iy in np.argwhere(f.disk).tolist():
-        w.writerow([ix - b, iy - b, f"{f.grid[ix, iy]:.17g}"])
-
-
-def read_lattice_csv(fp: IO[str]) -> LatticeDistribution:
-    """Inverse of write_lattice_csv; malformed input, a repeated point
-    included, raises PreconditionError."""
-    header = fp.readline()
-    if not header.startswith("#"):
-        raise PreconditionError("missing JSON header line")
-    try:
-        meta = json.loads(header[1:].strip())
-    except json.JSONDecodeError as exc:
-        raise PreconditionError(f"header is not JSON: {exc}") from None
-    if not isinstance(meta, dict) or not {"h", "R_support"} <= meta.keys():
-        raise PreconditionError("header must give h and R_support")
-    rows = [r for r in csv.reader(fp) if r]
-    if rows and rows[0] == ["zeta_x", "zeta_y", "value"]:
-        rows = rows[1:]
-    try:
-        h, support = float(meta["h"]), float(meta["R_support"])
-        values = {}
-        for r in rows:
-            zx, zy, val = r  # ValueError unless exactly three fields
-            point = int(zx), int(zy)
-            if point in values:
-                raise PreconditionError(f"lattice CSV repeats the row of point {point}")
-            values[point] = float(val)
-    except (TypeError, ValueError) as exc:
-        raise PreconditionError(f"malformed lattice CSV: {exc}") from None
-    return LatticeDistribution.from_values(h, support, values)
-
-
-def write_qh_csv(q: Array, h: float, fp: IO[str]) -> None:
-    """Rows (zeta_x, zeta_y, Qh_value) for Q^h on the square [-B, B]^2 of q."""
-    b = len(q) // 2
-    if q.shape != (2 * b + 1, 2 * b + 1):
-        raise PreconditionError(f"Q^h grid shape {q.shape} is not an odd square")
-    fp.write("# " + json.dumps({"h": h}) + "\n")
-    w = csv.writer(fp)
-    w.writerow(["zeta_x", "zeta_y", "Qh_value"])
-    for ix in range(-b, b + 1):
-        for iy in range(-b, b + 1):
-            w.writerow([ix, iy, f"{q[ix + b, iy + b]:.17g}"])

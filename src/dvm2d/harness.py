@@ -3,15 +3,14 @@ the max-point-count search, and the space-homogeneous relaxation run.
 
 These are the operations behind the CLI.  They combine the exact circle
 machinery with the collision operators and emit plain data structures
-that the CLI serializes to CSV.
+that dvm2d.tables writes as CSV.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from typing import IO, Callable, Iterable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -396,21 +395,6 @@ def figure_data(query: FigureQuery) -> FigureData:
     return FigureData(query, points, cols[2][order], cols[3][order])
 
 
-# write_figure_csv formats this many rows per write, so the format string
-# and the tuple of row values stay about 10 MB whatever the count.
-FIGURE_CSV_ROWS = 1 << 16
-
-
-def write_figure_csv(data: FigureData, fp: IO[str]) -> None:
-    """Rows (zeta1, zeta2, n, r2) ending in CRLF, as csv.writer writes them:
-    one %-format per FIGURE_CSV_ROWS rows over their values as one list."""
-    fp.write("zeta1,zeta2,n,r2\r\n")
-    for i in range(0, data.count, FIGURE_CSV_ROWS):
-        j = min(i + FIGURE_CSV_ROWS, data.count)
-        rows = np.column_stack((data.points[i:j], data.n_values[i:j], data.r_values[i:j]))
-        fp.write(("%d,%d,%d,%d\r\n" * (j - i)) % tuple(rows.ravel().tolist()))
-
-
 # ---------------------------------------------------------------------------
 # Max point count search
 # ---------------------------------------------------------------------------
@@ -469,10 +453,11 @@ def max_r_search(radius_bound: float) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class RelaxState:
-    """One snapshot of the homogeneous relaxation df/dt = Q^h(f, f)."""
+    """One snapshot of the homogeneous relaxation df/dt = Q^h(f, f); only
+    the last snapshot of a run keeps its state f."""
 
     t: float
-    f: LatticeDistribution
+    f: LatticeDistribution | None
     H: float  # sum f log f over the support, 0 log 0 = 0
     mass: float
     momentum: tuple[float, float]
@@ -485,17 +470,16 @@ def _entropy(grid: Array) -> float:
     return math.fsum((pos * np.log(pos)).tolist())
 
 
-# Beyond the loss band, one RK4 step peaks at 83-520 bytes per point of the
+# Beyond the loss band, one RK4 step peaks at 130-401 bytes per point of the
 # operator's frame, the square |v| <= widened bound + R/h that apply_frame
 # fills (traced with the circle table cached, Maxwell and
 # product_power(0.5, (1, 0, 0.5)), R/h = 8 .. 100, widened states of
-# 27^2 .. 711^2 points).  That includes the gain plan's frame-sized buffers
-# and views, which the operator keeps.  The top, 520 at R/h = 100 over
-# 287^2, is product-power's r/2 x side x width product buffer (r/2 = 24
-# there) on top of the loss gather's temporary; Maxwell reads 380 there.
-# Per widened-state point the same peaks read 310-2150 bytes, growing with
-# R/h, so the cap counts frame points; as the state outgrows R/h the two
-# counts meet (284 and 325 bytes for Maxwell at 711^2).
+# 29^2 .. 711^2 points).  That includes the gain plan's frame-sized buffers
+# and views, which the operator keeps, and the loss gather's run of at most
+# LOSS_GATHER_BYTES.  The top, 401 at R/h = 100 over 287^2, is
+# product-power's r/2 x side x width product buffer (r/2 = 24 there);
+# Maxwell reads 259 there.  Per widened-state point the same peaks read
+# 154-1155 bytes, growing with R/h, so the cap counts frame points.
 # MAX_RELAX_FRAME_POINTS keeps the step within 1 GiB.
 RELAX_BYTES_PER_FRAME_POINT = 576
 MAX_RELAX_FRAME_POINTS = (1 << 30) // RELAX_BYTES_PER_FRAME_POINT
@@ -530,9 +514,11 @@ def relax_simulate(
 
     The state lives on a disk sqrt(2) wider than the initial support so
     every collision gain stays on the grid (up to exponentially small
-    tails); moments and H are recorded per step.  The sizes are checked
-    first (check_relax_size).  Aborts with PositivityLossError if any value
-    drops below -1e-12 * max f, the sign that dt is too large.
+    tails); moments and H are recorded per step, and the final state in
+    the last snapshot only, so memory does not grow with the steps.  The
+    sizes are checked first (check_relax_size).  Aborts with
+    PositivityLossError if any value drops below -1e-12 * max f, the sign
+    that dt is too large.
     """
     if not (math.isfinite(dt) and dt > 0) or steps < 1:
         raise PreconditionError("dt must be positive and finite and steps >= 1")
@@ -550,20 +536,14 @@ def relax_simulate(
     def rate(s: Array) -> Array:
         return op.apply_grid(s) * disk
 
-    def snapshot(t: float, s: Array) -> RelaxState:
+    def snapshot(t: float, s: Array, last: bool = False) -> RelaxState:
         clamped = np.maximum(s, 0.0)
-        f = LatticeDistribution(h, wide.support_radius, clamped)
-        return RelaxState(
-            t,
-            f,
-            _entropy(clamped),
-            math.fsum((clamped * (h * h)).ravel().tolist()),
-            (
-                math.fsum((clamped * vx * (h * h)).ravel().tolist()),
-                math.fsum((clamped * vy * (h * h)).ravel().tolist()),
-            ),
-            math.fsum((clamped * v2 * (h * h)).ravel().tolist()),
-        )
+
+        def total(w) -> float:
+            return math.fsum((clamped * w * (h * h)).ravel().tolist())
+
+        f = LatticeDistribution(h, wide.support_radius, clamped) if last else None
+        return RelaxState(t, f, _entropy(clamped), total(1.0), (total(vx), total(vy)), total(v2))
 
     trajectory = [snapshot(0.0, state)]
     for step in range(1, steps + 1):
@@ -579,42 +559,5 @@ def relax_simulate(
                 f"threshold {floor:.3e}; reduce dt"
             )
         if step % record_every == 0 or step == steps:
-            trajectory.append(snapshot(step * dt, state))
+            trajectory.append(snapshot(step * dt, state, last=step == steps))
     return trajectory
-
-
-def write_relax_csv(trajectory: list[RelaxState], fp: IO[str]) -> None:
-    w = csv.writer(fp)
-    w.writerow(["t", "mass", "momentum_x", "momentum_y", "energy", "H"])
-    for s in trajectory:
-        w.writerow(
-            [
-                f"{s.t:.17g}",
-                f"{s.mass:.17g}",
-                f"{s.momentum[0]:.17g}",
-                f"{s.momentum[1]:.17g}",
-                f"{s.energy:.17g}",
-                f"{s.H:.17g}",
-            ]
-        )
-
-
-def write_convergence_csv(study: ConvergenceStudy, fp: IO[str]) -> None:
-    w = csv.writer(fp)
-    w.writerow(
-        ["h", "Qh", "Qref", "abs_err", "tail_R", "riemann_h", "fourier_tail_M", "equid"]
-    )
-    for row in study.rows:
-        b = row.budget
-        w.writerow(
-            [
-                f"{row.h:.17g}",
-                f"{row.qh:.17g}",
-                f"{row.qref:.17g}",
-                f"{row.abs_err:.17g}",
-                f"{b.tail_R:.17g}",
-                f"{b.riemann_h:.17g}",
-                f"{b.fourier_tail_M:.17g}",
-                f"{b.equid:.17g}",
-            ]
-        )

@@ -43,8 +43,14 @@ algebraically where the integrand has the |w|^alpha kink at 0.
 ``per_k_equid_term`` is ``harness.equid_term`` with one
 ``circles.abs_S_closed_range`` per k, each powering z^4 afresh, and the
 dense numpy sum of its values.
+The ``csv_writer_*`` functions are the table writers before
+``dvm2d.tables`` formatted every table with one %-format per chunk of
+rows: csv.writer rows of ints and ``f"{x:.17g}"`` strings, the lattice
+and Q^h files under a JSON line, and the figure one ``writerow`` per point.
 """
 
+import csv
+import json
 import math
 from itertools import chain, islice
 
@@ -527,3 +533,59 @@ def int_loop_harmonic_weights(xs, ys, n, m):
         cos_m[k] = re / den / odd
         sin_m[k] = im / den / odd
     return cos_m, sin_m
+
+
+def csv_writer_circle(pts, fp):
+    w = csv.writer(fp)
+    w.writerow(["n", "x", "y", "theta"])
+    for x, y, t in zip(pts.xs.tolist(), pts.ys.tolist(), pts.angles.tolist()):
+        w.writerow([pts.n, x, y, f"{t:.17g}"])
+
+
+def csv_writer_angle_stats(stats, fp):
+    w = csv.writer(fp)
+    w.writerow(["X", "k", "mean_abs_S"])
+    for x_i, mean_i in stats.decades:
+        w.writerow([x_i, stats.k, f"{mean_i:.17g}"])
+
+
+def csv_writer_figure(data, fp):
+    w = csv.writer(fp)
+    w.writerow(["zeta1", "zeta2", "n", "r2"])
+    for (x, y), n, r in zip(data.points.tolist(), data.n_values.tolist(), data.r_values.tolist()):
+        w.writerow([x, y, n, r])
+
+
+def csv_writer_convergence(study, fp):
+    w = csv.writer(fp)
+    w.writerow(["h", "Qh", "Qref", "abs_err", "tail_R", "riemann_h", "fourier_tail_M", "equid"])
+    for row in study.rows:
+        b = row.budget
+        w.writerow([f"{x:.17g}" for x in (row.h, row.qh, row.qref, row.abs_err, b.tail_R,
+                                          b.riemann_h, b.fourier_tail_M, b.equid)])
+
+
+def csv_writer_relax(trajectory, fp):
+    w = csv.writer(fp)
+    w.writerow(["t", "mass", "momentum_x", "momentum_y", "energy", "H"])
+    for s in trajectory:
+        w.writerow([f"{x:.17g}" for x in (s.t, s.mass, *s.momentum, s.energy, s.H)])
+
+
+def csv_writer_qh(q, h, fp):
+    b = len(q) // 2
+    fp.write("# " + json.dumps({"h": h}) + "\n")
+    w = csv.writer(fp)
+    w.writerow(["zeta_x", "zeta_y", "Qh_value"])
+    for ix in range(-b, b + 1):
+        for iy in range(-b, b + 1):
+            w.writerow([ix, iy, f"{q[ix + b, iy + b]:.17g}"])
+
+
+def csv_writer_lattice(f, fp):
+    fp.write("# " + json.dumps({"h": f.h, "R_support": f.support_radius}) + "\n")
+    w = csv.writer(fp)
+    w.writerow(["zeta_x", "zeta_y", "value"])
+    b = f.bound
+    for ix, iy in np.argwhere(f.disk).tolist():
+        w.writerow([ix - b, iy - b, f"{f.grid[ix, iy]:.17g}"])

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvm2d import circles
+from dvm2d import circles, tables
 from dvm2d.errors import PreconditionError
 from dvm2d.numtheory import two_squares_prime
 from oracles import (
@@ -857,7 +857,7 @@ def test_preconditions_raise():
 def test_circle_csv_roundtrip():
     pts = circles.circle_points(25)
     buf = io.StringIO()
-    circles.write_circle_csv(pts, buf)
+    tables.write_circle_csv(pts, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "n,x,y,theta"
     assert len(lines) == 1 + pts.count
@@ -872,7 +872,7 @@ def test_circle_csv_roundtrip():
 def test_angle_stats_csv():
     stats = circles.avg_abs_S(1000, 4)
     buf = io.StringIO()
-    circles.write_angle_stats_csv(stats, buf)
+    tables.write_angle_stats_csv(stats, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "X,k,mean_abs_S"
     assert len(lines) == 1 + len(stats.decades)

@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dvm2d import harness
+from dvm2d import harness, tables
 from dvm2d.cli import main
 from oracles import full_circle_q_discrete_detailed
 
@@ -136,7 +139,7 @@ def test_collide_file_roundtrip(tmp_path):
     f = co.sample_on_lattice(co.Maxwellian(1.0, 0.0, 0.0, 0.5), 0.5, 2.0)
     path = tmp_path / "f.csv"
     with open(path, "w") as fp:
-        co.write_lattice_csv(f, fp)
+        tables.write_lattice_csv(f, fp)
     runner = CliRunner()
     result = runner.invoke(
         main, ["collide", "--f", "file", "--file", str(path), "--R", "1.5", "--grid"]
@@ -153,7 +156,7 @@ def test_collide_grid_matches_pointwise(tmp_path):
     f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
     path = tmp_path / "f.csv"
     with open(path, "w") as fp:
-        co.write_lattice_csv(f, fp)
+        tables.write_lattice_csv(f, fp)
     result = CliRunner().invoke(
         main, ["collide", "--f", "file", "--file", str(path), "--R", "1.5", "--grid"]
     )
@@ -303,7 +306,7 @@ def test_collide_nonpositive_R_exits_2(tmp_path, grid, R):
     assert "precondition violation" in result.output
     path = tmp_path / "f.csv"
     with open(path, "w") as fp:
-        co.write_lattice_csv(co.sample_on_lattice(co.Maxwellian(), 0.5, 2.0), fp)
+        tables.write_lattice_csv(co.sample_on_lattice(co.Maxwellian(), 0.5, 2.0), fp)
     result = CliRunner().invoke(
         main, ["collide", "--f", "file", "--file", str(path), "--R", R, *grid]
     )
@@ -325,7 +328,7 @@ def test_readme_cli_examples_parse(tmp_path, monkeypatch):
     assert examples
     monkeypatch.chdir(tmp_path)  # --file f.csv must name an existing file
     with open("f.csv", "w") as fp:
-        co.write_lattice_csv(co.sample_on_lattice(co.Maxwellian(), 0.5, 2.0), fp)
+        tables.write_lattice_csv(co.sample_on_lattice(co.Maxwellian(), 0.5, 2.0), fp)
     for args in examples:
         main.commands[args[0]].make_context(args[0], args[1:])
 
@@ -496,3 +499,99 @@ def test_simulate_positivity_loss_exits_3():
          "--R", "3.0", "--dt", "100.0", "--steps", "10"],
     )
     assert result.exit_code == 3
+
+
+# Every subcommand at a small size; "FILE" stands for a lattice CSV.
+SUBCOMMANDS = {
+    "circle": ["circle", "25"],
+    "circle-2^64+1": ["circle", "18446744073709551617"],
+    "expsum": ["expsum", "25", "4"],
+    "avg-s": ["avg-s", "1000", "4"],
+    "collide": ["collide", "--f", "bimaxwellian", "--h", "0.5", "--R", "2", "--v", "0.5,0"],
+    "collide-grid": ["collide", "--h", "0.5", "--R", "1", "--grid"],
+    "collide-file": ["collide", "--f", "file", "--file", "FILE", "--R", "1", "--grid"],
+    "converge": ["converge", "--h-list", "0.5", "--R", "2", "--M", "8"],
+    "figure": ["figure", "--min", "0", "--max", "30", "--threshold", "8"],
+    "max-r": ["max-r", "--bound", "100"],
+    "simulate": ["simulate", "--h", "0.5", "--support", "2", "--R", "1", "--dt", "0.01",
+                 "--steps", "3"],
+}
+# Lines ending in a bare LF: the one-line results, and the Q^h grid's JSON
+# line; every other line ends in CRLF.
+LF_LINES = {"expsum": 2, "collide": 2, "max-r": 2, "collide-grid": 1, "collide-file": 1}
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_stdout_bytes_equal_out_bytes(tmp_path, name):
+    """In a real process, a command's stdout and its --out file hold the same
+    bytes, CRLF line ends of the tables included (CliRunner's output folds
+    CRLF to LF, so it cannot show this)."""
+    import dvm2d.collision as co
+
+    with open(tmp_path / "f.csv", "w") as fp:
+        tables.write_lattice_csv(co.sample_on_lattice(co.Maxwellian(), 0.5, 2.0), fp)
+    args = [str(tmp_path / "f.csv") if a == "FILE" else a for a in SUBCOMMANDS[name]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+    def run(*extra):
+        return subprocess.run([sys.executable, "-m", "dvm2d.cli", *args, *extra], env=env,
+                              capture_output=True, timeout=120, check=True)
+
+    out = tmp_path / "out.csv"
+    stdout = run().stdout
+    assert run("--out", str(out)).stdout == b""
+    assert stdout == out.read_bytes()
+    assert json.loads(Path(f"{out}.manifest.json").read_text())["command"] == args[0]
+    assert stdout.count(b"\n") - stdout.count(b"\r\n") == LF_LINES.get(name, 0)
+    assert stdout.count(b"\n") > 1
+
+
+@pytest.mark.parametrize(
+    "args, code",
+    [
+        (["figure", "--min", "0", "--max", "20000", "--threshold", "4"], 2),
+        (["simulate", "--f", "bimaxwellian", "--h", "0.25", "--support", "4.0", "--R", "3.0",
+          "--dt", "100.0", "--steps", "10"], 3),
+    ],
+    ids=["figure-refused", "simulate-positivity-loss"],
+)
+def test_failed_command_leaves_no_output_file(monkeypatch, tmp_path, args, code):
+    """The --out file is opened only once the result is computed, and the
+    manifest written only after it."""
+    monkeypatch.setattr(harness, "MAX_FIGURE_POINTS", 100)
+    out = tmp_path / "out.csv"
+    result = CliRunner().invoke(main, [*args, "--out", str(out)])
+    assert result.exit_code == code, result.output
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_figure_output_stage_holds_one_chunk(monkeypatch, tmp_path):
+    """Once figure_data returns, writing the CSV holds one chunk of rows on
+    top of the FigureData, not the table's text.  The (0, 400, 4) box keeps
+    160800 points (5.1 MB of FigureData, 2.5 MB of CSV text); a chunk of
+    1024 rows takes about 0.2 MB."""
+    monkeypatch.setattr(tables, "CSV_CHUNK_ROWS", 1024)
+    figure_data = harness.figure_data
+    held = {}
+
+    def traced(query):
+        data = figure_data(query)
+        tracemalloc.reset_peak()
+        held["current"] = tracemalloc.get_traced_memory()[0]
+        held["count"] = data.count
+        return data
+
+    monkeypatch.setattr(harness, "figure_data", traced)
+    out = tmp_path / "fig.csv"
+    tracemalloc.start()
+    try:
+        result = CliRunner().invoke(
+            main, ["figure", "--min", "0", "--max", "400", "--threshold", "4", "--out", str(out)]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 0, result.output
+    assert held["count"] == 401 * 401 - 1
+    assert peak - held["current"] <= 1 << 20

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dvm2d import collision as co
+from dvm2d import tables
 from dvm2d.circles import circle_points, circle_table
 from dvm2d.errors import PreconditionError, QuadratureError
 from oracles import (
@@ -451,9 +452,9 @@ def test_collision_invariants_maxwellian():
 def test_lattice_csv_roundtrip():
     f = co.sample_on_lattice(co.Maxwellian(1.0, 0.0, 0.0, 0.7), 0.5, 2.0)
     buf = io.StringIO()
-    co.write_lattice_csv(f, buf)
+    tables.write_lattice_csv(f, buf)
     buf.seek(0)
-    g = co.read_lattice_csv(buf)
+    g = tables.read_lattice_csv(buf)
     assert g.h == f.h and g.support_radius == f.support_radius
     assert np.array_equal(g.grid, f.grid)
 
@@ -462,7 +463,7 @@ def test_lattice_values_outside_the_disk_are_refused():
     # (2, 2) lies inside the square |zeta| <= 2 but outside the disk of radius 2.
     text = '# {"h": 1.0, "R_support": 2.0}\nzeta_x,zeta_y,value\n0,0,1.0\n2,2,5.0\n'
     with pytest.raises(PreconditionError, match=r"point \(2, 2\) outside declared support"):
-        co.read_lattice_csv(io.StringIO(text))
+        tables.read_lattice_csv(io.StringIO(text))
     for point in ((2, 2), (-2, 1), (3, 0)):
         with pytest.raises(PreconditionError, match="outside declared support"):
             co.LatticeDistribution.from_values(1.0, 2.0, {(0, 0): 1.0, point: 5.0})
@@ -493,7 +494,7 @@ def test_lattice_values_outside_the_disk_are_refused():
 )
 def test_read_lattice_csv_refuses_malformed_input(text, match):
     with pytest.raises(PreconditionError, match=match):
-        co.read_lattice_csv(io.StringIO(text))
+        tables.read_lattice_csv(io.StringIO(text))
 
 
 def test_non_finite_steps_and_radii_are_refused():
@@ -522,7 +523,7 @@ def test_qh_csv_format():
     f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
     q = co.FastCollisionOperator(h, 1.5, MAXWELL, b).apply(f)
     buf = io.StringIO()
-    co.write_qh_csv(q, h, buf)
+    tables.write_qh_csv(q, h, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == "zeta_x,zeta_y,Qh_value"
@@ -532,7 +533,7 @@ def test_qh_csv_format():
     assert float(row[2]) == q[0, 0]
     for shape in ((9, 7), (8, 8), (9,)):
         with pytest.raises(PreconditionError, match="not an odd square"):
-            co.write_qh_csv(np.zeros(shape), h, io.StringIO())
+            tables.write_qh_csv(np.zeros(shape), h, io.StringIO())
 
 
 class OldFastCollisionOperator:
@@ -885,6 +886,48 @@ def test_loss_band_build_peak_stays_near_what_it_keeps():
     assert sum(band.nbytes for _, band in op._loss_parts) > 16 << 20
     assert peak <= 1.5 * kept
 
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS[:2], ids=["maxwell", "pp05"])
+def test_loss_gathers_runs_of_band_rows_within_its_budget(monkeypatch, kernel):
+    """R/h = 20 over bound 60 with a budget of two gathered state rows: 21
+    runs of band rows per column parity, the first assigned and the rest
+    added.  The sum matches one run to 1e-14 of max |loss|, and the traced
+    peak stays within the budget plus four state-sized arrays (the zero-row
+    stack, the loss, one parity's columns and one run's product)."""
+    h, R, bound = 0.25, 5.0, 60
+    side = 2 * bound + 1
+    op = co.FastCollisionOperator(h, R, kernel, bound)
+    grid = np.random.default_rng(5).random((side, side))
+    whole = op._loss(grid)
+    budget = 2 * 8 * side * (bound + 1)
+    monkeypatch.setattr(co, "LOSS_GATHER_BYTES", budget)
+    tracemalloc.start()
+    try:
+        runs = op._loss(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert -(-(2 * op.reach + 1) // 2) == 21  # runs of two band rows
+    assert np.abs(runs - whole).max() <= 1e-14 * np.abs(whole).max()
+    assert peak <= budget + 4 * 8 * (side + 1) * side
+
+
+def test_loss_gather_is_one_run_and_bit_identical_at_the_relax_size():
+    """The relax workload's operator (h = 0.25, R = 5, the widened state of
+    support 5) gathers every band row at once: the one gemm per parity of
+    the unchunked loss, bit for bit."""
+    h, R = 0.25, 5.0
+    bound = co.widened_bound(co.lattice_bound(h, 5.0))
+    side = 2 * bound + 1
+    op = co.FastCollisionOperator(h, R, co.KernelSpec.product_power(0.5, (1, 0, 0.5)), bound)
+    assert 8 * side * (2 * op.reach + 1) * (bound + 1) <= co.LOSS_GATHER_BYTES
+    grid = np.random.default_rng(6).random((side, side))
+    stacked = np.vstack([grid, np.zeros((1, side))])
+    whole = np.empty((side, side))
+    for cols, band in op._loss_parts:
+        whole[:, cols] = stacked[:, cols][op._loss_rows].reshape(side, -1) @ band
+    assert np.array_equal(op._loss(grid), whole)
 
 def test_fast_operator_refuses_an_unaffordable_loss_band(monkeypatch):
     assert co.MAX_LOSS_BAND_BYTES == 1 << 30

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvm2d import circles, harness
+from dvm2d import circles, harness, tables
 from dvm2d import collision as co
 from dvm2d.errors import PositivityLossError, PreconditionError
 from dvm2d.numtheory import is_prime
@@ -292,7 +292,7 @@ def test_convergence_csv():
     bi = co.bimaxwellian()
     study = harness.converge_study(bi, MAXWELL, np.zeros(2), [0.5], R=2.0, M_diag=8)
     buf = io.StringIO()
-    harness.write_convergence_csv(study, buf)
+    tables.write_convergence_csv(study, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0].startswith("h,Qh,Qref,abs_err")
     assert len(lines) == 2
@@ -432,7 +432,7 @@ def test_figure_data_traced_peak_within_its_bytes_per_point():
 def test_figure_csv():
     data = harness.figure_data(harness.FigureQuery(1, 9, 8, "ge"))
     buf = io.StringIO()
-    harness.write_figure_csv(data, buf)
+    tables.write_figure_csv(data, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "zeta1,zeta2,n,r2"
     assert len(lines) == 1 + data.count
@@ -443,7 +443,7 @@ def test_figure_csv():
 def test_figure_csv_matches_csv_writer(monkeypatch, rows, query):
     """The %-formatted table is csv.writer's text, CRLF included, whatever the
     rows per write."""
-    monkeypatch.setattr(harness, "FIGURE_CSV_ROWS", rows)
+    monkeypatch.setattr(tables, "CSV_CHUNK_ROWS", rows)
     data = harness.figure_data(harness.FigureQuery(*query))
     want = io.StringIO()
     w = csv.writer(want)
@@ -452,7 +452,7 @@ def test_figure_csv_matches_csv_writer(monkeypatch, rows, query):
                             data.r_values.tolist()):
         w.writerow([x, y, n, r])
     got = io.StringIO()
-    harness.write_figure_csv(data, got)
+    tables.write_figure_csv(data, got)
     assert got.getvalue() == want.getvalue()
 
 
@@ -548,11 +548,35 @@ def test_relax_csv():
     f0 = co.sample_on_lattice(m, 0.25, 2.0)
     traj = harness.relax_simulate(f0, MAXWELL, R=1.0, dt=0.01, steps=3)
     buf = io.StringIO()
-    harness.write_relax_csv(traj, buf)
+    tables.write_relax_csv(traj, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "t,mass,momentum_x,momentum_y,energy,H"
     assert len(lines) == 1 + len(traj)
 
+
+
+def test_relax_memory_does_not_grow_with_the_steps():
+    """Only the last snapshot keeps its state f.  At the relax workload's
+    tiny size (h = 0.5, support 3, R = 3: a widened grid of 21^2 points),
+    200 steps trace a peak less than two grids above that of 20 steps.
+    Snapshots are taken every 20 steps, so that the nine extra snapshots'
+    scalars (about 280 bytes each) stay small against a grid."""
+    f0 = co.sample_on_lattice(co.bimaxwellian(), 0.5, 3.0)
+    harness.relax_simulate(f0, MAXWELL, R=3.0, dt=1e-3, steps=1)  # circle table cached
+    peaks, trajectories = {}, {}
+    for steps in (20, 200):
+        tracemalloc.start()
+        try:
+            trajectories[steps] = harness.relax_simulate(
+                f0, MAXWELL, R=3.0, dt=1e-3, steps=steps, record_every=20
+            )
+            peaks[steps] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    traj = trajectories[200]
+    assert len(traj) == 11 and all(s.f is None for s in traj[:-1])
+    assert traj[-1].f.grid.shape == (21, 21)
+    assert peaks[200] - peaks[20] < 2 * traj[-1].f.grid.nbytes
 
 def test_relax_preconditions(monkeypatch):
     f0 = co.sample_on_lattice(co.Maxwellian(), 0.5, 2.0)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 MODULES = {
     name: importlib.import_module(f"dvm2d.{name}")
-    for name in ("numtheory", "circles", "collision", "harness", "cli", "errors")
+    for name in ("numtheory", "circles", "collision", "harness", "tables", "cli", "errors")
 }
 CLASSES = {
     name: obj
