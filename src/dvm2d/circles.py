@@ -30,7 +30,7 @@ from itertools import product as _iproduct
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import PreconditionError, check_memory
 from .numtheory import (
     GaussianFactorization,
     ResidueClass,
@@ -164,10 +164,9 @@ class CircleTable:
 
 # The build holds x, y, n, the angle and the sort order, 8 bytes each, plus
 # one sorted copy at a time (a traced peak of 45 bytes per point).  The disk
-# has about pi * limit points and never more than 4 * limit, so a limit up
-# to MAX_CIRCLE_TABLE_LIMIT keeps the build under 1 GiB.
+# has about pi * limit points and never more than 4 * limit; the budget
+# counts 4 * limit.
 CIRCLE_TABLE_BYTES_PER_POINT = 48
-MAX_CIRCLE_TABLE_LIMIT = (1 << 30) // (4 * CIRCLE_TABLE_BYTES_PER_POINT)
 
 _circle_cache: dict[str, CircleTable] = {}
 
@@ -193,6 +192,12 @@ def _build_circle_table(limit: int) -> CircleTable:
     return CircleTable(limit, starts, xs, ys, angles)
 
 
+def check_circle_table(limit: int) -> None:
+    """Refuse a circle table whose 4 * limit points pass the memory budget."""
+    what = f"circle_table({limit}): 4 * limit points"
+    check_memory(what, 4 * limit, CIRCLE_TABLE_BYTES_PER_POINT)
+
+
 def circle_table(limit: int) -> CircleTable:
     """All circles 1 <= n <= limit from one sweep over the lattice disk.
 
@@ -201,17 +206,13 @@ def circle_table(limit: int) -> CircleTable:
     of the disk once; one lexsort by (n, angle) then cuts the points into
     circles, so no n is factorized.  Points, angles and their order equal
     circle_points(n)'s.
-    Cached and grown monotonically; a limit above MAX_CIRCLE_TABLE_LIMIT
-    raises PreconditionError before anything is allocated.
+    Cached and grown monotonically; a limit whose 4 * limit points pass
+    the memory budget (check_circle_table) raises PreconditionError
+    before anything is allocated.
     """
     if limit < 0:
         raise PreconditionError(f"circle_table requires limit >= 0, got {limit}")
-    if limit > MAX_CIRCLE_TABLE_LIMIT:
-        raise PreconditionError(
-            f"circle_table needs {CIRCLE_TABLE_BYTES_PER_POINT} bytes per point for "
-            f"up to 4 * limit points; limit = {limit} exceeds MAX_CIRCLE_TABLE_LIMIT = "
-            f"{MAX_CIRCLE_TABLE_LIMIT} (1 GiB)"
-        )
+    check_circle_table(limit)
     table = _circle_cache.get("table")
     if table is None or table.limit < limit:
         table = _circle_cache["table"] = _build_circle_table(limit)
@@ -335,12 +336,10 @@ R2_SEGMENT = 1 << 17
 
 # A segment of r2_range holds about 64 bytes for each of its octant rows,
 # isqrt(e) - isqrt((s - 1) / 2) of them, plus its own points: a traced peak
-# of 19.6 bytes per isqrt(e) for the segment at n = 10**12.
-# R2_RANGE_BYTES_PER_ROW counts all isqrt(n_hi) rows, which leaves room for
-# those.  n_hi up to MAX_R2_RANGE_N keeps the rows in 1 GiB, and below 2**52,
-# where _isqrt is exact.
+# of 19.6 bytes per isqrt(e) for the segment at n = 10**12.  The budget
+# counts ceil(sqrt(n_hi)) rows, which leaves room for those; an n_hi within
+# it is below 2**52, where _isqrt is exact.
 R2_RANGE_BYTES_PER_ROW = 72
-MAX_R2_RANGE_N = ((1 << 30) // R2_RANGE_BYTES_PER_ROW) ** 2
 
 
 def r2_range(n_lo: int, n_hi: int):
@@ -352,16 +351,14 @@ def r2_range(n_lo: int, n_hi: int):
     their own mirror, so r2(n) = 8 * #octant(n) - 4 [n = x^2] - 4 [n = 2 x^2].
     Per segment [s, e] the octant comes from annulus_points, binned by
     x^2 + y^2 - s; nothing is factorized.  The arrays are int64.  An n_hi
-    above MAX_R2_RANGE_N raises PreconditionError before anything is
-    allocated.
+    whose ceil(sqrt(n_hi)) rows pass the memory budget raises
+    PreconditionError before anything is allocated.
     """
     if n_lo < 1:
         raise PreconditionError(f"r2_range requires n_lo >= 1, got {n_lo}")
-    if n_hi > MAX_R2_RANGE_N:
-        raise PreconditionError(
-            f"r2_range needs {R2_RANGE_BYTES_PER_ROW} bytes per row for isqrt(n_hi) "
-            f"rows; n_hi = {n_hi} exceeds MAX_R2_RANGE_N = {MAX_R2_RANGE_N} (1 GiB)"
-        )
+    k = math.isqrt(max(n_hi, 0))
+    rows = k + (k * k < n_hi)  # ceil(sqrt(n_hi))
+    check_memory(f"r2_range to n_hi = {n_hi}: ceil(sqrt(n_hi)) rows", rows, R2_RANGE_BYTES_PER_ROW)
     for s in range(n_lo, n_hi + 1, R2_SEGMENT):
         e = min(s + R2_SEGMENT - 1, n_hi)
         k = math.isqrt(e)

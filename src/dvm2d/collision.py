@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 from .circles import circle_table
-from .errors import PreconditionError, QuadratureError
+from .errors import PreconditionError, QuadratureError, check_memory
 
 Array = np.ndarray
 
@@ -170,6 +170,22 @@ def lattice_bound(h: float, radius: float) -> int:
     return int(math.floor(radius / h + 1e-9))
 
 
+# Sampling a closed-form state peaks at 64 bytes per lattice point (traced,
+# bi-Maxwellian).  The Riemann sum of converge_study's h reads the R disk,
+# whose square has at most a quarter of the state's points, at about 136
+# bytes per disk point, so it fits the same budget.
+CONVERGE_BYTES_PER_POINT = 64
+
+
+def check_state_points(h: float, radius: float) -> int:
+    """The side 2B + 1 of the square a state on the disk |v| <= radius is
+    stored on, once its points are checked against the memory budget."""
+    side = 2 * lattice_bound(h, radius) + 1  # refuses a bad h or radius
+    what = f"h = {h}: the state on the disk of radius {radius:g} has {side}^2 points"
+    check_memory(what, side * side, CONVERGE_BYTES_PER_POINT)
+    return side
+
+
 def widened_bound(bound: int) -> int:
     """Bound of the square that LatticeDistribution.widened puts a state of
     bound `bound` on: past sqrt(2) bound, the energy disk."""
@@ -230,19 +246,28 @@ class LatticeDistribution:
 
     @classmethod
     def zeros(cls, h: float, support_radius: float) -> "LatticeDistribution":
-        """The zero state on the disk |h zeta| <= support_radius."""
-        side = 2 * lattice_bound(h, support_radius) + 1
+        """The zero state on the disk |h zeta| <= support_radius; every dense
+        state is made here, and its size checked (check_state_points) before
+        it is allocated."""
+        side = check_state_points(h, support_radius)
         return cls(h, support_radius, np.zeros((side, side)))
 
     @classmethod
     def from_values(
-        cls, h: float, support_radius: float, values: dict[tuple[int, int], float]
+        cls, h: float, support_radius: float, values: Iterable[tuple[tuple[int, int], float]]
     ) -> "LatticeDistribution":
+        """The state with the given (point, value) pairs and 0 elsewhere.  The
+        zero state is made before `values` is read; a point off the support
+        disk, or given twice, raises PreconditionError."""
         zero = cls.zeros(h, support_radius)
         b, grid, disk = zero.bound, zero.grid, zero.disk
-        for (zx, zy), val in values.items():
+        seen = np.zeros_like(disk)
+        for (zx, zy), val in values:
             if abs(zx) > b or abs(zy) > b or not disk[zx + b, zy + b]:
                 raise PreconditionError(f"point {(zx, zy)} outside declared support")
+            if seen[zx + b, zy + b]:
+                raise PreconditionError(f"the state repeats the row of point {(zx, zy)}")
+            seen[zx + b, zy + b] = True
             grid[zx + b, zy + b] = val
         return cls(h, support_radius, grid)
 
@@ -626,12 +651,11 @@ def _harmonic_weights(xs: Array, ys: Array, n, m: int) -> tuple[Array, Array]:
     return cos_m, sin_m
 
 
-# The loss band is dense, 8 bytes per (row offset, column in, column out) of
-# each column parity: 8 (2K + 1) ((B + 1)^2 + B^2) bytes for K = R/h and
-# B = bound, which grows as h^-3 at fixed radii (8 MB at h = 0.1 and 63 MB
-# at h = 0.05 for the widened state of support 5 and R = 5).
-# MAX_LOSS_BAND_BYTES keeps it within 1 GiB.
-MAX_LOSS_BAND_BYTES = 1 << 30
+# The loss band is dense, one float64 per (row offset, column in, column
+# out) of each column parity: (2K + 1) ((B + 1)^2 + B^2) entries for K = R/h
+# and B = bound, which grows as h^-3 at fixed radii (8 MB at h = 0.1 and
+# 63 MB at h = 0.05 for the widened state of support 5 and R = 5).
+LOSS_BAND_BYTES_PER_ENTRY = 8
 
 
 # FastCollisionOperator._loss gathers the state rows v_x + 2a of a run of
@@ -644,15 +668,11 @@ LOSS_GATHER_BYTES = 4 << 20
 
 
 def check_loss_band(h: float, R: float, bound: int) -> None:
-    """Refuse an operator whose loss band exceeds MAX_LOSS_BAND_BYTES;
-    nothing is allocated."""
+    """Refuse an operator whose loss band passes the memory budget."""
     k = lattice_bound(h, R)
-    band_bytes = 8 * (2 * k + 1) * ((bound + 1) ** 2 + bound**2)
-    if band_bytes > MAX_LOSS_BAND_BYTES:
-        raise PreconditionError(
-            f"the loss band for R/h = {k} and bound = {bound} needs {band_bytes} "
-            f"bytes, more than MAX_LOSS_BAND_BYTES = {MAX_LOSS_BAND_BYTES} (1 GiB)"
-        )
+    entries = (2 * k + 1) * ((bound + 1) ** 2 + bound**2)
+    what = f"the loss band for R/h = {k} and bound = {bound}"
+    check_memory(what, entries, LOSS_BAND_BYTES_PER_ENTRY)
 
 
 class FastCollisionOperator:
@@ -701,9 +721,9 @@ class FastCollisionOperator:
       columns to columns.
       Column v_y reads only columns of its own parity, so the band is kept
       as two halves.  It is built once per operator, for its one bound,
-      and holds 8 (2 R/h + 1) ((bound + 1)^2 + bound^2) bytes, at most
-      MAX_LOSS_BAND_BYTES.  Its weight at zeta_i, (2 pi / r) sum_j
-      q(|h zeta|, cos theta_ij), comes from the gain's channels: for even
+      and holds (2 R/h + 1) ((bound + 1)^2 + bound^2) float64 entries,
+      within the memory budget (check_loss_band).  Its weight at zeta_i,
+      (2 pi / r) sum_j q(|h zeta|, cos theta_ij), comes from the gain's channels: for even
       m, sum_j cos(m(phi_i - phi_j)) is cos(m phi_i) sum_j cos(m phi_j) +
       sin(m phi_i) sum_j sin(m phi_j), and odd m sum to zero over +-zeta_j.
 

@@ -23,6 +23,7 @@ from .collision import (
     QuadratureConfig,
     angular_integral,
     check_loss_band,
+    check_state_points,
     circle_limit,
     lattice_bound,
     polar_sum,
@@ -32,7 +33,7 @@ from .collision import (
     sample_on_lattice,
     widened_bound,
 )
-from .errors import PositivityLossError, PreconditionError
+from .errors import PositivityLossError, PreconditionError, check_memory
 from .numtheory import is_prime
 
 # ---------------------------------------------------------------------------
@@ -154,48 +155,27 @@ class ConvergenceStudy:
     qref_self_convergence: float
 
 
-# Sampling a closed-form state peaks at 64 bytes per lattice point (traced,
-# bi-Maxwellian).  The Riemann sum of an h reads the R disk, whose square
-# has at most a quarter of the state's points, at about 136 bytes per disk
-# point, so it fits the same budget.  MAX_CONVERGE_STATE_POINTS keeps each
-# sampled state (converge_study's and the CLI's collide) within 1 GiB.
-CONVERGE_BYTES_PER_POINT = 64
-MAX_CONVERGE_STATE_POINTS = (1 << 30) // CONVERGE_BYTES_PER_POINT
-
 # angular_fourier samples 4M + 4 angle nodes at a traced peak of 128-132
-# bytes per node (M = 10**4 .. 10**6, bi-Maxwellian), so M up to
-# MAX_CONVERGE_M keeps it within 1 GiB.  Time is not bounded by it: one
-# angular_fourier call takes 0.66 s at M = 10**5 and 5.6 s at M = 10**6
-# (converge_study makes three), and equid_term's one sweep grows linearly
-# in M and in the disk's points, 26 ms at M = 4000 and 0.27 s at M = 40000
-# for h = 0.125 and R = 3 (2 cores, Python 3.11, numpy 2.4).
+# bytes per node (M = 10**4 .. 10**6, bi-Maxwellian); the budget counts 4M
+# nodes at 132 bytes, which covers 4M + 4 at 128 for M >= 32.  Time is not
+# bounded by it: one angular_fourier call takes 0.66 s at M = 10**5 and
+# 5.6 s at M = 10**6 (converge_study makes three), and equid_term's one
+# sweep grows linearly in M and in the disk's points, 26 ms at M = 4000 and
+# 0.27 s at M = 40000 for h = 0.125 and R = 3 (2 cores, Python 3.11, numpy
+# 2.4).
 FOURIER_BYTES_PER_NODE = 132
-MAX_CONVERGE_M = (1 << 30) // (4 * FOURIER_BYTES_PER_NODE)
-
-
-def check_state_points(h: float, radius: float) -> None:
-    """Refuse to sample a state on the disk |v| <= radius of more than
-    MAX_CONVERGE_STATE_POINTS lattice points; nothing is allocated."""
-    side = 2 * lattice_bound(h, radius) + 1  # refuses a bad h or radius
-    if side * side > MAX_CONVERGE_STATE_POINTS:
-        raise PreconditionError(
-            f"h = {h}: the state on the disk of radius {radius:g} has {side}^2 "
-            f"points, more than MAX_CONVERGE_STATE_POINTS = {MAX_CONVERGE_STATE_POINTS} "
-            f"({CONVERGE_BYTES_PER_POINT} bytes each, 1 GiB)"
-        )
 
 
 def sample_about(
     f_spec: Callable[[Array], Array], v: Array, h: float, R: float
 ) -> LatticeDistribution:
     """u -> f(u + v) on the disk |u| <= 2R + 2h, checked first for v on
-    the h-lattice and against MAX_CONVERGE_STATE_POINTS.
+    the h-lattice and against the memory budget (check_state_points).
 
     Q^h is translation invariant and Q^h(f, f)(v) reads f only within 2R
     of v, so Q^h of this state at 0 is Q^h(f, f)(v) up to the rounding of
     u + v, which is exact at v = 0."""
     LatticeDistribution.zeros(h, 0.0).lattice_coords(v)
-    check_state_points(h, 2 * R + 2 * h)
     return sample_on_lattice(lambda u: f_spec(u + v), h, 2 * R + 2 * h)
 
 
@@ -212,11 +192,11 @@ def converge_study(
     For each h the closed-form state is sampled about v (sample_about) on
     a disk wide enough that every velocity reached by the truncated sum
     sees the true f, so the comparison isolates discretization error.
-    Everything is checked first: M_diag outside 5 .. MAX_CONVERGE_M, a v
-    off some h's lattice, a circle table beyond
-    circles.MAX_CIRCLE_TABLE_LIMIT or a state of more than
-    MAX_CONVERGE_STATE_POINTS points raises PreconditionError before
-    anything is sampled.
+    Everything is checked first: M_diag below 5, a v off some h's
+    lattice, or 4 M_diag angle nodes, a circle table
+    (circles.check_circle_table) or a sampled state (check_state_points)
+    past the memory budget raises PreconditionError before anything is
+    sampled.
 
     The reference's fine level (the polar rule on the disk of radius 2R,
     2 n_theta = 64 angle nodes) has its panel split at |w| = R.  So it also
@@ -229,20 +209,14 @@ def converge_study(
         raise PreconditionError("h_list must not be empty")
     if any(b >= a for a, b in zip(h_list, h_list[1:])):
         raise PreconditionError("h_list must be strictly decreasing")
-    if not 5 <= M_diag <= MAX_CONVERGE_M:
-        raise PreconditionError(
-            f"M must be in 5 .. MAX_CONVERGE_M = {MAX_CONVERGE_M} (angular_fourier "
-            f"holds 4M + 4 nodes at {FOURIER_BYTES_PER_NODE} bytes each), got {M_diag}"
-        )
+    if M_diag < 5:
+        raise PreconditionError(f"M must be >= 5 so some 4 | k contributes, got {M_diag}")
+    what = f"angular_fourier at M = {M_diag}: 4M angle nodes"
+    check_memory(what, 4 * M_diag, FOURIER_BYTES_PER_NODE)
     v = np.asarray(v, dtype=np.float64)
     for h in h_list:
         lattice_bound(h, 2 * R + 2 * h)  # refuses a bad h or R
-        n_max = circle_limit(h, R)
-        if n_max > circles.MAX_CIRCLE_TABLE_LIMIT:
-            raise PreconditionError(
-                f"h = {h}: (R/h)^2 = {n_max} exceeds "
-                f"MAX_CIRCLE_TABLE_LIMIT = {circles.MAX_CIRCLE_TABLE_LIMIT}"
-            )
+        circles.check_circle_table(circle_limit(h, R))
         check_state_points(h, 2 * R + 2 * h)
         LatticeDistribution.zeros(h, 0.0).lattice_coords(v)
     quad = QuadratureConfig(r_quad=2 * R)
@@ -340,10 +314,8 @@ class FigureData:
 # stream, a mirrored point as its own four, and the final lexsort and gathers
 # add at most as much again.  The traced peak is FIGURE_BYTES_PER_POINT plus
 # under 0.6 MB: 65.5 bytes per point for the 361200 points of the box
-# (0, 600, 4), 64.2 for the 2253000 of (0, 1500, 4).  MAX_FIGURE_POINTS keeps
-# it in 1 GiB.
+# (0, 600, 4), 64.2 for the 2253000 of (0, 1500, 4).
 FIGURE_BYTES_PER_POINT = 64
-MAX_FIGURE_POINTS = (1 << 30) // FIGURE_BYTES_PER_POINT
 
 
 def figure_data(query: FigureQuery) -> FigureData:
@@ -355,9 +327,9 @@ def figure_data(query: FigureQuery) -> FigureData:
     is then read by indexing.  The mirror (y, x) of a kept point lies on
     the same circle and in the box, so each kept point off the diagonal is
     kept mirrored too.  No circle is enumerated or factorized.  One lexsort
-    orders the kept points.  When the kept points would pass
-    MAX_FIGURE_POINTS (1 GiB) the query raises PreconditionError before
-    that segment is stored.
+    orders the kept points.  When the kept points would pass the
+    memory budget the query raises PreconditionError before that segment
+    is stored.
     """
     lo, hi = query.coord_min, query.coord_max
     cut = query.threshold if query.comparison == "ge" else query.threshold + 1
@@ -374,12 +346,8 @@ def figure_data(query: FigureQuery) -> FigureData:
         xs, ys, ns, rs = xs[keep], ys[keep], ns[keep], rs[keep]
         off = xs != ys
         total += len(xs) + int(np.count_nonzero(off))
-        if total > MAX_FIGURE_POINTS:
-            raise PreconditionError(
-                f"figure keeps more than MAX_FIGURE_POINTS = {MAX_FIGURE_POINTS} "
-                f"points ({FIGURE_BYTES_PER_POINT} bytes each, 1 GiB); raise the "
-                f"threshold or shrink the box"
-            )
+        what = "figure_data's kept points (raise the threshold or shrink the box)"
+        check_memory(what, total, FIGURE_BYTES_PER_POINT)
         for chunks, a, mirror in zip(kept, (xs, ys, ns, rs), (ys, xs, ns, rs)):
             chunks.append(np.concatenate((a, mirror[off])))
 
@@ -479,27 +447,21 @@ def _entropy(grid: Array) -> float:
 # LOSS_GATHER_BYTES.  The top, 401 at R/h = 100 over 287^2, is
 # product-power's r/2 x side x width product buffer (r/2 = 24 there);
 # Maxwell reads 259 there.  Per widened-state point the same peaks read
-# 154-1155 bytes, growing with R/h, so the cap counts frame points.
-# MAX_RELAX_FRAME_POINTS keeps the step within 1 GiB.
+# 154-1155 bytes, growing with R/h, so the budget counts frame points.
 RELAX_BYTES_PER_FRAME_POINT = 576
-MAX_RELAX_FRAME_POINTS = (1 << 30) // RELAX_BYTES_PER_FRAME_POINT
 
 
 def check_relax_size(h: float, support: float, R: float) -> None:
     """Refuse a relaxation of a state of support radius `support` whose
-    widened state has more than MAX_CONVERGE_STATE_POINTS points, whose
-    loss band exceeds MAX_LOSS_BAND_BYTES, or whose operator frame has more
-    than MAX_RELAX_FRAME_POINTS points; nothing is allocated."""
+    widened state (check_state_points), loss band (check_loss_band) or
+    operator frame, at RELAX_BYTES_PER_FRAME_POINT, passes the memory
+    budget; nothing is allocated."""
     wide = widened_bound(lattice_bound(h, support))
     check_state_points(h, wide * h)
     check_loss_band(h, R, wide)
     side = 2 * (wide + lattice_bound(h, R)) + 1
-    if side * side > MAX_RELAX_FRAME_POINTS:
-        raise PreconditionError(
-            f"h = {h}: the relaxation's operator frame has {side}^2 points, more than "
-            f"MAX_RELAX_FRAME_POINTS = {MAX_RELAX_FRAME_POINTS} "
-            f"({RELAX_BYTES_PER_FRAME_POINT} bytes each, 1 GiB)"
-        )
+    what = f"h = {h}: the relaxation's operator frame has {side}^2 points"
+    check_memory(what, side * side, RELAX_BYTES_PER_FRAME_POINT)
 
 
 def relax_simulate(

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import IO, TYPE_CHECKING, Sequence
+from typing import IO, TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -94,7 +94,9 @@ def write_lattice_csv(f: LatticeDistribution, fp: IO[str]) -> None:
 
 def read_lattice_csv(fp: IO[str]) -> LatticeDistribution:
     """Inverse of write_lattice_csv; malformed input, a repeated point
-    included, raises PreconditionError."""
+    included, raises PreconditionError.  The header's state is made, and
+    its size checked, before any row is read; the rows then fill it one
+    at a time."""
     header = fp.readline()
     if not header.startswith("#"):
         raise PreconditionError("missing JSON header line")
@@ -104,18 +106,21 @@ def read_lattice_csv(fp: IO[str]) -> LatticeDistribution:
         raise PreconditionError(f"header is not JSON: {exc}") from None
     if not isinstance(meta, dict) or not {"h", "R_support"} <= meta.keys():
         raise PreconditionError("header must give h and R_support")
-    rows = [r for r in csv.reader(fp) if r]
-    if rows and rows[0] == ["zeta_x", "zeta_y", "value"]:
-        rows = rows[1:]
     try:
         h, support = float(meta["h"]), float(meta["R_support"])
-        values = {}
-        for r in rows:
-            zx, zy, val = r  # ValueError unless exactly three fields
-            point = int(zx), int(zy)
-            if point in values:
-                raise PreconditionError(f"lattice CSV repeats the row of point {point}")
-            values[point] = float(val)
     except (TypeError, ValueError) as exc:
         raise PreconditionError(f"malformed lattice CSV: {exc}") from None
-    return LatticeDistribution.from_values(h, support, values)
+    return LatticeDistribution.from_values(h, support, _lattice_rows(fp))
+
+
+def _lattice_rows(fp: IO[str]) -> Iterator[tuple[tuple[int, int], float]]:
+    """(point, value) per row of a lattice CSV, past its column header."""
+    for i, r in enumerate(filter(None, csv.reader(fp))):
+        if i == 0 and r == ["zeta_x", "zeta_y", "value"]:
+            continue
+        try:
+            zx, zy, val = r  # ValueError unless exactly three fields
+            row = (int(zx), int(zy)), float(val)
+        except ValueError as exc:
+            raise PreconditionError(f"malformed lattice CSV: {exc}") from None
+        yield row

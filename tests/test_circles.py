@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvm2d import circles, tables
+from dvm2d import circles, errors, tables
 from dvm2d.errors import PreconditionError
 from dvm2d.numtheory import two_squares_prime
 from oracles import (
@@ -152,7 +152,8 @@ def test_isqrt_exact_near_squares():
     r = circles._isqrt(ms)
     assert r.dtype == np.int64
     assert np.all(r * r <= ms) and np.all((r + 1) * (r + 1) > ms)
-    assert circles.MAX_R2_RANGE_N < 2**52
+    # The largest n_hi that r2_range accepts.
+    assert (errors.MEMORY_BUDGET // circles.R2_RANGE_BYTES_PER_ROW) ** 2 < 2**52
 
 
 @settings(max_examples=60, deadline=None)
@@ -230,18 +231,6 @@ def test_annulus_points_octant_match_box_scan(s, width, x_lo, x_w, y_lo, y_w):
     ]
     assert xs.dtype == ys.dtype == np.int64
     assert list(zip(xs.tolist(), ys.tolist())) == want
-
-
-def test_r2_range_refuses_unaffordable_n_hi():
-    tracemalloc.start()
-    try:
-        for n_hi in (10**18, circles.MAX_R2_RANGE_N + 1):
-            with pytest.raises(PreconditionError, match="MAX_R2_RANGE_N"):
-                next(circles.r2_range(n_hi, n_hi))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20
 
 
 def test_smallest_prime_factor_sieve_small_limits():
@@ -394,10 +383,11 @@ def test_circle_table_refuses_unaffordable_limit():
         circles.circle_table(-1)
     tracemalloc.start()
     try:
-        for limit in (10**12, circles.MAX_CIRCLE_TABLE_LIMIT + 1):
-            with pytest.raises(PreconditionError, match="MAX_CIRCLE_TABLE_LIMIT") as err:
+        for limit in (10**12, 5592406):
+            with pytest.raises(PreconditionError, match="MEMORY_BUDGET") as err:
                 circles.circle_table(limit)
-            assert f"{circles.CIRCLE_TABLE_BYTES_PER_POINT} bytes per point" in str(err.value)
+            want = f"circle_table({limit}): 4 * limit points: {4 * limit} x 48 bytes"
+            assert want in str(err.value)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

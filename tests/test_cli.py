@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from dvm2d import harness, tables
+from dvm2d import errors, harness, tables
 from dvm2d.cli import main
 from oracles import full_circle_q_discrete_detailed
 
@@ -196,16 +196,17 @@ def test_converge_empty_h_list_exits_2():
 def test_converge_unaffordable_h_exits_2():
     result = CliRunner().invoke(main, ["converge", "--h-list", "0.001", "--R", "3"])
     assert result.exit_code == 2, result.output
-    assert "MAX_CIRCLE_TABLE_LIMIT" in result.output
+    assert "circle_table(9000000): 4 * limit points: 36000000 x 48 bytes" in result.output
 
 
-@pytest.mark.parametrize("M", ["4", str(harness.MAX_CONVERGE_M + 1)])
+@pytest.mark.parametrize("M", ["4", "2033602"])  # 2033602: 4M nodes past the budget
 def test_converge_M_out_of_range_exits_2_before_any_work(monkeypatch, M):
     calls = []
     monkeypatch.setattr(harness, "q_reference", lambda *args: calls.append(args))
     result = CliRunner().invoke(main, ["converge", "--h-list", "0.5", "--R", "2", "--M", M])
     assert result.exit_code == 2, result.output
-    assert "MAX_CONVERGE_M" in result.output
+    refusal = {"4": "M must be >= 5", "2033602": "4M angle nodes: 8134408 x 132 bytes"}[M]
+    assert refusal in result.output
     assert calls == []
 
 
@@ -224,17 +225,17 @@ def test_converge_far_v_samples_only_the_reach():
     [
         (["--h", "0.04", "--R", "3"], "305^2 points"),
         (["--h", "0.04", "--R", "3", "--grid"], "305^2 points"),
-        (["--h", "0.05", "--R", "0.5", "--v", "6,0", "--grid"], "MAX_LOSS_BAND_BYTES"),
+        (["--h", "0.05", "--R", "0.5", "--v", "6,0", "--grid"],
+         "the loss band for R/h = 10 and bound = 142: 852873 x 8 bytes"),
     ],
     ids=["pointwise-state", "grid-state", "grid-loss-band"],
 )
 def test_collide_unaffordable_size_exits_2_allocating_nothing(monkeypatch, args, match):
-    import dvm2d.collision as co
-
-    # Small caps, so that a check that failed to fire, or fired after
-    # sampling, would sample a few MB (305^2 or 285^2 points), not gigabytes.
-    monkeypatch.setattr(harness, "MAX_CONVERGE_STATE_POINTS", 300**2)
-    monkeypatch.setattr(co, "MAX_LOSS_BAND_BYTES", 1 << 20)
+    # A small budget, room for a state of 300^2 points but not for the 285^2
+    # state's 6.8 MB loss band, so that a check that failed to fire, or fired
+    # after sampling, would sample a few MB (305^2 or 285^2 points), not
+    # gigabytes.
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 300**2 * 64)
     tracemalloc.start()
     try:
         result = CliRunner().invoke(main, ["collide", "--f", "maxwellian", *args])
@@ -294,6 +295,26 @@ def test_collide_malformed_lattice_csv_exits_2(tmp_path, text, match):
     result = CliRunner().invoke(main, ["collide", "--f", "file", "--file", str(path), "--R", "1"])
     assert result.exit_code == 2, result.output
     assert match in result.output
+
+
+@pytest.mark.parametrize("command", [["collide"], ["simulate", "--dt", "1e-3", "--steps", "1"]])
+def test_oversized_lattice_file_header_exits_2_before_reading_rows(monkeypatch, tmp_path, command):
+    """The header's h and R_support size the state, which is checked before
+    it is made: a one-row file whose header declares 2001^2 points is
+    refused without allocating them."""
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 100**2 * 64)
+    path = tmp_path / "big.csv"
+    path.write_text('# {"h": 0.01, "R_support": 10}\nzeta_x,zeta_y,value\n0,0,1.0\n')
+    tracemalloc.start()
+    try:
+        args = [*command, "--f", "file", "--file", str(path), "--R", "0.02"]
+        result = CliRunner().invoke(main, args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.exit_code == 2, result.output
+    assert "radius 10 has 2001^2 points: 4004001 x 64 bytes" in result.output
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("grid", [[], ["--grid"]], ids=["pointwise", "grid"])
@@ -357,15 +378,6 @@ def test_figure_single_point_box_writes_header_only(tmp_path):
     assert json.loads((tmp_path / "fig.csv.manifest.json").read_text())["config"]["count"] == 0
 
 
-def test_figure_beyond_memory_bound_exits_2(monkeypatch):
-    monkeypatch.setattr(harness, "MAX_FIGURE_POINTS", 100)
-    result = CliRunner().invoke(
-        main, ["figure", "--min", "0", "--max", "20000", "--threshold", "4"]
-    )
-    assert result.exit_code == 2
-    assert "MAX_FIGURE_POINTS = 100" in result.output
-
-
 # sha256 and length of the census outputs, each written with --out.
 CENSUS_OUTPUTS = [
     (["figure", "--min", "0", "--max", "1999", "--threshold", "72", "--cmp", "gt"],
@@ -426,18 +438,18 @@ def test_simulate_record_every_below_one_exits_2():
     "args, match",
     [
         (["--h", "0.04", "--support", "5", "--R", "5"], "357^2 points"),
-        (["--h", "0.05", "--support", "5", "--R", "0.5"], "MAX_LOSS_BAND_BYTES"),
+        (["--h", "0.05", "--support", "5", "--R", "0.5"],
+         "the loss band for R/h = 10 and bound = 143: 864885 x 8 bytes"),
     ],
     ids=["widened-state", "loss-band"],
 )
 def test_simulate_unaffordable_size_exits_2_allocating_nothing(monkeypatch, args, match):
-    import dvm2d.collision as co
-
-    # Small caps, so that a check that failed to fire, or fired after
-    # sampling and widening, would allocate a few MB (251^2 or 201^2
-    # points sampled, widened to 357^2 or 287^2), not gigabytes.
-    monkeypatch.setattr(harness, "MAX_CONVERGE_STATE_POINTS", 300**2)
-    monkeypatch.setattr(co, "MAX_LOSS_BAND_BYTES", 1 << 20)
+    # A small budget, room for a widened state of 300^2 points but not for
+    # the 287^2 state's 6.9 MB loss band, so that a check that failed to
+    # fire, or fired after sampling and widening, would allocate a few MB
+    # (251^2 or 201^2 points sampled, widened to 357^2 or 287^2), not
+    # gigabytes.
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 300**2 * 64)
     tracemalloc.start()
     try:
         result = CliRunner().invoke(
@@ -462,19 +474,22 @@ def test_simulate_just_over_the_relax_frame_cap_exits_2_before_sampling(monkeypa
     monkeypatch.setattr(co, "sample_on_lattice", lambda *a: sampled.append(a) or sample_on_lattice(*a))
     args = ["simulate", "--f", "maxwellian", "--h", "0.25", "--support", "5", "--R", "5",
             "--dt", "1e-3", "--steps", "1"]
-    monkeypatch.setattr(harness, "MAX_RELAX_FRAME_POINTS", 101**2 - 1)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", (101**2 - 1) * harness.RELAX_BYTES_PER_FRAME_POINT)
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 2, result.output
-    assert "frame has 101^2 points" in result.output and "MAX_RELAX_FRAME_POINTS" in result.output
+    assert "frame has 101^2 points: 10201 x 576 bytes" in result.output
     assert sampled == []
-    monkeypatch.setattr(harness, "MAX_RELAX_FRAME_POINTS", 101**2)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 101**2 * harness.RELAX_BYTES_PER_FRAME_POINT)
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
     assert len(sampled) == 1
 
 
 @pytest.mark.parametrize(
-    "h, match", [("0.001", "14147^2 points"), ("0.01", "MAX_LOSS_BAND_BYTES")], ids=["h0.001", "h0.01"]
+    "h, match",
+    [("0.001", "14147^2 points: 200137609 x 64 bytes"),
+     ("0.01", "the loss band for R/h = 500 and bound = 709: 1007787781 x 8 bytes")],
+    ids=["h0.001", "h0.01"],
 )
 def test_simulate_fine_h_exits_2_before_sampling(h, match):
     """At h = 0.001 the widened state is too large, at h = 0.01 its loss band."""
@@ -559,7 +574,8 @@ def test_stdout_bytes_equal_out_bytes(tmp_path, name):
 def test_failed_command_leaves_no_output_file(monkeypatch, tmp_path, args, code):
     """The --out file is opened only once the result is computed, and the
     manifest written only after it."""
-    monkeypatch.setattr(harness, "MAX_FIGURE_POINTS", 100)
+    # Room for the simulation (a 73^2 frame, 3.1 MB), not for the figure.
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 4 << 20)
     out = tmp_path / "out.csv"
     result = CliRunner().invoke(main, [*args, "--out", str(out)])
     assert result.exit_code == code, result.output

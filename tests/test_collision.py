@@ -340,7 +340,7 @@ def test_q_discrete_rejects_off_lattice_v():
 
 
 def test_q_discrete_single_point_support_vanishes():
-    f = co.LatticeDistribution.from_values(0.5, 3.0, {(1, 2): 2.5})
+    f = co.LatticeDistribution.from_values(0.5, 3.0, {(1, 2): 2.5}.items())
     for zv in ((1, 2), (0, 0), (3, -1)):
         v = np.array([zv[0] * 0.5, zv[1] * 0.5])
         assert co.q_discrete(f, v, MAXWELL, 2.5) == 0.0
@@ -466,9 +466,9 @@ def test_lattice_values_outside_the_disk_are_refused():
         tables.read_lattice_csv(io.StringIO(text))
     for point in ((2, 2), (-2, 1), (3, 0)):
         with pytest.raises(PreconditionError, match="outside declared support"):
-            co.LatticeDistribution.from_values(1.0, 2.0, {(0, 0): 1.0, point: 5.0})
+            co.LatticeDistribution.from_values(1.0, 2.0, {(0, 0): 1.0, point: 5.0}.items())
     # The disk's own tolerance: (3, 4) is on the rim of radius 5 = 2.5 / 0.5.
-    f = co.LatticeDistribution.from_values(0.5, 2.5, {(3, 4): 2.0, (0, -5): 1.0})
+    f = co.LatticeDistribution.from_values(0.5, 2.5, {(3, 4): 2.0, (0, -5): 1.0}.items())
     assert f.value(3, 4) == 2.0 and f.value(0, -5) == 1.0
 
 
@@ -488,9 +488,12 @@ def test_lattice_values_outside_the_disk_are_refused():
         ('# {"h": NaN, "R_support": 2.0}\n0,0,1.0\n', "h must be positive and finite"),
         ('# {"h": 1.0, "R_support": 2.0}\n0,0,1.0\n1,0,3.0\n-0,0,2.0\n',
          r"repeats the row of point \(0, 0\)"),
+        # The header's state is refused before any row is read.
+        ('# {"h": 0.001, "R_support": 10}\n0,0,abc\n', r"20001\^2 points: 400040001 x 64"),
     ],
     ids=["empty-header", "no-R_support", "list-header", "not-json", "value-abc", "coord-x",
-         "two-fields", "four-fields", "h-abc", "h-null", "h-nan", "repeated-point"],
+         "two-fields", "four-fields", "h-abc", "h-null", "h-nan", "repeated-point",
+         "oversized-header"],
 )
 def test_read_lattice_csv_refuses_malformed_input(text, match):
     with pytest.raises(PreconditionError, match=match):
@@ -928,22 +931,6 @@ def test_loss_gather_is_one_run_and_bit_identical_at_the_relax_size():
     for cols, band in op._loss_parts:
         whole[:, cols] = stacked[:, cols][op._loss_rows].reshape(side, -1) @ band
     assert np.array_equal(op._loss(grid), whole)
-
-def test_fast_operator_refuses_an_unaffordable_loss_band(monkeypatch):
-    assert co.MAX_LOSS_BAND_BYTES == 1 << 30
-    # A small cap, so that a check that failed to fire would build a 610 kB
-    # band, not gigabytes: R/h = 20 and bound 30 need 8 * 41 * (31^2 + 30^2).
-    monkeypatch.setattr(co, "MAX_LOSS_BAND_BYTES", 8 * 41 * (31**2 + 30**2) - 1)
-    tracemalloc.start()
-    try:
-        with pytest.raises(PreconditionError, match="bound = 30 needs 610408 bytes"):
-            co.FastCollisionOperator(0.25, 5.0, MAXWELL, 30)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 16
-    assert co.FastCollisionOperator(0.25, 5.0, MAXWELL, 29).bound == 29
-
 
 @pytest.mark.parametrize("n", [1, 2, 5, 25, 65, 325, 1105, 5525, 4 * 1105])
 def test_harmonic_weights_exact(n):

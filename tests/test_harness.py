@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dvm2d import circles, harness, tables
+from dvm2d import circles, errors, harness, tables
 from dvm2d import collision as co
 from dvm2d.errors import PositivityLossError, PreconditionError
 from dvm2d.numtheory import is_prime
@@ -197,15 +197,16 @@ def test_converge_study_inner_panel_is_the_reference_on_the_R_disk(v):
 
 
 def test_converge_study_refuses_unaffordable_h_before_sampling(monkeypatch):
-    # A small cap, so that a check that failed to fire would sample a small
-    # state, not a huge one: h = 0.05 samples 245^2 points.
-    monkeypatch.setattr(harness, "MAX_CONVERGE_STATE_POINTS", 200**2)
+    # A small budget, so that a check that failed to fire would sample a
+    # small state, not a huge one: h = 0.05 samples 245^2 points.
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 200**2 * 64)
     tracemalloc.start()
     try:
         # (R/h)^2 = 9e6 is past the circle table's limit, although 0.5 is fine.
-        with pytest.raises(PreconditionError, match="MAX_CIRCLE_TABLE_LIMIT"):
+        table = r"circle_table\(9000000\): 4 \* limit points: 36000000 x 48 bytes"
+        with pytest.raises(PreconditionError, match=table):
             harness.converge_study(co.bimaxwellian(), MAXWELL, np.zeros(2), [0.5, 0.001], R=3.0)
-        with pytest.raises(PreconditionError, match="245\\^2 points"):
+        with pytest.raises(PreconditionError, match="245\\^2 points: 60025 x 64 bytes"):
             harness.converge_study(co.bimaxwellian(), MAXWELL, np.zeros(2), [0.5, 0.05], R=3.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -216,8 +217,8 @@ def test_converge_study_refuses_unaffordable_h_before_sampling(monkeypatch):
 @pytest.mark.parametrize(
     "v, h_list, M, match",
     [
-        ((0.0, 0.0), [0.5], 4, "MAX_CONVERGE_M"),
-        ((0.0, 0.0), [0.5], harness.MAX_CONVERGE_M + 1, "MAX_CONVERGE_M"),
+        ((0.0, 0.0), [0.5], 4, "M must be >= 5"),
+        ((0.0, 0.0), [0.5], 2033602, "M = 2033602: 4M angle nodes: 8134408 x 132 bytes"),
         ((0.5, 0.0), [0.5, 0.2], 8, "not on the h-lattice"),
     ],
     ids=["M-4", "M-past-cap", "v-off-lattice"],
@@ -372,15 +373,17 @@ def test_figure_data_matches_enumeration_property(lo, width, threshold, comparis
 
 
 def test_figure_data_refuses_unaffordable_census(monkeypatch):
-    monkeypatch.setattr(harness, "MAX_FIGURE_POINTS", 10**4)
+    # Room for the sieve's 28285 rows (2.0 MB), not for the kept points.
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 4 << 20)
     tracemalloc.start()
     try:
-        with pytest.raises(PreconditionError, match="MAX_FIGURE_POINTS"):
+        with pytest.raises(PreconditionError, match="figure_data's kept points"):
             harness.figure_data(harness.FigureQuery(0, 20000, 4))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 << 20
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 10**4 * harness.FIGURE_BYTES_PER_POINT)
     # Exactly at the bound the census still runs: 10**4 points in the 1..100 box.
     data = harness.figure_data(harness.FigureQuery(1, 100, 4))
     assert data.count == 10**4
@@ -405,16 +408,18 @@ def test_figure_data_matches_quarter_oracle(query):
      ((0, 200, 24, "gt"), 1000)],
 )
 def test_figure_data_refusal_counts_the_mirror_exactly(monkeypatch, query, segment):
-    """At exactly MAX_FIGURE_POINTS the census runs, one point fewer refuses:
-    each off-diagonal point counts twice and each diagonal point once."""
+    """With room for exactly its points the census runs, one point fewer refuses:
+    each off-diagonal point counts twice and each diagonal point once.  The
+    sieve's rows, which the same budget also bounds, are not counted here."""
     monkeypatch.setattr(circles, "R2_SEGMENT", segment)
+    monkeypatch.setattr(circles, "R2_RANGE_BYTES_PER_ROW", 0)
     q = harness.FigureQuery(*query)
     count = quarter_figure_data(q).count
     assert count > 0
-    monkeypatch.setattr(harness, "MAX_FIGURE_POINTS", count)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", count * harness.FIGURE_BYTES_PER_POINT)
     assert harness.figure_data(q).count == count
-    monkeypatch.setattr(harness, "MAX_FIGURE_POINTS", count - 1)
-    with pytest.raises(PreconditionError, match="MAX_FIGURE_POINTS"):
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", (count - 1) * harness.FIGURE_BYTES_PER_POINT)
+    with pytest.raises(PreconditionError, match=f"kept points .*: {count} x 64 bytes"):
         harness.figure_data(q)
 
 
@@ -589,7 +594,7 @@ def test_relax_preconditions(monkeypatch):
         with pytest.raises(PreconditionError, match="record_every"):
             harness.relax_simulate(f0, MAXWELL, R=1.0, dt=0.1, steps=5, record_every=every)
     # The widened state (bound 7) is checked before the state is widened.
-    monkeypatch.setattr(harness, "MAX_CONVERGE_STATE_POINTS", 15**2 - 1)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 15**2 * 64 - 1)
     monkeypatch.setattr(co.LatticeDistribution, "widened", lambda self: pytest.fail("widened"))
     with pytest.raises(PreconditionError, match=r"15\^2 points"):
         harness.relax_simulate(f0, MAXWELL, R=1.0, dt=0.1, steps=5)

@@ -1,0 +1,184 @@
+"""The one memory budget, errors.MEMORY_BUDGET, on every capped entry point.
+
+REGISTRY lists the CLI commands and API calls that size an allocation
+against the budget, each with the *_BYTES_PER_* constant of its binding
+check and the number of those units it needs.  With the budget one byte
+short of that need an entry refuses before it allocates; with exactly
+that need it runs.  Every *_BYTES_PER_* constant in src/ needs an entry,
+and the budget's value is written once.
+"""
+
+import importlib
+import re
+import tracemalloc
+from dataclasses import dataclass
+from pathlib import Path
+
+import numpy as np
+import pytest
+from click.testing import CliRunner
+
+from dvm2d import circles, errors, harness
+from dvm2d import collision as co
+from dvm2d.cli import main
+from dvm2d.errors import PreconditionError, check_memory
+
+SRC = Path(__file__).parents[1] / "src" / "dvm2d"
+MAXWELL = co.KernelSpec.maxwell()
+
+
+@dataclass(frozen=True)
+class Capped:
+    id: str
+    unit: str  # "module.NAME" of the bytes-per-unit constant that binds
+    count: int  # units the call needs
+    call: object  # CLI arguments, or a zero-argument API call
+    lattice_file: str | None = None  # its header, for an argument "FILE"
+
+    @property
+    def need(self) -> int:
+        module, name = self.unit.split(".")
+        return self.count * getattr(importlib.import_module(f"dvm2d.{module}"), name)
+
+
+REGISTRY = [
+    Capped("circle_table", "circles.CIRCLE_TABLE_BYTES_PER_POINT", 4 * 50000,
+           lambda: circles.circle_table(50000)),
+    Capped("r2_range", "circles.R2_RANGE_BYTES_PER_ROW", 100001,  # ceil(sqrt(10**10 + 1))
+           lambda: next(circles.r2_range(10**10 + 1, 10**10 + 1))),
+    Capped("FastCollisionOperator", "collision.LOSS_BAND_BYTES_PER_ENTRY", 41 * (61**2 + 60**2),
+           lambda: co.FastCollisionOperator(0.25, 5.0, MAXWELL, 60)),
+    Capped("collide-grid-loss-band", "collision.LOSS_BAND_BYTES_PER_ENTRY",
+           21 * (143**2 + 142**2),  # the state has 285^2 points
+           ["collide", "--f", "maxwellian", "--h", "0.05", "--R", "0.5", "--v", "6,0", "--grid"]),
+    Capped("collide-pointwise-state", "collision.CONVERGE_BYTES_PER_POINT", 305**2,
+           ["collide", "--f", "maxwellian", "--h", "0.04", "--R", "3"]),
+    Capped("collide-grid-state", "collision.CONVERGE_BYTES_PER_POINT", 345**2,
+           ["collide", "--f", "maxwellian", "--h", "0.05", "--R", "0.25", "--v", "8,0", "--grid"]),
+    Capped("collide-lattice-file-state", "collision.CONVERGE_BYTES_PER_POINT", 201**2,
+           ["collide", "--f", "file", "--file", "FILE", "--R", "0.02"],
+           '{"h": 0.01, "R_support": 1.0}'),
+    Capped("converge-state", "collision.CONVERGE_BYTES_PER_POINT", 155**2,
+           ["converge", "--h-list", "0.5,0.08", "--R", "3", "--M", "8"]),
+    Capped("converge-M", "harness.FOURIER_BYTES_PER_NODE", 4 * 4000,
+           ["converge", "--h-list", "0.5", "--R", "2", "--M", "4000"]),
+    Capped("figure", "harness.FIGURE_BYTES_PER_POINT", 101**2 - 1,
+           ["figure", "--min", "0", "--max", "100", "--threshold", "4"]),
+    Capped("simulate-frame", "harness.RELAX_BYTES_PER_FRAME_POINT", 101**2,
+           ["simulate", "--f", "maxwellian", "--h", "0.25", "--support", "5", "--R", "5",
+            "--dt", "1e-3", "--steps", "1"]),
+    Capped("simulate-lattice-file-frame", "harness.RELAX_BYTES_PER_FRAME_POINT", 101**2,
+           ["simulate", "--f", "file", "--file", "FILE", "--R", "5", "--dt", "1e-3",
+            "--steps", "1"],
+           '{"h": 0.25, "R_support": 5.0}'),
+]
+
+
+def run(entry, tmp_path):
+    """(refused, message, traced peak) of one call of the entry."""
+    call = entry.call
+    if entry.lattice_file:
+        path = tmp_path / "f.csv"
+        path.write_text(f"# {entry.lattice_file}\nzeta_x,zeta_y,value\n0,0,1.0\n")
+        call = [str(path) if a == "FILE" else a for a in call]
+    tracemalloc.start()
+    try:
+        if callable(call):
+            try:
+                call()
+                refused, message = False, ""
+            except PreconditionError as exc:
+                refused, message = True, str(exc)
+        else:
+            result = CliRunner().invoke(main, call)
+            assert result.exit_code in (0, 2), result.output
+            refused, message = result.exit_code == 2, result.output
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return refused, message, peak
+
+
+@pytest.mark.parametrize("entry", REGISTRY, ids=[e.id for e in REGISTRY])
+def test_capped_entry_point_refuses_past_the_budget(monkeypatch, tmp_path, entry):
+    """One byte short of the entry's need refuses before allocating, and
+    names the count, the bytes per unit and the budget; the need itself runs."""
+    bytes_each = entry.need // entry.count
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", entry.need - 1)
+    refused, message, peak = run(entry, tmp_path)
+    assert refused, message
+    assert f": {entry.count} x {bytes_each} bytes = {entry.need} bytes" in message
+    assert f"MEMORY_BUDGET = {entry.need - 1} bytes" in message
+    assert peak < 1 << 20
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", entry.need)
+    refused, message, _ = run(entry, tmp_path)
+    assert not refused, message
+
+
+class Accepted(Exception):
+    """Raised by a stub where an accepted call would start allocating."""
+
+
+def stop(*args, **kwargs):
+    raise Accepted
+
+
+# Each cap at the full budget: (refused call, accepted call).  A cap whose
+# input is a count is checked with check_memory; circle_table, r2_range and
+# converge_study take a limit, an n_hi and an M, and run until the stubbed
+# first allocation.
+FULL_BUDGET = {
+    "circle_table-limit-5592405": (lambda: circles.circle_table(5592406),
+                                   lambda: circles.circle_table(5592405)),
+    "r2_range-n_hi-222399955086400": (
+        lambda: next(circles.r2_range(222399955086401, 222399955086401)),
+        lambda: next(circles.r2_range(222399955086400, 222399955086400))),
+    "loss-band-1073741824-bytes": (
+        lambda: check_memory("band", 2**27 + 1, co.LOSS_BAND_BYTES_PER_ENTRY),
+        lambda: check_memory("band", 2**27, co.LOSS_BAND_BYTES_PER_ENTRY)),
+    "state-16777216-points": (
+        lambda: check_memory("state", 16777217, co.CONVERGE_BYTES_PER_POINT),
+        lambda: check_memory("state", 16777216, co.CONVERGE_BYTES_PER_POINT)),
+    "converge-M-2033601": tuple(
+        lambda M=M: harness.converge_study(
+            co.bimaxwellian(), MAXWELL, np.zeros(2), [0.5], R=2.0, M_diag=M)
+        for M in (2033602, 2033601)),
+    "figure-16777216-points": (
+        lambda: check_memory("figure", 16777217, harness.FIGURE_BYTES_PER_POINT),
+        lambda: check_memory("figure", 16777216, harness.FIGURE_BYTES_PER_POINT)),
+    "relax-frame-1864135-points": (
+        lambda: check_memory("frame", 1864136, harness.RELAX_BYTES_PER_FRAME_POINT),
+        lambda: check_memory("frame", 1864135, harness.RELAX_BYTES_PER_FRAME_POINT)),
+}
+
+
+@pytest.mark.parametrize("refused, accepted", FULL_BUDGET.values(), ids=FULL_BUDGET.keys())
+def test_every_cap_refuses_past_its_threshold_at_the_full_budget(monkeypatch, refused, accepted):
+    assert errors.MEMORY_BUDGET == 1 << 30
+    monkeypatch.setattr(circles, "_circle_cache", {})
+    for name in ("_build_circle_table", "annulus_points"):
+        monkeypatch.setattr(circles, name, stop)
+    monkeypatch.setattr(harness, "q_reference", stop)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="MEMORY_BUDGET = 1073741824 bytes"):
+            refused()
+        try:
+            accepted()
+        except Accepted:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_every_bytes_per_unit_constant_has_a_registry_entry():
+    constants = {
+        f"{path.stem}.{name}"
+        for path in SRC.glob("*.py")
+        for name in re.findall(r"^(\w+_BYTES_PER_\w+) = ", path.read_text(), flags=re.M)
+    }
+    assert "collision.LOSS_BAND_BYTES_PER_ENTRY" in constants
+    assert constants - {entry.unit for entry in REGISTRY} == set()
+    assert sum(path.read_text().count("1 << 30") for path in SRC.glob("*.py")) == 1

@@ -86,7 +86,7 @@ CASES = {
                 lambda: (co.sample_on_lattice(co.Maxwellian(1.0, 0.0, 0.0, 0.7), 0.5, 2.0),)),
     "lattice-signed-zero": (
         tables.write_lattice_csv, oracles.csv_writer_lattice,
-        lambda: (co.LatticeDistribution.from_values(0.5, 1.0, {(0, 0): -0.0, (1, 0): 2.5}),),
+        lambda: (co.LatticeDistribution.from_values(0.5, 1.0, {(0, 0): -0.0, (1, 0): 2.5}.items()),),
     ),
 }
 
