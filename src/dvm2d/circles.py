@@ -26,17 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from itertools import product as _iproduct
 
 import numpy as np
 
 from .errors import PreconditionError, check_memory
-from .numtheory import (
-    GaussianFactorization,
-    ResidueClass,
-    factorize,
-    gaussian_factorize,
-)
+from .numtheory import ResidueClass, factorize, gaussian_factorize, gaussian_pow
 
 
 def r2(n: int) -> int:
@@ -79,68 +73,37 @@ class CirclePointSet:
         return list(zip(self.xs.tolist(), self.ys.tolist()))
 
 
-def _complex_int_pow(z: tuple[int, int], e: int) -> tuple[int, int]:
-    a, b = 1, 0
-    x, y = z
-    for _ in range(e):
-        a, b = a * x - b * y, a * y + b * x
-    return a, b
+def circle_points(n: int) -> CirclePointSet:
+    """All integer points on x^2 + y^2 = n, sorted by angle.
 
-
-def circle_points_from(gf: GaussianFactorization) -> CirclePointSet:
-    """Enumerate the circle of a pre-computed factorization.
-
-    Combines one unit rotation k*pi/2, the fixed (1+i)^s factor from the
-    power of two, q^(alpha/2) for inert primes, and every exponent split
-    j vs alpha-j of each Gaussian prime pair.  Coordinates come out of
-    exact integer multiplication; nothing is rounded.
+    Each point is a unit rotation k pi/2 of (1+i)^s times q^(beta/2) for
+    every inert prime power q^beta and, per split prime p = pi conj(pi) to
+    the power alpha, one of the alpha + 1 products pi^j conj(pi^(alpha - j)).
+    Coordinates come out of exact integer multiplication; nothing is rounded.
     """
-    n = gf.n
+    if n < 1:
+        raise PreconditionError(f"circle_points requires n >= 1, got {n}")
+    gf = gaussian_factorize(n)
     if not gf.is_sum_of_two_squares():
         empty = np.array([], dtype=np.int64)
         return CirclePointSet(n, empty, empty, np.array([], dtype=np.float64))
 
-    base = _complex_int_pow((1, 1), gf.two_exponent)
-    for f in gf.factors:
-        if f.residue_class is ResidueClass.THREE_MOD4:
-            q_half = f.p ** (f.alpha // 2)
-            base = (base[0] * q_half, base[1] * q_half)
-
-    # Per split prime, the alpha+1 products pi^j * conj(pi)^(alpha-j).
-    choice_lists: list[list[tuple[int, int]]] = []
+    inert = math.prod(
+        f.p ** (f.alpha // 2) for f in gf.factors if f.residue_class is ResidueClass.THREE_MOD4
+    )
+    zx, zy = (np.array([c * inert], dtype=object) for c in gaussian_pow(1, 1, gf.two_exponent))
     for s in gf.splittings:
-        alpha = next(f.alpha for f in gf.factors if f.p == s.p)
-        pi_pows = [_complex_int_pow((s.x, s.y), j) for j in range(alpha + 1)]
-        conj_pows = [_complex_int_pow((s.x, -s.y), j) for j in range(alpha + 1)]
-        choices = []
-        for j in range(alpha + 1):
-            a, b = pi_pows[j]
-            c, d = conj_pows[alpha - j]
-            choices.append((a * c - b * d, a * d + b * c))
-        choice_lists.append(choices)
-
-    xs: list[int] = []
-    ys: list[int] = []
-    for combo in _iproduct(*choice_lists):
-        zx, zy = base
-        for cx, cy in combo:
-            zx, zy = zx * cx - zy * cy, zx * cy + zy * cx
-        # The four unit rotations z, iz, -z, -iz.
-        xs.extend((zx, -zy, -zx, zy))
-        ys.extend((zy, zx, -zy, -zx))
-
-    xa = np.asarray(xs, dtype=np.int64)
-    ya = np.asarray(ys, dtype=np.int64)
+        # a + ib = pi^j and cx + i cy = pi^j conj(pi^(alpha - j)), j = 0 .. alpha.
+        a, b = np.array([gaussian_pow(s.x, s.y, j) for j in range(s.alpha + 1)], dtype=object).T
+        cx, cy = a * a[::-1] + b * b[::-1], b * a[::-1] - a * b[::-1]
+        zx, zy = np.outer(zx, cx) - np.outer(zy, cy), np.outer(zx, cy) + np.outer(zy, cx)
+        zx, zy = zx.ravel(), zy.ravel()
+    # The four unit rotations z, iz, -z, -iz of each point, in turn.
+    xa = np.stack([zx, -zy, -zx, zy], axis=1).ravel().astype(np.int64)
+    ya = np.stack([zy, zx, -zy, -zx], axis=1).ravel().astype(np.int64)
     angles = np.arctan2(ya, xa)
     order = np.argsort(angles, kind="stable")
     return CirclePointSet(n, xa[order], ya[order], angles[order])
-
-
-def circle_points(n: int) -> CirclePointSet:
-    """All integer points on x^2 + y^2 = n, sorted by angle."""
-    if n < 1:
-        raise PreconditionError(f"circle_points requires n >= 1, got {n}")
-    return circle_points_from(gaussian_factorize(n))
 
 
 @dataclass(frozen=True)
@@ -263,8 +226,7 @@ def exp_sum_closed(n: int, k: int) -> float:
         return 0.0
     mag = 4.0
     for s in gf.splittings:
-        alpha = next(f.alpha for f in gf.factors if f.p == s.p)
-        mag *= _split_factor_magnitude(k * s.theta, alpha)
+        mag *= _split_factor_magnitude(k * s.theta, s.alpha)
     return mag
 
 

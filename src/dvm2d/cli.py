@@ -170,8 +170,7 @@ def collide(f_name, file, h, R, v_text, grid, out):
         h = f.h
     if grid:
         support = f.support_radius if lattice else float(np.hypot(v[0], v[1])) + 2 * R + 2 * h
-        # Checked and built first, so that a refusal comes before any sampling.
-        co.check_state_points(h, support)
+        # Built first, so that its frame check refuses before any sampling.
         op = co.FastCollisionOperator(h, R, kernel, co.lattice_bound(h, support))
         f_h = f if lattice else co.sample_on_lattice(f, h, support)
         q = op.apply(f_h)

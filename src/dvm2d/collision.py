@@ -41,10 +41,12 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import chebyshev as _cheb
 
 from .circles import circle_table
 from .errors import PreconditionError, QuadratureError, check_memory
+from .numtheory import gaussian_pow
 
 Array = np.ndarray
 
@@ -614,65 +616,46 @@ def q_discrete(
     return q_discrete_detailed(f, v, kernel, R)[0]
 
 
-def _harmonic_weights(xs: Array, ys: Array, n, m: int) -> tuple[Array, Array]:
-    """cos(m phi) and sin(m phi) at the points (x, y) with x^2 + y^2 = n
-    (one n, or one per point).
+def _harmonic_weights(xs: Array, ys: Array, m: int) -> tuple[Array, Array]:
+    """cos(m phi) and sin(m phi) at the points (x, y), n = x^2 + y^2.
 
-    Re and Im of the Gaussian integer (x + iy)^m are exact integers.
-    For even m, the only harmonics the gain uses, n^(m/2) is an integer
-    too, so each weight is one correctly rounded quotient and axis points
-    give exactly 0 and +-1.  While n^m < 2^104 the powers run in int64 over
-    all points at once: no intermediate reaches 2^63, and Re, Im and
-    n^(m//2) stay below 2^53, so the float quotient is the one Python ints
-    give.  Beyond that the powers are Python ints, point by point.
+    Re and Im of the Gaussian integer (x + iy)^m (gaussian_pow) are exact
+    integers.  For even m, the only harmonics the gain uses, n^(m/2) is an
+    integer too, so each weight is one correctly rounded quotient and axis
+    points give exactly 0 and +-1.  While n^m < 2^104 the powers run in
+    int64: no intermediate reaches 2^63, and Re, Im and n^(m//2) stay below
+    2^53, so the float quotient is the one Python ints give.  Beyond that
+    they run on object arrays of Python ints.
     """
     xs = np.asarray(xs, dtype=np.int64)
     ys = np.asarray(ys, dtype=np.int64)
-    ns = np.broadcast_to(np.asarray(n, dtype=np.int64), xs.shape)
-    if m == 0:
-        return np.ones(len(xs)), np.zeros(len(xs))
-    if len(xs) == 0 or int(ns.max()) ** m < 1 << 104:
-        re, im = xs, ys
-        for _ in range(m - 1):
-            re, im = re * xs - im * ys, re * ys + im * xs
-        den = ns ** (m // 2)
-        odd = np.sqrt(ns) if m % 2 else 1.0
-        return re / den / odd, im / den / odd
-    cos_m = np.empty(len(xs))
-    sin_m = np.empty(len(xs))
-    for k, (x, y, nk) in enumerate(zip(xs.tolist(), ys.tolist(), ns.tolist())):
-        re, im = 1, 0
-        for _ in range(m):
-            re, im = re * x - im * y, re * y + im * x
-        den = nk ** (m // 2)
-        odd = math.sqrt(nk) if m % 2 else 1.0
-        cos_m[k] = re / den / odd
-        sin_m[k] = im / den / odd
-    return cos_m, sin_m
+    ns = xs * xs + ys * ys
+    if len(xs) and int(ns.max()) ** m >= 1 << 104:
+        xs, ys, ns = xs.astype(object), ys.astype(object), ns.astype(object)
+    re, im = gaussian_pow(xs, ys, m)
+    den = ns ** (m // 2)
+    odd = np.sqrt(ns.astype(np.float64)) if m % 2 else 1.0
+    return (re / den / odd).astype(np.float64), (im / den / odd).astype(np.float64)
 
 
-# The loss band is dense, one float64 per (row offset, column in, column
-# out) of each column parity: (2K + 1) ((B + 1)^2 + B^2) entries for K = R/h
-# and B = bound, which grows as h^-3 at fixed radii (8 MB at h = 0.1 and
-# 63 MB at h = 0.05 for the widened state of support 5 and R = 5).
-LOSS_BAND_BYTES_PER_ENTRY = 8
+# One RK4 step of relax_simulate, the operator's build included, peaks at
+# 107-252 bytes per point of the operator's frame, the square |v| <= bound
+# + R/h that apply_frame fills (traced with the circle table cached,
+# Maxwell and product_power(0.5, (1, 0, 0.5)), R/h = 8 .. 100, widened
+# states of 33^2 .. 343^2 points).  The top, 252 at R/h = 100 over 287^2,
+# is product-power's r/2 x side x width product buffer; Maxwell reads 111
+# there.  The frame holds the state's square, so this cap binds before the
+# state's own (CONVERGE_BYTES_PER_POINT on fewer points).
+RELAX_BYTES_PER_FRAME_POINT = 576
 
 
-# FastCollisionOperator._loss gathers the state rows v_x + 2a of a run of
-# band rows a at once, a (side, run, columns of one parity) temporary, with
-# runs as long as fit in LOSS_GATHER_BYTES, as Q_DISCRETE_CHUNK_PAIRS bounds
-# q_discrete's gathers.  The relax and ladder sizes gather at most 0.7 MB:
-# one run, one gemm.  At R/h = 100 over a 287^2 state one gather of every
-# row would hold 66 MB, as much as the band.
-LOSS_GATHER_BYTES = 4 << 20
-
-
-def check_loss_band(h: float, R: float, bound: int) -> None:
-    """Refuse an operator whose loss band passes the memory budget."""
+def check_frame(h: float, R: float, bound: int) -> None:
+    """Refuse an operator whose frame |v| <= bound + R/h, at
+    RELAX_BYTES_PER_FRAME_POINT, passes the memory budget."""
     k = lattice_bound(h, R)
-    entries = (2 * k + 1) * ((bound + 1) ** 2 + bound**2)
-    what = f"the loss band for R/h = {k} and bound = {bound}"
-    check_memory(what, entries, LOSS_BAND_BYTES_PER_ENTRY)
+    side = 2 * (bound + k) + 1
+    what = f"h = {h}, R/h = {k}, bound = {bound}: the operator's frame has {side}^2 points"
+    check_memory(what, side * side, RELAX_BYTES_PER_FRAME_POINT)
 
 
 class FastCollisionOperator:
@@ -716,16 +699,17 @@ class FastCollisionOperator:
       The harmonic weights are exact integer quotients (see
       _harmonic_weights).
     * Loss.  f(v) sum_zeta w(zeta) f(v + 2 zeta), zero off the square, is
-      one fixed 2-D correlation, evaluated as a banded matmul: rows
-      v_x + 2 zeta_x of the state, side by side, times a band that maps
-      columns to columns.
-      Column v_y reads only columns of its own parity, so the band is kept
-      as two halves.  It is built once per operator, for its one bound,
-      and holds (2 R/h + 1) ((bound + 1)^2 + bound^2) float64 entries,
-      within the memory budget (check_loss_band).  Its weight at zeta_i,
-      (2 pi / r) sum_j q(|h zeta|, cos theta_ij), comes from the gain's channels: for even
-      m, sum_j cos(m(phi_i - phi_j)) is cos(m phi_i) sum_j cos(m phi_j) +
-      sin(m phi_i) sum_j sin(m phi_j), and odd m sum to zero over +-zeta_j.
+      one fixed 2-D correlation, and the operator keeps only its
+      (2 R/h + 1)^2 weight table W[a + R/h, b + R/h] = w((a, b)).  Column
+      v_y reads only columns of its own parity, and for a row offset
+      a = zeta_x the map from a parity's columns to themselves is the
+      Toeplitz matrix T_a[i, j] = W[a + R/h, i - j + R/h].  So per parity
+      and a, one gemm adds the state rows v_x + 2a times T_a to the rows
+      v_x (_loss).  The weight at zeta_i,
+      (2 pi / r) sum_j q(|h zeta|, cos theta_ij), comes from the gain's
+      channels: for even m, sum_j cos(m(phi_i - phi_j)) is
+      cos(m phi_i) sum_j cos(m phi_j) + sin(m phi_i) sum_j sin(m phi_j),
+      and odd m sum to zero over +-zeta_j.
 
     The slices of every apply are views built once, in __init__, over
     buffers the operator owns.  apply_frame and apply_grid return fresh
@@ -740,7 +724,7 @@ class FastCollisionOperator:
             raise PreconditionError(f"h and R must be positive and finite, got {h}, {R}")
         if bound < 0:
             raise PreconditionError(f"state bound must be >= 0, got {bound}")
-        check_loss_band(h, R, bound)
+        check_frame(h, R, bound)
         k = lattice_bound(h, R)
         self.h = h
         self.R = R
@@ -757,10 +741,7 @@ class FastCollisionOperator:
         circles = []  # (inner, outer, kept half points, offsets) per circle
         table = circle_table(circle_limit(h, R))
         # cos(m phi), sin(m phi) at every table point, per harmonic.
-        weights = [
-            _harmonic_weights(table.xs, table.ys, table.xs**2 + table.ys**2, m)
-            for m, _ in harmonics
-        ]
+        weights = [_harmonic_weights(table.xs, table.ys, m) for m, _ in harmonics]
         # Loss weight of table point i: (2 pi / r) sum_j q(h sqrt(n), cos theta_ij).
         loss_w = np.empty(len(table.xs))
         for n in np.flatnonzero(np.diff(table.starts)).tolist():
@@ -792,32 +773,14 @@ class FastCollisionOperator:
                 # Flat offset of the shift x -> x - zeta_i into the gain frame.
                 circles.append((inner, outer, kept, ((k - xs) * width + (k - ys)).tolist()))
         self._plan = self._gain_plan(circles, side, width)
-        del circles  # free the per-circle lists before the loss band's temporaries
-
-        vel = np.arange(-bound, bound + 1)
-        rows = vel[:, None] + 2 * np.arange(-k, k + 1)[None, :]
-        # (side, 2K+1) state row of v_x + 2a, or side (a zero row).
-        self._loss_rows = np.where(np.abs(rows) <= bound, rows + bound, side)
-        # Column v_y reads column v_y + 2 zeta_y, of the same parity: per
-        # parity class, (its columns, band of weights by (a, column in; column out)).
-        # A point zeta fills row a = zeta_x at one column in per column out,
-        # distinct across the points of a row: no entry is written twice.
-        # Table points go in chunks of (2K + 1) n_col / 4, so the scatter's
-        # (points, columns) temporaries hold a quarter of the band's entries,
-        # not (R/h)^2 bound of them.
-        self._loss_parts = []
-        for parity in (0, 1):
-            cols = slice(parity, None, 2)
-            v_out = vel[cols]
-            n_col = len(v_out)
-            band = np.zeros((2 * k + 1, n_col, n_col))
-            step = max(1, (2 * k + 1) * n_col // 4)
-            for lo in range(0, len(table.ys), step):
-                chunk = slice(lo, lo + step)
-                y_in = v_out[None, :] + 2 * table.ys[chunk, None] + bound
-                pt, col = np.nonzero((y_in >= 0) & (y_in < side))
-                band[table.xs[chunk][pt] + k, y_in[pt, col] // 2, col] = loss_w[chunk][pt]
-            self._loss_parts.append((cols, band.reshape((2 * k + 1) * n_col, n_col)))
+        # Loss weight of the point (a, b) at W[a + K, b + K], 0 off the disk,
+        # with bound zero columns on either side.  The windows of its rows
+        # reversed, windows[a + K, s, l], hold the weight of (a, K + bound -
+        # s - l), so that rows K .. K + bound of a window, reversed, are T_a.
+        padded = np.zeros((2 * k + 1, 2 * (k + bound) + 1))
+        self._loss_w = padded[:, bound : bound + 2 * k + 1]
+        self._loss_w[table.xs + k, table.ys + k] = loss_w
+        self._loss_windows = sliding_window_view(padded[:, ::-1], bound + 1, axis=1)
 
     def _gain_plan(self, circles: list, side: int, width: int) -> list[tuple]:
         """The views of every gain apply, over buffers built here once.
@@ -933,22 +896,28 @@ class FastCollisionOperator:
         return self._gain_frame
 
     def _loss(self, grid: Array) -> Array:
-        """sum_zeta w(zeta) f(v + 2 zeta) on the square, one gemm per run of
-        band rows whose gathered state rows fit in LOSS_GATHER_BYTES."""
-        stacked = np.vstack([grid, np.zeros((1, grid.shape[1]))])
-        side, offsets = self._loss_rows.shape
+        """sum_zeta w(zeta) f(v + 2 zeta) on the square.
+
+        Column v_y reads the columns v_y + 2 zeta_y of its own parity.  Per
+        parity and row offset a = zeta_x, the rows v_x + 2a of the parity's
+        columns times the Toeplitz matrix T_a[i, j] = W[a + K, i - j + K]
+        are added to the rows v_x.  T_a is (bound + 1)^2 for the even
+        columns; the bound odd ones take its leading block.
+        """
+        side = grid.shape[0]
+        k, n = self.reach, self.bound + 1
+        parts = [np.ascontiguousarray(grid[:, p::2]) for p in (0, 1)]
+        sums = [np.zeros_like(part) for part in parts]
+        for a in range(-k, k + 1):
+            lo, hi = max(0, -2 * a), min(side, side - 2 * a)
+            if lo >= hi:
+                continue
+            t = np.ascontiguousarray(self._loss_windows[a + k, k : k + n][::-1])
+            for part, out in zip(parts, sums):
+                n_col = part.shape[1]
+                out[lo:hi] += part[lo + 2 * a : hi + 2 * a] @ t[:n_col, :n_col]
         loss = np.empty((side, side))
-        for cols, band in self._loss_parts:
-            part = stacked[:, cols]
-            n_col = band.shape[1]
-            run = max(1, LOSS_GATHER_BYTES // (8 * side * max(n_col, 1)))
-            for a in range(0, offsets, run):
-                rows, weights = self._loss_rows[:, a : a + run], band[a * n_col : (a + run) * n_col]
-                term = part[rows].reshape(side, -1) @ weights
-                if a == 0:
-                    loss[:, cols] = term
-                else:
-                    loss[:, cols] += term
+        loss[:, 0::2], loss[:, 1::2] = sums
         return loss
 
     def apply(self, f: LatticeDistribution) -> Array:

@@ -22,7 +22,7 @@ from .collision import (
     LatticeDistribution,
     QuadratureConfig,
     angular_integral,
-    check_loss_band,
+    check_frame,
     check_state_points,
     circle_limit,
     lattice_bound,
@@ -438,30 +438,11 @@ def _entropy(grid: Array) -> float:
     return math.fsum((pos * np.log(pos)).tolist())
 
 
-# Beyond the loss band, one RK4 step peaks at 130-401 bytes per point of the
-# operator's frame, the square |v| <= widened bound + R/h that apply_frame
-# fills (traced with the circle table cached, Maxwell and
-# product_power(0.5, (1, 0, 0.5)), R/h = 8 .. 100, widened states of
-# 29^2 .. 711^2 points).  That includes the gain plan's frame-sized buffers
-# and views, which the operator keeps, and the loss gather's run of at most
-# LOSS_GATHER_BYTES.  The top, 401 at R/h = 100 over 287^2, is
-# product-power's r/2 x side x width product buffer (r/2 = 24 there);
-# Maxwell reads 259 there.  Per widened-state point the same peaks read
-# 154-1155 bytes, growing with R/h, so the budget counts frame points.
-RELAX_BYTES_PER_FRAME_POINT = 576
-
-
 def check_relax_size(h: float, support: float, R: float) -> None:
     """Refuse a relaxation of a state of support radius `support` whose
-    widened state (check_state_points), loss band (check_loss_band) or
-    operator frame, at RELAX_BYTES_PER_FRAME_POINT, passes the memory
-    budget; nothing is allocated."""
-    wide = widened_bound(lattice_bound(h, support))
-    check_state_points(h, wide * h)
-    check_loss_band(h, R, wide)
-    side = 2 * (wide + lattice_bound(h, R)) + 1
-    what = f"h = {h}: the relaxation's operator frame has {side}^2 points"
-    check_memory(what, side * side, RELAX_BYTES_PER_FRAME_POINT)
+    operator, on the widened state, passes the memory budget (check_frame);
+    nothing is allocated."""
+    check_frame(h, R, widened_bound(lattice_bound(h, support)))
 
 
 def relax_simulate(

@@ -65,9 +65,11 @@ class TwoSquaresRep:
 
 @dataclass(frozen=True)
 class GaussianSplitting:
-    """Gaussian prime x + iy over p = x^2 + y^2, with theta = arg(x + iy)."""
+    """Gaussian prime x + iy over p = x^2 + y^2, with theta = arg(x + iy);
+    p divides n to the power alpha."""
 
     p: int
+    alpha: int
     x: int
     y: int
     theta: float
@@ -223,6 +225,16 @@ def two_squares_prime(p: int) -> TwoSquaresRep:
     return TwoSquaresRep(x, y)
 
 
+def gaussian_pow(x, y, m: int):
+    """Re and Im of (x + iy)^m for m >= 0, exact for Python ints and
+    elementwise for integer arrays, where the caller keeps the powers
+    within the dtype."""
+    re, im = 1, 0
+    for _ in range(m):
+        re, im = re * x - im * y, re * y + im * x
+    return re, im
+
+
 def gaussian_factorize(n: int) -> GaussianFactorization:
     """Factor n and split every p = 1 (mod 4) factor into Gaussian primes.
 
@@ -235,5 +247,5 @@ def gaussian_factorize(n: int) -> GaussianFactorization:
         if f.residue_class is ResidueClass.ONE_MOD4:
             rep = two_squares_prime(f.p)
             theta = math.atan2(rep.y, rep.x)
-            splittings.append(GaussianSplitting(f.p, rep.x, rep.y, theta))
+            splittings.append(GaussianSplitting(f.p, f.alpha, rep.x, rep.y, theta))
     return GaussianFactorization(n, factors, tuple(splittings))

@@ -24,7 +24,10 @@ iteration per circle over every (zeta_i, zeta_j) of the full circle.
 the grid operator's loss weights an r x r matrix of kernel values from the
 integer dot products per circle; ``row_loop_loss_parts`` is the loss band
 that ``FastCollisionOperator`` built from it with one loop pass per row
-offset, before it took the weights from the gain's harmonic channels.
+offset, before it took the weights from the gain's harmonic channels, and
+``band_loss`` is ``FastCollisionOperator._loss`` while it kept that band:
+one gemm per column parity of every gathered state row v_x + 2a with it,
+before it kept only the weight table and multiplied per row offset.
 ``widened_collision_invariants`` is ``collision.collision_invariants``
 before it summed the operator's own frame: it widens the state onto the
 energy disk and applies an operator built for that wider square.
@@ -344,7 +347,8 @@ def integer_dot_circles(h, R, kernel):
 
 
 def row_loop_loss_parts(h, R, kernel, bound):
-    """FastCollisionOperator._loss_parts: per column parity, (columns, band)."""
+    """The loss band FastCollisionOperator once kept: per column parity,
+    (columns, band of weights by (row offset, column in; column out))."""
     k = lattice_bound(h, R)
     side = 2 * bound + 1
     loss_x, loss_y, loss_w = [], [], []
@@ -371,6 +375,20 @@ def row_loop_loss_parts(h, R, kernel, bound):
             band[a + k, y_in[pt, col] // 2, col] = loss_w[on_a][pt]
         parts.append((cols, band.reshape((2 * k + 1) * n_col, n_col)))
     return parts
+
+
+def band_loss(h, R, kernel, grid):
+    """sum_zeta w(zeta) f(v + 2 zeta) on the square of grid, one gemm of the
+    band of row_loop_loss_parts per column parity."""
+    side = grid.shape[0]
+    bound, k = side // 2, lattice_bound(h, R)
+    rows = np.arange(side)[:, None] + 2 * np.arange(-k, k + 1)[None, :]
+    rows = np.where((rows >= 0) & (rows < side), rows, side)  # side: a zero row
+    stacked = np.vstack([grid, np.zeros((1, side))])
+    loss = np.empty((side, side))
+    for cols, band in row_loop_loss_parts(h, R, kernel, bound):
+        loss[:, cols] = stacked[:, cols][rows].reshape(side, -1) @ band
+    return loss
 
 
 def full_circle_q_discrete_detailed(f, v, kernel, R):

@@ -224,17 +224,17 @@ def test_converge_far_v_samples_only_the_reach():
     "args, match",
     [
         (["--h", "0.04", "--R", "3"], "305^2 points"),
-        (["--h", "0.04", "--R", "3", "--grid"], "305^2 points"),
+        (["--h", "0.04", "--R", "3", "--grid"], "frame has 455^2 points: 207025 x 576 bytes"),
         (["--h", "0.05", "--R", "0.5", "--v", "6,0", "--grid"],
-         "the loss band for R/h = 10 and bound = 142: 852873 x 8 bytes"),
+         "R/h = 10, bound = 142: the operator's frame has 305^2 points: 93025 x 576 bytes"),
     ],
-    ids=["pointwise-state", "grid-state", "grid-loss-band"],
+    ids=["pointwise-state", "grid-state", "grid-frame"],
 )
 def test_collide_unaffordable_size_exits_2_allocating_nothing(monkeypatch, args, match):
-    # A small budget, room for a state of 300^2 points but not for the 285^2
-    # state's 6.8 MB loss band, so that a check that failed to fire, or fired
-    # after sampling, would sample a few MB (305^2 or 285^2 points), not
-    # gigabytes.
+    # A small budget, room for a state of 300^2 points but not for the
+    # operator's frame around the 305^2 or 285^2 state, so that a check that
+    # failed to fire, or fired after sampling, would sample a few MB (305^2
+    # or 285^2 points), not gigabytes.
     monkeypatch.setattr(errors, "MEMORY_BUDGET", 300**2 * 64)
     tracemalloc.start()
     try:
@@ -437,18 +437,19 @@ def test_simulate_record_every_below_one_exits_2():
 @pytest.mark.parametrize(
     "args, match",
     [
-        (["--h", "0.04", "--support", "5", "--R", "5"], "357^2 points"),
+        (["--h", "0.04", "--support", "5", "--R", "5"],
+         "frame has 607^2 points: 368449 x 576 bytes"),
         (["--h", "0.05", "--support", "5", "--R", "0.5"],
-         "the loss band for R/h = 10 and bound = 143: 864885 x 8 bytes"),
+         "R/h = 10, bound = 143: the operator's frame has 307^2 points: 94249 x 576 bytes"),
     ],
-    ids=["widened-state", "loss-band"],
+    ids=["widened-state", "frame"],
 )
 def test_simulate_unaffordable_size_exits_2_allocating_nothing(monkeypatch, args, match):
     # A small budget, room for a widened state of 300^2 points but not for
-    # the 287^2 state's 6.9 MB loss band, so that a check that failed to
-    # fire, or fired after sampling and widening, would allocate a few MB
-    # (251^2 or 201^2 points sampled, widened to 357^2 or 287^2), not
-    # gigabytes.
+    # the operator's frame around the 357^2 or 287^2 widened state, so that
+    # a check that failed to fire, or fired after sampling and widening,
+    # would allocate a few MB (251^2 or 201^2 points sampled, widened to
+    # 357^2 or 287^2), not gigabytes.
     monkeypatch.setattr(errors, "MEMORY_BUDGET", 300**2 * 64)
     tracemalloc.start()
     try:
@@ -474,12 +475,12 @@ def test_simulate_just_over_the_relax_frame_cap_exits_2_before_sampling(monkeypa
     monkeypatch.setattr(co, "sample_on_lattice", lambda *a: sampled.append(a) or sample_on_lattice(*a))
     args = ["simulate", "--f", "maxwellian", "--h", "0.25", "--support", "5", "--R", "5",
             "--dt", "1e-3", "--steps", "1"]
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", (101**2 - 1) * harness.RELAX_BYTES_PER_FRAME_POINT)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", (101**2 - 1) * co.RELAX_BYTES_PER_FRAME_POINT)
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 2, result.output
     assert "frame has 101^2 points: 10201 x 576 bytes" in result.output
     assert sampled == []
-    monkeypatch.setattr(errors, "MEMORY_BUDGET", 101**2 * harness.RELAX_BYTES_PER_FRAME_POINT)
+    monkeypatch.setattr(errors, "MEMORY_BUDGET", 101**2 * co.RELAX_BYTES_PER_FRAME_POINT)
     result = CliRunner().invoke(main, args)
     assert result.exit_code == 0, result.output
     assert len(sampled) == 1
@@ -487,12 +488,15 @@ def test_simulate_just_over_the_relax_frame_cap_exits_2_before_sampling(monkeypa
 
 @pytest.mark.parametrize(
     "h, match",
-    [("0.001", "14147^2 points: 200137609 x 64 bytes"),
-     ("0.01", "the loss band for R/h = 500 and bound = 709: 1007787781 x 8 bytes")],
+    [("0.001", "R/h = 5000, bound = 7073: the operator's frame has 24147^2 points: "
+               "583077609 x 576 bytes"),
+     ("0.01", "R/h = 500, bound = 709: the operator's frame has 2419^2 points: "
+              "5851561 x 576 bytes")],
     ids=["h0.001", "h0.01"],
 )
 def test_simulate_fine_h_exits_2_before_sampling(h, match):
-    """At h = 0.001 the widened state is too large, at h = 0.01 its loss band."""
+    """At h = 0.001 and at h = 0.01 the operator's frame about the widened
+    state (14147^2 and 1419^2 points) passes the memory budget."""
     tracemalloc.start()
     try:
         result = CliRunner().invoke(

@@ -14,6 +14,7 @@ from dvm2d.circles import circle_points, circle_table
 from dvm2d.errors import PreconditionError, QuadratureError
 from oracles import (
     all_nodes_angular_integral,
+    band_loss,
     box_loop_apply_frame,
     box_loop_gain,
     full_circle_q_discrete_detailed,
@@ -545,7 +546,7 @@ class OldFastCollisionOperator:
     Products over the whole (out_bound + R/h) mid grid and the full
     circle, harmonic weights from arctan2, and one view-add per circle
     point for the gain and for the loss.  Slow but independent of the
-    support boxes, half circles and loss band.
+    support boxes, half circles and Toeplitz loss.
     """
 
     def __init__(self, h, R, kernel, out_bound):
@@ -861,76 +862,88 @@ def test_apply_frame_holds_all_of_q(kernel, h, b, R):
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
 @pytest.mark.parametrize("bound", [0, 7, 20, 30])  # R/h = 20
 def test_loss_band_matches_row_loop_oracle(kernel, bound):
-    """The band built from the gain's channels equals the per-row-offset band
-    of r x r integer-dot kernel values, entry by entry."""
+    """The Toeplitz matrices T_a[i, j] = W[a + K, i - j + K] of the weight
+    table built from the gain's channels, stacked over the row offsets a,
+    equal the per-row-offset band of r x r integer-dot kernel values, entry
+    by entry."""
     h, R = 0.25, 5.0
     op = co.FastCollisionOperator(h, R, kernel, bound)
+    k = op.reach
+    assert op._loss_w.shape == (2 * k + 1, 2 * k + 1)
     oracle = row_loop_loss_parts(h, R, kernel, bound)
-    assert len(op._loss_parts) == len(oracle) == 2
-    for (cols, band), (old_cols, old) in zip(op._loss_parts, oracle):
-        assert cols == old_cols and band.shape == old.shape
+    assert len(oracle) == 2
+    for parity, (cols, old) in enumerate(oracle):
+        n_col = bound + 1 - parity
+        d = np.arange(n_col)[:, None] - np.arange(n_col)[None, :]  # i - j
+        band = np.where(np.abs(d) <= k, op._loss_w[:, np.clip(d + k, 0, 2 * k)], 0.0)
+        band = band.reshape((2 * k + 1) * n_col, n_col)
+        assert cols == slice(parity, None, 2) and band.shape == old.shape
         assert np.all(np.abs(band - old) <= 1e-15 * np.abs(old))
         if kernel == MAXWELL:
             assert np.array_equal(band, old)
 
 
-def test_loss_band_build_peak_stays_near_what_it_keeps():
-    """R/h = 100 over bound 72: one scatter over every (table point, column)
-    pair peaked at 3.2 times the operator's bytes; the chunked scatter
-    keeps the build within 1.5 times (1.40 measured)."""
+def test_operator_keeps_no_loss_band():
+    """R/h = 100 over bound 72: the loss band of the operator that kept one
+    held 16.9 MB, 201 (73^2 + 72^2) entries; now no array the operator
+    keeps has (2K + 1) (bound + 1)^2 entries, and all it retains fits in
+    96 bytes per point of its 345^2 frame (86 measured, 10.2 MB; the band
+    alone was 142 bytes per frame point)."""
     h, R, bound = 0.04, 4.0, 72
     circle_table(co.circle_limit(h, R))  # cached; not part of the build
     tracemalloc.start()
     try:
         op = co.FastCollisionOperator(h, R, MAXWELL, bound)
-        kept, peak = tracemalloc.get_traced_memory()
+        kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert sum(band.nbytes for _, band in op._loss_parts) > 16 << 20
-    assert peak <= 1.5 * kept
-
+    k = op.reach
+    assert k == 100
+    buffers = []  # the arrays that own the memory of the operator's arrays
+    for a in vars(op).values():
+        while getattr(a, "base", None) is not None:
+            a = a.base
+        if isinstance(a, np.ndarray):
+            buffers.append(a)
+    assert buffers and max(a.size for a in buffers) < (2 * k + 1) * (bound + 1) ** 2
+    assert kept <= 96 * (2 * (bound + k) + 1) ** 2
 
 
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS[:2], ids=["maxwell", "pp05"])
-def test_loss_gathers_runs_of_band_rows_within_its_budget(monkeypatch, kernel):
-    """R/h = 20 over bound 60 with a budget of two gathered state rows: 21
-    runs of band rows per column parity, the first assigned and the rest
-    added.  The sum matches one run to 1e-14 of max |loss|, and the traced
-    peak stays within the budget plus four state-sized arrays (the zero-row
-    stack, the loss, one parity's columns and one run's product)."""
+def test_loss_transient_stays_within_a_few_state_arrays(kernel):
+    """R/h = 20 over bound 60: the loss matches the band oracle to 1e-14 of
+    max |loss|, and its traced peak, the returned loss included, stays
+    within four state-sized arrays (3.3 measured: the two parities'
+    columns, their sums, the loss and one product).  Gathering every band
+    row at once held 41 half states."""
     h, R, bound = 0.25, 5.0, 60
     side = 2 * bound + 1
     op = co.FastCollisionOperator(h, R, kernel, bound)
     grid = np.random.default_rng(5).random((side, side))
-    whole = op._loss(grid)
-    budget = 2 * 8 * side * (bound + 1)
-    monkeypatch.setattr(co, "LOSS_GATHER_BYTES", budget)
     tracemalloc.start()
     try:
-        runs = op._loss(grid)
+        loss = op._loss(grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert -(-(2 * op.reach + 1) // 2) == 21  # runs of two band rows
-    assert np.abs(runs - whole).max() <= 1e-14 * np.abs(whole).max()
-    assert peak <= budget + 4 * 8 * (side + 1) * side
+    want = band_loss(h, R, kernel, grid)
+    assert np.abs(loss - want).max() <= 1e-14 * np.abs(want).max()
+    assert peak <= 4 * grid.nbytes
 
 
-def test_loss_gather_is_one_run_and_bit_identical_at_the_relax_size():
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
+def test_loss_matches_one_gemm_of_the_oracle_band_at_the_relax_size(kernel):
     """The relax workload's operator (h = 0.25, R = 5, the widened state of
-    support 5) gathers every band row at once: the one gemm per parity of
-    the unchunked loss, bit for bit."""
+    support 5): the loss per row offset equals the one gemm per parity of
+    the band oracle to 1e-14 of max |loss|."""
     h, R = 0.25, 5.0
     bound = co.widened_bound(co.lattice_bound(h, 5.0))
     side = 2 * bound + 1
-    op = co.FastCollisionOperator(h, R, co.KernelSpec.product_power(0.5, (1, 0, 0.5)), bound)
-    assert 8 * side * (2 * op.reach + 1) * (bound + 1) <= co.LOSS_GATHER_BYTES
+    op = co.FastCollisionOperator(h, R, kernel, bound)
     grid = np.random.default_rng(6).random((side, side))
-    stacked = np.vstack([grid, np.zeros((1, side))])
-    whole = np.empty((side, side))
-    for cols, band in op._loss_parts:
-        whole[:, cols] = stacked[:, cols][op._loss_rows].reshape(side, -1) @ band
-    assert np.array_equal(op._loss(grid), whole)
+    want = band_loss(h, R, kernel, grid)
+    assert np.abs(op._loss(grid) - want).max() <= 1e-14 * np.abs(want).max()
+
 
 @pytest.mark.parametrize("n", [1, 2, 5, 25, 65, 325, 1105, 5525, 4 * 1105])
 def test_harmonic_weights_exact(n):
@@ -940,7 +953,7 @@ def test_harmonic_weights_exact(n):
     axis = (xs == 0) | (ys == 0)
     opposite = [pts.points.index((-x, -y)) for x, y in pts.points]
     for m in range(0, 7):
-        cos_m, sin_m = co._harmonic_weights(xs, ys, n, m)
+        cos_m, sin_m = co._harmonic_weights(xs, ys, m)
         # arctan2 carries a phase error that m multiplies: up to 3.2e-15
         # at m = 6 over n < 3000, so 1e-15 holds only for m <= 2.
         tol = 1e-15 if m <= 2 else 4e-15
@@ -956,22 +969,22 @@ def test_harmonic_weights_exact(n):
 
 
 def test_harmonic_weights_match_python_int_loop():
-    """The int64 powers over the whole table equal the Python-int quotients
-    bit for bit, and so do the Python-int powers past n^m = 2^104."""
+    """The int64 powers over the whole table, and the object-array powers
+    past n^m = 2^104 (from m = 8 here), equal the Python-int quotients bit
+    for bit."""
     table = circle_table(10000)
-    ns = table.xs**2 + table.ys**2
     starts = table.starts.tolist()
-    for m in range(0, 9):
-        cos_all, sin_all = co._harmonic_weights(table.xs, table.ys, ns, m)
+    for m in range(0, 13):
+        cos_all, sin_all = co._harmonic_weights(table.xs, table.ys, m)
         for n in (1, 2, 5, 25, 65, 325, 1105, 5525, 9925):
             lo, hi = starts[n], starts[n + 1]
             want = int_loop_harmonic_weights(table.xs[lo:hi], table.ys[lo:hi], n, m)
             assert np.array_equal(cos_all[lo:hi], want[0])
             assert np.array_equal(sin_all[lo:hi], want[1])
     pts = circle_points(5525)
-    assert 5525**10 >= 1 << 104  # the Python-int branch
+    assert 5525**10 >= 1 << 104  # the object-array branch
     for m in (10, 11):
-        got = co._harmonic_weights(pts.xs, pts.ys, 5525, m)
+        got = co._harmonic_weights(pts.xs, pts.ys, m)
         want = int_loop_harmonic_weights(pts.xs, pts.ys, 5525, m)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 

@@ -593,8 +593,10 @@ def test_relax_preconditions(monkeypatch):
     for every in (0, -1):
         with pytest.raises(PreconditionError, match="record_every"):
             harness.relax_simulate(f0, MAXWELL, R=1.0, dt=0.1, steps=5, record_every=every)
-    # The widened state (bound 7) is checked before the state is widened.
+    # The operator's frame about the widened state (bound 7, R/h = 2) is
+    # checked before the state is widened; a budget that holds the widened
+    # state's 15^2 points at 64 bytes does not hold it.
     monkeypatch.setattr(errors, "MEMORY_BUDGET", 15**2 * 64 - 1)
     monkeypatch.setattr(co.LatticeDistribution, "widened", lambda self: pytest.fail("widened"))
-    with pytest.raises(PreconditionError, match=r"15\^2 points"):
+    with pytest.raises(PreconditionError, match=r"frame has 19\^2 points: 361 x 576 bytes"):
         harness.relax_simulate(f0, MAXWELL, R=1.0, dt=0.1, steps=5)

@@ -46,14 +46,15 @@ REGISTRY = [
            lambda: circles.circle_table(50000)),
     Capped("r2_range", "circles.R2_RANGE_BYTES_PER_ROW", 100001,  # ceil(sqrt(10**10 + 1))
            lambda: next(circles.r2_range(10**10 + 1, 10**10 + 1))),
-    Capped("FastCollisionOperator", "collision.LOSS_BAND_BYTES_PER_ENTRY", 41 * (61**2 + 60**2),
+    Capped("FastCollisionOperator", "collision.RELAX_BYTES_PER_FRAME_POINT", 161**2,
            lambda: co.FastCollisionOperator(0.25, 5.0, MAXWELL, 60)),
-    Capped("collide-grid-loss-band", "collision.LOSS_BAND_BYTES_PER_ENTRY",
-           21 * (143**2 + 142**2),  # the state has 285^2 points
+    Capped("collide-grid-frame", "collision.RELAX_BYTES_PER_FRAME_POINT",
+           305**2,  # the state has 285^2 points, and R/h = 10
            ["collide", "--f", "maxwellian", "--h", "0.05", "--R", "0.5", "--v", "6,0", "--grid"]),
     Capped("collide-pointwise-state", "collision.CONVERGE_BYTES_PER_POINT", 305**2,
            ["collide", "--f", "maxwellian", "--h", "0.04", "--R", "3"]),
-    Capped("collide-grid-state", "collision.CONVERGE_BYTES_PER_POINT", 345**2,
+    Capped("collide-grid-state", "collision.RELAX_BYTES_PER_FRAME_POINT",
+           355**2,  # the state has 345^2 points, and R/h = 5
            ["collide", "--f", "maxwellian", "--h", "0.05", "--R", "0.25", "--v", "8,0", "--grid"]),
     Capped("collide-lattice-file-state", "collision.CONVERGE_BYTES_PER_POINT", 201**2,
            ["collide", "--f", "file", "--file", "FILE", "--R", "0.02"],
@@ -64,10 +65,10 @@ REGISTRY = [
            ["converge", "--h-list", "0.5", "--R", "2", "--M", "4000"]),
     Capped("figure", "harness.FIGURE_BYTES_PER_POINT", 101**2 - 1,
            ["figure", "--min", "0", "--max", "100", "--threshold", "4"]),
-    Capped("simulate-frame", "harness.RELAX_BYTES_PER_FRAME_POINT", 101**2,
+    Capped("simulate-frame", "collision.RELAX_BYTES_PER_FRAME_POINT", 101**2,
            ["simulate", "--f", "maxwellian", "--h", "0.25", "--support", "5", "--R", "5",
             "--dt", "1e-3", "--steps", "1"]),
-    Capped("simulate-lattice-file-frame", "harness.RELAX_BYTES_PER_FRAME_POINT", 101**2,
+    Capped("simulate-lattice-file-frame", "collision.RELAX_BYTES_PER_FRAME_POINT", 101**2,
            ["simulate", "--f", "file", "--file", "FILE", "--R", "5", "--dt", "1e-3",
             "--steps", "1"],
            '{"h": 0.25, "R_support": 5.0}'),
@@ -133,9 +134,6 @@ FULL_BUDGET = {
     "r2_range-n_hi-222399955086400": (
         lambda: next(circles.r2_range(222399955086401, 222399955086401)),
         lambda: next(circles.r2_range(222399955086400, 222399955086400))),
-    "loss-band-1073741824-bytes": (
-        lambda: check_memory("band", 2**27 + 1, co.LOSS_BAND_BYTES_PER_ENTRY),
-        lambda: check_memory("band", 2**27, co.LOSS_BAND_BYTES_PER_ENTRY)),
     "state-16777216-points": (
         lambda: check_memory("state", 16777217, co.CONVERGE_BYTES_PER_POINT),
         lambda: check_memory("state", 16777216, co.CONVERGE_BYTES_PER_POINT)),
@@ -147,8 +145,16 @@ FULL_BUDGET = {
         lambda: check_memory("figure", 16777217, harness.FIGURE_BYTES_PER_POINT),
         lambda: check_memory("figure", 16777216, harness.FIGURE_BYTES_PER_POINT)),
     "relax-frame-1864135-points": (
-        lambda: check_memory("frame", 1864136, harness.RELAX_BYTES_PER_FRAME_POINT),
-        lambda: check_memory("frame", 1864135, harness.RELAX_BYTES_PER_FRAME_POINT)),
+        lambda: check_memory("frame", 1864136, co.RELAX_BYTES_PER_FRAME_POINT),
+        lambda: check_memory("frame", 1864135, co.RELAX_BYTES_PER_FRAME_POINT)),
+    # Closed-form collide --grid at h = 1, R = K reads a state of bound
+    # 2K + 2: its frame, 6K + 5 on a side, is first refused at K = 227.
+    "collide-grid-frame-K-227": (lambda: co.check_frame(1.0, 227.0, 456),
+                                 lambda: co.check_frame(1.0, 226.0, 454)),
+    # simulate at R = support = B h: the frame of the widened state, first
+    # refused at B = 283 (1371^2 points; B = 282 has 1365^2).
+    "simulate-frame-B-283": (lambda: harness.check_relax_size(1.0, 283.0, 283.0),
+                             lambda: harness.check_relax_size(1.0, 282.0, 282.0)),
 }
 
 
@@ -179,6 +185,6 @@ def test_every_bytes_per_unit_constant_has_a_registry_entry():
         for path in SRC.glob("*.py")
         for name in re.findall(r"^(\w+_BYTES_PER_\w+) = ", path.read_text(), flags=re.M)
     }
-    assert "collision.LOSS_BAND_BYTES_PER_ENTRY" in constants
+    assert len(constants) == 6 and "collision.RELAX_BYTES_PER_FRAME_POINT" in constants
     assert constants - {entry.unit for entry in REGISTRY} == set()
     assert sum(path.read_text().count("1 << 30") for path in SRC.glob("*.py")) == 1

@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from dvm2d.numtheory import (
     ResidueClass,
     factorize,
     gaussian_factorize,
+    gaussian_pow,
     is_prime,
     two_squares_prime,
 )
@@ -162,6 +164,7 @@ def test_gaussian_factorize_examples():
     s = g.splittings[0]
     assert (s.x, s.y) == (2, 1)
     assert s.theta == pytest.approx(math.atan(0.5))
+    assert s.alpha == 2
 
     g = gaussian_factorize(9)
     assert [(f.p, f.alpha) for f in g.factors] == [(3, 2)]
@@ -175,9 +178,36 @@ def test_gaussian_factorize_examples():
 
 def test_gaussian_splitting_angles_in_range():
     for n in range(2, 3000):
-        for s in gaussian_factorize(n).splittings:
+        g = gaussian_factorize(n)
+        alphas = {f.p: f.alpha for f in g.factors}
+        for s in g.splittings:
             assert 0 < s.theta < math.pi / 4
             assert s.x * s.x + s.y * s.y == s.p
+            assert s.alpha == alphas[s.p]
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(0, 40))
+@settings(max_examples=200, deadline=None)
+def test_gaussian_pow_is_exact(x, y, m):
+    """Python ints: the power of one more factor, and the norm, exactly."""
+    re, im = gaussian_pow(x, y, m)
+    assert re * re + im * im == (x * x + y * y) ** m
+    assert gaussian_pow(x, y, m + 1) == (re * x - im * y, re * y + im * x)
+    assert gaussian_pow(x, y, 0) == (1, 0)
+
+
+def test_gaussian_pow_elementwise_on_arrays():
+    """int64 and object arrays give, per element, the Python-int power."""
+    xs = np.array([0, 1, -3, 7, 12, -5], dtype=np.int64)
+    ys = np.array([1, 0, 4, -2, 5, -5], dtype=np.int64)
+    for m in range(0, 11):  # |x + iy|^m < 2^62 throughout
+        for dtype in (np.int64, object):
+            re, im = gaussian_pow(xs.astype(dtype), ys.astype(dtype), m)
+            want = [gaussian_pow(x, y, m) for x, y in zip(xs.tolist(), ys.tolist())]
+            assert np.broadcast_to(re, xs.shape).tolist() == [w[0] for w in want]
+            assert np.broadcast_to(im, xs.shape).tolist() == [w[1] for w in want]
+    re, _ = gaussian_pow(xs.astype(object), ys.astype(object), 30)  # past int64
+    assert re[4] == gaussian_pow(12, 5, 30)[0] and abs(re[4]) > 1 << 63
 
 
 def test_residue_classification():
