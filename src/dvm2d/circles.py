@@ -15,8 +15,9 @@ x >= 1, y >= 0 into every circle up to a bound, r2_range bins the octant
 mirror images, prime_angles keeps the points on prime circles, and
 abs_S_sweep, the one |S| generator behind
 abs_S_closed_range, avg_abs_S and the harness's equidistribution term,
-bins ((x + iy) / sqrt(n))^k by n for each requested k and evaluates |S|
-only at the n whose circle has points.
+bins the real part of ((x + iy) / sqrt(n))^k over the same octant by n
+for each requested k, counts the mirror images as r2_range does and
+evaluates |S| only at the n whose circle has points.
 |S(n,k)|/4 is multiplicative in n and vanishes unless 4 | k; for one n,
 exp_sum_closed evaluates that closed form from the factorization.
 """
@@ -335,22 +336,13 @@ def r2_range(n_lo: int, n_hi: int):
         yield s, r2
 
 
-def _segment_points(s: int, e: int):
-    """The points x >= 1, y >= 0 of the circles s <= m <= e, as int64 x, y
-    and n = x^2 + y^2, and the point count of each m - s."""
-    r = math.isqrt(e)
-    x, count, y = annulus_points(s, e, 1, r, 0, r)
-    x = np.repeat(x, count)
-    n = x * x + y * y
-    return x, y, n, np.bincount(n - s)
-
-
-def _z4(x, y, n):
-    """Real and imaginary parts of z^4 = ((x + iy) / sqrt(n))^4: u + iv =
-    (x + iy)^2 in exact integers, then (u + iv)^2 / n^2 rounded once."""
+def _z4(x, y, n, imag: bool):
+    """z^4 = ((x + iy) / sqrt(n))^4, or its real part alone unless imag:
+    u + iv = (x + iy)^2 in exact integers, then (u + iv)^2 / n^2 rounded once."""
     u, v = x * x - y * y, 2 * x * y
     m2 = n * n
-    return (u * u - v * v) / m2, 2 * u * v / m2
+    re = (u * u - v * v) / m2
+    return re + 1j * (2 * u * v / m2) if imag else re
 
 
 def abs_S_sweep(X: int, ks):
@@ -359,43 +351,60 @@ def abs_S_sweep(X: int, ks):
     ks ascends through multiples of 4 with k >= 0.  m holds, ascending,
     the radii of the segment whose circle has lattice points; every other
     m has S(m, k) = 0 and is left out.  For 4 | k the quarter turns
-    multiply each point by i^k = 1, so S(m, k) = 4 * sum of
-    ((x + iy) / sqrt(m))^k over the points x >= 1, y >= 0 of circle m,
-    which annulus_points lays down as in r2_range; k = 0 gives r2(m),
-    four times the point count.  z^4 = (u + iv)^2 / m^2 with
+    multiply each point by i^k = 1, and the mirror (x, y) -> (y, x) sends
+    z = (x + iy) / sqrt(m) to i conj(z), so z^k to conj(z^k).  So S(m, k)
+    is real and, as in r2_range, comes from the octant x >= 1,
+    0 <= y <= x alone: S(m, k) = 8 * sum of Re z^k over the octant of
+    circle m - 4 [m = a^2] - 4 (-1)^(k/4) [m = 2 a^2], since an axis point
+    (a, 0) has z^k = 1 and a diagonal point (a, a) has z^k = (-1)^(k/4),
+    each exactly, and each is its own mirror.  Per k one np.bincount of
+    Re z^k by m gives the octant sums; 0.5 and (-1)^(k/4) 0.5 come off at
+    the axis and diagonal m, and |S| is 8 times the absolute value, so
+    k = 0 gives r2(m) exactly.  z^4 = (u + iv)^2 / m^2 with
     u + iv = (x + iy)^2 is formed in exact integers and rounded once, and
     w = z^k is carried from each requested k to the next by
     multiplications by z^4, so z^k is z^4 times k / 4 - 1 of them, in the
     same order whichever ks hold k: a value does not depend on the other
-    k requested.  np.bincount runs only at the requested k, and k = 4
-    stays two float arrays.  A circle lies in one segment and its points
-    come in the same order whatever the segment length, so each value
-    does too.  Within a segment the k ascend; the segments ascend in m.
+    k requested.  np.bincount runs only at the requested k, and a sweep
+    whose ks end at 4 forms Re z^4 alone.  A circle lies in one segment
+    and its points come in the same order whatever the segment length, so
+    each value does too.  Within a segment the k ascend; the segments
+    ascend in m.
     """
     ks = list(ks)
     if any(k % 4 or k < prev for prev, k in zip([0, *ks], ks)):
         raise PreconditionError(f"abs_S_sweep needs ascending multiples of 4 >= 0, got {ks}")
     for s in range(1, X + 1, R2_SEGMENT):
         e = min(s + R2_SEGMENT - 1, X)
-        x, y, n, points = _segment_points(s, e)
-        i = np.flatnonzero(points)
+        r = math.isqrt(e)
+        x, count, y = annulus_points(s, e, 1, r, 0, r, octant=True)
+        x = np.repeat(x, count)
+        n = x * x + y * y
+        points = np.bincount(n - s)
+        i = np.flatnonzero(points != 0)  # 4 times faster than on the int64 counts
         m = i + s
-        power, w, z4 = 0, None, None  # w = z^power: (re, im) until z4 is formed
+        # The axis m = a^2 and the diagonal m = 2 a^2 of the segment, less s.
+        a1, a2 = (np.arange(math.isqrt((s - 1) // d) + 1, math.isqrt(e // d) + 1) for d in (1, 2))
+        axis, diag = a1 * a1 - s, 2 * a2 * a2 - s
+        power = 0  # w = z^power
         for k in ks:
             if k == 0:
-                yield k, m, 4.0 * points[i]
-                continue
-            if power == 0:
-                w, power = _z4(x, y, n), 4
-                n -= s
-            if k > power and z4 is None:
-                z4 = w[0] + 1j * w[1]
-                w = z4.copy()
-            for _ in range((k - power) // 4):
-                w *= z4
-            power = k
-            re, im = w if z4 is None else (w.real, w.imag)
-            yield k, m, 4 * np.hypot(np.bincount(n, re)[i], np.bincount(n, im)[i])
+                total = points.astype(np.float64)
+            else:
+                if power == 0:
+                    z4 = _z4(x, y, n, imag=ks[-1] > 4)
+                    w, power = z4, 4
+                    n -= s
+                if k > power and w is z4:
+                    w = z4.copy()
+                for _ in range((k - power) // 4):
+                    w *= z4
+                power = k
+                # np.bincount gives int64 for an empty n, weights or not.
+                total = np.bincount(n, w.real).astype(np.float64, copy=False)
+            total[axis] -= 0.5
+            total[diag] -= 0.5 if k % 8 == 0 else -0.5
+            yield k, m, 8 * np.abs(total[i])
 
 
 def prime_mask(limit: int) -> np.ndarray:
@@ -448,9 +457,9 @@ def prime_angles(limit: int) -> tuple[np.ndarray, np.ndarray]:
     return ps[keep], _theta_cache["thetas"][keep]
 
 
-# avg_abs_S streams the lattice sweep in about 47 MB peak RSS whatever X is, so
-# its cap is a time budget: `dvm2d avg-s X 4` takes about 5 s at X = 10**8 and
-# about 11 s at X = MAX_RANGE_X (2 cores, Python 3.11, numpy 2.4).
+# avg_abs_S streams the lattice sweep in about 43 MB peak RSS whatever X is, so
+# its cap is a time budget: `dvm2d avg-s X 4` takes about 1.5 s at X = 10**8 and
+# about 3.4 s at X = MAX_RANGE_X (2 cores, Python 3.11, numpy 2.4).
 MAX_RANGE_X = 238609294
 
 
@@ -521,8 +530,8 @@ def avg_abs_S(X: int, k: int) -> AngleStatistics:
         raise PreconditionError(f"avg_abs_S requires X >= 100, got {X}")
     if X > MAX_RANGE_X:
         raise PreconditionError(
-            f"avg_abs_S sums about pi X / 4 lattice points, a time budget of about "
-            f"11 s at the cap; X = {X} exceeds MAX_RANGE_X = {MAX_RANGE_X}"
+            f"avg_abs_S sums about pi X / 8 lattice points, a time budget of about "
+            f"3.4 s at the cap; X = {X} exceeds MAX_RANGE_X = {MAX_RANGE_X}"
         )
     decades = [10**d for d in range(2, 1 + math.floor(math.log10(X))) ]
     decades = [d for d in decades if d <= X]

@@ -8,7 +8,11 @@ statistic once read.  ``sieve_r2_range`` is its r2 fold, which
 ``exact_abs_S`` is |S(n, k)| from exact Gaussian-integer powers.
 ``dense_abs_S_segments`` and ``dense_avg_abs_S`` are the lattice |S| sum
 and its decade means before they skipped the m whose circle is empty:
-one value for every m, zeros included, each put through ``math.fsum``.
+one value for every m, zeros included, each put through ``math.fsum``;
+they fold the octant as ``circles.abs_S_sweep`` does.
+``quarter_abs_S_segments`` is ``circles.abs_S_sweep`` before it folded
+the octant: it sums z^k over the quarter x >= 1, y >= 0 and takes |S| as
+the hypot of one ``np.bincount`` each of Re z^k and Im z^k.
 ``enumerated_figure_data`` is the ``harness.figure_data`` that enumerated
 every point-rich circle with ``circle_points`` and filtered it to the box.
 ``quarter_r2_range`` and ``quarter_figure_data`` are ``circles.r2_range``
@@ -218,14 +222,16 @@ def exact_abs_S(n, k):
 def dense_abs_S_segments(X, k):
     """Yield |S(m, k)| for 1 <= m <= X, one float64 array per R2_SEGMENT segment.
 
-    Needs 4 | k.  z^4 is formed from exact integers and rounded once, and
-    z^|k| is |k| / 4 multiplications of ones by it; every m of the segment
-    gets a value, 0 where its circle is empty.
+    Needs 4 | k.  Over the octant x >= 1, 0 <= y <= x, z^4 is formed from
+    exact integers and rounded once, and z^|k| is |k| / 4 multiplications
+    of ones by it; |S| is 8 |sum of Re z^k - [m = a^2] / 2 - (-1)^(k/4)
+    [m = 2 a^2] / 2|, and every m of the segment gets a value, 0 where its
+    circle is empty.
     """
     for s in range(1, X + 1, circles.R2_SEGMENT):
         e = min(s + circles.R2_SEGMENT - 1, X)
         r = math.isqrt(e)
-        x, count, y = circles.annulus_points(s, e, 1, r, 0, r)
+        x, count, y = circles.annulus_points(s, e, 1, r, 0, r, octant=True)
         x = np.repeat(x, count)
         n = x * x + y * y
         u, v = x * x - y * y, 2 * x * y
@@ -235,9 +241,44 @@ def dense_abs_S_segments(X, k):
         for _ in range(abs(k) // 4):
             w *= z4
         n -= s
-        re = np.bincount(n, w.real, minlength=e - s + 1)
-        im = np.bincount(n, w.imag, minlength=e - s + 1)
-        yield 4 * np.hypot(re, im)
+        total = np.bincount(n, w.real, minlength=e - s + 1).astype(np.float64)
+        for d, sign in ((1, 1), (2, 1 if k % 8 == 0 else -1)):
+            a = np.arange(math.isqrt((s - 1) // d) + 1, math.isqrt(e // d) + 1)
+            total[d * a * a - s] -= 0.5 * sign
+        yield 8 * np.abs(total)
+
+
+def quarter_abs_S_segments(X, ks):
+    """Yield (k, m, |S(m, k)|) per R2_SEGMENT segment, as circles.abs_S_sweep,
+    from the quarter x >= 1, y >= 0: S(m, k) = 4 * sum of z^k there, and
+    |S| = 4 * hypot of the np.bincount by m of Re z^k and of Im z^k."""
+    for s in range(1, X + 1, circles.R2_SEGMENT):
+        e = min(s + circles.R2_SEGMENT - 1, X)
+        r = math.isqrt(e)
+        x, count, y = circles.annulus_points(s, e, 1, r, 0, r)
+        x = np.repeat(x, count)
+        n = x * x + y * y
+        points = np.bincount(n - s)
+        i = np.flatnonzero(points)
+        m = i + s
+        power, w, z4 = 0, None, None  # w = z^power: (re, im) until z4 is formed
+        for k in ks:
+            if k == 0:
+                yield k, m, 4.0 * points[i]
+                continue
+            if power == 0:
+                u, v = x * x - y * y, 2 * x * y
+                m2 = n * n
+                w, power = ((u * u - v * v) / m2, 2 * u * v / m2), 4
+                n -= s
+            if k > power and z4 is None:
+                z4 = w[0] + 1j * w[1]
+                w = z4.copy()
+            for _ in range((k - power) // 4):
+                w *= z4
+            power = k
+            re, im = w if z4 is None else (w.real, w.imag)
+            yield k, m, 4 * np.hypot(np.bincount(n, re)[i], np.bincount(n, im)[i])
 
 
 def dense_avg_abs_S(X, k):

@@ -17,6 +17,7 @@ from oracles import (
     dense_avg_abs_S,
     exact_abs_S,
     factor_range,
+    quarter_abs_S_segments,
     quarter_r2_range,
     sieve_abs_S_closed_range,
     sieve_r2_range,
@@ -560,6 +561,47 @@ def test_abs_S_sweep_refuses_bad_ks(ks):
         next(circles.abs_S_sweep(100, ks))
 
 
+def test_octant_abs_S_sweep_matches_quarter_oracle():
+    """The octant fold against the quarter sweep it replaced, m <= 10**5:
+    the same m, r2 bit for bit at k = 0, and each value within
+    r2(m) * k * eps / 4 for k = 4..64 (0.67 of it measured, at k = 4)."""
+    X = 10**5
+    ks = list(range(0, 65, 4))
+    eps = np.finfo(np.float64).eps
+    got = circles.abs_S_sweep(X, ks)
+    for (k, m, values), (k_q, m_q, want) in zip(got, quarter_abs_S_segments(X, ks)):
+        assert k == k_q and np.array_equal(m, m_q)
+        if k == 0:
+            assert np.array_equal(values, want)
+            r2 = want
+        else:
+            assert np.all(np.abs(values - want) <= r2 * k * eps / 4), k
+    assert next(got, None) is None
+
+
+@pytest.mark.parametrize("X", [100, 1001, 12345, 100007])
+def test_avg_abs_S_decade_means_match_quarter_oracle(monkeypatch, X):
+    # Bit for bit at these X: the fold moves single values by ulps, not
+    # the decade sums.
+    want = {k: circles.avg_abs_S(X, k) for k in (0, 4, -4, 8, 12)}
+    monkeypatch.setattr(circles, "abs_S_sweep", quarter_abs_S_segments)
+    for k, stats in want.items():
+        assert circles.avg_abs_S(X, k) == stats, k
+
+
+def test_abs_S_sweep_segment_without_a_circle(monkeypatch):
+    """A segment whose circles are all empty yields empty m and values
+    with their dtypes: np.bincount of no points is int64 even with
+    weights, so the axis and diagonal terms must not go into it in place."""
+    monkeypatch.setattr(circles, "R2_SEGMENT", 7)
+    ks = (0, 4, 8)
+    got = list(circles.abs_S_sweep(385, ks))[-len(ks):]  # the last segment, [379, 385]
+    assert [k for k, _, _ in got] == list(ks)
+    for _, m, values in got:
+        assert m.dtype == np.int64 and m.shape == (0,)
+        assert values.dtype == np.float64 and values.shape == (0,)
+
+
 def test_exp_sum_vanishes_unless_4_divides_k():
     for n in range(1, 800):
         r = circles.r2(n)
@@ -689,14 +731,15 @@ def test_avg_abs_S_negative_k_equals_positive():
 
 def test_avg_abs_S_streams_in_bounded_memory():
     # A dense X + 1 table peaks at 58.6 MiB at this X; the streamed sweep
-    # holds one segment at a time (11.0 MiB measured), whatever X is.
+    # holds one segment at a time, whatever X is: 6.6 MiB measured for the
+    # octant, 10.7 MiB for the quarter sweep it replaced.
     tracemalloc.start()
     try:
         circles.avg_abs_S(4 * 10**6, 4)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24 << 20
+    assert peak < 9 << 20
 
 
 def prime_angle_sum(x, k):

@@ -103,6 +103,26 @@ def test_avg_s_output(tmp_path):
     assert lines[0] == "X,k,mean_abs_S"
 
 
+# dvm2d avg-s 1000000 4, byte for byte (acceptance criterion 07's decade means).
+AVG_S_1000000_4 = (
+    b"X,k,mean_abs_S\r\n"
+    b"100,4,1.6154840238341379\r\n"
+    b"1000,4,1.3965713549757157\r\n"
+    b"10000,4,1.2483876561070857\r\n"
+    b"100000,4,1.1466466548715688\r\n"
+    b"1000000,4,1.0690771560640455\r\n"
+)
+
+
+def test_avg_s_output_is_byte_identical(tmp_path):
+    out = tmp_path / "avg.csv"
+    result = CliRunner().invoke(main, ["avg-s", "1000000", "4", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == AVG_S_1000000_4
+    streamed = CliRunner().invoke(main, ["avg-s", "1000000", "4"])
+    assert streamed.exit_code == 0 and streamed.stdout_bytes == AVG_S_1000000_4
+
+
 def test_avg_s_k0_is_mean_r2(tmp_path):
     out = tmp_path / "avg.csv"
     result = CliRunner().invoke(main, ["avg-s", "1000", "0", "--out", str(out)])
