@@ -31,7 +31,13 @@ from itertools import chain
 import numpy as np
 
 from .errors import PreconditionError, check_memory
-from .numtheory import ResidueClass, factorize, gaussian_factorize, gaussian_pow
+from .numtheory import (
+    ResidueClass,
+    exact_terms,
+    factorize,
+    gaussian_factorize,
+    gaussian_pow,
+)
 
 
 def r2(n: int) -> int:
@@ -458,8 +464,8 @@ def prime_angles(limit: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # avg_abs_S streams the lattice sweep in about 43 MB peak RSS whatever X is, so
-# its cap is a time budget: `dvm2d avg-s X 4` takes about 1.5 s at X = 10**8 and
-# about 3.4 s at X = MAX_RANGE_X (2 cores, Python 3.11, numpy 2.4).
+# its cap is a time budget: `dvm2d avg-s X 4` takes about 0.9 s at X = 10**8 and
+# about 2.0 s at X = MAX_RANGE_X (2 cores, Python 3.11, numpy 2.4).
 MAX_RANGE_X = 238609294
 
 
@@ -494,7 +500,8 @@ def abs_S_closed_range(X: int, k: int) -> np.ndarray:
 
 
 def _decade_pieces(X: int, k: int, decades: list[int]):
-    """Yield each decade's |S(m, k)| at the m with points as float lists, then None.
+    """Yield each decade's pieces, then None: per segment, the exact_terms of
+    its |S(m, k)| in the decade, a few floats with their exact sum.
 
     The decade ends, ascending and the last equal to X, are found inside
     each segment with searchsorted.  A decade still open at a segment's
@@ -505,7 +512,7 @@ def _decade_pieces(X: int, k: int, decades: list[int]):
     for _, m, values in abs_S_sweep(X, [abs(k)]):
         a = 0
         for b in np.searchsorted(m, decades[i:], side="right").tolist():
-            yield values[a:b].tolist()
+            yield exact_terms(values[a:b])
             if b == len(m):
                 break
             yield None
@@ -520,18 +527,19 @@ def avg_abs_S(X: int, k: int) -> AngleStatistics:
     k not divisible by 4 is flagged and returns an identically zero table;
     k = 0 gives the mean of r2(m), which tends to pi.  |S| comes one
     segment at a time from abs_S_sweep(X, [|k|]), at the m with points only;
-    each decade's sum is one exactly rounded math.fsum over that decade's
-    values, to which the zeros left out add nothing.  So a decade's mean
-    depends on neither X nor the segment length, and memory does not grow
-    with X.  X above MAX_RANGE_X = 238609294 raises PreconditionError
-    before any work is done.
+    each decade's sum is one math.fsum over the numtheory.exact_terms of
+    its values in each segment, so it is the exact sum of the decade's
+    values rounded once, to which the zeros left out add nothing.  So a
+    decade's mean depends on neither X nor the segment length, and memory
+    does not grow with X.  X above MAX_RANGE_X = 238609294 raises
+    PreconditionError before any work is done.
     """
     if X < 100:
         raise PreconditionError(f"avg_abs_S requires X >= 100, got {X}")
     if X > MAX_RANGE_X:
         raise PreconditionError(
             f"avg_abs_S sums about pi X / 8 lattice points, a time budget of about "
-            f"3.4 s at the cap; X = {X} exceeds MAX_RANGE_X = {MAX_RANGE_X}"
+            f"2.0 s at the cap; X = {X} exceeds MAX_RANGE_X = {MAX_RANGE_X}"
         )
     decades = [10**d for d in range(2, 1 + math.floor(math.log10(X))) ]
     decades = [d for d in decades if d <= X]
@@ -546,7 +554,7 @@ def avg_abs_S(X: int, k: int) -> AngleStatistics:
     partials: list[float] = []
     decade_means: list[tuple[int, float]] = []
     for hi in decades:
-        # The decade's pieces, one list at a time, up to its None.
+        # The decade's pieces, one term list per segment, up to its None.
         partials.append(math.fsum(chain.from_iterable(iter(pieces.__next__, None))))
         decade_means.append((hi, math.fsum(partials) / hi))
     return AngleStatistics(X, k, decade_means[-1][1], tuple(decade_means))

@@ -46,7 +46,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .circles import circle_table
 from .errors import PreconditionError, QuadratureError, check_memory
-from .numtheory import gaussian_pow
+from .numtheory import exact_terms, gaussian_pow
 
 Array = np.ndarray
 
@@ -464,8 +464,9 @@ def polar_disk(r_quad: float, n_w: int) -> tuple[Array, Array]:
 
 
 def polar_sum(weights: Array, values: Array) -> float:
-    """4 * sum of weights * values, exactly rounded: the polar rule's value."""
-    return 4.0 * math.fsum((weights * values).tolist())
+    """4 * sum of weights * values, exactly rounded (one math.fsum over
+    numtheory.exact_terms): the polar rule's value."""
+    return 4.0 * math.fsum(exact_terms(weights * values))
 
 
 def q_reference(
@@ -942,16 +943,16 @@ def collision_invariants(
     """sum_v Q^h(v) (1, v, |v|^2) over every v where Q^h can be nonzero.
 
     That is the operator's frame |v| <= bound + R/h (apply_frame).  All
-    reductions use compensated summation.
+    totals are exactly rounded, each one math.fsum over numtheory.exact_terms.
     """
     op = FastCollisionOperator(f.h, R, kernel, f.bound)
     q = op.apply_frame(f.grid)
     vs = f.h * np.arange(-(f.bound + op.reach), f.bound + op.reach + 1)
     vx, vy = np.meshgrid(vs, vs, indexing="ij")
     v2 = vx**2 + vy**2
-    mass = math.fsum(q.ravel().tolist())
-    mom_x = math.fsum((q * vx).ravel().tolist())
-    mom_y = math.fsum((q * vy).ravel().tolist())
-    energy = math.fsum((q * v2).ravel().tolist())
-    norm = math.fsum((np.abs(q) * (1 + v2)).ravel().tolist())
+    mass = math.fsum(exact_terms(q))
+    mom_x = math.fsum(exact_terms(q * vx))
+    mom_y = math.fsum(exact_terms(q * vy))
+    energy = math.fsum(exact_terms(q * v2))
+    norm = math.fsum(exact_terms(np.abs(q) * (1 + v2)))
     return InvariantRates(mass, (mom_x, mom_y), energy, norm)

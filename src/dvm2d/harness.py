@@ -34,7 +34,7 @@ from .collision import (
     widened_bound,
 )
 from .errors import PositivityLossError, PreconditionError, check_memory
-from .numtheory import is_prime
+from .numtheory import exact_terms, is_prime
 
 # ---------------------------------------------------------------------------
 # Angular Fourier diagnostics
@@ -435,7 +435,7 @@ class RelaxState:
 def _entropy(grid: Array) -> float:
     flat = grid.ravel()
     pos = flat[flat > 0]
-    return math.fsum((pos * np.log(pos)).tolist())
+    return math.fsum(exact_terms(pos * np.log(pos)))
 
 
 def check_relax_size(h: float, support: float, R: float) -> None:
@@ -483,7 +483,7 @@ def relax_simulate(
         clamped = np.maximum(s, 0.0)
 
         def total(w) -> float:
-            return math.fsum((clamped * w * (h * h)).ravel().tolist())
+            return math.fsum(exact_terms(clamped * w * (h * h)))
 
         f = LatticeDistribution(h, wide.support_radius, clamped) if last else None
         return RelaxState(t, f, _entropy(clamped), total(1.0), (total(vx), total(vy)), total(v2))

@@ -4,7 +4,9 @@ Primality, factorization, sums of two squares, and the splitting of
 rational primes p = 1 (mod 4) into Gaussian primes x + iy.  Everything
 here is deterministic: Miller-Rabin runs with a fixed base set valid for
 all 64-bit integers, Pollard rho uses a fixed parameter schedule, and the
-two-squares decomposition is canonicalized to x > y > 0.
+two-squares decomposition is canonicalized to x > y > 0.  exact_terms
+reduces a float array to a few floats with the same exact sum, so that
+one math.fsum of them is the array's exactly rounded sum.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .errors import PreconditionError
 
@@ -249,3 +253,34 @@ def gaussian_factorize(n: int) -> GaussianFactorization:
             theta = math.atan2(rep.y, rep.x)
             splittings.append(GaussianSplitting(f.p, f.alpha, rep.x, rep.y, theta))
     return GaussianFactorization(n, factors, tuple(splittings))
+
+
+def exact_terms(values) -> list[float]:
+    """Floats whose exact sum is that of values, at most two per binary exponent.
+
+    math.fsum of them is the exactly rounded sum of values, so it equals
+    math.fsum(values.tolist()) wherever that returns, at a fraction of the
+    cost for a large array.  A finite float with exponent field E is an
+    integer below 2^53 times the unit 2^(max(E, 1) - 1075).  Clearing its
+    low 26 bits leaves a high part, a multiple of 2^26 units, and the rest
+    is below 2^26 units; both parts are floats, exactly.  One np.bincount
+    per part, keyed by E, adds them: below 2^26 values every partial sum
+    is an integer below 2^53 of its bin's unit (2^26 units for the high
+    parts), so each bin is exact in any order.  PreconditionError for 2^26
+    values or more (checked before the data is read), for inf or nan, and
+    for a bin whose sum overflows, where math.fsum raises OverflowError.
+    """
+    a = np.asarray(values, dtype=np.float64)
+    if a.size >= 1 << 26:
+        raise PreconditionError(f"exact_terms sums fewer than 2^26 values, got {a.size}")
+    a = a.ravel()
+    if not np.isfinite(a).all():
+        raise PreconditionError("exact_terms needs finite values")
+    bits = a.view(np.int64)
+    key = bits >> 52
+    key &= 0x7FF  # E, whatever the sign
+    high = (bits & -(1 << 26)).view(np.float64)
+    sums = np.stack([np.bincount(key, high), np.bincount(key, a - high)])
+    if not np.isfinite(sums).all():
+        raise PreconditionError("exact_terms: a bin's sum overflows float64")
+    return sums[sums != 0].tolist()

@@ -9,7 +9,9 @@ statistic once read.  ``sieve_r2_range`` is its r2 fold, which
 ``dense_abs_S_segments`` and ``dense_avg_abs_S`` are the lattice |S| sum
 and its decade means before they skipped the m whose circle is empty:
 one value for every m, zeros included, each put through ``math.fsum``;
-they fold the octant as ``circles.abs_S_sweep`` does.
+they fold the octant as ``circles.abs_S_sweep`` does.  ``fsum_avg_abs_S``
+is ``circles.avg_abs_S`` before ``numtheory.exact_terms``: each decade's
+values reach ``math.fsum`` as Python floats, one ``tolist`` per segment.
 ``quarter_abs_S_segments`` is ``circles.abs_S_sweep`` before it folded
 the octant: it sums z^k over the quarter x >= 1, y >= 0 and takes |S| as
 the hypot of one ``np.bincount`` each of Re z^k and Im z^k.
@@ -281,15 +283,20 @@ def quarter_abs_S_segments(X, ks):
             yield k, m, 4 * np.hypot(np.bincount(n, re)[i], np.bincount(n, im)[i])
 
 
-def dense_avg_abs_S(X, k):
-    """circles.avg_abs_S with one math.fsum over every m of each decade."""
+def _decade_ends(X):
+    """circles.avg_abs_S's decade ends: 100, 1000, ... up to X, then X."""
     if X < 100:
         raise PreconditionError(f"avg_abs_S requires X >= 100, got {X}")
     decades = [10**d for d in range(2, 1 + math.floor(math.log10(X)))]
     decades = [d for d in decades if d <= X]
     if not decades or decades[-1] != X:
         decades.append(X)
+    return decades
 
+
+def dense_avg_abs_S(X, k):
+    """circles.avg_abs_S with one math.fsum over every m of each decade."""
+    decades = _decade_ends(X)
     if k % 4 != 0:
         table = tuple((d, 0.0) for d in decades)
         return circles.AngleStatistics(X, k, 0.0, table, vanishing_k=True)
@@ -303,6 +310,21 @@ def dense_avg_abs_S(X, k):
         decade_means.append((hi, math.fsum(partials) / hi))
         lo = hi + 1
     return circles.AngleStatistics(X, k, decade_means[-1][1], tuple(decade_means))
+
+
+def fsum_avg_abs_S(X, k):
+    """circles.avg_abs_S with each decade's values handed to math.fsum as
+    Python floats, values[a:b].tolist() per segment, instead of as
+    numtheory.exact_terms; needs 4 | k."""
+    decades = _decade_ends(X)
+    values = [[] for _ in decades]
+    for _, m, segment in circles.abs_S_sweep(X, [abs(k)]):
+        ends = np.searchsorted(m, decades, side="right").tolist()
+        for listed, a, b in zip(values, [0, *ends], ends):
+            listed += segment[a:b].tolist()
+    partials = [math.fsum(listed) for listed in values]
+    decade_means = tuple((hi, math.fsum(partials[: i + 1]) / hi) for i, hi in enumerate(decades))
+    return circles.AngleStatistics(X, k, decade_means[-1][1], decade_means)
 
 
 def enumerated_figure_data(query):

@@ -17,6 +17,7 @@ from oracles import (
     dense_avg_abs_S,
     exact_abs_S,
     factor_range,
+    fsum_avg_abs_S,
     quarter_abs_S_segments,
     quarter_r2_range,
     sieve_abs_S_closed_range,
@@ -708,6 +709,14 @@ def test_avg_abs_S_equals_dense_oracle(monkeypatch, X):
         monkeypatch.setattr(circles, "R2_SEGMENT", segment)
         for k, stats in want.items():
             assert circles.avg_abs_S(X, k) == stats, (segment, k)
+
+
+@pytest.mark.parametrize("X", [100, 1001, 12345, 100007, 4 * 10**6])
+def test_avg_abs_S_equals_fsum_of_listed_values(X):
+    # exact_terms hands math.fsum a few floats per segment with the values'
+    # exact sum, so each decade's sum, rounded once, cannot move.
+    for k in (0, 4, -4, 8):
+        assert circles.avg_abs_S(X, k) == fsum_avg_abs_S(X, k), k
 
 
 @pytest.mark.parametrize("k", [0, 4, 8])

@@ -123,6 +123,19 @@ def test_avg_s_output_is_byte_identical(tmp_path):
     assert streamed.exit_code == 0 and streamed.stdout_bytes == AVG_S_1000000_4
 
 
+# sha256 and length of dvm2d avg-s 4000000 4, the benchmark's size: about
+# 820000 nonzero |S| values per run reach the decade sums.
+AVG_S_4000000_4 = ("c019e27bf81f1cfb055026fdb995c6263c763c7bf657a1073accf2a95ae40816", 185)
+
+
+def test_avg_s_at_the_bench_size_is_byte_identical(tmp_path):
+    out = tmp_path / "avg.csv"
+    result = CliRunner().invoke(main, ["avg-s", "4000000", "4", "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    data = out.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == AVG_S_4000000_4
+
+
 def test_avg_s_k0_is_mean_r2(tmp_path):
     out = tmp_path / "avg.csv"
     result = CliRunner().invoke(main, ["avg-s", "1000", "0", "--out", str(out)])

@@ -539,6 +539,42 @@ def test_relax_bimaxwellian_h_decreases_and_moments_hold():
         assert abs(s.energy - m0.energy) <= 1e-8 * m0.energy
 
 
+KERNELS = [MAXWELL, co.KernelSpec.product_power(0.5, (1, 0, 0.5))]
+
+
+def sum_as_listed(monkeypatch):
+    """Make every exact_terms site hand math.fsum each value as a Python float."""
+    listed = lambda values: np.asarray(values).ravel().tolist()
+    monkeypatch.setattr(harness, "exact_terms", listed)
+    monkeypatch.setattr(co, "exact_terms", listed)
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=["maxwell", "pp05"])
+def test_exact_terms_sites_equal_fsum_of_lists(monkeypatch, kernel):
+    """relax_simulate's moments and H, collision_invariants and q_reference's
+    polar_sum, bit for bit as math.fsum over every value."""
+    f0 = co.sample_on_lattice(co.bimaxwellian(), 0.25, 5.0)
+    state = co.LatticeDistribution(0.25, 5.0, np.random.default_rng(41).random((41, 41)))
+    quad = co.QuadratureConfig(r_quad=6.6, n_w=96, n_theta=96)
+
+    def run():
+        traj = harness.relax_simulate(f0, kernel, R=5.0, dt=1e-3, steps=10)
+        ref = co.q_reference(co.bimaxwellian(), np.zeros(2), kernel, quad)
+        return (
+            [(s.t, s.mass, s.momentum, s.energy, s.H) for s in traj],
+            traj[-1].f.grid,
+            co.collision_invariants(state, kernel, R=5.0),
+            (ref.value, ref.self_convergence),
+        )
+
+    got = run()
+    sum_as_listed(monkeypatch)
+    want = run()
+    assert got[0] == want[0]
+    assert np.array_equal(got[1], want[1])
+    assert got[2:] == want[2:]
+
+
 def test_relax_positivity_abort():
     mix = co.MaxwellianMixture(
         (co.Maxwellian(0.5, 1.25, 0.0, 0.4), co.Maxwellian(0.5, -1.25, 0.0, 0.4))

@@ -1,14 +1,17 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dvm2d.circles import R2_SEGMENT
 from dvm2d.errors import PreconditionError
 from dvm2d.numtheory import (
     ResidueClass,
+    exact_terms,
     factorize,
     gaussian_factorize,
     gaussian_pow,
@@ -218,3 +221,86 @@ def test_residue_classification():
             assert f.residue_class is ResidueClass.ONE_MOD4
         else:
             assert f.residue_class is ResidueClass.THREE_MOD4
+
+
+# ---------------------------------------------------------------------------
+# exact_terms
+# ---------------------------------------------------------------------------
+
+# m * 2^e with |m| < 2^53 and e in -1074 .. 947: either sign, magnitudes from
+# the least subnormal to 2^1000, and the zeros and subnormals themselves;
+# full 53-bit m over a few e put many values in one bin, where sums carry.
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1022)]),
+    st.builds(math.ldexp, st.integers(-(2**53) + 1, 2**53 - 1), st.integers(-1074, 947)),
+    st.builds(
+        lambda m, e, negative: math.ldexp(-m if negative else m, e),
+        st.integers(2**52, 2**53 - 1), st.sampled_from([-1074, -1022, -2, 0, 1]), st.booleans(),
+    ),
+)
+
+
+def assert_fsum_equal(a: np.ndarray) -> None:
+    terms = exact_terms(a)
+    assert math.fsum(terms) == math.fsum(a.ravel().tolist())
+    # At most two terms per binary exponent (subnormals share one).
+    assert len(terms) <= 2 * len(np.unique(np.frexp(a)[1]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(FLOATS, max_size=200), st.lists(FLOATS, max_size=50))
+def test_exact_terms_sum_as_fsum_does(xs, ys):
+    """math.fsum of the terms is math.fsum of the values, bit for bit; with
+    every x also as -x the values cancel down to the ys' sum."""
+    assert_fsum_equal(np.array(xs, dtype=np.float64))
+    assert_fsum_equal(np.array(xs + ys + [-x for x in reversed(xs)], dtype=np.float64))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 2022), st.booleans())
+def test_exact_terms_sum_one_segment(seed, width, signed):
+    """2^17 values, one circles.R2_SEGMENT, over exponent windows from one
+    binary exponent, where the bins carry hardest, to the whole range."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(-(2**53) + 1, 2**53, R2_SEGMENT)
+    lo = int(rng.integers(-1074, 949 - width))
+    e = rng.integers(lo, lo + width, R2_SEGMENT)
+    a = np.ldexp((m if signed else np.abs(m)).astype(np.float64), e)
+    assert_fsum_equal(a)
+    assert_fsum_equal(a.reshape(-1, 1 << 8)[:, ::2])  # a strided 2-D view
+
+
+def test_exact_terms_of_no_value_and_of_one():
+    assert exact_terms(np.array([])) == []
+    assert exact_terms(np.array([0.0, -0.0])) == []
+    for x in (5e-324, -2.5, 1.7976931348623157e308):
+        assert math.fsum(exact_terms(np.array([x]))) == x
+
+
+@pytest.mark.parametrize("bad", [[np.inf], [-np.inf], [np.nan], [np.inf, -np.inf]])
+def test_exact_terms_refuses_non_finite_values(bad):
+    # pytest turns numpy's RuntimeWarning into an error, so none is raised.
+    with pytest.raises(PreconditionError, match="finite"):
+        exact_terms(np.array([1.0, *bad]))
+
+
+def test_exact_terms_refuses_an_overflowing_sum():
+    big = np.array([2.0**1023, 2.0**1023])
+    with pytest.raises(OverflowError):
+        math.fsum(big.tolist())
+    with pytest.raises(PreconditionError, match="overflow"):
+        exact_terms(big)
+
+
+def test_exact_terms_refuses_2_26_values_before_reading_them():
+    """The bins are exact below 2^26 values; the check reads only the
+    size, so a 512 MiB broadcast view of one zero allocates nothing."""
+    huge = np.broadcast_to(np.zeros(1), (1 << 26,))
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="2\\^26"):
+            exact_terms(huge)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
