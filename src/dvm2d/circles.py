@@ -8,16 +8,18 @@ representation count r2(n), and the exponential sums
 Points are recovered exactly by Gaussian-integer multiplication from the
 factorization of n, or, for every n up to a bound at once, from the
 lattice disk itself; angles only ever enter in floating point.  Every
-sweep over the disk goes through annulus_points, which lays down the
-lattice points of an annulus row by row: circle_table turns the quarter
-x >= 1, y >= 0 into every circle up to a bound, r2_range bins the octant
-0 <= y <= x of each annulus by n instead of factorizing and counts the
-mirror images, prime_angles keeps the points on prime circles, and
-abs_S_sweep, the one |S| generator behind
+sweep over the disk reads the octant 0 <= y <= x, whose eight images
+(+-x, +-y), (+-y, +-x) cover the circles, from annulus_points, which
+lays its points down row by row.  circle_table mirrors the octant into
+the quarter x >= 1, y >= 0 and turns that into every circle up to a
+bound.  The range statistics share one R2_SEGMENT segment loop,
+_octant_segments: r2_range bins each annulus's octant by n instead of
+factorizing and counts the mirror images, prime_angles keeps the points
+on prime circles, and abs_S_sweep, the one |S| generator behind
 abs_S_closed_range, avg_abs_S and the harness's equidistribution term,
-bins the real part of ((x + iy) / sqrt(n))^k over the same octant by n
-for each requested k, counts the mirror images as r2_range does and
-evaluates |S| only at the n whose circle has points.
+bins the real part of ((x + iy) / sqrt(n))^k by n for each requested k,
+counts the mirror images as r2_range does and evaluates |S| only at the
+n whose circle has points.
 |S(n,k)|/4 is multiplicative in n and vanishes unless 4 | k; for one n,
 exp_sum_closed evaluates that closed form from the factorization.
 """
@@ -142,12 +144,13 @@ _circle_cache: dict[str, CircleTable] = {}
 
 
 def _build_circle_table(limit: int) -> CircleTable:
-    k = math.isqrt(limit)
-    x, count, y = annulus_points(1, limit, 1, k, 0, k)
+    x, count, y = annulus_points(1, limit, 0, math.isqrt(limit))
     x = np.repeat(x, count)
+    off = (y > 0) & (y < x)  # their mirrors (y, x) complete the quarter
+    x, y = np.concatenate((x, y[off])), np.concatenate((y, x[off]))
     xs = np.concatenate((x, -y, -x, y))
     ys = np.concatenate((y, x, -y, -x))
-    del x, y
+    del x, y, off
     n = xs * xs + ys * ys
     angles = np.arctan2(ys, xs)
     order = np.lexsort((angles, n))
@@ -171,10 +174,11 @@ def check_circle_table(limit: int) -> None:
 def circle_table(limit: int) -> CircleTable:
     """All circles 1 <= n <= limit from one sweep over the lattice disk.
 
-    annulus_points lays down the quarter x >= 1, y >= 0 of the disk
-    x^2 + y^2 <= limit, whose four quarter turns cover every nonzero point
-    of the disk once; one lexsort by (n, angle) then cuts the points into
-    circles, so no n is factorized.  Points, angles and their order equal
+    annulus_points lays down the octant 0 <= y <= x of the disk
+    x^2 + y^2 <= limit; with the mirrors (y, x) of its points 0 < y < x
+    it gives the quarter x >= 1, y >= 0, whose four quarter turns cover
+    every nonzero point of the disk once; one lexsort by (n, angle) then
+    cuts the points into circles, so no n is factorized.  Points, angles and their order equal
     circle_points(n)'s.
     Cached and grown monotonically; a limit whose 4 * limit points pass
     the memory budget (check_circle_table) raises PreconditionError
@@ -268,30 +272,23 @@ def _isqrt(m: np.ndarray) -> np.ndarray:
     return np.sqrt(m).astype(np.int64)
 
 
-def annulus_points(
-    s: int, e: int, x_lo: int, x_hi: int, y_lo: int, y_hi: int, octant: bool = False
-):
-    """Lattice points of a box whose squared radius lies in [s, e], row by row.
+def annulus_points(s: int, e: int, lo: int, hi: int):
+    """Lattice points lo <= y <= x <= hi whose squared radius lies in [s, e], row by row.
 
-    For each x in [x_lo, min(x_hi, isqrt(e))] the points (x, y) with
-    y_lo <= y <= y_hi and s <= x^2 + y^2 <= e form one y-interval, whose
-    ends are integer square roots; np.repeat expands the intervals.
-    octant caps y at x as well, so only the points on or below the
-    diagonal remain, and starts the rows at isqrt((s - 1) / 2) + 1, the
-    first x with 2 x^2 >= s.
+    For each x from max(lo, the first x with 2 x^2 >= s) to
+    min(hi, isqrt(e)) the points (x, y) with lo <= y <= x and
+    s <= x^2 + y^2 <= e form one y-interval, whose ends are integer
+    square roots; np.repeat expands the intervals.
     Returns int64 (x, count, ys): the rows, their point counts and the y
     of every point, row after row with y ascending, so the points are
-    (np.repeat(x, count), ys).  Needs x_lo, y_lo >= 0.
+    (np.repeat(x, count), ys).  Needs lo >= 0.
     """
-    if octant and s > 1:
-        x_lo = max(x_lo, math.isqrt((s - 1) // 2) + 1)
-    x = np.arange(x_lo, min(x_hi, math.isqrt(e)) + 1, dtype=np.int64)
+    first = lo if s < 1 else max(lo, math.isqrt((s - 1) // 2) + 1)
+    x = np.arange(first, min(hi, math.isqrt(e)) + 1, dtype=np.int64)
     x2 = x * x
-    top = np.minimum(_isqrt(e - x2), y_hi)
-    if octant:
-        np.minimum(top, x, out=top)
+    top = np.minimum(_isqrt(e - x2), x)
     below = s - 1 - x2  # y^2 must exceed this
-    bottom = np.maximum(_isqrt(np.maximum(below, 0)) + (below >= 0), y_lo)
+    bottom = np.maximum(_isqrt(np.maximum(below, 0)) + (below >= 0), lo)
     count = np.maximum(top - bottom + 1, 0)
     ends = np.cumsum(count)
     total = int(ends[-1]) if len(ends) else 0
@@ -311,6 +308,20 @@ R2_SEGMENT = 1 << 17
 R2_RANGE_BYTES_PER_ROW = 72
 
 
+def _octant_segments(n_lo: int, n_hi: int):
+    """Yield (s, e, x, count, y, axis, diag) per R2_SEGMENT segment [s, e] of [n_lo, n_hi].
+
+    (x, count, y) are the rows of the octant x >= 1, 0 <= y <= x on the
+    segment's radii, from annulus_points; axis and diag are the radii a^2
+    and 2 a^2 in [s, e], less s, where the octant's self-mirrored points
+    (a, 0) and (a, a) sit.  Needs n_lo >= 1.
+    """
+    for s in range(n_lo, n_hi + 1, R2_SEGMENT):
+        e = min(s + R2_SEGMENT - 1, n_hi)
+        a1, a2 = (np.arange(math.isqrt((s - 1) // d) + 1, math.isqrt(e // d) + 1) for d in (1, 2))
+        yield s, e, *annulus_points(s, e, 0, math.isqrt(e)), a1 * a1 - s, 2 * a2 * a2 - s
+
+
 def r2_range(n_lo: int, n_hi: int):
     """Yield (lo, r2 array) per R2_SEGMENT segment of [n_lo, n_hi], from lattice points.
 
@@ -318,7 +329,7 @@ def r2_range(n_lo: int, n_hi: int):
     mirror (x, y) -> (y, x) and the quarter turns carry it onto the rest of
     the circle.  An axis point (x, 0) and a diagonal point (x, x) are each
     their own mirror, so r2(n) = 8 * #octant(n) - 4 [n = x^2] - 4 [n = 2 x^2].
-    Per segment [s, e] the octant comes from annulus_points, binned by
+    Per segment [s, e] the octant comes from _octant_segments, binned by
     x^2 + y^2 - s; nothing is factorized.  The arrays are int64.  An n_hi
     whose ceil(sqrt(n_hi)) rows pass the memory budget raises
     PreconditionError before anything is allocated.
@@ -328,17 +339,13 @@ def r2_range(n_lo: int, n_hi: int):
     k = math.isqrt(max(n_hi, 0))
     rows = k + (k * k < n_hi)  # ceil(sqrt(n_hi))
     check_memory(f"r2_range to n_hi = {n_hi}: ceil(sqrt(n_hi)) rows", rows, R2_RANGE_BYTES_PER_ROW)
-    for s in range(n_lo, n_hi + 1, R2_SEGMENT):
-        e = min(s + R2_SEGMENT - 1, n_hi)
-        k = math.isqrt(e)
-        x, count, n = annulus_points(s, e, 1, k, 0, k, octant=True)
+    for s, e, x, count, n, axis, diag in _octant_segments(n_lo, n_hi):
         n *= n
         n += np.repeat(x * x - s, count)
         r2 = np.bincount(n, minlength=e - s + 1)
         r2 *= 8
-        for d in (1, 2):  # the axis n = a^2 and the diagonal n = 2 a^2
-            a = np.arange(math.isqrt((s - 1) // d) + 1, math.isqrt(e // d) + 1)
-            r2[d * a * a - s] -= 4
+        r2[axis] -= 4
+        r2[diag] -= 4
         yield s, r2
 
 
@@ -380,18 +387,12 @@ def abs_S_sweep(X: int, ks):
     ks = list(ks)
     if any(k % 4 or k < prev for prev, k in zip([0, *ks], ks)):
         raise PreconditionError(f"abs_S_sweep needs ascending multiples of 4 >= 0, got {ks}")
-    for s in range(1, X + 1, R2_SEGMENT):
-        e = min(s + R2_SEGMENT - 1, X)
-        r = math.isqrt(e)
-        x, count, y = annulus_points(s, e, 1, r, 0, r, octant=True)
+    for s, _, x, count, y, axis, diag in _octant_segments(1, X):
         x = np.repeat(x, count)
         n = x * x + y * y
         points = np.bincount(n - s)
         i = np.flatnonzero(points != 0)  # 4 times faster than on the int64 counts
         m = i + s
-        # The axis m = a^2 and the diagonal m = 2 a^2 of the segment, less s.
-        a1, a2 = (np.arange(math.isqrt((s - 1) // d) + 1, math.isqrt(e // d) + 1) for d in (1, 2))
-        axis, diag = a1 * a1 - s, 2 * a2 * a2 - s
         power = 0  # w = z^power
         for k in ks:
             if k == 0:
@@ -434,19 +435,15 @@ def prime_angles(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """Primes p <= limit with p = 1 (mod 4) and their angles theta_p = atan2(y, x).
 
     By Fermat each such p is x^2 + y^2 with x > y > 0 in exactly one way,
-    so the lattice points of the disk of squared radius limit, read one
-    annulus at a time through annulus_points and kept where y < x and
+    so the octant points of the disk of squared radius limit, read one
+    annulus at a time through _octant_segments and kept where y < x and
     x^2 + y^2 is prime, yield every p with its legs; no primality test or
     square root of -1 runs.  Cached and grown monotonically.
     """
     if _theta_cache["limit"] < limit:
         is_p = prime_mask(limit)
         ps, thetas = [], []
-        k = math.isqrt(limit)
-        for s in range(1, limit + 1, R2_SEGMENT):
-            e = min(s + R2_SEGMENT - 1, limit)
-            # A row with 2 x^2 < s holds only points with y > x.
-            x, count, y = annulus_points(s, e, max(2, math.isqrt(s // 2)), k, 1, k)
+        for _, _, x, count, y, _, _ in _octant_segments(1, limit):
             x = np.repeat(x, count)
             p = x * x + y * y
             keep = (y < x) & is_p[p]

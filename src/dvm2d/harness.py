@@ -117,26 +117,20 @@ def equid_term(h: float, R: float, M: int) -> float:
 
 @dataclass(frozen=True)
 class ErrorBudget:
-    """Observed four-term error decomposition for one (v, h, R, M).
+    """Observed four-term error decomposition for one ConvergenceRow.
 
     tail_R and riemann_h are measured directly by quadrature, both with
     the reference's fine angular rule (2 n_theta = 64); the Fourier tail
-    and equidistribution terms use the fitted angular-decay constant C3.
-    All terms are nonnegative; only tail_R is a rigorous bound on the
-    piece it describes, so no inequality against total_observed is
-    implied.
+    and equidistribution terms are proportional to the fitted
+    angular-decay constant C3.  All terms are nonnegative; only tail_R is
+    a rigorous bound on the piece it describes, so no inequality against
+    the row's abs_err is implied.
     """
 
     tail_R: float
     riemann_h: float
     fourier_tail_M: float
     equid: float
-    total_observed: float
-    v: tuple[float, float]
-    h: float
-    R: float
-    M: int
-    fitted: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -160,9 +154,9 @@ class ConvergenceStudy:
 # nodes at 132 bytes, which covers 4M + 4 at 128 for M >= 32.  Time is not
 # bounded by it: one angular_fourier call takes 0.66 s at M = 10**5 and
 # 5.6 s at M = 10**6 (converge_study makes three), and equid_term's one
-# sweep grows linearly in M and in the disk's points, 26 ms at M = 4000 and
-# 0.27 s at M = 40000 for h = 0.125 and R = 3 (2 cores, Python 3.11, numpy
-# 2.4).
+# sweep grows linearly in M and in the disk's points, 9.8 ms at M = 4000 and
+# 98 ms at M = 40000 for h = 0.125 and R = 3 (medians; 2 cores, Python 3.11,
+# numpy 2.4).
 FOURIER_BYTES_PER_NODE = 132
 
 
@@ -255,23 +249,7 @@ def converge_study(
         n_zeta = int(keep.sum())
         fourier_tail = (2 * h) ** 2 * n_zeta * 2 * math.pi * 2 * c3 / M_diag
         equid = 2 * math.pi * c3 * s_m * equid_term(h, R, M_diag)
-        budget = ErrorBudget(
-            tail_R=tail,
-            riemann_h=riemann_err,
-            fourier_tail_M=fourier_tail,
-            equid=equid,
-            total_observed=abs_err,
-            v=(float(v[0]), float(v[1])),
-            h=h,
-            R=R,
-            M=M_diag,
-            fitted={
-                "C1": tail * R * R,
-                "C2": riemann_err / (R * R * h),
-                "C3": c3,
-                "C4": 8 * math.pi * c3,
-            },
-        )
+        budget = ErrorBudget(tail, riemann_err, fourier_tail, equid)
         rows.append(ConvergenceRow(h, qh, ref.value, abs_err, budget))
     return ConvergenceStudy(tuple(rows), ref.value, ref.self_convergence)
 
@@ -338,7 +316,7 @@ def figure_data(query: FigureQuery) -> FigureData:
     total = 0
     for s, r2_vals in circles.r2_range(max(1, 2 * lo * lo), 2 * hi * hi):
         e = s + len(r2_vals) - 1
-        x, count, ys = circles.annulus_points(s, e, lo, hi, lo, hi, octant=True)
+        x, count, ys = circles.annulus_points(s, e, lo, hi)
         xs = np.repeat(x, count)
         ns = xs * xs + ys * ys
         rs = r2_vals[ns - s]

@@ -20,7 +20,10 @@ every point-rich circle with ``circle_points`` and filtered it to the box.
 ``quarter_r2_range`` and ``quarter_figure_data`` are ``circles.r2_range``
 and ``harness.figure_data`` before the octant sweep: they lay down every
 point of the quarter plane x >= 1, y >= 0 (of the box, for the figure)
-instead of the half at or below the diagonal and its mirror.
+instead of the half at or below the diagonal and its mirror.  These
+lattice oracles read no sweep of ``circles``: ``box_annulus_points`` is
+``circles.annulus_points`` while it still took separate x and y bounds,
+a box, and capped y at x only behind its ``octant`` flag.
 ``all_nodes_angular_integral`` is ``collision.angular_integral`` before it
 paired the nodes theta and theta + pi: it forms the gain product at every
 node.  ``full_circle_q_discrete_detailed`` is
@@ -221,6 +224,32 @@ def exact_abs_S(n, k):
     return math.sqrt((re * re + im * im) / n**k)
 
 
+def box_annulus_points(s, e, x_lo, x_hi, y_lo, y_hi, octant=False):
+    """Lattice points of a box whose squared radius lies in [s, e], row by row.
+
+    For each x in [x_lo, min(x_hi, isqrt(e))] the points (x, y) with
+    y_lo <= y <= y_hi and s <= x^2 + y^2 <= e form one y-interval, whose
+    ends are integer square roots; np.repeat expands the intervals.
+    octant caps y at x as well and starts the rows at the first x with
+    2 x^2 >= s.  Returns int64 (x, count, ys): the points are
+    (np.repeat(x, count), ys).  Needs x_lo, y_lo >= 0.
+    """
+    if octant and s > 1:
+        x_lo = max(x_lo, math.isqrt((s - 1) // 2) + 1)
+    x = np.arange(x_lo, min(x_hi, math.isqrt(e)) + 1, dtype=np.int64)
+    x2 = x * x
+    top = np.minimum(np.sqrt(e - x2).astype(np.int64), y_hi)
+    if octant:
+        np.minimum(top, x, out=top)
+    below = s - 1 - x2  # y^2 must exceed this
+    bottom = np.maximum(np.sqrt(np.maximum(below, 0)).astype(np.int64) + (below >= 0), y_lo)
+    count = np.maximum(top - bottom + 1, 0)
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if len(ends) else 0
+    ys = np.arange(total, dtype=np.int64) - np.repeat(ends - count - bottom, count)
+    return x, count, ys
+
+
 def dense_abs_S_segments(X, k):
     """Yield |S(m, k)| for 1 <= m <= X, one float64 array per R2_SEGMENT segment.
 
@@ -233,7 +262,7 @@ def dense_abs_S_segments(X, k):
     for s in range(1, X + 1, circles.R2_SEGMENT):
         e = min(s + circles.R2_SEGMENT - 1, X)
         r = math.isqrt(e)
-        x, count, y = circles.annulus_points(s, e, 1, r, 0, r, octant=True)
+        x, count, y = box_annulus_points(s, e, 1, r, 0, r, octant=True)
         x = np.repeat(x, count)
         n = x * x + y * y
         u, v = x * x - y * y, 2 * x * y
@@ -257,7 +286,7 @@ def quarter_abs_S_segments(X, ks):
     for s in range(1, X + 1, circles.R2_SEGMENT):
         e = min(s + circles.R2_SEGMENT - 1, X)
         r = math.isqrt(e)
-        x, count, y = circles.annulus_points(s, e, 1, r, 0, r)
+        x, count, y = box_annulus_points(s, e, 1, r, 0, r)
         x = np.repeat(x, count)
         n = x * x + y * y
         points = np.bincount(n - s)
@@ -363,7 +392,7 @@ def quarter_r2_range(n_lo, n_hi):
     for s in range(n_lo, n_hi + 1, circles.R2_SEGMENT):
         e = min(s + circles.R2_SEGMENT - 1, n_hi)
         k = math.isqrt(e)
-        x, count, n = circles.annulus_points(s, e, 1, k, 0, k)
+        x, count, n = box_annulus_points(s, e, 1, k, 0, k)
         n *= n
         n += np.repeat(x * x - s, count)
         yield s, 4 * np.bincount(n, minlength=e - s + 1)
@@ -376,7 +405,7 @@ def quarter_figure_data(query):
     kept = [[], [], [], []]  # x, y, n, r2 per segment
     for s, r2_vals in quarter_r2_range(max(1, 2 * lo * lo), 2 * hi * hi):
         e = s + len(r2_vals) - 1
-        x, count, ys = circles.annulus_points(s, e, lo, hi, lo, hi)
+        x, count, ys = box_annulus_points(s, e, lo, hi, lo, hi)
         xs = np.repeat(x, count)
         ns = xs * xs + ys * ys
         rs = r2_vals[ns - s]

@@ -13,6 +13,7 @@ from dvm2d import circles, errors, tables
 from dvm2d.errors import PreconditionError
 from dvm2d.numtheory import two_squares_prime
 from oracles import (
+    box_annulus_points,
     dense_abs_S_segments,
     dense_avg_abs_S,
     exact_abs_S,
@@ -168,8 +169,9 @@ def test_isqrt_exact_near_squares():
     st.integers(min_value=0, max_value=60),
 )
 def test_annulus_points_match_box_scan(s, width, x_lo, x_w, y_lo, y_w):
+    """The oracles' box enumerator, which the quarter oracles stand on."""
     e = s + width
-    x, count, ys = circles.annulus_points(s, e, x_lo, x_lo + x_w, y_lo, y_lo + y_w)
+    x, count, ys = box_annulus_points(s, e, x_lo, x_lo + x_w, y_lo, y_lo + y_w)
     xs = np.repeat(x, count)
     want = [
         (a, b)
@@ -216,19 +218,15 @@ def test_octant_r2_range_matches_quarter_oracle_to_the_census_top():
     st.integers(min_value=0, max_value=400),
     st.integers(min_value=0, max_value=60),
     st.integers(min_value=0, max_value=60),
-    st.integers(min_value=0, max_value=60),
-    st.integers(min_value=0, max_value=60),
 )
-def test_annulus_points_octant_match_box_scan(s, width, x_lo, x_w, y_lo, y_w):
-    e = s + width
-    x, count, ys = circles.annulus_points(
-        s, e, x_lo, x_lo + x_w, y_lo, y_lo + y_w, octant=True
-    )
+def test_annulus_points_octant_match_box_scan(s, width, lo, w):
+    e, hi = s + width, lo + w
+    x, count, ys = circles.annulus_points(s, e, lo, hi)
     xs = np.repeat(x, count)
     want = [
         (a, b)
-        for a in range(x_lo, x_lo + x_w + 1)
-        for b in range(y_lo, min(a, y_lo + y_w) + 1)
+        for a in range(lo, hi + 1)
+        for b in range(lo, a + 1)
         if s <= a * a + b * b <= e
     ]
     assert xs.dtype == ys.dtype == np.int64
@@ -828,6 +826,16 @@ def test_prime_angles_match_per_prime_loop(limit):
 
 def test_prime_angles_cache_order():
     limits = (10**4, 10**3, 10**5)
+    for limit, got in zip(limits, cold_prime_angles(*limits)):
+        assert_same_angles(got, old_prime_angles(limit))
+
+
+@pytest.mark.parametrize("segment", [1, 2, 3, 7, 997])
+def test_prime_angles_across_segment_edges(monkeypatch, segment):
+    """Short segments put primes, and the rows that hold them, on the
+    segments' first and last radii."""
+    monkeypatch.setattr(circles, "R2_SEGMENT", segment)
+    limits = (1, 2, 5, 13, 17, 29, 97, 998, 1999, 2000)
     for limit, got in zip(limits, cold_prime_angles(*limits)):
         assert_same_angles(got, old_prime_angles(limit))
 

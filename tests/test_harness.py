@@ -273,8 +273,7 @@ def test_converge_study_bimaxwellian_budget():
     for row in study.rows:
         b = row.budget
         assert b.tail_R >= 0 and b.riemann_h >= 0
-        assert b.fourier_tail_M >= 0 and b.equid >= 0
-        assert b.fitted["C3"] > 0
+        assert b.fourier_tail_M > 0 and b.equid > 0  # both proportional to C3
 
 
 def test_tail_term_bounds_dropped_tail():
