@@ -15,7 +15,12 @@ theta by pi swaps v' and v*' (R_{theta+pi} w = -R_theta w), so the gain
 product f(v') f(v*') is pi-periodic: the rule takes an even number of
 theta nodes and evaluates each product once for the node pair theta,
 theta + pi, which then carries the kernel weight q(cos theta) +
-q(-cos theta).
+q(-cos theta).  On the polar rule's rings the rule needs no rotation at
+all: n_theta divides n_w, so a turn by an angle node moves each polar node
+to another node of its ring, and q_reference forms each f value once, as
+f at a sum of two nodes of one ring (_ring_angular_integral).
+angular_integral keeps arbitrary nodes w for the lattice Riemann sums of
+the convergence study, whose nodes are not closed under the turns.
 
 The lattice operator replaces w by h * zeta and the angular integral by
 an equal-weight quadrature over the integer points zeta' on the circle
@@ -299,9 +304,6 @@ class LatticeDistribution:
         z = z.astype(np.int64)
         return self.at(z[..., 0], z[..., 1])
 
-    def scaled(self, factor: float) -> "LatticeDistribution":
-        return LatticeDistribution(self.h, self.support_radius, self.grid * factor)
-
 
 def sample_on_lattice(
     f: Callable[[Array], Array], h: float, support_radius: float
@@ -356,7 +358,9 @@ class QuadratureConfig:
     n_w is the number of nodes on a diameter: each of the two radial panels
     gets n_w / 4 Gauss-Legendre nodes and the polar angle n_w trapezoid
     nodes, so n_w must be a positive multiple of 4.  n_theta must be even
-    (see angular_integral).  q_reference's fine level doubles both.
+    (see angular_integral) and divide n_w, so that a turn by an angle node
+    moves each polar node to another node of its ring (see
+    _ring_angular_integral).  q_reference's fine level doubles both.
     """
 
     r_quad: float
@@ -375,6 +379,10 @@ class QuadratureConfig:
         if not all(math.isfinite(t) and t >= 0 for t in (self.rtol, self.atol)):
             raise PreconditionError(
                 f"rtol and atol must be nonnegative and finite, got {self.rtol}, {self.atol}"
+            )
+        if self.n_w % self.n_theta:
+            raise PreconditionError(
+                f"n_theta must divide n_w, got n_theta = {self.n_theta}, n_w = {self.n_w}"
             )
 
 
@@ -418,13 +426,15 @@ def angular_integral(
     n_theta must be even and at least 2.  The rule then visits only the
     nodes in [-pi, 0): node theta_j + pi has v' and v*' swapped, hence
     the same gain product, so each product is formed once and weighted
-    by q(|w|, cos theta_j) + q(|w|, -cos theta_j), which also holds for
-    kernels with odd cosine harmonics, where q differs at theta + pi.
+    by q(|w|, cos theta_j) + q(|w|, -cos theta_j) = q1(|w|) (q2(cos
+    theta_j) + q2(-cos theta_j)), which also holds for kernels with odd
+    cosine harmonics, where q differs at theta + pi; q1 is taken once per
+    node.
     """
     _check_n_theta(n_theta)
     v = np.asarray(v, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
-    w_norm = np.hypot(w[:, 0], w[:, 1])
+    q1 = kernel.speed_factor(np.hypot(w[:, 0], w[:, 1]))
     thetas = -math.pi + 2 * math.pi * np.arange(n_theta // 2) / n_theta
     f_vv = float(np.asarray(f(v[None, :])).ravel()[0])
     loss = f_vv * np.asarray(f(v[None, :] + 2 * w))  # (M,)
@@ -435,8 +445,62 @@ def angular_integral(
         c = math.cos(th)
         rw = rotate(w, c, math.sin(th))
         gain = np.asarray(f(base + rw)) * np.asarray(f(base - rw))
-        total += (gain - loss) * (kernel.evaluate(w_norm, c) + kernel.evaluate(w_norm, -c))
-    return total * (2 * math.pi / n_theta)
+        total += (gain - loss) * (kernel.angular_factor(c) + kernel.angular_factor(-c))
+    return total * q1 * (2 * math.pi / n_theta)
+
+
+def _ring_angular_integral(
+    f: Callable[[Array], Array],
+    v: Array,
+    kernel: KernelSpec,
+    w: Array,
+    n_w: int,
+    n_theta: int,
+) -> Array:
+    """angular_integral's G_v(w) on whole rings of polar_disk(r, n_w)
+    nodes, with each distinct f value formed once; n_theta must divide n_w.
+
+    The nodes are ring-major, w[a n_w + b] = w_{a,b} = rho_a e(phi_b), so a
+    turn by theta_j = -pi + 2 pi j / n_theta moves w_{a,b} to w_{a, b + js
+    - n_w/2}, s = n_w / n_theta, ring indices taken mod n_w.  With -w_{a,c}
+    = w_{a, c + n_w/2}, every point the rule reads is some g_d[a, b] = v +
+    w_{a,b} + w_{a,b+d}: v' = g_{js - n_w/2}, v*' = g_{js}, the loss partner
+    v + 2w = g_0, and g_{-d}[a, b] = g_d[a, b - d] (up to the rounding of
+    the sum, whose v + w_{a,b} is formed first).  So the n_theta/2 - 1
+    arrays f(g_d), d = s, 2s, ..., n_w/2 - s, serve every theta_j in [-pi,
+    0), and theta_0 = -pi has gain = loss.  theta_j and theta_{n_theta/2 -
+    j} read the same two arrays, f(g_{js}) and f(g_{n_w/2 - js}): they are
+    formed together and dropped, so memory stays O(len(w)).  f is called
+    n_theta/2 + 1 times in all, f(v) included, and q1 once per ring.
+    """
+    v = np.asarray(v, dtype=np.float64)
+    rings = np.asarray(w, dtype=np.float64).reshape(-1, n_w, 2)
+    base = v + rings
+    twice = np.concatenate([rings, rings], axis=1)  # twice[a, b + d] = w_{a, b+d mod n_w}
+
+    def f_ring(d: int) -> Array:
+        """f(g_d) on the (rings, n_w) grid."""
+        pts = base + twice[:, d : d + n_w]
+        return np.asarray(f(pts.reshape(-1, 2))).reshape(len(rings), n_w)
+
+    f_vv = float(np.asarray(f(v[None, :])).ravel()[0])
+    loss = f_vv * f_ring(0)
+    s, half_turn = n_w // n_theta, n_theta // 2
+
+    def pair_q2(j: int) -> float:
+        c = math.cos(-math.pi + 2 * math.pi * j / n_theta)
+        return float(kernel.angular_factor(c) + kernel.angular_factor(-c))
+
+    total = np.zeros_like(loss)
+    for j in range(1, half_turn // 2 + 1):
+        d, e = j * s, (half_turn - j) * s  # e = n_w/2 - d
+        f_d = f_ring(d)
+        f_e = f_ring(e) if e != d else f_d
+        total += (f_d * np.roll(f_e, e, axis=1) - loss) * pair_q2(j)
+        if e != d:
+            total += (f_e * np.roll(f_d, d, axis=1) - loss) * pair_q2(half_turn - j)
+    q1 = kernel.speed_factor(np.hypot(rings[:, :1, 0], rings[:, :1, 1]))  # (rings, 1)
+    return (total * q1 * (2 * math.pi / n_theta)).ravel()
 
 
 def polar_disk(r_quad: float, n_w: int) -> tuple[Array, Array]:
@@ -480,14 +544,19 @@ def q_reference(
     Evaluates the polar rule (polar_disk times the angular trapezoid) at
     (n_w, n_theta) and at (2 n_w, 2 n_theta); raises QuadratureError when
     the two levels disagree beyond quad.rtol (relative, floored by
-    quad.atol).  The result keeps the fine level's nodes, weights and
+    quad.atol).  Each level integrates in theta by _ring_angular_integral:
+    on the polar rule's rings a turn by theta is a shift of the ring
+    index, so f is evaluated once per distinct point, n_theta/2 + 1 calls
+    per level.  The result keeps the fine level's nodes, weights and
     per-node angular integrals.
     """
     nodes, weights = polar_disk(quad.r_quad, quad.n_w)
-    coarse = polar_sum(weights, angular_integral(f, v, kernel, nodes, quad.n_theta))
+    coarse = polar_sum(
+        weights, _ring_angular_integral(f, v, kernel, nodes, quad.n_w, quad.n_theta)
+    )
     # The fine level, kept whole for the result.
     nodes, weights = polar_disk(quad.r_quad, 2 * quad.n_w)
-    angular = angular_integral(f, v, kernel, nodes, 2 * quad.n_theta)
+    angular = _ring_angular_integral(f, v, kernel, nodes, 2 * quad.n_w, 2 * quad.n_theta)
     fine = polar_sum(weights, angular)
     err = abs(fine - coarse)
     if err > quad.rtol * max(abs(fine), abs(coarse)) + quad.atol:

@@ -35,3 +35,7 @@ class QuadratureError(NumericalError):
 
 class PositivityLossError(NumericalError):
     """Time integration drove the distribution negative; dt too large."""
+
+
+class NonFiniteStateError(NumericalError):
+    """Time integration overflowed the distribution to inf or nan; dt too large."""

@@ -33,7 +33,12 @@ from .collision import (
     sample_on_lattice,
     widened_bound,
 )
-from .errors import PositivityLossError, PreconditionError, check_memory
+from .errors import (
+    NonFiniteStateError,
+    PositivityLossError,
+    PreconditionError,
+    check_memory,
+)
 from .numtheory import exact_terms, is_prime
 
 # ---------------------------------------------------------------------------
@@ -437,9 +442,11 @@ def relax_simulate(
     every collision gain stays on the grid (up to exponentially small
     tails); moments and H are recorded per step, and the final state in
     the last snapshot only, so memory does not grow with the steps.  The
-    sizes are checked first (check_relax_size).  Aborts with
-    PositivityLossError if any value drops below -1e-12 * max f, the sign
-    that dt is too large.
+    sizes are checked first (check_relax_size).  Aborts, the sign that dt
+    is too large, with NonFiniteStateError if a step overflows the state
+    to inf or nan (each step runs with numpy's overflow and invalid-value
+    warnings off, so that this error is the only report), and with
+    PositivityLossError if any value drops below -1e-12 * max f.
     """
     if not (math.isfinite(dt) and dt > 0) or steps < 1:
         raise PreconditionError("dt must be positive and finite and steps >= 1")
@@ -468,15 +475,22 @@ def relax_simulate(
 
     trajectory = [snapshot(0.0, state)]
     for step in range(1, steps + 1):
-        k1 = rate(state)
-        k2 = rate(state + 0.5 * dt * k1)
-        k3 = rate(state + 0.5 * dt * k2)
-        k4 = rate(state + dt * k3)
-        state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        floor = -1e-12 * float(state.max())
-        if float(state.min()) < floor:
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = rate(state)
+            k2 = rate(state + 0.5 * dt * k1)
+            k3 = rate(state + 0.5 * dt * k2)
+            k4 = rate(state + dt * k3)
+            state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        low, high = float(state.min()), float(state.max())  # nan if any value is
+        if not (math.isfinite(low) and math.isfinite(high)):
+            raise NonFiniteStateError(
+                f"state not finite after step {step}: min f = {low:.3e}, "
+                f"max f = {high:.3e}; reduce dt"
+            )
+        floor = -1e-12 * high
+        if low < floor:
             raise PositivityLossError(
-                f"positivity lost at step {step}: min f = {state.min():.3e}, "
+                f"positivity lost at step {step}: min f = {low:.3e}, "
                 f"threshold {floor:.3e}; reduce dt"
             )
         if step % record_every == 0 or step == steps:

@@ -553,6 +553,23 @@ def test_simulate_positivity_loss_exits_3():
     assert result.exit_code == 3
 
 
+@pytest.mark.parametrize(
+    "dt, message",
+    [("1e300", "state not finite after step 1"), ("1e10", "positivity lost at step 1")],
+)
+def test_simulate_dt_too_large_exits_3(dt, message):
+    """At dt = 1e300 the first RK4 step overflows the state to nan.  It exits
+    3 naming the step, and no numpy RuntimeWarning escapes: pytest makes
+    warnings errors, which would end the command with another exit code."""
+    result = CliRunner().invoke(
+        main,
+        ["simulate", "--f", "maxwellian", "--h", "0.5", "--support", "3", "--R", "3",
+         "--dt", dt, "--steps", "1"],
+    )
+    assert result.exit_code == 3, result.output
+    assert message in result.output
+
+
 # Every subcommand at a small size; "FILE" stands for a lattice CSV.
 SUBCOMMANDS = {
     "circle": ["circle", "25"],

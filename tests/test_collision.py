@@ -222,6 +222,7 @@ ANGULAR_KERNELS = [
     MAXWELL,
     co.KernelSpec.product_power(0.5, (1.0, 0.0, 0.5)),
     co.KernelSpec.product_power(1.0, (1.0, 0.3, 0.2)),  # odd harmonic: q(c) != q(-c)
+    co.KernelSpec.product_power(0.5, (1.0, 0.3, 0.5)),
 ]
 
 
@@ -283,6 +284,54 @@ def test_angular_integral_refuses_odd_or_too_few_nodes():
     assert co.angular_integral(co.Maxwellian(), np.zeros(2), MAXWELL, w, 2).shape == (1,)
 
 
+@pytest.mark.parametrize("n_w, n_theta", [(4, 2), (8, 8), (96, 32), (96, 96)])
+@pytest.mark.parametrize("kernel", ANGULAR_KERNELS, ids=["maxwell", "a0.5", "a1-odd", "a0.5-odd"])
+def test_ring_angular_integral_matches_angular_integral(kernel, n_w, n_theta):
+    """On polar_disk's nodes the ring shift reads the points the rotation
+    reads, up to roundoff in the points: to 1e-14 of the gross integral
+    of (gain + loss) q, as in the all-nodes oracle test above."""
+    bi, v = co.bimaxwellian(), np.array([0.4, -0.9])
+    w, _ = co.polar_disk(3.3, n_w)
+    new = co._ring_angular_integral(bi, v, kernel, w, n_w, n_theta)
+    old = co.angular_integral(bi, v, kernel, w, n_theta)
+    thetas = -math.pi + 2 * math.pi * np.arange(n_theta) / n_theta
+    q_sum = (2 * math.pi / n_theta * kernel.speed_factor(np.hypot(w[:, 0], w[:, 1]))
+             * kernel.angular_factor(np.cos(thetas)).sum())
+    gross = old + 2 * bi(v[None, :]) * bi(v[None, :] + 2 * w) * q_sum
+    assert np.all(np.abs(new - old) <= 1e-14 * float(np.max(gross)))
+
+
+@pytest.mark.parametrize("n_w, n_theta", [(4, 2), (8, 4), (8, 8), (12, 6), (96, 32)])
+def test_ring_angular_integral_forms_each_f_value_once(n_w, n_theta):
+    """f(v), the loss partners f(v + 2w), then one array per ring shift
+    d = s, 2s, ..., n_w/2 - s: 2 + (n_theta/2 - 1) calls, where
+    angular_integral makes 2 + n_theta."""
+    bi = co.bimaxwellian()
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return bi(pts)
+
+    w, _ = co.polar_disk(3.0, n_w)
+    co._ring_angular_integral(counted, np.zeros(2), MAXWELL, w, n_w, n_theta)
+    assert len(calls) == 2 + (n_theta // 2 - 1)
+    assert calls[0] == 1 and set(calls[1:]) == {len(w)}
+
+
+def test_q_reference_forms_each_f_value_once():
+    m = co.Maxwellian()  # Q = 0, so even the (8, 8) level self-converges
+    calls = []
+
+    def counted(pts):
+        calls.append(1)
+        return m(pts)
+
+    co.q_reference(counted, np.zeros(2), MAXWELL, co.QuadratureConfig(r_quad=4.0, n_w=8, n_theta=8))
+    # n_theta/2 + 1 calls per level: 5 at (8, 8), 9 at (16, 16).
+    assert len(calls) == 5 + 9
+
+
 def test_quadrature_config_refusals():
     for n_theta in (0, 1, 3, 97):
         with pytest.raises(PreconditionError, match="n_theta must be even and >= 2"):
@@ -296,6 +345,9 @@ def test_quadrature_config_refusals():
     for tol in ({"rtol": math.nan}, {"atol": math.nan}, {"rtol": -1e-6}, {"atol": math.inf}):
         with pytest.raises(PreconditionError, match="rtol and atol must be nonnegative and finite"):
             co.QuadratureConfig(r_quad=3.0, **tol)
+    for n_w, n_theta in ((96, 64), (4, 8), (20, 8)):
+        with pytest.raises(PreconditionError, match="n_theta must divide n_w"):
+            co.QuadratureConfig(r_quad=3.0, n_w=n_w, n_theta=n_theta)
     quad = co.QuadratureConfig(r_quad=3.0, n_w=4, n_theta=2, rtol=0.0, atol=0.0)
     assert (quad.n_w, quad.n_theta) == (4, 2)
 
@@ -362,7 +414,7 @@ def test_q_discrete_bilinearity():
     lam = 1.7
     v = np.array([0.5, -1.0])
     q1 = co.q_discrete(f, v, MAXWELL, 2.0)
-    q2 = co.q_discrete(f.scaled(lam), v, MAXWELL, 2.0)
+    q2 = co.q_discrete(co.LatticeDistribution(h, b * h, lam * f.grid), v, MAXWELL, 2.0)
     assert abs(q2 - lam * lam * q1) <= 1e-14 * abs(q2)
 
 

@@ -138,30 +138,36 @@ def test_converge_study_rejects_empty_h_list():
 def test_converge_study_inner_integral_once(monkeypatch):
     bi = co.bimaxwellian()
     calls = []
-    angular_integral = co.angular_integral
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return angular_integral(*args, **kwargs)
+    def counted(name, routine):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return routine(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(co, "angular_integral", counted)
-    monkeypatch.setattr(harness, "angular_integral", counted)
+    monkeypatch.setattr(co, "_ring_angular_integral", counted("ring", co._ring_angular_integral))
+    monkeypatch.setattr(harness, "angular_integral", counted("lattice", co.angular_integral))
     harness.converge_study(bi, MAXWELL, np.zeros(2), [0.5, 0.25, 0.125], R=2.0, M_diag=8)
-    # The reference's coarse and fine levels, then one lattice sum per h; the
-    # tail and the inner disk are read off the fine level.
-    assert len(calls) == 5
+    # The reference's coarse and fine levels on the polar rings, then one
+    # lattice sum per h; the tail and the inner disk are read off the fine level.
+    assert calls == ["ring", "ring", "lattice", "lattice", "lattice"]
 
 
 def test_converge_study_budget_reads_the_fine_level():
     """tail_R and the inner disk come from q_reference's fine level: the
-    same numbers as integrating its polar panels again at 2 n_theta nodes."""
+    same numbers as integrating its polar panels again, ring by ring, at
+    2 n_theta nodes."""
     bi, v, R = co.bimaxwellian(), np.array([0.5, -1.0]), 2.0
     quad = co.QuadratureConfig(r_quad=2 * R)
     ref = co.q_reference(bi, v, MAXWELL, quad)
-    n_theta = 2 * quad.n_theta
-    w, weights = co.polar_disk(2 * R, 2 * quad.n_w)
+    n_w, n_theta = 2 * quad.n_w, 2 * quad.n_theta
+
+    def rings(nodes):
+        return co._ring_angular_integral(bi, v, MAXWELL, nodes, n_w, n_theta)
+
+    w, weights = co.polar_disk(2 * R, n_w)
     assert np.array_equal(ref.nodes, w) and np.array_equal(ref.weights, weights)
-    assert np.array_equal(ref.angular, co.angular_integral(bi, v, MAXWELL, w, n_theta))
+    assert np.array_equal(ref.angular, rings(w))
     assert ref.value == 4.0 * math.fsum((weights * ref.angular).tolist())
 
     # The panels split at |w| = R: the inner panel's nodes are the first half.
@@ -170,10 +176,10 @@ def test_converge_study_budget_reads_the_fine_level():
     assert np.hypot(w[half - 1, 0], w[half - 1, 1]) < R < np.hypot(w[half, 0], w[half, 1])
     study = harness.converge_study(bi, MAXWELL, v, [0.5], R=R, M_diag=8)
     budget = study.rows[0].budget
-    g_out = co.angular_integral(bi, v, MAXWELL, w[outer], n_theta)
+    g_out = rings(w[outer])
     assert budget.tail_R == 4.0 * math.fsum((weights[outer] * np.abs(g_out)).tolist())
     # riemann_h: the inner disk against the lattice Riemann sum, both at 2 n_theta nodes.
-    g_in = co.angular_integral(bi, v, MAXWELL, w[:half], n_theta)
+    g_in = rings(w[:half])
     inner = 4.0 * math.fsum((weights[:half] * g_in).tolist())
     frame = co.LatticeDistribution.zeros(0.5, R)
     wx, wy = frame.velocities()
