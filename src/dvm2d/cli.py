@@ -173,7 +173,7 @@ def collide(f_name, file, h, R, v_text, grid, out):
         # Built first, so that its frame check refuses before any sampling.
         op = co.FastCollisionOperator(h, R, kernel, co.lattice_bound(h, support))
         f_h = f if lattice else co.sample_on_lattice(f, h, support)
-        q = op.apply(f_h)
+        q = op.apply_grid(f_h.grid)
     else:
         f_h, at = (f, v) if lattice else (harness.sample_about(f, v, h, R), np.zeros(2))
         zx, zy = f_h.lattice_coords(v)

@@ -139,9 +139,10 @@ class MaxwellianMixture:
 
     def __call__(self, v: Array) -> Array:
         v = np.asarray(v, dtype=np.float64)
-        out = np.zeros(v.shape[:-1])
-        for c in self.components:
-            out = out + c(v)
+        first, *rest = self.components
+        out = first(v)
+        for c in rest:
+            out += c(v)
         return out
 
 
@@ -277,9 +278,6 @@ class LatticeDistribution:
             seen[zx + b, zy + b] = True
             grid[zx + b, zy + b] = val
         return cls(h, support_radius, grid)
-
-    def value(self, zx: int, zy: int) -> float:
-        return float(self.at(zx, zy))
 
     def at(self, zx, zy) -> Array:
         """Values at integer coordinates (arrays broadcast); 0 off the stored square."""
@@ -989,11 +987,6 @@ class FastCollisionOperator:
         loss = np.empty((side, side))
         loss[:, 0::2], loss[:, 1::2] = sums
         return loss
-
-    def apply(self, f: LatticeDistribution) -> Array:
-        if abs(f.h - self.h) > 1e-12:
-            raise PreconditionError("distribution step does not match operator")
-        return self.apply_grid(f.grid)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Retired implementations, kept as differential oracles.
+"""Differential oracles: retired implementations, and Q^h in exact arithmetic.
 
 ``factor_range`` is the segmented prime-power sieve that every range
 statistic once read.  ``sieve_r2_range`` is its r2 fold, which
@@ -26,20 +26,11 @@ lattice oracles read no sweep of ``circles``: ``box_annulus_points`` is
 a box, and capped y at x only behind its ``octant`` flag.
 ``all_nodes_angular_integral`` is ``collision.angular_integral`` before it
 paired the nodes theta and theta + pi: it forms the gain product at every
-node.  ``full_circle_q_discrete_detailed`` is
-``collision.q_discrete_detailed`` before the flat, paired gather: one
-iteration per circle over every (zeta_i, zeta_j) of the full circle.
-``integer_dot_circles`` is ``collision._circles``, which gave that loop and
-the grid operator's loss weights an r x r matrix of kernel values from the
-integer dot products per circle; ``row_loop_loss_parts`` is the loss band
-that ``FastCollisionOperator`` built from it with one loop pass per row
-offset, before it took the weights from the gain's harmonic channels, and
-``band_loss`` is ``FastCollisionOperator._loss`` while it kept that band:
-one gemm per column parity of every gathered state row v_x + 2a with it,
-before it kept only the weight table and multiplied per row offset.
-``widened_collision_invariants`` is ``collision.collision_invariants``
-before it summed the operator's own frame: it widens the state onto the
-energy disk and applies an operator built for that wider square.
+node.  ``exact_q`` is no former implementation: it is Q^h from its
+definition, exactly, the oracle of both lattice operators.  Each collision
+weight is 2 pi / r(|zeta|^2) times q at the exact cosine zeta . zeta' / n,
+so for a float state Q^h / (2 pi (2h)^2) is a finite rational sum;
+``exact_angular_factor`` is q2 at a rational cosine.
 ``comprehension_angular_fourier`` is ``harness.angular_fourier`` with its
 coefficients built one k at a time by a list comprehension.
 ``box_loop_gain`` is ``FastCollisionOperator._gain`` before its flat
@@ -62,21 +53,16 @@ and Q^h files under a JSON line, and the figure one ``writerow`` per point.
 """
 
 import csv
+import functools
 import json
 import math
+from fractions import Fraction
 from itertools import chain, islice
 
 import numpy as np
 
 from dvm2d import circles, harness
-from dvm2d.collision import (
-    FastCollisionOperator,
-    InvariantRates,
-    angular_integral,
-    circle_limit,
-    lattice_bound,
-    rotate,
-)
+from dvm2d.collision import angular_integral, circle_limit, lattice_bound, rotate
 from dvm2d.errors import PreconditionError
 
 
@@ -418,111 +404,72 @@ def quarter_figure_data(query):
     return harness.FigureData(query, points, cols[2][order], cols[3][order])
 
 
-def integer_dot_circles(h, R, kernel):
-    """Every circle |zeta|^2 = n <= (R/h)^2 that has points, as (n, xs, ys, q).
+def exact_angular_factor(kernel, c):
+    """q2 at the rational cosine c, exactly: sum of c_m T_m(c), each c_m at its exact value."""
+    total, t_prev, t = Fraction(0), Fraction(1), c  # T_0(c), T_1(c)
+    for cm in kernel.cos_coeffs:
+        total += Fraction(cm) * t_prev
+        t_prev, t = t, 2 * c * t - t_prev
+    return total
 
-    The points are slices of the cached circles.circle_table, in angle
-    order.  q[i, j] = q(h sqrt(n), cos theta_ij) for the collision
-    zeta_i -> zeta_j, with cos theta_ij = zeta_i . zeta_j / n from the
-    exact integer dot product.
+
+def exact_q(grid, h, R, kernel, zx, zy):
+    """(Q^h(f, f), its gross magnitude) / (2 pi (2h)^2) at the integer
+    velocities (zx, zy), as Fractions (object arrays for array zx, zy).
+
+    f = grid[ix + bound, iy + bound], 0 off that square, at its exact float
+    values.  Per circle |zeta|^2 = n <= (R/h)^2 (a scan of |zeta| <= R/h),
+    the sum over every (zeta, zeta') of (f(v') f(v*') - f(v) f(v*)) q2(zeta
+    . zeta' / n) is exact, and q1(h sqrt n), the float the operators use,
+    and 1 / r(n) multiply it; the gross magnitude sums |q2| (|f(v') f(v*')|
+    + |f(v) f(v*)|).  The state times one power of two is integer, so the
+    sums run on Python ints.
     """
-    table = circles.circle_table(circle_limit(h, R))
-    starts = table.starts.tolist()
-    for n in range(1, table.limit + 1):
-        lo, hi = starts[n], starts[n + 1]
-        if lo == hi:
-            continue
-        xs, ys = table.xs[lo:hi], table.ys[lo:hi]
-        dots = xs[:, None] * xs[None, :] + ys[:, None] * ys[None, :]
-        q = kernel.evaluate(h * math.sqrt(n), dots.astype(np.float64) / n)
-        yield n, xs, ys, np.asarray(q, dtype=np.float64)
+    zx, zy = np.broadcast_arrays(np.asarray(zx, dtype=np.int64), np.asarray(zy, dtype=np.int64))
+    limit = circle_limit(h, R)
+    k = math.isqrt(limit)
+    circles_by_n = {}
+    for x in range(-k, k + 1):
+        for y in range(-k, k + 1):
+            if 0 < x * x + y * y <= limit:
+                circles_by_n.setdefault(x * x + y * y, []).append((x, y))
+    b = len(grid) // 2
+    ratios = [value.as_integer_ratio() for value in np.ravel(grid).tolist()]
+    scale = max(den for _, den in ratios)  # a power of two
+    pad = max(b, int(np.abs(zx).max(initial=0)), int(np.abs(zy).max(initial=0))) + 2 * k
+    ints = np.zeros((2 * pad + 1,) * 2, dtype=object)
+    ints[pad - b : pad + b + 1, pad - b : pad + b + 1] = np.reshape(
+        np.array([num * (scale // den) for num, den in ratios], dtype=object), np.shape(grid)
+    )
 
+    @functools.cache
+    def at(dx, dy):  # scale * f(v + (dx, dy)), Python ints
+        return ints[zx + dx + pad, zy + dy + pad]
 
-def row_loop_loss_parts(h, R, kernel, bound):
-    """The loss band FastCollisionOperator once kept: per column parity,
-    (columns, band of weights by (row offset, column in; column out))."""
-    k = lattice_bound(h, R)
-    side = 2 * bound + 1
-    loss_x, loss_y, loss_w = [], [], []
-    for _, xs, ys, q in integer_dot_circles(h, R, kernel):
-        r = len(xs)
-        loss_x += xs.tolist()
-        loss_y += ys.tolist()
-        loss_w += ((2 * math.pi / r) * q.sum(axis=1)).tolist()
-    loss_x = np.array(loss_x, dtype=np.int64)
-    loss_y = np.array(loss_y, dtype=np.int64)
-    loss_w = np.array(loss_w, dtype=np.float64)
-
-    vel = np.arange(-bound, bound + 1)
-    parts = []
-    for parity in (0, 1):
-        cols = slice(parity, None, 2)
-        v_out = vel[cols]
-        n_col = len(v_out)
-        band = np.zeros((2 * k + 1, n_col, n_col))
-        for a in range(-k, k + 1):
-            on_a = loss_x == a
-            y_in = v_out[None, :] + 2 * loss_y[on_a, None] + bound
-            pt, col = np.nonzero((y_in >= 0) & (y_in < side))
-            band[a + k, y_in[pt, col] // 2, col] = loss_w[on_a][pt]
-        parts.append((cols, band.reshape((2 * k + 1) * n_col, n_col)))
-    return parts
-
-
-def band_loss(h, R, kernel, grid):
-    """sum_zeta w(zeta) f(v + 2 zeta) on the square of grid, one gemm of the
-    band of row_loop_loss_parts per column parity."""
-    side = grid.shape[0]
-    bound, k = side // 2, lattice_bound(h, R)
-    rows = np.arange(side)[:, None] + 2 * np.arange(-k, k + 1)[None, :]
-    rows = np.where((rows >= 0) & (rows < side), rows, side)  # side: a zero row
-    stacked = np.vstack([grid, np.zeros((1, side))])
-    loss = np.empty((side, side))
-    for cols, band in row_loop_loss_parts(h, R, kernel, bound):
-        loss[:, cols] = stacked[:, cols][rows].reshape(side, -1) @ band
-    return loss
-
-
-def full_circle_q_discrete_detailed(f, v, kernel, R):
-    """(Q^h(f, f)(v), gross) by a loop over circles, r x r products each."""
-    h = f.h
-    zvx, zvy = f.lattice_coords(np.asarray(v, dtype=np.float64))
-    b = f.bound
-    reach = 2 * lattice_bound(h, R)  # farthest lookup from v, per coordinate
-    dist = max(abs(zvx), abs(zvy))
-    if dist > b + reach:
-        return 0.0, 0.0
-    pad = max(0, dist + reach - b)
-    g = np.pad(f.grid, pad)
-    ox, oy = zvx + b + pad, zvy + b + pad  # v's row and column in g
-    f_v = float(g[ox, oy])
-
-    per_circle = []
-    gross = 0.0
-    for _, xs, ys, q in integer_dot_circles(h, R, kernel):
-        r = len(xs)
-        gain = (
-            g[ox + xs[:, None] + xs[None, :], oy + ys[:, None] + ys[None, :]]
-            * g[ox + xs[:, None] - xs[None, :], oy + ys[:, None] - ys[None, :]]
-        )
-        loss = f_v * g[ox + 2 * xs, oy + 2 * ys]  # (r,)
-        per_circle.append(2 * math.pi / r * float(((gain - loss[:, None]) * q).sum()))
-        gross += 2 * math.pi / r * float(((gain + loss[:, None]) * q).sum())
-    return (2 * h) ** 2 * math.fsum(per_circle), (2 * h) ** 2 * gross
-
-
-def widened_collision_invariants(f, kernel, R):
-    """InvariantRates of Q^h over the square of f.widened()."""
-    wide = f.widened()
-    q = FastCollisionOperator(f.h, R, kernel, wide.bound).apply(wide)
-    vx, vy = wide.velocities()
-    v2 = vx**2 + vy**2
-    mass = math.fsum(q.ravel())
-    mom_x = math.fsum((q * vx).ravel())
-    mom_y = math.fsum((q * vy).ravel())
-    energy = math.fsum((q * v2).ravel())
-    norm = math.fsum((np.abs(q) * (1 + v2)).ravel())
-    return InvariantRates(mass, (mom_x, mom_y), energy, norm)
+    q2 = {}  # by the cosine
+    terms = []  # (q1 q2 / r(n), sum of gain - loss, sum of |gain| + |loss|) per (n, zeta . zeta')
+    for n, points in circles_by_n.items():
+        net, mag = {}, {}
+        for x, y in points:
+            loss = at(0, 0) * at(2 * x, 2 * y)
+            for px, py in points:
+                gain = at(x + px, y + py) * at(x - px, y - py)
+                d = x * px + y * py
+                net[d] = net.get(d, 0) + (gain - loss)
+                mag[d] = mag.get(d, 0) + (abs(gain) + abs(loss))
+        q1 = Fraction(float(kernel.speed_factor(h * math.sqrt(n)))) / len(points)
+        for d in net:
+            c = Fraction(d, n)
+            if c not in q2:
+                q2[c] = exact_angular_factor(kernel, c)
+            terms.append((q1 * q2[c], net[d], mag[d]))
+    # Over one common denominator the sums stay Python ints.
+    den = math.lcm(*(w.denominator for w, _, _ in terms))
+    zero = np.zeros(zx.shape, dtype=object)
+    value = sum((w.numerator * (den // w.denominator) * s for w, s, _ in terms), zero)
+    gross = sum((abs(w.numerator) * (den // w.denominator) * m for w, _, m in terms), zero)
+    exact = np.frompyfunc(lambda total: Fraction(total, den * scale * scale), 1, 1)
+    return exact(value), exact(gross)
 
 
 def comprehension_angular_fourier(f_spec, kernel, v, zeta, h, K):

@@ -15,7 +15,6 @@ from click.testing import CliRunner
 
 from dvm2d import errors, harness, tables
 from dvm2d.cli import main
-from oracles import full_circle_q_discrete_detailed
 
 
 def test_circle_command_stdout():
@@ -201,7 +200,7 @@ def test_collide_grid_matches_pointwise(tmp_path):
     assert len(rows) == (2 * b + 1) ** 2
     for zx, zy in ((0, 0), (2, -3), (-4, 1)):
         v = np.array([zx * h, zy * h])
-        qp = full_circle_q_discrete_detailed(f, v, co.KernelSpec.maxwell(), 1.5)[0]
+        qp = co.q_discrete(f, v, co.KernelSpec.maxwell(), 1.5)
         assert rows[zx, zy] == pytest.approx(qp, rel=1e-12, abs=1e-30)
 
 

@@ -1,7 +1,9 @@
+import functools
 import io
 import math
 import random
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,19 +16,22 @@ from dvm2d.circles import circle_points, circle_table
 from dvm2d.errors import PreconditionError, QuadratureError
 from oracles import (
     all_nodes_angular_integral,
-    band_loss,
     box_loop_apply_frame,
     box_loop_gain,
-    full_circle_q_discrete_detailed,
+    exact_angular_factor,
+    exact_q,
     int_loop_harmonic_weights,
-    integer_dot_circles,
     midpoint_level,
-    row_loop_loss_parts,
-    widened_collision_invariants,
 )
 
 
 MAXWELL = co.KernelSpec.maxwell()
+ORACLE_KERNELS = [
+    MAXWELL,
+    co.KernelSpec.product_power(0.5, (1, 0, 0.5)),
+    co.KernelSpec.product_power(1.0, (1, 0.3, 0.2)),  # odd harmonic: cancels in the gain
+    co.KernelSpec.product_power(1.0, (1, 0, 0.2, 0, 0.05)),
+]
 
 
 def test_kernel_spec_validation():
@@ -356,10 +361,10 @@ def test_lattice_distribution_basics():
     m = co.Maxwellian()
     f = co.sample_on_lattice(m, 0.5, 3.0)
     assert f.bound == 6
-    assert f.value(0, 0) == pytest.approx(1 / (2 * math.pi))
-    assert f.value(100, 0) == 0.0
+    assert f.at(0, 0) == pytest.approx(1 / (2 * math.pi))
+    assert f.at(100, 0) == 0.0
     # outside the disk but inside the square: forced to zero
-    assert f.value(6, 6) == 0.0
+    assert f.at(6, 6) == 0.0
     assert f(np.array([[0.5, -1.0]]))[0] == pytest.approx(float(m(np.array([0.5, -1.0]))))
     with pytest.raises(PreconditionError):
         f.lattice_coords(np.array([0.31, 0.0]))
@@ -445,9 +450,9 @@ def test_grid_operators_match_pointwise():
     h, b = 0.25, 10
     f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
     for kernel in (MAXWELL, co.KernelSpec.product_power(1.0, (1.0, 0.0, 0.2, 0.0, 0.05))):
-        qg = co.FastCollisionOperator(h, 2.0, kernel, b).apply(f)
+        qg = co.FastCollisionOperator(h, 2.0, kernel, b).apply_grid(f.grid)
         for zv in ((0, 0), (4, -3), (-7, 2)):
-            qp = full_circle_q_discrete_detailed(f, np.array([zv[0] * h, zv[1] * h]), kernel, 2.0)[0]
+            qp = co.q_discrete(f, np.array([zv[0] * h, zv[1] * h]), kernel, 2.0)
             assert qp == pytest.approx(qg[zv[0] + b, zv[1] + b], rel=1e-12, abs=1e-30)
 
 
@@ -462,24 +467,24 @@ def test_collision_invariants_random_f():
     assert abs(inv.energy_rate) <= 1e-10 * inv.normalization
 
 
-@pytest.mark.parametrize(
-    "kernel", [MAXWELL, co.KernelSpec.product_power(0.5, (1, 0, 0.5))], ids=["maxwell", "pp05"]
-)
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
 def test_collision_invariants_normalization_matches_pointwise(kernel):
     """normalization is sum |Q^h| (1 + |v|^2) over every v where Q^h can be
-    nonzero, all of which lie on the widened grid."""
+    nonzero, all of which lie on the widened grid, and the rates summed over
+    the operator's frame are rounding next to it; at R = B h and R/h < B."""
     rng = np.random.default_rng(404)
     h, b = 0.5, 4
     f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
-    inv = co.collision_invariants(f, kernel, R=b * h)
-    wide = f.widened()
-    vx, vy = wide.velocities()
-    terms = [
-        abs(full_circle_q_discrete_detailed(f, np.array([x, y]), kernel, b * h)[0])
-        * (1 + x * x + y * y)
-        for x, y in zip(vx.ravel().tolist(), vy.ravel().tolist())
-    ]
-    assert inv.normalization == pytest.approx(math.fsum(terms), rel=1e-12)
+    vx, vy = f.widened().velocities()
+    for R in (b * h, 1.0):
+        inv = co.collision_invariants(f, kernel, R)
+        for rate in (inv.mass_rate, *inv.momentum_rate, inv.energy_rate):
+            assert abs(rate) <= 1e-15 * inv.normalization
+        terms = [
+            abs(co.q_discrete(f, np.array([x, y]), kernel, R)) * (1 + x * x + y * y)
+            for x, y in zip(vx.ravel().tolist(), vy.ravel().tolist())
+        ]
+        assert inv.normalization == pytest.approx(math.fsum(terms), rel=1e-12)
 
 
 def test_widened_state_keeps_values_on_the_energy_disk():
@@ -522,7 +527,7 @@ def test_lattice_values_outside_the_disk_are_refused():
             co.LatticeDistribution.from_values(1.0, 2.0, {(0, 0): 1.0, point: 5.0}.items())
     # The disk's own tolerance: (3, 4) is on the rim of radius 5 = 2.5 / 0.5.
     f = co.LatticeDistribution.from_values(0.5, 2.5, {(3, 4): 2.0, (0, -5): 1.0}.items())
-    assert f.value(3, 4) == 2.0 and f.value(0, -5) == 1.0
+    assert f.at(3, 4) == 2.0 and f.at(0, -5) == 1.0
 
 
 @pytest.mark.parametrize(
@@ -577,7 +582,7 @@ def test_qh_csv_format():
     rng = np.random.default_rng(3)
     h, b = 0.5, 4
     f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
-    q = co.FastCollisionOperator(h, 1.5, MAXWELL, b).apply(f)
+    q = co.FastCollisionOperator(h, 1.5, MAXWELL, b).apply_grid(f.grid)
     buf = io.StringIO()
     tables.write_qh_csv(q, h, buf)
     lines = buf.getvalue().strip().splitlines()
@@ -592,155 +597,37 @@ def test_qh_csv_format():
             tables.write_qh_csv(np.zeros(shape), h, io.StringIO())
 
 
-class OldFastCollisionOperator:
-    """Reference: the padded-frame grid operator that FastCollisionOperator replaced.
-
-    Products over the whole (out_bound + R/h) mid grid and the full
-    circle, harmonic weights from arctan2, and one view-add per circle
-    point for the gain and for the loss.  Slow but independent of the
-    support boxes, half circles and Toeplitz loss.
-    """
-
-    def __init__(self, h, R, kernel, out_bound):
-        self.h = h
-        self.out_bound = out_bound
-        self.reach = int(math.floor(R / h + 1e-9))
-        self.mid_bound = out_bound + self.reach
-        self.pad_bound = out_bound + 2 * self.reach
-        self._side = 2 * self.pad_bound + 1
-        self._mid_side = 2 * self.mid_bound + 1
-        self._out_side = 2 * self.out_bound + 1
-
-        if kernel.kind == "maxwell":
-            harmonics = [(0, 1.0)]
-        else:
-            harmonics = [
-                (m, c) for m, c in enumerate(kernel.cos_coeffs) if c != 0.0
-            ]
-        self._circles = []
-        for n, xs, ys, q in integer_dot_circles(h, R, kernel):
-            r = len(xs)
-            q1 = 1.0 if kernel.kind == "maxwell" else float(h * math.sqrt(n)) ** kernel.alpha
-            phi = np.arctan2(ys, xs)
-            terms = []
-            for m, c in harmonics:
-                coef = 2 * math.pi / r * q1 * c
-                terms.append((m, coef, np.cos(m * phi), np.sin(m * phi)))
-            row_weights = (2 * math.pi / r) * q.sum(axis=1)
-            self._circles.append((xs, ys, terms, row_weights))
-
-    def pad_state(self, grid, bound):
-        padded = np.zeros((self._side, self._side))
-        lo = self.pad_bound - bound
-        padded[lo : lo + 2 * bound + 1, lo : lo + 2 * bound + 1] = grid
-        return padded
-
-    def _mid_view(self, padded, dx, dy):
-        lo = self.pad_bound - self.mid_bound
-        return padded[
-            lo + dx : lo + dx + self._mid_side, lo + dy : lo + dy + self._mid_side
-        ]
-
-    def _out_view(self, arr, dx, dy, inner_bound):
-        lo = inner_bound - self.out_bound
-        return arr[
-            lo + dx : lo + dx + self._out_side, lo + dy : lo + dy + self._out_side
-        ]
-
-    def apply_padded(self, padded):
-        total = np.zeros((self._out_side, self._out_side))
-        f_self = self._out_view(padded, 0, 0, self.pad_bound)
-        for xs, ys, terms, row_weights in self._circles:
-            r = len(xs)
-            prods = np.empty((r, self._mid_side, self._mid_side))
-            for j in range(r):
-                np.multiply(
-                    self._mid_view(padded, xs[j], ys[j]),
-                    self._mid_view(padded, -xs[j], -ys[j]),
-                    out=prods[j],
-                )
-            prods_flat = prods.reshape(r, -1)
-            for m, coef, cos_i, sin_i in terms:
-                wc = (cos_i @ prods_flat).reshape(self._mid_side, self._mid_side)
-                for i in range(r):
-                    if cos_i[i] != 0.0:
-                        total += (coef * cos_i[i]) * self._out_view(
-                            wc, xs[i], ys[i], self.mid_bound
-                        )
-                if m != 0:
-                    ws = (sin_i @ prods_flat).reshape(self._mid_side, self._mid_side)
-                    for i in range(r):
-                        if sin_i[i] != 0.0:
-                            total += (coef * sin_i[i]) * self._out_view(
-                                ws, xs[i], ys[i], self.mid_bound
-                            )
-            loss = np.zeros((self._out_side, self._out_side))
-            for i in range(r):
-                loss += row_weights[i] * self._out_view(
-                    padded, 2 * xs[i], 2 * ys[i], self.pad_bound
-                )
-            total -= f_self * loss
-        return (2 * self.h) ** 2 * total
-
-    def apply_grid(self, grid, bound):
-        return self.apply_padded(self.pad_state(grid, bound))
+EPS = np.finfo(np.float64).eps
+# Gates per velocity against exact_q, in EPS times the gross magnitude.  Over
+# 300 random states (bound <= 6, R/h <= 5, the four kernels, one-sided and
+# signed states among them) apply_frame read up to 1.97, q_discrete_detailed 1.25.
+FRAME_EPS, POINT_EPS = 3, 2
 
 
-ORACLE_KERNELS = [
-    MAXWELL,
-    co.KernelSpec.product_power(0.5, (1, 0, 0.5)),
-    co.KernelSpec.product_power(1.0, (1, 0.3, 0.2)),  # odd harmonic: cancels in the gain
-    co.KernelSpec.product_power(1.0, (1, 0, 0.2, 0, 0.05)),
-]
+def assert_near_exact(got, h, value, gross, eps):
+    """Each float of got is within eps * EPS * gross of exact_q's value times
+    2 pi (2h)^2 (as math.tau * (2 * h) ** 2), so exactly 0 where gross is 0."""
+    assert np.shape(got) == np.shape(value)
+    scale = Fraction(math.tau) * Fraction((2 * h) ** 2)
+    for g, want, mag in zip(np.ravel(got).tolist(), np.ravel(value), np.ravel(gross)):
+        assert abs(Fraction(g) / scale - want) <= Fraction(eps * EPS) * mag
 
 
-def _assert_matches_oracle(h, R, kernel, grid, bound):
-    new = co.FastCollisionOperator(h, R, kernel, bound).apply_grid(grid)
-    old = OldFastCollisionOperator(h, R, kernel, bound).apply_grid(grid, bound)
-    assert new.shape == old.shape == (2 * bound + 1, 2 * bound + 1)
-    assert np.abs(new - old).max() <= 1e-13 * np.abs(old).max()
+def frame_points(bound, k):
+    """(zx, zy) on the frame |v| <= bound + k, indexed like apply_frame's result."""
+    ix = np.arange(-(bound + k), bound + k + 1)
+    return np.meshgrid(ix, ix, indexing="ij")
 
 
-@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
-@pytest.mark.parametrize(
-    "h, R, support, bound",
-    [
-        (0.25, 2.0, 10, 10),  # the state fills the square
-        (0.25, 2.0, 8, 13),  # zeros around it: the relax_simulate shape
-        (0.25, 2.5, 5, 7),  # R/h > bound
-    ],
-)
-def test_fast_operator_matches_padded_oracle(kernel, h, R, support, bound):
+def support_state(support, bound):
+    """A random state on the square |zeta| <= support, zero out to bound."""
     rng = np.random.default_rng(support * 100 + bound)
-    grid = np.zeros((2 * bound + 1, 2 * bound + 1))
-    lo = bound - support
-    grid[lo : lo + 2 * support + 1, lo : lo + 2 * support + 1] = rng.random(
-        (2 * support + 1, 2 * support + 1)
-    )
-    _assert_matches_oracle(h, R, kernel, grid, bound)
+    return np.pad(rng.random((2 * support + 1, 2 * support + 1)), bound - support)
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    h=st.sampled_from([1.0, 0.5, 0.25]),
-    reach=st.integers(1, 7),
-    bound=st.integers(0, 9),
-    kernel=st.sampled_from(ORACLE_KERNELS),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_fast_operator_matches_padded_oracle_random(h, reach, bound, kernel, seed):
-    grid = np.random.default_rng(seed).random((2 * bound + 1, 2 * bound + 1))
-    _assert_matches_oracle(h, reach * h, kernel, grid, bound)
-
-
-@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
-@pytest.mark.parametrize("state", ["one-sided", "signed", "zero"])
-def test_fast_operator_matches_padded_oracle_on_edge_states(kernel, state):
-    """A widened state cut to one side, one that RK4 stages dip below 0
-    by 1e-13, and the zero state (whose Q^h is exactly 0)."""
-    rng = np.random.default_rng(5)
-    h, b = 0.25, 8
-    wide = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1))).widened()
+def edge_state(state, wide, rng):
+    """The widened state cut to one side, dipped below 0 by 1e-13 at about a
+    fifth of its points as RK4 stages can be, or zero."""
     grid = wide.grid.copy()
     if state == "one-sided":
         grid[: wide.bound + 3] = 0.0
@@ -748,9 +635,50 @@ def test_fast_operator_matches_padded_oracle_on_edge_states(kernel, state):
         grid -= 1e-13 * (rng.random(grid.shape) < 0.2)
     else:
         grid[:] = 0.0
-    _assert_matches_oracle(h, 2.0, kernel, grid, wide.bound)
-    if state == "zero":
-        assert not co.FastCollisionOperator(h, 2.0, kernel, wide.bound).apply_frame(grid).any()
+    return grid
+
+
+def _assert_matches_exact(h, R, kernel, grid, bound):
+    op = co.FastCollisionOperator(h, R, kernel, bound)
+    exact = exact_q(grid, h, R, kernel, *frame_points(bound, op.reach))
+    assert_near_exact(op.apply_frame(grid), h, *exact, FRAME_EPS)
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
+@pytest.mark.parametrize(
+    "h, R, support, bound",
+    [
+        (0.5, 1.5, 3, 3),  # the state fills the square
+        (0.5, 1.0, 2, 4),  # zeros around it: the relax_simulate shape
+        (0.5, 2.0, 1, 2),  # R/h > bound
+        (0.5, 1.0, 0, 0),  # one point: no product is kept
+    ],
+)
+def test_fast_operator_matches_exact_oracle(kernel, h, R, support, bound):
+    _assert_matches_exact(h, R, kernel, support_state(support, bound), bound)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    h=st.sampled_from([1.0, 0.5, 0.25]),
+    reach=st.integers(1, 4),
+    bound=st.integers(0, 5),
+    kernel=st.sampled_from(ORACLE_KERNELS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fast_operator_matches_exact_oracle_random(h, reach, bound, kernel, seed):
+    grid = np.random.default_rng(seed).random((2 * bound + 1, 2 * bound + 1))
+    _assert_matches_exact(h, reach * h, kernel, grid, bound)
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
+@pytest.mark.parametrize("state", ["one-sided", "signed", "zero"])
+def test_fast_operator_matches_exact_oracle_on_edge_states(kernel, state):
+    """edge_state's states; the zero state's gross magnitude is 0 everywhere,
+    so its frame must be all zeros."""
+    rng = np.random.default_rng(5)
+    wide = co.LatticeDistribution(0.5, 2.0, rng.random((9, 9))).widened()
+    _assert_matches_exact(0.5, 1.0, kernel, edge_state(state, wide, rng), wide.bound)
 
 
 def _assert_matches_box_loop(h, R, kernel, grid, bound):
@@ -780,33 +708,21 @@ def _assert_matches_box_loop(h, R, kernel, grid, bound):
     ],
 )
 def test_flat_gain_matches_box_loop(kernel, h, R, support, bound):
-    rng = np.random.default_rng(support * 100 + bound)
-    grid = np.zeros((2 * bound + 1, 2 * bound + 1))
-    lo = bound - support
-    grid[lo : lo + 2 * support + 1, lo : lo + 2 * support + 1] = rng.random(
-        (2 * support + 1, 2 * support + 1)
-    )
-    _assert_matches_box_loop(h, R, kernel, grid, bound)
+    _assert_matches_box_loop(h, R, kernel, support_state(support, bound), bound)
 
 
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
 @pytest.mark.parametrize("state", ["one-sided", "signed", "zero", "relax"])
 def test_flat_gain_matches_box_loop_on_edge_states(kernel, state):
-    """The widened edge states of the padded-oracle test, and the
-    benchmark's relax state (widened bound 30, R/h = 20)."""
+    """The edge states, and the benchmark's relax state (widened bound 30, R/h = 20)."""
     rng = np.random.default_rng(5)
     h, b, R = 0.25, 8, 2.0
     wide = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1))).widened()
-    grid = wide.grid.copy()
-    if state == "one-sided":
-        grid[: wide.bound + 3] = 0.0
-    elif state == "signed":
-        grid -= 1e-13 * (rng.random(grid.shape) < 0.2)
-    elif state == "zero":
-        grid[:] = 0.0
-    else:
+    if state == "relax":
         wide, R = co.sample_on_lattice(co.bimaxwellian(), h, 5.0).widened(), 5.0
         grid = wide.grid
+    else:
+        grid = edge_state(state, wide, rng)
     _assert_matches_box_loop(h, R, kernel, grid, wide.bound)
 
 
@@ -846,14 +762,11 @@ def test_fast_operator_rejects_bad_state_shape():
     assert co.FastCollisionOperator(0.5, 2.0, MAXWELL, 0).apply_grid(np.ones((1, 1))).tolist() == [[0.0]]
     op = co.FastCollisionOperator(0.5, 2.0, MAXWELL, 4)
     # Both entry points refuse a state of another size with the same error.
-    f = co.LatticeDistribution(0.5, 2.5, np.ones((11, 11)))
     with pytest.raises(PreconditionError, match="does not match bound 4") as via_grid:
-        op.apply_grid(f.grid)
-    with pytest.raises(PreconditionError, match="does not match bound") as via_f:
-        op.apply(f)
-    assert str(via_grid.value) == str(via_f.value)
-    with pytest.raises(PreconditionError, match="step"):
-        op.apply(co.LatticeDistribution(0.25, 1.0, np.ones((9, 9))))
+        op.apply_grid(np.ones((11, 11)))
+    with pytest.raises(PreconditionError, match="does not match bound") as via_frame:
+        op.apply_frame(np.ones((11, 11)))
+    assert str(via_grid.value) == str(via_frame.value)
 
 
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
@@ -863,7 +776,7 @@ def test_fast_operator_conserves_invariants(kernel):
     h, b = 0.5, 8
     f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
     wide = f.widened()
-    q = co.FastCollisionOperator(h, b * h, kernel, wide.bound).apply(wide)
+    q = co.FastCollisionOperator(h, b * h, kernel, wide.bound).apply_grid(wide.grid)
     vx, vy = wide.velocities()
     norm = math.fsum((np.abs(q) * (1 + vx**2 + vy**2)).ravel())
     for weight in (1.0, vx, vy, vx**2 + vy**2):
@@ -874,22 +787,6 @@ def test_fast_operator_conserves_invariants(kernel):
 FRAME_CASES = pytest.mark.parametrize(
     "h, b, R", [(0.5, 8, 4.0), (0.25, 20, 5.0), (0.25, 20, 2.0)], ids=["B8", "B20", "B20-short-R"]
 )
-
-
-@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
-@FRAME_CASES
-def test_collision_invariants_match_widened_oracle(kernel, h, b, R):
-    """Summed over the operator's frame, the rates equal those over the
-    widened state's square up to rounding."""
-    rng = np.random.default_rng(b * 10 + int(R))
-    f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
-    inv = co.collision_invariants(f, kernel, R)
-    old = widened_collision_invariants(f, kernel, R)
-    new_rates = (inv.mass_rate, *inv.momentum_rate, inv.energy_rate)
-    old_rates = (old.mass_rate, *old.momentum_rate, old.energy_rate)
-    for new, want in zip(new_rates, old_rates):
-        assert abs(new - want) <= 1e-15 * old.normalization
-    assert inv.normalization == pytest.approx(old.normalization, rel=1e-14, abs=0)
 
 
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
@@ -912,27 +809,47 @@ def test_apply_frame_holds_all_of_q(kernel, h, b, R):
 
 
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
-@pytest.mark.parametrize("bound", [0, 7, 20, 30])  # R/h = 20
-def test_loss_band_matches_row_loop_oracle(kernel, bound):
-    """The Toeplitz matrices T_a[i, j] = W[a + K, i - j + K] of the weight
-    table built from the gain's channels, stacked over the row offsets a,
-    equal the per-row-offset band of r x r integer-dot kernel values, entry
-    by entry."""
+def test_loss_weights_match_exact_circle_sums(kernel):
+    """The weight table W[a + K, b + K] holds (2 pi / r) q1 sum_j q2(zeta .
+    zeta_j / n) at each point zeta of circle n <= K^2 = 400 and 0 elsewhere:
+    Maxwell's 2 pi / r * r bit for bit, the other kernels within 2 EPS of
+    the sum with |q2|, one exact sum per orbit of the lattice symmetries."""
     h, R = 0.25, 5.0
-    op = co.FastCollisionOperator(h, R, kernel, bound)
-    k = op.reach
-    assert op._loss_w.shape == (2 * k + 1, 2 * k + 1)
-    oracle = row_loop_loss_parts(h, R, kernel, bound)
-    assert len(oracle) == 2
-    for parity, (cols, old) in enumerate(oracle):
-        n_col = bound + 1 - parity
-        d = np.arange(n_col)[:, None] - np.arange(n_col)[None, :]  # i - j
-        band = np.where(np.abs(d) <= k, op._loss_w[:, np.clip(d + k, 0, 2 * k)], 0.0)
-        band = band.reshape((2 * k + 1) * n_col, n_col)
-        assert cols == slice(parity, None, 2) and band.shape == old.shape
-        assert np.all(np.abs(band - old) <= 1e-15 * np.abs(old))
+    op = co.FastCollisionOperator(h, R, kernel, 7)
+    k, weights = op.reach, op._loss_w
+    table = circle_table(co.circle_limit(h, R))
+    off = np.ones(weights.shape, dtype=bool)
+    off[table.xs + k, table.ys + k] = False
+    assert not weights[off].any()
+    starts, exact = table.starts.tolist(), {}
+    q2_at = functools.cache(lambda c: exact_angular_factor(kernel, c))
+    for x, y in zip(table.xs.tolist(), table.ys.tolist()):
+        n = x * x + y * y
+        got, r = weights[x + k, y + k], starts[n + 1] - starts[n]
         if kernel == MAXWELL:
-            assert np.array_equal(band, old)
+            assert got == 2 * math.pi / r * r
+            continue
+        orbit = (n, max(abs(x), abs(y)))
+        if orbit not in exact:
+            circle = zip(*(a[starts[n] : starts[n + 1]].tolist() for a in (table.xs, table.ys)))
+            q2 = [q2_at(Fraction(x * px + y * py, n)) for px, py in circle]
+            coef = Fraction(math.tau) * Fraction(float(kernel.speed_factor(h * math.sqrt(n)))) / r
+            exact[orbit] = coef * sum(q2), coef * sum(map(abs, q2))
+        value, gross = exact[orbit]
+        assert abs(Fraction(got) - value) <= Fraction(2 * EPS) * gross
+
+
+def shifted_loss(op, grid):
+    """sum over zeta of W(zeta) f(v + 2 zeta) on the state's square, f = 0
+    off it: one slice add per nonzero entry of op's weight table."""
+    k, side = op.reach, len(grid)
+    loss = np.zeros_like(grid)
+    for a, b in (2 * (np.argwhere(op._loss_w) - k)).tolist():
+        x0, x1, y0, y1 = max(0, -a), min(side, side - a), max(0, -b), min(side, side - b)
+        if x0 < x1 and y0 < y1:
+            w = op._loss_w[a // 2 + k, b // 2 + k]
+            loss[x0:x1, y0:y1] += w * grid[x0 + a : x1 + a, y0 + b : y1 + b]
+    return loss
 
 
 def test_operator_keeps_no_loss_band():
@@ -961,40 +878,28 @@ def test_operator_keeps_no_loss_band():
     assert kept <= 96 * (2 * (bound + k) + 1) ** 2
 
 
-@pytest.mark.parametrize("kernel", ORACLE_KERNELS[:2], ids=["maxwell", "pp05"])
-def test_loss_transient_stays_within_a_few_state_arrays(kernel):
-    """R/h = 20 over bound 60: the loss matches the band oracle to 1e-14 of
-    max |loss|, and its traced peak, the returned loss included, stays
-    within four state-sized arrays (3.3 measured: the two parities'
-    columns, their sums, the loss and one product).  Gathering every band
-    row at once held 41 half states."""
-    h, R, bound = 0.25, 5.0, 60
-    side = 2 * bound + 1
-    op = co.FastCollisionOperator(h, R, kernel, bound)
-    grid = np.random.default_rng(5).random((side, side))
-    tracemalloc.start()
-    try:
-        loss = op._loss(grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    want = band_loss(h, R, kernel, grid)
-    assert np.abs(loss - want).max() <= 1e-14 * np.abs(want).max()
-    assert peak <= 4 * grid.nbytes
-
-
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
-def test_loss_matches_one_gemm_of_the_oracle_band_at_the_relax_size(kernel):
-    """The relax workload's operator (h = 0.25, R = 5, the widened state of
-    support 5): the loss per row offset equals the one gemm per parity of
-    the band oracle to 1e-14 of max |loss|."""
+def test_loss_transient_stays_within_a_few_state_arrays(kernel):
+    """R/h = 20 over bound 60 and over the relax workload's bound 30 (the
+    widened state of support 5): the loss matches the shifted sums to 1e-14
+    of max |loss|, and its traced peak, the returned loss included, stays
+    within four state-sized arrays (3.3 measured at bound 60: the two
+    parities' columns, their sums, the loss and one product).  Gathering
+    every band row at once held 41 half states."""
     h, R = 0.25, 5.0
-    bound = co.widened_bound(co.lattice_bound(h, 5.0))
-    side = 2 * bound + 1
-    op = co.FastCollisionOperator(h, R, kernel, bound)
-    grid = np.random.default_rng(6).random((side, side))
-    want = band_loss(h, R, kernel, grid)
-    assert np.abs(op._loss(grid) - want).max() <= 1e-14 * np.abs(want).max()
+    for bound in (co.widened_bound(co.lattice_bound(h, 5.0)), 60):
+        side = 2 * bound + 1
+        op = co.FastCollisionOperator(h, R, kernel, bound)
+        grid = np.random.default_rng(bound).random((side, side))
+        tracemalloc.start()
+        try:
+            loss = op._loss(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        want = shifted_loss(op, grid)
+        assert np.abs(loss - want).max() <= 1e-14 * np.abs(want).max()
+        assert peak <= 4 * grid.nbytes
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 25, 65, 325, 1105, 5525, 4 * 1105])
@@ -1041,41 +946,7 @@ def test_harmonic_weights_match_python_int_loop():
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
-def old_circles(h, R, kernel):
-    """Reference: one circle_points call per n, as integer_dot_circles did before circle_table."""
-    n_max = int(math.floor((R / h) ** 2 + 1e-9))
-    for n in range(1, n_max + 1):
-        pts = circle_points(n)
-        if pts.count == 0:
-            continue
-        xs, ys = pts.xs, pts.ys
-        dots = xs[:, None] * xs[None, :] + ys[:, None] * ys[None, :]
-        q = kernel.evaluate(h * math.sqrt(n), dots.astype(np.float64) / n)
-        yield n, xs, ys, np.asarray(q, dtype=np.float64)
-
-
-def old_q_discrete_detailed(f, v, kernel, R):
-    """Reference: q_discrete_detailed with f.at lookups that the zero-padded gather replaced."""
-    h = f.h
-    zvx, zvy = f.lattice_coords(np.asarray(v, dtype=np.float64))
-    f_v = f.value(zvx, zvy)
-    per_circle = []
-    gross = 0.0
-    for _, xs, ys, q in old_circles(h, R, kernel):
-        r = len(xs)
-        gx1 = zvx + xs[:, None] + xs[None, :]
-        gy1 = zvy + ys[:, None] + ys[None, :]
-        gx2 = zvx + xs[:, None] - xs[None, :]
-        gy2 = zvy + ys[:, None] - ys[None, :]
-        gain = f.at(gx1, gy1) * f.at(gx2, gy2)
-        loss = f_v * f.at(zvx + 2 * xs, zvy + 2 * ys)
-        per_circle.append(2 * math.pi / r * float(((gain - loss[:, None]) * q).sum()))
-        gross += 2 * math.pi / r * float(((gain + loss[:, None]) * q).sum())
-    return (2 * h) ** 2 * math.fsum(per_circle), (2 * h) ** 2 * gross
-
-
-GATHER_KERNELS = [MAXWELL, co.KernelSpec.product_power(0.5, (1, 0, 0.5))]
-PAIRED_KERNELS = GATHER_KERNELS + [co.KernelSpec.product_power(1.0, (1, 0.3, 0.2))]
+PAIRED_KERNELS = ORACLE_KERNELS[:3]
 GATHER_POINTS = [
     (0, 0),  # centre
     (6, 0),  # on the support edge (B = 6)
@@ -1085,31 +956,6 @@ GATHER_POINTS = [
     (15, 0),  # beyond reach
     (-40, 7),  # far beyond reach
 ]
-
-
-@pytest.mark.parametrize("kernel", GATHER_KERNELS, ids=["maxwell", "pp05"])
-@pytest.mark.parametrize("zv", GATHER_POINTS)
-def test_q_discrete_padded_gather_matches_f_at_loop(kernel, zv):
-    h, support, R = 0.5, 3.0, 2.0
-    grid = np.random.default_rng(31).random((13, 13))
-    f = co.LatticeDistribution(h, support, grid)
-    v = np.array([zv[0] * h, zv[1] * h])
-    got = full_circle_q_discrete_detailed(f, v, kernel, R)
-    want = old_q_discrete_detailed(f, v, kernel, R)
-    assert got[0] == want[0] and got[1] == want[1]
-    if max(map(abs, zv)) > 6 + 8:
-        assert got == (0.0, 0.0)
-
-
-def test_q_discrete_ladder_states_match_f_at_loop():
-    R = 3.0
-    for spec in (co.Maxwellian(), co.bimaxwellian()):
-        for h in (0.5, 0.25):
-            f = co.sample_on_lattice(spec, h, 2 * R + 2 * h)
-            for kernel in GATHER_KERNELS:
-                for v in ([0.0, 0.0], [1.0, -0.5], [4.0, 3.0]):
-                    got = full_circle_q_discrete_detailed(f, np.array(v), kernel, R)
-                    assert got == old_q_discrete_detailed(f, np.array(v), kernel, R)
 
 
 def test_q_discrete_beyond_reach_allocates_nothing():
@@ -1124,38 +970,14 @@ def test_q_discrete_beyond_reach_allocates_nothing():
     assert peak < 1 << 16
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    h=st.sampled_from([1.0, 0.5, 0.25]),
-    support_cells=st.integers(0, 8),
-    reach=st.integers(1, 6),
-    zvx=st.integers(-30, 30),
-    zvy=st.integers(-30, 30),
-    kernel=st.sampled_from(GATHER_KERNELS),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_q_discrete_padded_gather_matches_f_at_loop_random(
-    h, support_cells, reach, zvx, zvy, kernel, seed
-):
-    b = support_cells
-    f = co.LatticeDistribution(
-        h, b * h, np.random.default_rng(seed).random((2 * b + 1, 2 * b + 1))
-    )
-    v = np.array([zvx * h, zvy * h])
-    got = full_circle_q_discrete_detailed(f, v, kernel, reach * h)
-    want = old_q_discrete_detailed(f, v, kernel, reach * h)
-    assert got[0] == want[0] and got[1] == want[1]
-
-
 def _assert_paired_matches_full_circle(f, v, kernel, R):
-    """The paired gather against the full-circle loop: the value within
-    1e-14 of the gross magnitude, the gross magnitude within 1e-14 of itself."""
+    """The paired gather against exact_q's sum over every (zeta, zeta') of
+    the full circle: value and gross magnitude each within POINT_EPS EPS of
+    the exact gross magnitude, so (0.0, 0.0) where that is 0."""
     got = co.q_discrete_detailed(f, v, kernel, R)
-    want = full_circle_q_discrete_detailed(f, v, kernel, R)
-    assert abs(got[0] - want[0]) <= 1e-14 * want[1]
-    assert abs(got[1] - want[1]) <= 1e-14 * want[1]
-    if want[1] == 0.0:
-        assert got == (0.0, 0.0)
+    value, gross = exact_q(f.grid, f.h, R, kernel, *f.lattice_coords(v))
+    assert_near_exact(got[0], f.h, value, gross, POINT_EPS)
+    assert_near_exact(got[1], f.h, gross, gross, POINT_EPS)
 
 
 @pytest.mark.parametrize("kernel", PAIRED_KERNELS, ids=["maxwell", "pp05", "pp_odd"])
@@ -1167,7 +989,8 @@ def test_q_discrete_paired_gather_matches_full_circle(kernel, zv):
 
 @pytest.mark.parametrize("kernel", PAIRED_KERNELS, ids=["maxwell", "pp05", "pp_odd"])
 def test_q_discrete_paired_gather_matches_full_circle_on_ladder_states(kernel):
-    R = 6.6
+    """The converge ladder's states at R = 3: R/h = 6 and 12."""
+    R = 3.0
     for spec in (co.Maxwellian(), co.bimaxwellian()):
         for h in (0.5, 0.25):
             f = co.sample_on_lattice(spec, h, 2 * R + 2 * h)
@@ -1193,6 +1016,32 @@ def test_q_discrete_paired_gather_matches_full_circle_random(
         h, b * h, np.random.default_rng(seed).random((2 * b + 1, 2 * b + 1))
     )
     _assert_paired_matches_full_circle(f, np.array([zvx * h, zvy * h]), kernel, reach * h)
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS[:2], ids=["maxwell", "pp05"])
+@pytest.mark.parametrize("h, b, R", [(0.5, 3, 1.5), (0.5, 5, 2.0)], ids=["B3", "B5"])
+def test_checkerboard_classes_conserve_apart(kernel, h, b, R):
+    """A collision's four velocities share one class, v_x + v_y even or odd
+    in lattice units: v* - v = 2 zeta, v' - v = zeta + zeta', and zeta_x +
+    zeta_y = n = zeta'_x + zeta'_y (mod 2).  So each class keeps its mass,
+    momentum and energy, eight invariants whose totals are exactly 0 for
+    the exact Q^h; and for a state on one class, apply_frame and
+    q_discrete_detailed give exactly 0.0 on the other."""
+    grid = support_state(b, b)
+    k = co.lattice_bound(h, R)
+    zx, zy = frame_points(b, k)
+    value, _ = exact_q(grid, h, R, kernel, zx, zy)
+    x, y, parity = zx.astype(object), zy.astype(object), (zx + zy) % 2
+    for cls in (0, 1):
+        for phi in (1, x, y, x * x + y * y):
+            assert np.sum((value * phi)[parity == cls]) == Fraction(0)
+    op = co.FastCollisionOperator(h, R, kernel, b)
+    for cls in (0, 1):
+        f = co.LatticeDistribution(h, b * h, np.where(parity[k:-k, k:-k] == cls, grid, 0.0))
+        frame = op.apply_frame(f.grid)
+        assert frame[parity == cls].any() and not frame[parity != cls].any()
+        for zv in zip(zx[parity != cls].tolist(), zy[parity != cls].tolist()):
+            assert co.q_discrete_detailed(f, h * np.array(zv), kernel, R) == (0.0, 0.0)
 
 
 def test_circle_table_second_half_negates_the_first():

@@ -46,7 +46,7 @@ def trajectory():
 def qh_grid(b, signed_zero=False):
     h = 0.5
     f = co.LatticeDistribution(h, b * h, np.random.default_rng(3).random((2 * b + 1,) * 2))
-    q = co.FastCollisionOperator(h, 1.5, MAXWELL, b).apply(f)
+    q = co.FastCollisionOperator(h, 1.5, MAXWELL, b).apply_grid(f.grid)
     if signed_zero:
         q[0, 0], q[-1, -1] = -0.0, 0.0
     return q, h
