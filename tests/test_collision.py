@@ -791,6 +791,25 @@ FRAME_CASES = pytest.mark.parametrize(
 
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
 @FRAME_CASES
+def test_collision_invariants_match_widened_oracle(kernel, h, b, R):
+    """Summed over the operator's frame, the rates equal those of apply_grid
+    over the widened state's square up to rounding."""
+    rng = np.random.default_rng(b * 10 + int(R))
+    f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
+    inv = co.collision_invariants(f, kernel, R)
+    wide = f.widened()
+    q = co.FastCollisionOperator(h, R, kernel, wide.bound).apply_grid(wide.grid)
+    vx, vy = wide.velocities()
+    v2 = vx**2 + vy**2
+    norm = math.fsum((np.abs(q) * (1 + v2)).ravel())
+    rates = (inv.mass_rate, *inv.momentum_rate, inv.energy_rate)
+    for rate, weight in zip(rates, (1.0, vx, vy, v2)):
+        assert abs(rate - math.fsum((q * weight).ravel())) <= 1e-15 * norm
+    assert inv.normalization == pytest.approx(norm, rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
+@FRAME_CASES
 def test_apply_frame_holds_all_of_q(kernel, h, b, R):
     """apply_frame: apply_grid on the state's square, bit for bit; Q^h of the
     state zero-padded to the frame elsewhere; exact zeros past the energy disk."""
@@ -808,15 +827,48 @@ def test_apply_frame_holds_all_of_q(kernel, h, b, R):
     assert beyond.any() and not frame[beyond].any()
 
 
+def row_loop_band(op, parity):
+    """The loss band of op over the columns of one parity, built by a loop
+    over the circle points (a, y) of its weight table: W(a, y) at row
+    (a + K) n_col + i and column j for each i - j = y, not by the
+    Toeplitz windows that op's _loss reads."""
+    k, n_col = op.reach, op.bound + 1 - parity
+    table = circle_table(co.circle_limit(op.h, op.R))
+    band = np.zeros((2 * k + 1, n_col, n_col))
+    j = np.arange(n_col)
+    for a, y in zip(table.xs.tolist(), table.ys.tolist()):
+        on = (j + y >= 0) & (j + y < n_col)
+        band[a + k, j[on] + y, j[on]] = op._loss_w[a + k, y + k]
+    return band.reshape((2 * k + 1) * n_col, n_col)
+
+
+def band_gemm_loss(op, grid):
+    """sum_zeta W(zeta) f(v + 2 zeta) on the state's square, f = 0 off it:
+    one gemm of row_loop_band per column parity."""
+    side, k = len(grid), op.reach
+    rows = np.arange(side)[:, None] + 2 * np.arange(-k, k + 1)[None, :]
+    rows = np.where((rows >= 0) & (rows < side), rows, side)  # side: a zero row
+    stacked = np.vstack([grid, np.zeros((1, side))])
+    loss = np.empty((side, side))
+    for parity in (0, 1):
+        cols = slice(parity, None, 2)
+        loss[:, cols] = stacked[:, cols][rows].reshape(side, -1) @ row_loop_band(op, parity)
+    return loss
+
+
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
-def test_loss_weights_match_exact_circle_sums(kernel):
+@pytest.mark.parametrize("bound", [0, 7, 20, 30])  # R/h = 20
+def test_loss_band_matches_row_loop_oracle(kernel, bound):
     """The weight table W[a + K, b + K] holds (2 pi / r) q1 sum_j q2(zeta .
     zeta_j / n) at each point zeta of circle n <= K^2 = 400 and 0 elsewhere:
     Maxwell's 2 pi / r * r bit for bit, the other kernels within 2 EPS of
-    the sum with |q2|, one exact sum per orbit of the lattice symmetries."""
+    the sum with |q2|, one exact sum per orbit of the lattice symmetries.
+    The Toeplitz matrices T_a[i, j] = W[a + K, i - j + K], stacked over the
+    row offsets a, equal row_loop_band entry by entry."""
     h, R = 0.25, 5.0
-    op = co.FastCollisionOperator(h, R, kernel, 7)
+    op = co.FastCollisionOperator(h, R, kernel, bound)
     k, weights = op.reach, op._loss_w
+    assert weights.shape == (2 * k + 1, 2 * k + 1)
     table = circle_table(co.circle_limit(h, R))
     off = np.ones(weights.shape, dtype=bool)
     off[table.xs + k, table.ys + k] = False
@@ -837,19 +889,11 @@ def test_loss_weights_match_exact_circle_sums(kernel):
             exact[orbit] = coef * sum(q2), coef * sum(map(abs, q2))
         value, gross = exact[orbit]
         assert abs(Fraction(got) - value) <= Fraction(2 * EPS) * gross
-
-
-def shifted_loss(op, grid):
-    """sum over zeta of W(zeta) f(v + 2 zeta) on the state's square, f = 0
-    off it: one slice add per nonzero entry of op's weight table."""
-    k, side = op.reach, len(grid)
-    loss = np.zeros_like(grid)
-    for a, b in (2 * (np.argwhere(op._loss_w) - k)).tolist():
-        x0, x1, y0, y1 = max(0, -a), min(side, side - a), max(0, -b), min(side, side - b)
-        if x0 < x1 and y0 < y1:
-            w = op._loss_w[a // 2 + k, b // 2 + k]
-            loss[x0:x1, y0:y1] += w * grid[x0 + a : x1 + a, y0 + b : y1 + b]
-    return loss
+    for parity in (0, 1):
+        n_col = bound + 1 - parity
+        d = np.arange(n_col)[:, None] - np.arange(n_col)[None, :]  # i - j
+        band = np.where(np.abs(d) <= k, weights[:, np.clip(d + k, 0, 2 * k)], 0.0)
+        assert np.array_equal(band.reshape((2 * k + 1) * n_col, n_col), row_loop_band(op, parity))
 
 
 def test_operator_keeps_no_loss_band():
@@ -878,28 +922,40 @@ def test_operator_keeps_no_loss_band():
     assert kept <= 96 * (2 * (bound + k) + 1) ** 2
 
 
-@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS[:2], ids=["maxwell", "pp05"])
 def test_loss_transient_stays_within_a_few_state_arrays(kernel):
-    """R/h = 20 over bound 60 and over the relax workload's bound 30 (the
-    widened state of support 5): the loss matches the shifted sums to 1e-14
-    of max |loss|, and its traced peak, the returned loss included, stays
-    within four state-sized arrays (3.3 measured at bound 60: the two
-    parities' columns, their sums, the loss and one product).  Gathering
-    every band row at once held 41 half states."""
+    """R/h = 20 over bound 60: the loss matches band_gemm_loss to 1e-14 of
+    max |loss|, and its traced peak, the returned loss included, stays
+    within four state-sized arrays (3.3 measured: the two parities'
+    columns, their sums, the loss and one product).  Gathering every band
+    row at once held 41 half states."""
+    h, R, bound = 0.25, 5.0, 60
+    side = 2 * bound + 1
+    op = co.FastCollisionOperator(h, R, kernel, bound)
+    grid = np.random.default_rng(5).random((side, side))
+    tracemalloc.start()
+    try:
+        loss = op._loss(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = band_gemm_loss(op, grid)
+    assert np.abs(loss - want).max() <= 1e-14 * np.abs(want).max()
+    assert peak <= 4 * grid.nbytes
+
+
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
+def test_loss_matches_one_gemm_of_the_oracle_band_at_the_relax_size(kernel):
+    """The relax workload's operator (h = 0.25, R = 5, the widened state of
+    support 5): the loss per row offset equals band_gemm_loss, one gemm per
+    parity of row_loop_band, to 1e-14 of max |loss|."""
     h, R = 0.25, 5.0
-    for bound in (co.widened_bound(co.lattice_bound(h, 5.0)), 60):
-        side = 2 * bound + 1
-        op = co.FastCollisionOperator(h, R, kernel, bound)
-        grid = np.random.default_rng(bound).random((side, side))
-        tracemalloc.start()
-        try:
-            loss = op._loss(grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        want = shifted_loss(op, grid)
-        assert np.abs(loss - want).max() <= 1e-14 * np.abs(want).max()
-        assert peak <= 4 * grid.nbytes
+    bound = co.widened_bound(co.lattice_bound(h, 5.0))
+    side = 2 * bound + 1
+    op = co.FastCollisionOperator(h, R, kernel, bound)
+    grid = np.random.default_rng(6).random((side, side))
+    want = band_gemm_loss(op, grid)
+    assert np.abs(op._loss(grid) - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 25, 65, 325, 1105, 5525, 4 * 1105])
