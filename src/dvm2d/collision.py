@@ -178,8 +178,10 @@ def lattice_bound(h: float, radius: float) -> int:
     return int(math.floor(radius / h + 1e-9))
 
 
-# Sampling a closed-form state peaks at 64 bytes per lattice point (traced,
-# bi-Maxwellian).  The Riemann sum of converge_study's h reads the R disk,
+# Sampling a closed-form state peaks at 25.4 bytes per lattice point
+# (traced, bi-Maxwellian, 601^2 points); it peaked at 64 while it stacked
+# every velocity before calling f, and the constant stays at that so that
+# no refusal moves.  The Riemann sum of converge_study's h reads the R disk,
 # whose square has at most a quarter of the state's points, at about 136
 # bytes per disk point, so it fits the same budget.
 CONVERGE_BYTES_PER_POINT = 64
@@ -303,12 +305,24 @@ class LatticeDistribution:
         return self.at(z[..., 0], z[..., 1])
 
 
+# sample_on_lattice evaluates f on blocks of whole rows of about this many
+# points, so f's (rows, side, 2) velocities and its temporaries stay small
+# next to the state.
+SAMPLE_BLOCK_POINTS = 1 << 14
+
+
 def sample_on_lattice(
     f: Callable[[Array], Array], h: float, support_radius: float
 ) -> LatticeDistribution:
-    """Point-sample a closed-form distribution onto the lattice."""
-    vx, vy = LatticeDistribution.zeros(h, support_radius).velocities()
-    return LatticeDistribution(h, support_radius, f(np.stack([vx, vy], axis=-1)))
+    """Point-sample a closed-form distribution onto the lattice, filling the
+    state's own grid a block of rows at a time."""
+    grid = LatticeDistribution.zeros(h, support_radius).grid
+    v = np.arange(-(len(grid) // 2), len(grid) // 2 + 1) * h
+    rows = max(1, SAMPLE_BLOCK_POINTS // len(v))
+    for a in range(0, len(v), rows):
+        vx, vy = np.meshgrid(v[a : a + rows], v, indexing="ij")
+        grid[a : a + rows] = f(np.stack([vx, vy], axis=-1))
+    return LatticeDistribution(h, support_radius, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -812,11 +826,13 @@ class FastCollisionOperator:
         weights = [_harmonic_weights(table.xs, table.ys, m) for m, _ in harmonics]
         # Loss weight of table point i: (2 pi / r) sum_j q(h sqrt(n), cos theta_ij).
         loss_w = np.empty(len(table.xs))
-        for n in np.flatnonzero(np.diff(table.starts)).tolist():
+        ns = np.flatnonzero(np.diff(table.starts))
+        # q1 per circle, the floats q_discrete_detailed takes.
+        q1s = np.broadcast_to(kernel.speed_factor(h * np.sqrt(ns)), ns.shape).tolist()
+        for n, q1 in zip(ns.tolist(), q1s):
             lo, hi = int(table.starts[n]), int(table.starts[n + 1])
             xs, ys = table.xs[lo:hi], table.ys[lo:hi]
             r = hi - lo
-            q1 = float(h * math.sqrt(n)) ** kernel.alpha
             half = (ys > 0) | ((ys == 0) & (xs > 0))
             inner, outer = [], []
             for (m, c), (cos_all, sin_all) in zip(harmonics, weights):

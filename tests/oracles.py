@@ -2,19 +2,14 @@
 
 ``factor_range`` is the segmented prime-power sieve that every range
 statistic once read.  ``sieve_r2_range`` is its r2 fold, which
-``circles.r2_range`` was before it counted lattice points, and
-``sieve_abs_S_closed_range`` its |S| fold, which
-``circles.abs_S_closed_range`` was before it summed lattice points;
-``exact_abs_S`` is |S(n, k)| from exact Gaussian-integer powers.
-``dense_abs_S_segments`` and ``dense_avg_abs_S`` are the lattice |S| sum
-and its decade means before they skipped the m whose circle is empty:
-one value for every m, zeros included, each put through ``math.fsum``;
-they fold the octant as ``circles.abs_S_sweep`` does.  ``fsum_avg_abs_S``
-is ``circles.avg_abs_S`` before ``numtheory.exact_terms``: each decade's
-values reach ``math.fsum`` as Python floats, one ``tolist`` per segment.
-``quarter_abs_S_segments`` is ``circles.abs_S_sweep`` before it folded
-the octant: it sums z^k over the quarter x >= 1, y >= 0 and takes |S| as
-the hypot of one ``np.bincount`` each of Re z^k and Im z^k.
+``circles.r2_range`` was before it counted lattice points.
+``exact_abs_S`` is |S(n, k)| from exact Gaussian-integer powers, the
+correctness oracle of every |S|.  ``dense_abs_S_segments`` and
+``dense_avg_abs_S`` are the float reference that the ``==`` checks of
+|S| and of its decade means read: the lattice |S| sum before it skipped
+the m whose circle is empty, one value for every m, zeros included, and
+one ``math.fsum`` over every m of each decade; they fold the octant as
+``circles.abs_S_sweep`` does, but form each k's z^k afresh.
 ``enumerated_figure_data`` is the ``harness.figure_data`` that enumerated
 every point-rich circle with ``circle_points`` and filtered it to the box.
 ``quarter_r2_range`` and ``quarter_figure_data`` are ``circles.r2_range``
@@ -43,9 +38,6 @@ all points at once: exact Python ints, one point at a time.
 rule in w before the polar rule: the midpoints of the n_w x n_w cells of
 [-r, r]^2 inside the disk, each of weight step^2.  It converges only
 algebraically where the integrand has the |w|^alpha kink at 0.
-``per_k_equid_term`` is ``harness.equid_term`` with one
-``circles.abs_S_closed_range`` per k, each powering z^4 afresh, and the
-dense numpy sum of its values.
 The ``csv_writer_*`` functions are the table writers before
 ``dvm2d.tables`` formatted every table with one %-format per chunk of
 rows: csv.writer rows of ints and ``f"{x:.17g}"`` strings, the lattice
@@ -100,16 +92,6 @@ def midpoint_level(f, v, kernel, r_quad, n_w, n_theta):
     return 4.0 * step * step * float(angular.sum())
 
 
-def per_k_equid_term(h, R, M):
-    """(2h)^2 * max over k = 4, 8, ..., < M of the dense sum of |S(n, k)|, n >= 1."""
-    x = circle_limit(h, R)
-    best = 0.0
-    for k in range(4, M, 4):
-        values = circles.abs_S_closed_range(x, k)
-        best = max(best, float(values[1:].sum()))
-    return (2 * h) ** 2 * best
-
-
 SIEVE_SEGMENT = 1 << 20
 
 
@@ -161,34 +143,6 @@ def sieve_r2_range(n_lo, n_hi, segment=SIEVE_SEGMENT):
             elif p & 3 == 3:
                 bad[start::p] |= e & 1 == 1
         yield lo, np.where(bad, 0, 4 * dcount)
-
-
-def sieve_abs_S_closed_range(X, k):
-    """|S(m, k)| for all 0 <= m <= X via the closed form (index 0 unused).
-
-    From 4, each split prime p multiplies in
-    |sin((alpha+1) k theta_p) / sin(k theta_p)| from a table indexed by
-    alpha, in ascending p like the per-m product; odd inert powers give 0.
-    """
-    ps, thetas = circles.prime_angles(X)
-    single = np.array([circles._split_factor_magnitude(k * t, 1) for t in thetas.tolist()])
-    out = np.zeros(X + 1, dtype=np.float64)
-    for lo, powers, c in factor_range(1, X):
-        mag = out[lo : lo + len(c)]
-        mag[:] = 4.0
-        for p, start, e in powers:
-            if p & 3 == 1:
-                x = k * thetas[np.searchsorted(ps, p)]
-                alphas = range(e.max(initial=0) + 1)
-                table = np.array([circles._split_factor_magnitude(x, a) for a in alphas])
-                mag[start::p] *= table[e]
-            elif p & 3 == 3:
-                mag[start::p][e & 1 == 1] = 0.0
-        # The cofactor is a prime above every sieved p, so it comes last.
-        split = (c > 1) & (c & 3 == 1)
-        mag[split] *= single[np.searchsorted(ps, c[split])]
-        mag[c & 3 == 3] = 0.0
-    return out
 
 
 def exact_abs_S(n, k):
@@ -265,39 +219,6 @@ def dense_abs_S_segments(X, k):
         yield 8 * np.abs(total)
 
 
-def quarter_abs_S_segments(X, ks):
-    """Yield (k, m, |S(m, k)|) per R2_SEGMENT segment, as circles.abs_S_sweep,
-    from the quarter x >= 1, y >= 0: S(m, k) = 4 * sum of z^k there, and
-    |S| = 4 * hypot of the np.bincount by m of Re z^k and of Im z^k."""
-    for s in range(1, X + 1, circles.R2_SEGMENT):
-        e = min(s + circles.R2_SEGMENT - 1, X)
-        r = math.isqrt(e)
-        x, count, y = box_annulus_points(s, e, 1, r, 0, r)
-        x = np.repeat(x, count)
-        n = x * x + y * y
-        points = np.bincount(n - s)
-        i = np.flatnonzero(points)
-        m = i + s
-        power, w, z4 = 0, None, None  # w = z^power: (re, im) until z4 is formed
-        for k in ks:
-            if k == 0:
-                yield k, m, 4.0 * points[i]
-                continue
-            if power == 0:
-                u, v = x * x - y * y, 2 * x * y
-                m2 = n * n
-                w, power = ((u * u - v * v) / m2, 2 * u * v / m2), 4
-                n -= s
-            if k > power and z4 is None:
-                z4 = w[0] + 1j * w[1]
-                w = z4.copy()
-            for _ in range((k - power) // 4):
-                w *= z4
-            power = k
-            re, im = w if z4 is None else (w.real, w.imag)
-            yield k, m, 4 * np.hypot(np.bincount(n, re)[i], np.bincount(n, im)[i])
-
-
 def _decade_ends(X):
     """circles.avg_abs_S's decade ends: 100, 1000, ... up to X, then X."""
     if X < 100:
@@ -325,21 +246,6 @@ def dense_avg_abs_S(X, k):
         decade_means.append((hi, math.fsum(partials) / hi))
         lo = hi + 1
     return circles.AngleStatistics(X, k, decade_means[-1][1], tuple(decade_means))
-
-
-def fsum_avg_abs_S(X, k):
-    """circles.avg_abs_S with each decade's values handed to math.fsum as
-    Python floats, values[a:b].tolist() per segment, instead of as
-    numtheory.exact_terms; needs 4 | k."""
-    decades = _decade_ends(X)
-    values = [[] for _ in decades]
-    for _, m, segment in circles.abs_S_sweep(X, [abs(k)]):
-        ends = np.searchsorted(m, decades, side="right").tolist()
-        for listed, a, b in zip(values, [0, *ends], ends):
-            listed += segment[a:b].tolist()
-    partials = [math.fsum(listed) for listed in values]
-    decade_means = tuple((hi, math.fsum(partials[: i + 1]) / hi) for i, hi in enumerate(decades))
-    return circles.AngleStatistics(X, k, decade_means[-1][1], decade_means)
 
 
 def enumerated_figure_data(query):
@@ -531,7 +437,7 @@ def box_loop_gain(h, R, kernel, bound, grid):
         lo, hi_n = int(table.starts[n]), int(table.starts[n + 1])
         xs, ys = table.xs[lo:hi_n], table.ys[lo:hi_n]
         r = hi_n - lo
-        q1 = float(h * math.sqrt(n)) ** kernel.alpha
+        q1 = float(kernel.speed_factor(h * math.sqrt(n)))
         half = (ys > 0) | ((ys == 0) & (xs > 0))
         inner, outer = [], []
         for m, c in harmonics:

@@ -18,10 +18,7 @@ from oracles import (
     dense_avg_abs_S,
     exact_abs_S,
     factor_range,
-    fsum_avg_abs_S,
-    quarter_abs_S_segments,
     quarter_r2_range,
-    sieve_abs_S_closed_range,
     sieve_r2_range,
 )
 
@@ -439,50 +436,22 @@ def test_exp_sum_closed_vs_direct():
             assert abs(d - c) <= 1e-9 * max(1.0, d, c), (n, k)
 
 
-def old_abs_S_closed_range(X, k):
-    """Reference: the per-m spf loop that the sieve's |S| fold replaced."""
-    spf = circles.smallest_prime_factor_sieve(X)
-    ps, thetas = circles.prime_angles(X)
-    theta_of = np.zeros(X + 1, dtype=np.float64)
-    theta_of[ps] = thetas
+def r2_table(X):
+    """r2(m) for 0 <= m <= X (index 0 holds 0)."""
+    return np.concatenate([[0], *[r for _, r in circles.r2_range(1, X)]])
 
-    out = np.zeros(X + 1, dtype=np.float64)
-    spf_l = spf.tolist()
-    theta_l = theta_of.tolist()
-    sin = math.sin
-    for m in range(1, X + 1):
-        rest = m
-        mag = 4.0
-        while rest > 1:
-            p = spf_l[rest]
-            alpha = 1
-            rest //= p
-            while rest % p == 0:
-                alpha += 1
-                rest //= p
-            if p & 3 == 3:
-                if alpha & 1:
-                    mag = 0.0
-                    break
-            elif p != 2:
-                x = k * theta_l[p]
-                s = sin(x)
-                if abs(s) < 1e-12:
-                    mag *= alpha + 1
-                else:
-                    mag *= abs(sin((alpha + 1) * x) / s)
-        out[m] = mag
-    return out
+
+def dense_table(X, k):
+    """|S(m, k)| for 0 <= m <= X from the dense reference (index 0 holds 0)."""
+    return np.concatenate([np.zeros(1), *dense_abs_S_segments(X, k)])
 
 
 @pytest.mark.parametrize("X, k", [(10**5, k) for k in range(4, 65, 4)] + [(2, 4)])
 def test_abs_S_closed_range_matches_per_m_loop(X, k):
-    assert np.array_equal(sieve_abs_S_closed_range(X, k), old_abs_S_closed_range(X, k))
-
-
-def r2_table(X):
-    """r2(m) for 0 <= m <= X (index 0 holds 0)."""
-    return np.concatenate([[0], *[r for _, r in circles.r2_range(1, X)]])
+    """Kept under its name, with the per-m factor loop retired: every value
+    to m = X is the dense reference's bit for bit, which powers z^4 for
+    this k alone."""
+    assert np.array_equal(circles.abs_S_closed_range(X, k), dense_table(X, k))
 
 
 def test_abs_S_closed_range_matches_exact_oracle():
@@ -505,18 +474,21 @@ def test_abs_S_closed_range_matches_exact_oracle():
 
 
 def test_abs_S_closed_range_matches_sieve_fold():
-    """Lattice sum vs the closed-form fold, m <= 10**5: |difference| <= 1e-11.
-
-    The fold is itself up to about 30 r2(m) k eps off where sin(k theta_p)
-    is small (4.2e-12 at k = 60); both give exact 0 where r2(m) = 0.
-    """
+    """Kept under its name, with the closed-form fold (1e-11 of it) retired:
+    to m = 10**5, for k = 4..64, exact 0 where r2(m) = 0, and within
+    r2(m) * k * eps / 4 of the exact sum at 100 random m with points and
+    the 20 richest circles."""
     X = 10**5
-    empty = r2_table(X) == 0
+    r2 = r2_table(X)
+    full = np.flatnonzero(r2)
+    richest = full[np.argsort(r2[full], kind="stable")[-20:]].tolist()
+    sample = sorted({*richest, *random.Random(28).sample(full.tolist(), 100)})
+    eps = np.finfo(np.float64).eps
     for k in range(4, 65, 4):
-        got, want = circles.abs_S_closed_range(X, k), sieve_abs_S_closed_range(X, k)
-        assert got.shape == want.shape == (X + 1,)
-        assert np.all(got[empty] == 0.0) and np.all(want[empty] == 0.0)
-        assert np.abs(got - want).max() <= 1e-11, k
+        got = circles.abs_S_closed_range(X, k)
+        assert got.shape == (X + 1,) and not got[r2 == 0].any(), k
+        for m in sample:
+            assert abs(got[m] - exact_abs_S(m, k)) <= r2[m] * k * eps / 4, (m, k)
 
 
 @pytest.mark.parametrize(
@@ -550,8 +522,7 @@ def test_abs_S_sweep_equals_abs_S_closed_range(monkeypatch, X, M, segment):
     sampled = sorted({4, 8, 12, ks[len(ks) // 2], ks[-2], ks[-1]}) if isinstance(M, int) else ks
     for k in sampled:
         assert np.array_equal(got[k], circles.abs_S_closed_range(X, k)), k
-        want = np.concatenate([np.zeros(1), *dense_abs_S_segments(X, k)])
-        assert np.array_equal(got[k], want), k
+        assert np.array_equal(got[k], dense_table(X, k)), k
 
 
 @pytest.mark.parametrize("ks", [[4, 2], [8, 4], [-4], [0, 6]])
@@ -561,31 +532,19 @@ def test_abs_S_sweep_refuses_bad_ks(ks):
 
 
 def test_octant_abs_S_sweep_matches_quarter_oracle():
-    """The octant fold against the quarter sweep it replaced, m <= 10**5:
-    the same m, r2 bit for bit at k = 0, and each value within
-    r2(m) * k * eps / 4 for k = 4..64 (0.67 of it measured, at k = 4)."""
-    X = 10**5
-    ks = list(range(0, 65, 4))
-    eps = np.finfo(np.float64).eps
-    got = circles.abs_S_sweep(X, ks)
-    for (k, m, values), (k_q, m_q, want) in zip(got, quarter_abs_S_segments(X, ks)):
-        assert k == k_q and np.array_equal(m, m_q)
-        if k == 0:
-            assert np.array_equal(values, want)
-            r2 = want
-        else:
-            assert np.all(np.abs(values - want) <= r2 * k * eps / 4), k
-    assert next(got, None) is None
-
-
-@pytest.mark.parametrize("X", [100, 1001, 12345, 100007])
-def test_avg_abs_S_decade_means_match_quarter_oracle(monkeypatch, X):
-    # Bit for bit at these X: the fold moves single values by ulps, not
-    # the decade sums.
-    want = {k: circles.avg_abs_S(X, k) for k in (0, 4, -4, 8, 12)}
-    monkeypatch.setattr(circles, "abs_S_sweep", quarter_abs_S_segments)
-    for k, stats in want.items():
-        assert circles.avg_abs_S(X, k) == stats, k
+    """Kept under its name, with the quarter sweep retired: one sweep of
+    k = 0, 4, ..., 64 to m = 10**5 yields, for each k, the m where r2(m) > 0
+    and there r2_range's r2 at k = 0 and the dense reference's values at
+    the other k, bit for bit."""
+    X, ks = 10**5, range(0, 65, 4)
+    r2 = r2_table(X)
+    got, ms = {k: np.zeros(X + 1) for k in ks}, {k: [] for k in ks}
+    for k, m, values in circles.abs_S_sweep(X, ks):
+        got[k][m] = values
+        ms[k].append(m)
+    for k in ks:
+        assert np.array_equal(np.concatenate(ms[k]), np.flatnonzero(r2)), k
+        assert np.array_equal(got[k], r2 if k == 0 else dense_table(X, k)), k
 
 
 def test_abs_S_sweep_segment_without_a_circle(monkeypatch):
@@ -712,16 +671,16 @@ def test_avg_abs_S_equals_dense_oracle(monkeypatch, X):
 @pytest.mark.parametrize("X", [100, 1001, 12345, 100007, 4 * 10**6])
 def test_avg_abs_S_equals_fsum_of_listed_values(X):
     # exact_terms hands math.fsum a few floats per segment with the values'
-    # exact sum, so each decade's sum, rounded once, cannot move.
+    # exact sum, so each decade's sum, rounded once, is the one math.fsum of
+    # the dense reference's listed values.
     for k in (0, 4, -4, 8):
-        assert circles.avg_abs_S(X, k) == fsum_avg_abs_S(X, k), k
+        assert circles.avg_abs_S(X, k) == dense_avg_abs_S(X, k), k
 
 
 @pytest.mark.parametrize("k", [0, 4, 8])
 def test_abs_S_closed_range_equals_dense_oracle(k):
     for X in (0, 1, 2, 1001, 12345, 10**5):
-        want = np.concatenate([np.zeros(1), *dense_abs_S_segments(X, k)])
-        assert np.array_equal(circles.abs_S_closed_range(X, k), want), X
+        assert np.array_equal(circles.abs_S_closed_range(X, k), dense_table(X, k)), X
 
 
 def test_avg_abs_S_k0_is_mean_r2():

@@ -384,6 +384,30 @@ def test_lattice_distribution_refuses_negative_support_radius():
         co.LatticeDistribution.zeros(0.0, 2.0)
 
 
+def test_sampling_by_blocks_of_rows_is_sampling_the_square(monkeypatch):
+    """Blocks of two rows of 25, the last one short, give f's values on the
+    whole square bit for bit, with 0 off the disk."""
+    bi = co.bimaxwellian()
+    monkeypatch.setattr(co, "SAMPLE_BLOCK_POINTS", 60)
+    f = co.sample_on_lattice(bi, 0.25, 3.0)
+    vx, vy = f.velocities()
+    assert np.array_equal(f.grid, np.where(f.disk, bi(np.stack([vx, vy], axis=-1)), 0.0))
+
+
+def test_sampling_peaks_at_a_few_arrays_of_the_state():
+    """601^2 points, bi-Maxwellian: 25.4 bytes per point traced, the state,
+    the copy that LatticeDistribution validates and the disk mask's int64
+    temporary; stacking every velocity before calling f peaked at 64."""
+    tracemalloc.start()
+    try:
+        f = co.sample_on_lattice(co.bimaxwellian(), 0.05, 15.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.grid.shape == (601, 601)
+    assert peak <= 32 * 601**2
+
+
 def test_q_discrete_refuses_nonpositive_R():
     f = co.sample_on_lattice(co.Maxwellian(), 0.5, 3.0)
     for R in (0.0, -2.0):
@@ -894,6 +918,25 @@ def test_loss_band_matches_row_loop_oracle(kernel, bound):
         d = np.arange(n_col)[:, None] - np.arange(n_col)[None, :]  # i - j
         band = np.where(np.abs(d) <= k, weights[:, np.clip(d + k, 0, 2 * k)], 0.0)
         assert np.array_equal(band.reshape((2 * k + 1) * n_col, n_col), row_loop_band(op, parity))
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+@pytest.mark.parametrize("h", [0.5, 0.25, 0.1, 0.05])
+def test_grid_operator_takes_the_pointwise_q1(alpha, h):
+    """Both operators weight circle n by the same float q1, the one
+    q_discrete_detailed takes from kernel.speed_factor over its circles.
+    With q2 = 1 the grid operator's loss weight of a point of circle n is
+    one product, (2 pi / r q1) r, so it shows q1 for every n <= 4096.
+    Python's float ** gave another q1 at 192-219 n for alpha = 0.3."""
+    kernel = co.KernelSpec.product_power(alpha, (1.0,))
+    op = co.FastCollisionOperator(h, 64 * h, kernel, 0)
+    table = circle_table(co.circle_limit(h, 64 * h))
+    counts = np.diff(table.starts)
+    ns = np.flatnonzero(counts)
+    assert ns[-1] == 4096
+    rs, firsts, k = counts[ns], table.starts[ns], op.reach
+    got = op._loss_w[table.xs[firsts] + k, table.ys[firsts] + k]
+    assert np.array_equal(got, 2 * math.pi / rs * kernel.speed_factor(h * np.sqrt(ns)) * rs)
 
 
 def test_operator_keeps_no_loss_band():

@@ -14,8 +14,8 @@ from dvm2d.errors import PositivityLossError, PreconditionError
 from dvm2d.numtheory import is_prime
 from oracles import (
     comprehension_angular_fourier,
+    dense_abs_S_segments,
     enumerated_figure_data,
-    per_k_equid_term,
     quarter_figure_data,
 )
 
@@ -96,19 +96,19 @@ def test_equid_term_matches_brute_force():
      (0.125, 3.0, 400, None), (0.1, 2.0, 9, None), (0.125, 3.0, 400, 100)],
 )
 def test_equid_term_matches_per_k_oracle(monkeypatch, h, R, M, segment):
-    """The one-pass sweep against one abs_S_closed_range per k: the same
-    values, summed with math.fsum instead of numpy's pairwise sum of the
-    dense table (measured up to 2.2e-16 relative).  Within one segment
-    each k's sum is exactly rounded; across segments the partial sums add
-    up (segment = 100 splits the 576 radii into six)."""
+    """The one-pass sweep against the dense reference, which powers z^4
+    afresh for each k, bit for bit: per segment one math.fsum of each k's
+    values, and the segments' sums added in order (segment = 100 splits
+    the 576 radii into six)."""
     if segment:
         monkeypatch.setattr(circles, "R2_SEGMENT", segment)
-    got = harness.equid_term(h, R, M)
-    assert got == pytest.approx(per_k_equid_term(h, R, M), rel=1e-15)
-    x = co.circle_limit(h, R)
-    if x <= circles.R2_SEGMENT:
-        exact = max(math.fsum(circles.abs_S_closed_range(x, k).tolist()) for k in range(4, M, 4))
-        assert got == (2 * h) ** 2 * exact
+    sums = []
+    for k in range(4, M, 4):
+        total = 0.0
+        for values in dense_abs_S_segments(co.circle_limit(h, R), k):
+            total += math.fsum(values.tolist())
+        sums.append(total)
+    assert harness.equid_term(h, R, M) == (2 * h) ** 2 * max(sums)
 
 
 def test_equid_term_decreases_as_h_halves():
