@@ -248,8 +248,9 @@ def exp_sum_closed(n: int, k: int) -> float:
 def smallest_prime_factor_sieve(limit: int) -> np.ndarray:
     """spf[m] = smallest prime factor of m, for 0 <= m <= limit.
 
-    No range statistic uses it; the sieve oracles in tests/ do, and
-    perfbench/tracer.py wraps it by name.
+    No range statistic uses it.  Its readers are the prime-angle loop
+    old_prime_angles in tests/test_circles.py, its own test, and
+    perfbench/tracer.py, which wraps it by name.
     """
     spf = np.zeros(limit + 1, dtype=np.int64)
     spf[1:2] = 1  # empty when limit = 0

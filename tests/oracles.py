@@ -1,24 +1,19 @@
-"""Differential oracles: retired implementations, and Q^h in exact arithmetic.
+"""Differential oracles: retired implementations, and exact references.
 
-``factor_range`` is the segmented prime-power sieve that every range
-statistic once read.  ``sieve_r2_range`` is its r2 fold, which
-``circles.r2_range`` was before it counted lattice points.
+``divisor_r2_range`` is r2 over a range from Jacobi's two-square theorem,
+r2(n) = 4 sum over d | n of chi_4(d): it walks divisor pairs, not lattice
+points, and factorizes nothing.
 ``exact_abs_S`` is |S(n, k)| from exact Gaussian-integer powers, the
 correctness oracle of every |S|.  ``dense_abs_S_segments`` and
 ``dense_avg_abs_S`` are the float reference that the ``==`` checks of
 |S| and of its decade means read: the lattice |S| sum before it skipped
 the m whose circle is empty, one value for every m, zeros included, and
-one ``math.fsum`` over every m of each decade; they fold the octant as
-``circles.abs_S_sweep`` does, but form each k's z^k afresh.
+one ``math.fsum`` over every m of each decade; they fold the octant of
+``circles.annulus_points`` as ``circles.abs_S_sweep`` does, but form each
+k's z^k afresh.
 ``enumerated_figure_data`` is the ``harness.figure_data`` that enumerated
-every point-rich circle with ``circle_points`` and filtered it to the box.
-``quarter_r2_range`` and ``quarter_figure_data`` are ``circles.r2_range``
-and ``harness.figure_data`` before the octant sweep: they lay down every
-point of the quarter plane x >= 1, y >= 0 (of the box, for the figure)
-instead of the half at or below the diagonal and its mirror.  These
-lattice oracles read no sweep of ``circles``: ``box_annulus_points`` is
-``circles.annulus_points`` while it still took separate x and y bounds,
-a box, and capped y at x only behind its ``octant`` flag.
+every point-rich circle with ``circle_points`` and filtered it to the box;
+it reads r2 from ``divisor_r2_range``.
 ``all_nodes_angular_integral`` is ``collision.angular_integral`` before it
 paired the nodes theta and theta + pi: it forms the gain product at every
 node.  ``exact_q`` is no former implementation: it is Q^h from its
@@ -92,57 +87,26 @@ def midpoint_level(f, v, kernel, r_quad, n_w, n_theta):
     return 4.0 * step * step * float(angular.sum())
 
 
-SIEVE_SEGMENT = 1 << 20
+def divisor_r2_range(n_lo, n_hi):
+    """r2(n) for n_lo <= n <= n_hi, one int64 array, from Jacobi's two-square theorem.
 
-
-def factor_range(n_lo, n_hi, segment=SIEVE_SEGMENT):
-    """Factor every n in [n_lo, n_hi], yielding (lo, powers, cofactor) per segment.
-
-    ``powers`` lists (p, start, e) for each prime p <= sqrt(segment end),
-    ascending: e[j] is the exponent of p in n = lo + start + j*p.
-    ``cofactor[i]`` is what is left of lo + i, 1 or a prime above every p
-    in ``powers``.  Each power q = p^j touches only the multiples of q, so
-    a segment costs about size * log log n instead of size * pi(sqrt n).
+    r2(n) = 4 sum over d | n of chi(d), chi(d) = +1, 0, -1, 0 at d = 1, 2,
+    3, 0 (mod 4) (Hardy & Wright, Thm 278).  Each pair n = d c, d <= c, is
+    walked from d <= isqrt(n_hi): the cofactors c >= d of the range are
+    consecutive, so chi(d) is one add at step d and chi(c) two, of +1 and
+    -1, at step 4d.  At n = d^2 the pair is one divisor, counted twice.
     """
-    if n_lo < 1:
-        raise PreconditionError(f"factor_range requires n_lo >= 1, got {n_lo}")
-    primes = circles.smallest_prime_factor_sieve(math.isqrt(n_hi))
-    primes = np.nonzero(primes == np.arange(len(primes)))[0][2:].tolist()
-    for seg_lo in range(n_lo, n_hi + 1, segment):
-        seg_hi = min(seg_lo + segment - 1, n_hi)
-        rem = np.arange(seg_lo, seg_hi + 1, dtype=np.int64)
-        ex = np.zeros(len(rem), dtype=np.int8)
-        powers = []
-        for p in primes:
-            if p * p > seg_hi:
-                break
-            q = p
-            while q <= seg_hi:
-                start = -seg_lo % q
-                rem[start::q] //= p
-                ex[start::q] += 1
-                q *= p
-            start = -seg_lo % p
-            powers.append((p, start, ex[start::p].copy()))
-            ex[start::p] = 0
-        yield seg_lo, powers, rem
-
-
-def sieve_r2_range(n_lo, n_hi, segment=SIEVE_SEGMENT):
-    """Yield (lo, r2 array) per segment of [n_lo, n_hi] from the prime-power sieve.
-
-    4 * prod (alpha_p + 1) over p = 1 (mod 4), or 0 where some q = 3 (mod 4)
-    has an odd exponent, read from that prime's own exponents.
-    """
-    for lo, powers, c in factor_range(n_lo, n_hi, segment):
-        dcount = np.where((c > 1) & (c & 3 == 1), 2, 1)
-        bad = c & 3 == 3
-        for p, start, e in powers:
-            if p & 3 == 1:
-                dcount[start::p] *= e + 1
-            elif p & 3 == 3:
-                bad[start::p] |= e & 1 == 1
-        yield lo, np.where(bad, 0, 4 * dcount)
+    total = np.zeros(max(n_hi - n_lo + 1, 0), dtype=np.int64)
+    for d in range(1, math.isqrt(max(n_hi, 0)) + 1):
+        c = max(d, -(-n_lo // d))  # the first cofactor
+        chi = (0, 1, 0, -1)[d % 4]
+        if chi:
+            total[c * d - n_lo :: d] += chi
+            if c == d:
+                total[d * d - n_lo] -= chi
+        for r, sign in ((1, 1), (3, -1)):
+            total[(c + (r - c) % 4) * d - n_lo :: 4 * d] += sign
+    return 4 * total
 
 
 def exact_abs_S(n, k):
@@ -164,32 +128,6 @@ def exact_abs_S(n, k):
     return math.sqrt((re * re + im * im) / n**k)
 
 
-def box_annulus_points(s, e, x_lo, x_hi, y_lo, y_hi, octant=False):
-    """Lattice points of a box whose squared radius lies in [s, e], row by row.
-
-    For each x in [x_lo, min(x_hi, isqrt(e))] the points (x, y) with
-    y_lo <= y <= y_hi and s <= x^2 + y^2 <= e form one y-interval, whose
-    ends are integer square roots; np.repeat expands the intervals.
-    octant caps y at x as well and starts the rows at the first x with
-    2 x^2 >= s.  Returns int64 (x, count, ys): the points are
-    (np.repeat(x, count), ys).  Needs x_lo, y_lo >= 0.
-    """
-    if octant and s > 1:
-        x_lo = max(x_lo, math.isqrt((s - 1) // 2) + 1)
-    x = np.arange(x_lo, min(x_hi, math.isqrt(e)) + 1, dtype=np.int64)
-    x2 = x * x
-    top = np.minimum(np.sqrt(e - x2).astype(np.int64), y_hi)
-    if octant:
-        np.minimum(top, x, out=top)
-    below = s - 1 - x2  # y^2 must exceed this
-    bottom = np.maximum(np.sqrt(np.maximum(below, 0)).astype(np.int64) + (below >= 0), y_lo)
-    count = np.maximum(top - bottom + 1, 0)
-    ends = np.cumsum(count)
-    total = int(ends[-1]) if len(ends) else 0
-    ys = np.arange(total, dtype=np.int64) - np.repeat(ends - count - bottom, count)
-    return x, count, ys
-
-
 def dense_abs_S_segments(X, k):
     """Yield |S(m, k)| for 1 <= m <= X, one float64 array per R2_SEGMENT segment.
 
@@ -202,7 +140,7 @@ def dense_abs_S_segments(X, k):
     for s in range(1, X + 1, circles.R2_SEGMENT):
         e = min(s + circles.R2_SEGMENT - 1, X)
         r = math.isqrt(e)
-        x, count, y = box_annulus_points(s, e, 1, r, 0, r, octant=True)
+        x, count, y = circles.annulus_points(s, e, 0, r)
         x = np.repeat(x, count)
         n = x * x + y * y
         u, v = x * x - y * y, 2 * x * y
@@ -249,23 +187,22 @@ def dense_avg_abs_S(X, k):
 
 
 def enumerated_figure_data(query):
-    """figure_data by sieving r2, then enumerating each circle with r2 >= cut."""
+    """figure_data by enumerating each circle with divisor_r2_range >= cut."""
     lo, hi = query.coord_min, query.coord_max
     n_lo = max(1, 2 * lo * lo) if lo > 0 else 1
     n_hi = 2 * hi * hi
     cut = query.threshold if query.comparison == "ge" else query.threshold + 1
 
     pts_x, pts_y, pts_n, pts_r = [], [], [], []
-    for seg_lo, r2_vals in sieve_r2_range(n_lo, n_hi):
-        for off in np.nonzero(r2_vals >= cut)[0].tolist():
-            n = seg_lo + off
-            pts = circles.circle_points(n)
-            keep = (pts.xs >= lo) & (pts.xs <= hi) & (pts.ys >= lo) & (pts.ys <= hi)
-            for x, y in zip(pts.xs[keep].tolist(), pts.ys[keep].tolist()):
-                pts_x.append(x)
-                pts_y.append(y)
-                pts_n.append(n)
-                pts_r.append(pts.count)
+    for off in np.flatnonzero(divisor_r2_range(n_lo, n_hi) >= cut).tolist():
+        n = n_lo + off
+        pts = circles.circle_points(n)
+        keep = (pts.xs >= lo) & (pts.xs <= hi) & (pts.ys >= lo) & (pts.ys <= hi)
+        for x, y in zip(pts.xs[keep].tolist(), pts.ys[keep].tolist()):
+            pts_x.append(x)
+            pts_y.append(y)
+            pts_n.append(n)
+            pts_r.append(pts.count)
 
     points = np.stack(
         [np.asarray(pts_x, dtype=np.int64), np.asarray(pts_y, dtype=np.int64)],
@@ -277,37 +214,6 @@ def enumerated_figure_data(query):
         order = np.lexsort((points[:, 1], points[:, 0]))
         points, n_arr, r_arr = points[order], n_arr[order], r_arr[order]
     return harness.FigureData(query, points, n_arr, r_arr)
-
-
-def quarter_r2_range(n_lo, n_hi):
-    """Yield (lo, r2 array) per R2_SEGMENT segment: 4 * bincount over the quarter plane."""
-    for s in range(n_lo, n_hi + 1, circles.R2_SEGMENT):
-        e = min(s + circles.R2_SEGMENT - 1, n_hi)
-        k = math.isqrt(e)
-        x, count, n = box_annulus_points(s, e, 1, k, 0, k)
-        n *= n
-        n += np.repeat(x * x - s, count)
-        yield s, 4 * np.bincount(n, minlength=e - s + 1)
-
-
-def quarter_figure_data(query):
-    """figure_data over every box point, its r2 read off quarter_r2_range."""
-    lo, hi = query.coord_min, query.coord_max
-    cut = query.threshold if query.comparison == "ge" else query.threshold + 1
-    kept = [[], [], [], []]  # x, y, n, r2 per segment
-    for s, r2_vals in quarter_r2_range(max(1, 2 * lo * lo), 2 * hi * hi):
-        e = s + len(r2_vals) - 1
-        x, count, ys = box_annulus_points(s, e, lo, hi, lo, hi)
-        xs = np.repeat(x, count)
-        ns = xs * xs + ys * ys
-        rs = r2_vals[ns - s]
-        keep = rs >= cut
-        for chunks, a in zip(kept, (xs, ys, ns, rs)):
-            chunks.append(a[keep])
-    cols = [np.concatenate(c) if c else np.zeros(0, dtype=np.int64) for c in kept]
-    order = np.lexsort((cols[1], cols[0]))
-    points = np.stack([cols[0][order], cols[1][order]], axis=-1)
-    return harness.FigureData(query, points, cols[2][order], cols[3][order])
 
 
 def exact_angular_factor(kernel, c):

@@ -12,15 +12,7 @@ from hypothesis import strategies as st
 from dvm2d import circles, errors, tables
 from dvm2d.errors import PreconditionError
 from dvm2d.numtheory import two_squares_prime
-from oracles import (
-    box_annulus_points,
-    dense_abs_S_segments,
-    dense_avg_abs_S,
-    exact_abs_S,
-    factor_range,
-    quarter_r2_range,
-    sieve_r2_range,
-)
+from oracles import dense_abs_S_segments, dense_avg_abs_S, divisor_r2_range, exact_abs_S
 
 
 def brute_force_points(n: int) -> set[tuple[int, int]]:
@@ -47,48 +39,14 @@ def test_r2_matches_brute_force():
         assert circles.r2(n) == len(brute_force_points(n)), n
 
 
-def old_r2_range_sieve(n_lo, n_hi, segment=4_000_000):
-    """Reference: the dense per-prime range sieve that r2_range replaced.
-
-    Every prime does several full-length passes over the segment, so it
-    is slow but independent of the strided exponent views.
-    """
-    spf = circles.smallest_prime_factor_sieve(math.isqrt(n_hi))
-    idx = np.arange(len(spf))
-    primes = idx[(spf == idx) & (idx > 1)]
-
-    for seg_lo in range(n_lo, n_hi + 1, segment):
-        seg_hi = min(seg_lo + segment - 1, n_hi)
-        size = seg_hi - seg_lo + 1
-        rem = np.arange(seg_lo, seg_hi + 1, dtype=np.int64)
-        dcount = np.ones(size, dtype=np.int64)
-        bad = np.zeros(size, dtype=bool)
-        cnt = np.empty(size, dtype=np.int64)
-        for p in primes.tolist():
-            if p * p > seg_hi:
-                break
-            cnt[:] = 0
-            q = p
-            while q <= seg_hi:
-                start = (-seg_lo) % q
-                cnt[start::q] += 1
-                q *= p
-            mask = cnt > 0
-            e = cnt[mask]
-            rem[mask] //= p**e
-            if p % 4 == 1:
-                dcount[mask] *= e + 1
-            elif p % 4 == 3:
-                bad[mask] |= (e & 1) == 1
-        left = rem > 1
-        lv = rem[left]
-        d_extra = np.where(lv % 4 == 1, 2, 1)
-        dcount[left] *= d_extra
-        bad[left] |= lv % 4 == 3
-        r2_vals = np.where(bad, 0, 4 * dcount)
-        if seg_lo == 0:
-            r2_vals[0] = 0
-        yield seg_lo, r2_vals
+def assert_r2_segments(got, n_lo, n_hi, segment):
+    """r2_range's segments start at n_lo and every segment radii after it,
+    and join to the divisor oracle's int64 array, bit for bit.  The tests
+    that call it keep the names of the retired oracles they once read."""
+    got = list(got)
+    assert [s for s, _ in got] == list(range(n_lo, n_hi + 1, segment)), (n_lo, n_hi)
+    assert all(r.dtype == np.int64 for _, r in got)
+    assert np.array_equal(np.concatenate([r for _, r in got]), divisor_r2_range(n_lo, n_hi))
 
 
 @pytest.mark.parametrize(
@@ -101,11 +59,7 @@ def old_r2_range_sieve(n_lo, n_hi, segment=4_000_000):
 )
 def test_r2_range_matches_old_sieve(monkeypatch, n_lo, n_hi, segment):
     monkeypatch.setattr(circles, "R2_SEGMENT", segment)
-    new = list(circles.r2_range(n_lo, n_hi))
-    old = list(old_r2_range_sieve(n_lo, n_hi, segment))
-    assert [lo for lo, _ in new] == [lo for lo, _ in old]
-    for (_, a), (_, b) in zip(new, old):
-        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert_r2_segments(circles.r2_range(n_lo, n_hi), n_lo, n_hi, segment)
 
 
 @settings(max_examples=60, deadline=None)
@@ -132,10 +86,7 @@ def test_r2_range_inert_parity_per_prime():
 def test_r2_range_matches_sieve_fold_at_2e8():
     n_lo = 2 * 10**8
     n_hi = n_lo + circles.R2_SEGMENT - 1
-    (lo, got), = circles.r2_range(n_lo, n_hi)
-    (want_lo, want), = sieve_r2_range(n_lo, n_hi)
-    assert lo == want_lo == n_lo
-    assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+    assert_r2_segments(circles.r2_range(n_lo, n_hi), n_lo, n_hi, circles.R2_SEGMENT)
 
 
 def test_r2_range_empty_and_tiny_ranges(monkeypatch):
@@ -157,27 +108,16 @@ def test_isqrt_exact_near_squares():
 
 
 @settings(max_examples=60, deadline=None)
-@given(
-    st.integers(min_value=1, max_value=2000),
-    st.integers(min_value=0, max_value=400),
-    st.integers(min_value=0, max_value=60),
-    st.integers(min_value=0, max_value=60),
-    st.integers(min_value=0, max_value=60),
-    st.integers(min_value=0, max_value=60),
-)
-def test_annulus_points_match_box_scan(s, width, x_lo, x_w, y_lo, y_w):
-    """The oracles' box enumerator, which the quarter oracles stand on."""
+@given(st.integers(min_value=1, max_value=10**5), st.integers(min_value=-1, max_value=400))
+def test_annulus_points_match_box_scan(s, width):
+    """The divisor oracle, which the r2 and figure tests read, against a
+    count of the box points |x|, |y| <= isqrt(e) on each circle."""
     e = s + width
-    x, count, ys = box_annulus_points(s, e, x_lo, x_lo + x_w, y_lo, y_lo + y_w)
-    xs = np.repeat(x, count)
-    want = [
-        (a, b)
-        for a in range(x_lo, x_lo + x_w + 1)
-        for b in range(y_lo, y_lo + y_w + 1)
-        if s <= a * a + b * b <= e
-    ]
-    assert xs.dtype == ys.dtype == np.int64
-    assert list(zip(xs.tolist(), ys.tolist())) == want
+    a = np.arange(-math.isqrt(e), math.isqrt(e) + 1, dtype=np.int64)
+    n = (a[:, None] ** 2 + a**2).ravel()
+    want = np.bincount(n[(n >= s) & (n <= e)] - s, minlength=e - s + 1)
+    got = divisor_r2_range(s, e)
+    assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 # Radii on a^2 and 2 a^2, where the octant's axis and diagonal points sit,
@@ -196,17 +136,11 @@ def test_octant_r2_range_matches_quarter_oracle(monkeypatch, segment):
     pairs = [(a, b) for i, a in enumerate(EDGE_RADII) for b in EDGE_RADII[i : i + 4]]
     pairs += [(1, EDGE_RADII[-1]), (EDGE_RADII[1], EDGE_RADII[-2])]
     for n_lo, n_hi in pairs:
-        got = list(circles.r2_range(n_lo, n_hi))
-        want = list(quarter_r2_range(n_lo, n_hi))
-        assert [s for s, _ in got] == [s for s, _ in want], (n_lo, n_hi)
-        for (_, a), (_, b) in zip(got, want):
-            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b), (n_lo, n_hi)
+        assert_r2_segments(circles.r2_range(n_lo, n_hi), n_lo, n_hi, segment)
 
 
 def test_octant_r2_range_matches_quarter_oracle_to_the_census_top():
-    got = np.concatenate([r for _, r in circles.r2_range(1, 2 * 1999**2)])
-    want = np.concatenate([r for _, r in quarter_r2_range(1, 2 * 1999**2)])
-    assert np.array_equal(got, want)
+    assert_r2_segments(circles.r2_range(1, 2 * 1999**2), 1, 2 * 1999**2, circles.R2_SEGMENT)
 
 
 @settings(max_examples=60, deadline=None)
@@ -234,7 +168,6 @@ def test_smallest_prime_factor_sieve_small_limits():
     assert circles.smallest_prime_factor_sieve(0).tolist() == [0]
     assert circles.smallest_prime_factor_sieve(1).tolist() == [0, 1]
     assert circles.smallest_prime_factor_sieve(10).tolist() == [0, 1, 2, 3, 2, 5, 2, 7, 2, 3, 2]
-    assert list(factor_range(1, 0)) == []
 
 
 def test_circle_points_examples():

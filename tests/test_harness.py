@@ -16,7 +16,6 @@ from oracles import (
     comprehension_angular_fourier,
     dense_abs_S_segments,
     enumerated_figure_data,
-    quarter_figure_data,
 )
 
 MAXWELL = co.KernelSpec.maxwell()
@@ -93,13 +92,15 @@ def test_equid_term_matches_brute_force():
 @pytest.mark.parametrize(
     "h, R, M, segment",
     [(0.5, 3.0, 16, None), (0.25, 3.0, 16, None), (0.125, 3.0, 16, None),
-     (0.125, 3.0, 400, None), (0.1, 2.0, 9, None), (0.125, 3.0, 400, 100)],
+     (0.125, 3.0, 400, None), (0.1, 2.0, 9, None), (0.125, 3.0, 400, 100),
+     (0.5, 3.0, 8, None)],
 )
 def test_equid_term_matches_per_k_oracle(monkeypatch, h, R, M, segment):
     """The one-pass sweep against the dense reference, which powers z^4
     afresh for each k, bit for bit: per segment one math.fsum of each k's
     values, and the segments' sums added in order (segment = 100 splits
-    the 576 radii into six)."""
+    the 576 radii into six).  At M = 8 only k = 4 counts, and the k = 8
+    sum is 1.18 times larger, so a sweep of one k too many fails."""
     if segment:
         monkeypatch.setattr(circles, "R2_SEGMENT", segment)
     sums = []
@@ -378,7 +379,7 @@ def test_figure_data_matches_enumeration_property(lo, width, threshold, comparis
 
 
 def test_figure_data_refuses_unaffordable_census(monkeypatch):
-    # Room for the sieve's 28285 rows (2.0 MB), not for the kept points.
+    # Room for the 28285 rows of r2_range (2.0 MB), not for the kept points.
     monkeypatch.setattr(errors, "MEMORY_BUDGET", 4 << 20)
     tracemalloc.start()
     try:
@@ -401,10 +402,11 @@ def test_figure_data_refuses_unaffordable_census(monkeypatch):
      (1000, 1100, 72, "ge"), (1000, 1100, 72, "gt")],
 )
 def test_figure_data_matches_quarter_oracle(query):
-    """The half box and its mirror give the quarter sweep's arrays; lo = hi is
-    the single diagonal point (lo, lo)."""
+    """The half box and its mirror give every box point of the enumerated
+    circles; lo = hi is the single diagonal point (lo, lo).  The name is
+    that of the retired quarter-plane oracle."""
     q = harness.FigureQuery(*query)
-    assert_same_figure(harness.figure_data(q), quarter_figure_data(q))
+    assert_same_figure(harness.figure_data(q), enumerated_figure_data(q))
 
 
 @pytest.mark.parametrize(
@@ -415,11 +417,11 @@ def test_figure_data_matches_quarter_oracle(query):
 def test_figure_data_refusal_counts_the_mirror_exactly(monkeypatch, query, segment):
     """With room for exactly its points the census runs, one point fewer refuses:
     each off-diagonal point counts twice and each diagonal point once.  The
-    sieve's rows, which the same budget also bounds, are not counted here."""
+    rows of r2_range, which the same budget also bounds, are not counted here."""
     monkeypatch.setattr(circles, "R2_SEGMENT", segment)
     monkeypatch.setattr(circles, "R2_RANGE_BYTES_PER_ROW", 0)
     q = harness.FigureQuery(*query)
-    count = quarter_figure_data(q).count
+    count = enumerated_figure_data(q).count
     assert count > 0
     monkeypatch.setattr(errors, "MEMORY_BUDGET", count * harness.FIGURE_BYTES_PER_POINT)
     assert harness.figure_data(q).count == count

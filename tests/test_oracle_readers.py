@@ -33,5 +33,7 @@ def test_every_oracle_has_a_reader():
         for name in oracles[todo.pop()] & (oracles.keys() - read):
             read.add(name)
             todo.append(name)
-    assert {"exact_q", "exact_abs_S", "midpoint_disk"} <= read
+    kept = {"exact_q", "exact_abs_S", "midpoint_disk", "divisor_r2_range",
+            "enumerated_figure_data", "dense_abs_S_segments"}
+    assert kept <= read
     assert sorted(oracles.keys() - read) == []
