@@ -720,14 +720,16 @@ def _harmonic_weights(xs: Array, ys: Array, m: int) -> tuple[Array, Array]:
     return (re / den / odd).astype(np.float64), (im / den / odd).astype(np.float64)
 
 
-# One RK4 step of relax_simulate, the operator's build included, peaks at
-# 107-252 bytes per point of the operator's frame, the square |v| <= bound
-# + R/h that apply_frame fills (traced with the circle table cached,
-# Maxwell and product_power(0.5, (1, 0, 0.5)), R/h = 8 .. 100, widened
-# states of 33^2 .. 343^2 points).  The top, 252 at R/h = 100 over 287^2,
-# is product-power's r/2 x side x width product buffer; Maxwell reads 111
-# there.  The frame holds the state's square, so this cap binds before the
-# state's own (CONVERGE_BYTES_PER_POINT on fewer points).
+# One RK4 step of relax_simulate, the operator's build and its square
+# plan included, peaks at 71-217 bytes per point of the operator's frame,
+# the square |v| <= bound + R/h that apply_frame fills (traced with the
+# circle table cached, Maxwell and product_power(0.5, (1, 0, 0.5)), R/h =
+# 8 .. 100, widened states of 35^2 .. 343^2 points).  The top, 217 at R/h
+# = 100 over 287^2, is product-power's r/2 x side x (side + R/h) product
+# buffer; Maxwell reads 96 there.  The frame holds the state's square, so
+# this cap binds before the state's own (CONVERGE_BYTES_PER_POINT on fewer
+# points).  The value stays 576, 2.7 times the top, so that no refusal
+# threshold moves.
 RELAX_BYTES_PER_FRAME_POINT = 576
 
 
@@ -748,24 +750,28 @@ class FastCollisionOperator:
     with f(v), and a gain product f(v + zeta + zeta') f(v + zeta - zeta')
     needs its mid-point v + zeta on the square; as |zeta| <= R/h, Q^h
     vanishes off the frame |v| <= bound + R/h (per coordinate).
-    apply_frame returns Q^h on that frame, apply_grid its crop to the
-    state's square.  An apply evaluates the sums of q_discrete at every
-    velocity, arranged so that no work is spent on duplicate terms:
+    apply_frame returns Q^h on that frame, apply_grid on the state's
+    square.  An apply evaluates the sums of q_discrete at every velocity,
+    arranged so that no work is spent on duplicate terms:
 
     * Gain.  Per circle |zeta|^2 = n the products P_j(x) = f(x + zeta_j)
       f(x - zeta_j) are formed for one point of each +-zeta pair, with
       weight 2, since both signs give the same product.  All gain arrays
-      are flat, with rows at the frame's stride width = side + 2 R/h: the
-      state is copied into a buffer F of that stride with a zero row above
-      and below, so P_j is one contiguous slice product,
-      F[q + o_j] F[q - o_j] with o_j = zeta_x width + zeta_y, over the
-      mid-point rows |zeta_x| .. side - |zeta_x|.  The 2 R/h zero columns
-      past each state row absorb the row wrap: as |zeta_y| <= R/h, a
-      mid-point on the state reads at most R/h columns past either edge,
-      which are zero columns of its own row or of the row before, and a
-      mid-point in the zero columns has one factor there too.  So every
-      product off the box where both factors lie on the state is an
-      exact 0.
+      are flat, with rows at one stride: the state is copied into a
+      buffer F of that stride with a zero row above and below, so P_j is
+      one contiguous slice product, F[q + o_j] F[q - o_j] with o_j =
+      zeta_x stride + zeta_y, over the mid-point rows |zeta_x| .. side -
+      |zeta_x|.  The stride is side + R/h + margin, where margin is the
+      output's width past the square on either side: R/h for
+      apply_frame, 0 for apply_grid.  The first R/h zero columns past
+      each state row absorb the row wrap: as |zeta_y| <= R/h, a mid-point
+      on the state reads at most R/h columns past either edge, which are
+      zero columns of its own row or of the row before.  So every product
+      at a state mid-point off the box where both factors lie on the
+      state is an exact 0.  At the frame's stride, side + 2 R/h, a
+      mid-point in the zero columns has a zero factor too; at a narrower
+      stride its products can read a wrapped state row, so the plan zeroes
+      those columns of W (or T, below) before they are added.
       The kernel's cosine series splits the pair weight,
       cos(m(phi_i - phi_j)) = cos cos + sin sin, into channels
       W = sum_j 2 (cos, sin)(m phi_j) P_j; odd harmonics cancel exactly
@@ -793,10 +799,11 @@ class FastCollisionOperator:
       cos(m phi_i) sum_j cos(m phi_j) + sin(m phi_i) sum_j sin(m phi_j),
       and odd m sum to zero over +-zeta_j.
 
-    The slices of every apply are views built once, in __init__, over
-    buffers the operator owns.  apply_frame and apply_grid return fresh
-    arrays, but an operator is not re-entrant: two applies must not run
-    on one operator at the same time.
+    The slices of every apply are views over buffers the operator owns,
+    one plan per output (_gain_plan), built on that output's first apply
+    and kept.  apply_frame and apply_grid return fresh arrays, but an
+    operator is not re-entrant: two applies must not run on one operator
+    at the same time.
 
     Same operator as q_discrete up to floating-point association.
     """
@@ -814,13 +821,13 @@ class FastCollisionOperator:
         self.bound = bound
         self.reach = k
         side = 2 * bound + 1
-        width = side + 2 * k
 
         harmonics = [
             (m, c) for m, c in enumerate(kernel.cos_coeffs) if c != 0.0 and m % 2 == 0
         ]
         self._single_channel = [m for m, _ in harmonics] == [0]
-        circles = []  # (inner, outer, kept half points, offsets) per circle
+        self._circles = []  # (coeffs, kept half points (x, y), xs, ys) per circle
+        self._plans = {}  # gain plan per output margin
         table = circle_table(circle_limit(h, R))
         # cos(m phi), sin(m phi) at every table point, per harmonic.
         weights = [_harmonic_weights(table.xs, table.ys, m) for m, _ in harmonics]
@@ -853,10 +860,15 @@ class FastCollisionOperator:
                 for j, (x, y) in enumerate(zip(xs[half].tolist(), ys[half].tolist()))
                 if 2 * abs(x) < side and 2 * abs(y) < side
             ]
-            if kept:
-                # Flat offset of the shift x -> x - zeta_i into the gain frame.
-                circles.append((inner, outer, kept, ((k - xs) * width + (k - ys)).tolist()))
-        self._plan = self._gain_plan(circles, side, width)
+            if not kept:
+                continue
+            if self._single_channel:
+                coeffs = (inner[0, 0] * outer[0, 0],)  # 2 x circle weight
+            else:  # inner on the kept points, outer[:r/2]
+                if len(kept) < r // 2:
+                    inner = np.ascontiguousarray(inner[:, [j for j, _, _ in kept]])
+                coeffs = (inner, outer[: r // 2].copy())
+            self._circles.append((coeffs, [(x, y) for _, x, y in kept], xs, ys))
         # Loss weight of the point (a, b) at W[a + K, b + K], 0 off the disk,
         # with bound zero columns on either side.  The windows of its rows
         # reversed, windows[a + K, s, l], hold the weight of (a, K + bound -
@@ -866,52 +878,79 @@ class FastCollisionOperator:
         self._loss_w[table.xs + k, table.ys + k] = loss_w
         self._loss_windows = sliding_window_view(padded[:, ::-1], bound + 1, axis=1)
 
-    def _gain_plan(self, circles: list, side: int, width: int) -> list[tuple]:
-        """The views of every gain apply, over buffers built here once.
+    def _gain_plan(self, margin: int) -> tuple:
+        """The views of every gain apply whose output is the state's square
+        widened by `margin` (R/h: the frame; 0: the square), over buffers
+        built here once.
 
-        The state is copied to a buffer F at row stride width with a zero row
-        above and below it for the row wrap: state point (i, j) is at flat
-        index width + s, s = i width + j, and so is mid-point s of W, P and
-        T.  Per circle, W (single channel) or T
-        (harmonic channels) is nonzero only on the mid-point rows
-        a .. side - a, a = min |zeta_x| over its kept points: the flat range
-        [s0, s1), which ends at the state's last column.
+        Rows have stride side + R/h + margin.  The state is copied to a
+        buffer F at that stride with a zero row above and below it for the
+        row wrap: state point (i, j) is at flat index stride + s, s = i
+        stride + j, and so is mid-point s of W, P and T.  The gain buffer G
+        has side + 2 R/h rows at the same stride, the square at its rows
+        R/h .. R/h + side - 1, columns 0 .. side - 1: the shifted add of
+        mid-point s for the table point zeta is at G[s + (R/h - zeta_x)
+        stride + (margin - zeta_y)].  Every add fits without clipping; an
+        add that leaves the output lands in G's rows above or below it or
+        in its columns past the output's, which the output drops.  Per
+        circle, W (single channel) or T (harmonic channels) is nonzero
+        only on the mid-point rows a .. side - a, a = min |zeta_x| over its
+        kept points: the flat range [s0, s1), which ends at the state's
+        last column.  Below the frame's stride (margin < R/h) a product at
+        a mid-point past the state's last column can read a wrapped state
+        row, so those columns of W or T over [s0, s1) are zeroed before
+        the adds.
 
-        Single channel, per circle: (W on [s0, s1), per kept point
-        (F[q + o], F[q - o], W on its own rows), 2 x circle weight, the r
-        gain slices).  Harmonic channels: (inner on the kept points,
-        outer[:r/2], P, T, per kept point (F[q + o], F[q - o], its P row on
-        its own rows), the P row parts outside them, per table point i
-        (row i mod r/2 of T, its gain slice)).  P and T share one scratch
+        Returns (the state's view of F, G, the output's view of G, one
+        entry per circle).  Single channel, per circle: (W on [s0, s1),
+        per kept point (F[q + o], F[q - o], W on its own rows), 2 x circle
+        weight, W's columns to zero, the r gain slices).  Harmonic
+        channels: (inner on the kept points, outer[:r/2], P, T, per kept
+        point (F[q + o], F[q - o], its P row on its own rows), the P row
+        parts outside them, T's columns to zero, per table point i (row
+        i mod r/2 of T, its gain slice)).  P and T share one scratch
         buffer, as T is formed once P has been read; so each apply zeroes
         the P row parts outside a point's rows again.
         """
-        padded = np.zeros((side + 2, width))
-        self._state = padded[1 : side + 1, :side]
+        k = self.reach
+        side = 2 * self.bound + 1
+        stride = side + k + margin
+        padded = np.zeros((side + 2, stride))
         reads = padded.reshape(-1)
-        self._gain_frame = np.zeros((width, width))
-        gain = self._gain_frame.reshape(-1)
+        gain_rows = np.zeros((side + 2 * k, stride))
+        gain = gain_rows.reshape(-1)
 
         def span(a: int) -> tuple[int, int]:
-            return a * width, (side - 1 - a) * width + side
+            return a * stride, (side - 1 - a) * stride + side
 
-        spans = [span(min(abs(x) for _, x, _ in kept)) for _, _, kept, _ in circles]
+        def pad_columns(rows: Array) -> list[Array]:
+            """The columns past the state's last one in each of `rows` (W, or
+            the rows of T), which hold [s0, s1); none at the frame's stride."""
+            n = rows.shape[1] // stride  # the last row of [s0, s1) has no such columns
+            if margin == k or n == 0:
+                return []
+            return [rows[:, : n * stride].reshape(len(rows), n, stride)[:, :, side:]]
+
+        spans = [span(min(abs(x) for x, _ in kept)) for _, kept, _, _ in self._circles]
         if self._single_channel:
-            w = np.zeros(side * width)
+            w = np.zeros(side * stride)
         else:
             scratch = np.zeros(max(
-                (len(offsets) // 2 * (s1 - s0)
-                 for (*_, offsets), (s0, s1) in zip(circles, spans)),
+                (len(xs) // 2 * (s1 - s0) for (*_, xs, _), (s0, s1) in zip(self._circles, spans)),
                 default=0,
             ))
         plan = []
-        for (inner, outer, kept, offsets), (s0, s1) in zip(circles, spans):
-            adds = [gain[off + s0 : off + s1] for off in offsets]
+        for (coeffs, kept, xs, ys), (s0, s1) in zip(self._circles, spans):
+            # Flat offset of the shift x -> x - zeta_i into G.
+            adds = [
+                gain[off + s0 : off + s1]
+                for off in ((k - xs) * stride + (margin - ys)).tolist()
+            ]
             products, gaps = [], []
-            for slot, (_, x, y) in enumerate(kept):
+            for slot, (x, y) in enumerate(kept):
                 lo, hi = span(abs(x))
-                plus = width + x * width + y  # F index of mid-point 0 plus zeta_j
-                minus = width - x * width - y
+                plus = stride + x * stride + y  # F index of mid-point 0 plus zeta_j
+                minus = stride - x * stride - y
                 if self._single_channel:
                     out = w[lo:hi]
                 else:  # row slot of P, which holds [s0, s1)
@@ -923,61 +962,71 @@ class FastCollisionOperator:
                     (reads[lo + plus : hi + plus], reads[lo + minus : hi + minus], out)
                 )
             if self._single_channel:
-                plan.append((w[s0:s1], products, inner[0, 0] * outer[0, 0], adds))
+                pads = pad_columns(w[None, s0:s1])
+                plan.append((w[s0:s1], products, *coeffs, pads, adds))
                 continue
-            r2 = len(offsets) // 2
+            r2 = len(xs) // 2
             prods = scratch[: len(kept) * (s1 - s0)].reshape(len(kept), -1)
             tab = scratch[: r2 * (s1 - s0)].reshape(r2, -1)
-            if len(kept) < r2:
-                inner = np.ascontiguousarray(inner[:, [j for j, _, _ in kept]])
             rows = list(tab)
             adds = list(zip(rows + rows, adds))
-            plan.append((inner, outer[:r2].copy(), prods, tab, products, gaps, adds))
-        return plan
+            plan.append((*coeffs, prods, tab, products, gaps, pad_columns(tab), adds))
+        q = gain_rows[k - margin : k + side + margin, : side + 2 * margin]
+        return padded[1 : side + 1, :side], gain_rows, q, plan
 
     def apply_frame(self, grid: Array) -> Array:
         """Q^h on the frame |v| <= bound + R/h, which holds all of it, for
         the state grid[ix + bound, iy + bound]; a fresh array."""
+        return self._apply(grid, self.reach)
+
+    def apply_grid(self, grid: Array) -> Array:
+        """Q^h on the square for the state grid[ix + bound, iy + bound]; a
+        fresh array, bit for bit apply_frame's crop to the square."""
+        return self._apply(grid, 0)
+
+    def _apply(self, grid: Array, margin: int) -> Array:
+        """Q^h on the square widened by margin (<= R/h) on each side."""
         grid = np.asarray(grid, dtype=np.float64)
         side = 2 * self.bound + 1
         if grid.shape != (side, side):
             raise PreconditionError(
                 f"state grid shape {grid.shape} does not match bound {self.bound}"
             )
-        k = self.reach
-        q = self._gain(grid)
-        q[k : k + side, k : k + side] -= grid * self._loss(grid)  # f = 0 off the square
+        q = self._gain(grid, margin)
+        # The loss is 0 off the square, as f is.
+        q[margin : margin + side, margin : margin + side] -= grid * self._loss(grid)
         return q * (2 * self.h) ** 2
 
-    def apply_grid(self, grid: Array) -> Array:
-        """Q^h on the square for the state grid[ix + bound, iy + bound]."""
-        k = self.reach
-        side = 2 * self.bound + 1
-        return self.apply_frame(grid)[k : k + side, k : k + side]
-
-    def _gain(self, grid: Array) -> Array:
-        """Gain term on the frame |v| <= bound + R/h, without the (2h)^2, in
+    def _gain(self, grid: Array, margin: int) -> Array:
+        """Gain term on the square widened by margin, without the (2h)^2, in
         the operator's own buffer."""
-        self._state[...] = grid
-        self._gain_frame.fill(0.0)
+        if margin not in self._plans:
+            self._plans[margin] = self._gain_plan(margin)
+        state, gain_rows, q, plan = self._plans[margin]
+        state[...] = grid
+        gain_rows.fill(0.0)
         if self._single_channel:
-            for w, products, weight, adds in self._plan:
+            for w, products, weight, pads, adds in plan:
                 w.fill(0.0)
                 for plus, minus, out in products:
                     out += plus * minus
                 w *= weight
+                for pad in pads:
+                    pad.fill(0.0)
                 for g in adds:
                     g += w
         else:
-            for inner, outer, prods, tab, products, gaps, adds in self._plan:
+            for inner, outer, prods, tab, products, gaps, pads, adds in plan:
                 for gap in gaps:
                     gap.fill(0.0)
                 for plus, minus, out in products:
                     np.multiply(plus, minus, out=out)
                 np.matmul(outer, inner @ prods, out=tab)
+                for pad in pads:
+                    pad.fill(0.0)
                 for t, g in adds:
                     g += t
-        return self._gain_frame
+        return q
 
     def _loss(self, grid: Array) -> Array:
         """sum_zeta w(zeta) f(v + 2 zeta) on the square.

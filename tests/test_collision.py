@@ -663,9 +663,14 @@ def edge_state(state, wide, rng):
 
 
 def _assert_matches_exact(h, R, kernel, grid, bound):
+    """apply_frame on the frame, and apply_grid on the square, within
+    FRAME_EPS of exact_q."""
     op = co.FastCollisionOperator(h, R, kernel, bound)
-    exact = exact_q(grid, h, R, kernel, *frame_points(bound, op.reach))
-    assert_near_exact(op.apply_frame(grid), h, *exact, FRAME_EPS)
+    k, side = op.reach, 2 * bound + 1
+    value, gross = exact_q(grid, h, R, kernel, *frame_points(bound, k))
+    assert_near_exact(op.apply_frame(grid), h, value, gross, FRAME_EPS)
+    square = np.s_[k : k + side, k : k + side]
+    assert_near_exact(op.apply_grid(grid), h, value[square], gross[square], FRAME_EPS)
 
 
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
@@ -761,6 +766,49 @@ def test_flat_gain_matches_box_loop_on_edge_states(kernel, state):
 def test_flat_gain_matches_box_loop_random(h, reach, bound, kernel, seed):
     grid = np.random.default_rng(seed).random((2 * bound + 1, 2 * bound + 1))
     _assert_matches_box_loop(h, reach * h, kernel, grid, bound)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    h=st.sampled_from([1.0, 0.5, 0.25]),
+    reach=st.integers(1, 6),
+    bound=st.integers(0, 6),
+    kernel=st.sampled_from(ORACLE_KERNELS),
+    state=st.sampled_from(["edge columns", "signed"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_square_plan_is_the_frame_plan_cropped(h, reach, bound, kernel, state, seed):
+    """apply_grid, whose rows have stride side + R/h, is apply_frame's crop
+    to the square bit for bit.  A mid-point past the state's last column
+    reads the first columns of the next state row, and the last columns of
+    its own, at that stride: mass there makes those products nonzero, so
+    the plan must zero them."""
+    rng = np.random.default_rng(seed)
+    side = 2 * bound + 1
+    grid = rng.random((side, side))
+    if state == "signed":
+        grid -= 0.5
+    else:
+        grid[:, reach : side - reach] = 0.0
+    op = co.FastCollisionOperator(h, reach * h, kernel, bound)
+    k = op.reach
+    frame = op.apply_frame(grid)
+    assert np.array_equal(op.apply_grid(grid), frame[k : k + side, k : k + side])
+
+
+def test_each_output_builds_its_plan_on_its_first_apply():
+    """The operator builds no gain plan; an apply builds its output's plan
+    once, and an operator that only applies apply_grid never builds the
+    frame's."""
+    op = co.FastCollisionOperator(0.5, 2.0, MAXWELL, 3)
+    assert op._plans == {}
+    grid = np.ones((7, 7))
+    op.apply_grid(grid)
+    square = op._plans[0]
+    op.apply_grid(grid)
+    assert list(op._plans) == [0] and op._plans[0] is square
+    op.apply_frame(grid)
+    assert list(op._plans) == [0, op.reach] and op._plans[0] is square
 
 
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])

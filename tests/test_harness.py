@@ -549,6 +549,30 @@ def test_relax_bimaxwellian_h_decreases_and_moments_hold():
 KERNELS = [MAXWELL, co.KernelSpec.product_power(0.5, (1, 0, 0.5))]
 
 
+@pytest.mark.parametrize("kernel", KERNELS, ids=["maxwell", "pp05"])
+def test_relax_simulate_follows_the_frame_path(kernel):
+    """relax_simulate's rate, apply_grid on the widened square times the
+    disk, steps bit for bit as an RK4 loop on apply_frame's crop does."""
+    h, R, dt = 0.5, 3.0, 0.01
+    f0 = co.sample_on_lattice(co.bimaxwellian(), h, 3.0)
+    wide = f0.widened()
+    op = co.FastCollisionOperator(h, R, kernel, wide.bound)
+    k, side = op.reach, 2 * wide.bound + 1
+
+    def rate(s):
+        return op.apply_frame(s)[k : k + side, k : k + side] * wide.disk
+
+    state = wide.grid
+    for steps in range(1, 6):
+        k1 = rate(state)
+        k2 = rate(state + 0.5 * dt * k1)
+        k3 = rate(state + 0.5 * dt * k2)
+        k4 = rate(state + dt * k3)
+        state = state + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        last = harness.relax_simulate(f0, kernel, R, dt, steps)[-1]
+        assert np.array_equal(last.f.grid, np.maximum(state, 0.0))
+
+
 def sum_as_listed(monkeypatch):
     """Make every exact_terms site hand math.fsum each value as a Python float."""
     listed = lambda values: np.asarray(values).ravel().tolist()
