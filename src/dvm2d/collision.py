@@ -129,8 +129,14 @@ class Maxwellian:
 
     def __call__(self, v: Array) -> Array:
         v = np.asarray(v, dtype=np.float64)
-        d2 = (v[..., 0] - self.ux) ** 2 + (v[..., 1] - self.uy) ** 2
-        return self.rho / (2 * math.pi * self.T) * np.exp(-d2 / (2 * self.T))
+        # Contiguous x and y copies, squared in place; d2 is 0-d for one v.
+        d2 = np.subtract(v[..., 0], self.ux, out=np.empty(v.shape[:-1]))
+        dy = v[..., 1] - self.uy
+        d2 *= d2
+        dy *= dy
+        d2 += dy
+        d2 /= -2 * self.T
+        return self.rho / (2 * math.pi * self.T) * np.exp(d2, out=d2)
 
 
 @dataclass(frozen=True)
@@ -721,15 +727,15 @@ def _harmonic_weights(xs: Array, ys: Array, m: int) -> tuple[Array, Array]:
 
 
 # One RK4 step of relax_simulate, the operator's build and its square
-# plan included, peaks at 71-217 bytes per point of the operator's frame,
+# plan included, peaks at 33-243 bytes per point of the operator's frame,
 # the square |v| <= bound + R/h that apply_frame fills (traced with the
 # circle table cached, Maxwell and product_power(0.5, (1, 0, 0.5)), R/h =
-# 8 .. 100, widened states of 35^2 .. 343^2 points).  The top, 217 at R/h
-# = 100 over 287^2, is product-power's r/2 x side x (side + R/h) product
-# buffer; Maxwell reads 96 there.  The frame holds the state's square, so
-# this cap binds before the state's own (CONVERGE_BYTES_PER_POINT on fewer
-# points).  The value stays 576, 2.7 times the top, so that no refusal
-# threshold moves.
+# 8, 20, 40 and 100 each over widened states of 35^2 .. 343^2 points).
+# The top, 243 at R/h = 100 over 287^2, is product-power's r/2 x side x
+# (side + R/h) product buffer; Maxwell reads 142 there and at most 179.
+# The frame holds the state's square, so this cap binds before the state's
+# own (CONVERGE_BYTES_PER_POINT on fewer points).  The value stays 576,
+# 2.4 times the top, so that no refusal threshold moves.
 RELAX_BYTES_PER_FRAME_POINT = 576
 
 
@@ -778,12 +784,13 @@ class FastCollisionOperator:
       under zeta -> -zeta and are skipped.  The gain at v is
       sum_i (2 pi / r) q1 c_m (cos, sin)(m phi_i) . W(v + zeta_i), added as
       r shifted copies, each one contiguous slice over the rows where the
-      circle's W can be nonzero.  With harmonic channels the copies come
-      from one gemm per circle, T = outer[:r/2] @ (inner @ P): for even m
-      the weights of zeta_i and of its antipode -zeta_i (table point
-      i + r/2) are equal, so each row of T feeds two shifted adds.  A
-      kernel whose series is one constant (Maxwell) has a single channel:
-      products go straight into W and the circle weight is applied once.
+      circle's W can be nonzero, clipped to the output's rows.  With
+      harmonic channels the copies come from one gemm per circle,
+      T = outer[:r/2] @ (inner @ P): for even m the weights of zeta_i and
+      of its antipode -zeta_i (table point i + r/2) are equal, so each row
+      of T feeds two shifted adds.  A kernel whose series is one constant
+      (Maxwell) has a single channel: products go straight into W and the
+      circle weight is applied once.
       The harmonic weights are exact integer quotients (see
       _harmonic_weights).
     * Loss.  f(v) sum_zeta w(zeta) f(v + 2 zeta), zero off the square, is
@@ -791,9 +798,10 @@ class FastCollisionOperator:
       (2 R/h + 1)^2 weight table W[a + R/h, b + R/h] = w((a, b)).  Column
       v_y reads only columns of its own parity, and for a row offset
       a = zeta_x the map from a parity's columns to themselves is the
-      Toeplitz matrix T_a[i, j] = W[a + R/h, i - j + R/h].  So per parity
-      and a, one gemm adds the state rows v_x + 2a times T_a to the rows
-      v_x (_loss).  The weight at zeta_i,
+      Toeplitz matrix T_a[i, j] = W[a + R/h, i - j + R/h] = T_-a (W is
+      symmetric under a -> -a).  So per parity and a >= 0, one gemm adds
+      the state rows v_x + 2a plus v_x - 2a, times T_a, to the rows v_x
+      (_loss).  The weight at zeta_i,
       (2 pi / r) sum_j q(|h zeta|, cos theta_ij), comes from the gain's
       channels: for even m, sum_j cos(m(phi_i - phi_j)) is
       cos(m phi_i) sum_j cos(m phi_j) + sin(m phi_i) sum_j sin(m phi_j),
@@ -887,28 +895,25 @@ class FastCollisionOperator:
         buffer F at that stride with a zero row above and below it for the
         row wrap: state point (i, j) is at flat index stride + s, s = i
         stride + j, and so is mid-point s of W, P and T.  The gain buffer G
-        has side + 2 R/h rows at the same stride, the square at its rows
-        R/h .. R/h + side - 1, columns 0 .. side - 1: the shifted add of
+        has side + 2 R/h rows at the same stride, the square at its rows R/h
+        .. R/h + side - 1, columns 0 .. side - 1: the shifted add of
         mid-point s for the table point zeta is at G[s + (R/h - zeta_x)
-        stride + (margin - zeta_y)].  Every add fits without clipping; an
-        add that leaves the output lands in G's rows above or below it or
-        in its columns past the output's, which the output drops.  Per
-        circle, W (single channel) or T (harmonic channels) is nonzero
-        only on the mid-point rows a .. side - a, a = min |zeta_x| over its
-        kept points: the flat range [s0, s1), which ends at the state's
-        last column.  Below the frame's stride (margin < R/h) a product at
-        a mid-point past the state's last column can read a wrapped state
-        row, so those columns of W or T over [s0, s1) are zeroed before
-        the adds.
+        stride + (margin - zeta_y)], clipped to the output's rows (all of G
+        for the frame; at the relax size 8.5% of the square's add elements
+        would land in rows it drops).  Per circle, W (single channel) or T
+        (harmonic channels) is nonzero only on the mid-point rows a .. side
+        - a, a = min |zeta_x| over its kept points: the flat range [s0, s1),
+        which ends at the state's last column; below the frame's stride its
+        columns past the state's are zeroed before the adds.
 
-        Returns (the state's view of F, G, the output's view of G, one
-        entry per circle).  Single channel, per circle: (W on [s0, s1),
-        per kept point (F[q + o], F[q - o], W on its own rows), 2 x circle
-        weight, W's columns to zero, the r gain slices).  Harmonic
-        channels: (inner on the kept points, outer[:r/2], P, T, per kept
-        point (F[q + o], F[q - o], its P row on its own rows), the P row
-        parts outside them, T's columns to zero, per table point i (row
-        i mod r/2 of T, its gain slice)).  P and T share one scratch
+        Returns (the state's view of F, G, the output's view of G, per
+        circle (row parts to zero, per kept point (F[q + o], F[q - o], its
+        row of W or P on its own rows), the channels, W's or T's columns to
+        zero, per add that lands (its part of row i, its gain slice))).
+        Single channel: (W on [s0, s1), 2 x circle weight), row i is W, and
+        the first product is written into W, so only W outside its rows is
+        zeroed.  Harmonic channels: (inner on the kept points, outer[:r/2],
+        P, T), and row i is row i mod r/2 of T.  P and T share one scratch
         buffer, as T is formed once P has been read; so each apply zeroes
         the P row parts outside a point's rows again.
         """
@@ -919,6 +924,7 @@ class FastCollisionOperator:
         reads = padded.reshape(-1)
         gain_rows = np.zeros((side + 2 * k, stride))
         gain = gain_rows.reshape(-1)
+        first, end = (k - margin) * stride, (k + side + margin - 1) * stride + side + 2 * margin
 
         def span(a: int) -> tuple[int, int]:
             return a * stride, (side - 1 - a) * stride + side
@@ -932,7 +938,8 @@ class FastCollisionOperator:
             return [rows[:, : n * stride].reshape(len(rows), n, stride)[:, :, side:]]
 
         spans = [span(min(abs(x) for x, _ in kept)) for _, kept, _, _ in self._circles]
-        if self._single_channel:
+        single = self._single_channel
+        if single:
             w = np.zeros(side * stride)
         else:
             scratch = np.zeros(max(
@@ -941,36 +948,31 @@ class FastCollisionOperator:
             ))
         plan = []
         for (coeffs, kept, xs, ys), (s0, s1) in zip(self._circles, spans):
-            # Flat offset of the shift x -> x - zeta_i into G.
-            adds = [
-                gain[off + s0 : off + s1]
-                for off in ((k - xs) * stride + (margin - ys)).tolist()
-            ]
             products, gaps = [], []
             for slot, (x, y) in enumerate(kept):
                 lo, hi = span(abs(x))
+                # buf[at + s] is mid-point s of W, or of P's row slot.
+                buf, at = (w, 0) if single else (scratch, slot * (s1 - s0) - s0)
+                if lo > s0 and not (single and slot):  # W's first product, or a P row
+                    gaps += [buf[at + s0 : at + lo], buf[at + hi : at + s1]]
                 plus = stride + x * stride + y  # F index of mid-point 0 plus zeta_j
                 minus = stride - x * stride - y
-                if self._single_channel:
-                    out = w[lo:hi]
-                else:  # row slot of P, which holds [s0, s1)
-                    row = slot * (s1 - s0) - s0
-                    out = scratch[row + lo : row + hi]
-                    if lo > s0:
-                        gaps += [scratch[row + s0 : row + lo], scratch[row + hi : row + s1]]
-                products.append(
-                    (reads[lo + plus : hi + plus], reads[lo + minus : hi + minus], out)
-                )
-            if self._single_channel:
+                out = buf[at + lo : at + hi]
+                products.append((reads[lo + plus : hi + plus], reads[lo + minus : hi + minus], out))
+            if single:
+                channels, rows = (w[s0:s1], *coeffs), [w[s0:s1]] * len(xs)
                 pads = pad_columns(w[None, s0:s1])
-                plan.append((w[s0:s1], products, *coeffs, pads, adds))
-                continue
-            r2 = len(xs) // 2
-            prods = scratch[: len(kept) * (s1 - s0)].reshape(len(kept), -1)
-            tab = scratch[: r2 * (s1 - s0)].reshape(r2, -1)
-            rows = list(tab)
-            adds = list(zip(rows + rows, adds))
-            plan.append((*coeffs, prods, tab, products, gaps, pad_columns(tab), adds))
+            else:
+                prods = scratch[: len(kept) * (s1 - s0)].reshape(len(kept), -1)
+                tab = scratch[: len(xs) // 2 * (s1 - s0)].reshape(len(xs) // 2, -1)
+                channels, rows, pads = (*coeffs, prods, tab), list(tab) * 2, pad_columns(tab)
+            adds = []  # (the part of row i that lands in [first, end), its gain slice)
+            for row, off in zip(rows, ((k - xs) * stride + (margin - ys)).tolist()):
+                lo, hi = max(off + s0, first), min(off + s1, end)
+                if lo < hi:  # an unclipped add shares its row's view
+                    part = row if hi - lo == s1 - s0 else row[lo - off - s0 : hi - off - s0]
+                    adds.append((part, gain[lo:hi]))
+            plan.append((gaps, products, channels, pads, adds))
         q = gain_rows[k - margin : k + side + margin, : side + 2 * margin]
         return padded[1 : side + 1, :side], gain_rows, q, plan
 
@@ -1005,50 +1007,52 @@ class FastCollisionOperator:
         state, gain_rows, q, plan = self._plans[margin]
         state[...] = grid
         gain_rows.fill(0.0)
-        if self._single_channel:
-            for w, products, weight, pads, adds in plan:
-                w.fill(0.0)
-                for plus, minus, out in products:
+        for gaps, products, channels, pads, adds in plan:
+            for gap in gaps:
+                gap.fill(0.0)
+            if self._single_channel:
+                (plus, minus, out), *rest = products
+                np.multiply(plus, minus, out=out)
+                for plus, minus, out in rest:
                     out += plus * minus
+                w, weight = channels
                 w *= weight
-                for pad in pads:
-                    pad.fill(0.0)
-                for g in adds:
-                    g += w
-        else:
-            for inner, outer, prods, tab, products, gaps, pads, adds in plan:
-                for gap in gaps:
-                    gap.fill(0.0)
+            else:
                 for plus, minus, out in products:
                     np.multiply(plus, minus, out=out)
+                inner, outer, prods, tab = channels
                 np.matmul(outer, inner @ prods, out=tab)
-                for pad in pads:
-                    pad.fill(0.0)
-                for t, g in adds:
-                    g += t
+            for pad in pads:
+                pad.fill(0.0)
+            for t, g in adds:
+                g += t
         return q
 
     def _loss(self, grid: Array) -> Array:
         """sum_zeta w(zeta) f(v + 2 zeta) on the square.
 
         Column v_y reads the columns v_y + 2 zeta_y of its own parity.  Per
-        parity and row offset a = zeta_x, the rows v_x + 2a of the parity's
-        columns times the Toeplitz matrix T_a[i, j] = W[a + K, i - j + K]
-        are added to the rows v_x.  T_a is (bound + 1)^2 for the even
-        columns; the bound odd ones take its leading block.
+        parity and row offset a = zeta_x >= 0, the parity's rows v_x + 2a
+        plus v_x - 2a (0 off the square) times the Toeplitz matrix T_a[i, j]
+        = W[a + K, i - j + K] = T_-a are added to the rows v_x.  T_a is
+        (bound + 1)^2 for the even columns; the bound odd ones take its
+        leading block.
         """
         side = grid.shape[0]
         k, n = self.reach, self.bound + 1
         parts = [np.ascontiguousarray(grid[:, p::2]) for p in (0, 1)]
         sums = [np.zeros_like(part) for part in parts]
-        for a in range(-k, k + 1):
-            lo, hi = max(0, -2 * a), min(side, side - 2 * a)
-            if lo >= hi:
-                continue
+        pair = np.empty(parts[0].size)  # row v: part[v + 2a] + part[v - 2a], 0 off the square
+        pairs = [pair[: part.size].reshape(part.shape) for part in parts]
+        for a in range(min(k, (side - 1) // 2) + 1):
             t = np.ascontiguousarray(self._loss_windows[a + k, k : k + n][::-1])
-            for part, out in zip(parts, sums):
-                n_col = part.shape[1]
-                out[lo:hi] += part[lo + 2 * a : hi + 2 * a] @ t[:n_col, :n_col]
+            for part, out, s in zip(parts, sums, pairs):
+                s[: side - 2 * a] = part[2 * a :]
+                s[side - 2 * a :] = 0.0
+                if a:
+                    s[2 * a :] += part[: side - 2 * a]
+                out += s @ t[: part.shape[1], : part.shape[1]]
+        del parts, pair, pairs  # the loss takes their place
         loss = np.empty((side, side))
         loss[:, 0::2], loss[:, 1::2] = sums
         return loss

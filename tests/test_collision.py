@@ -107,6 +107,19 @@ def test_g_eval_maxwellian_vanishes():
         assert abs(g) <= 1e-13 * 2 * math.pi * scale
 
 
+@pytest.mark.parametrize("shape", [(2,), (1, 2), (0, 2), (97, 2), (5, 7, 2)])
+def test_maxwellian_is_the_closed_form_bit_for_bit(shape):
+    """Maxwellian.__call__ squares contiguous coordinate copies in place;
+    its values are the closed form's bit for bit, in the input's shape."""
+    v = np.random.default_rng(3).normal(scale=3.0, size=shape)
+    for args in [(), (0.6, 1.0, 0.0, 0.8), (0.4, -0.7, 0.3, 1.2)]:
+        m = co.Maxwellian(*args)
+        d2 = (v[..., 0] - m.ux) ** 2 + (v[..., 1] - m.uy) ** 2
+        want = np.asarray(m.rho / (2 * math.pi * m.T) * np.exp(-d2 / (2 * m.T)))
+        got = np.asarray(m(v))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def test_g_eval_constant_f_vanishes():
     const = lambda pts: np.full(np.asarray(pts).shape[:-1], 0.7)
     g = co.angular_integral(const, np.zeros(2), MAXWELL, np.array([[0.5, 0.2]]), 8)
@@ -811,6 +824,33 @@ def test_each_output_builds_its_plan_on_its_first_apply():
     assert list(op._plans) == [0, op.reach] and op._plans[0] is square
 
 
+@pytest.mark.parametrize("kernel", ORACLE_KERNELS[:2], ids=["maxwell", "pp05"])
+def test_every_add_lands_in_the_output_rows(kernel):
+    """At the relax size (R/h = 20 over the widened bound 30) each shifted
+    add of a plan writes only inside the output's rows of the gain buffer:
+    the square plan's adds, clipped to them, touch 4.91M elements where
+    they touched 5.38M, and the frame's rows are the whole buffer, so its
+    plan clips none."""
+    wide = co.sample_on_lattice(co.bimaxwellian(), 0.25, 5.0).widened()
+    op = co.FastCollisionOperator(0.25, 5.0, kernel, wide.bound)
+    op.apply_grid(wide.grid)
+    op.apply_frame(wide.grid)
+    elements = {}
+    for margin, (_, gain_rows, q, plan) in op._plans.items():
+        stride, base = gain_rows.shape[1], gain_rows.ctypes.data
+        first = (q.ctypes.data - base) // 8
+        end = first + (q.shape[0] - 1) * stride + q.shape[1]
+        elements[margin] = 0
+        for _, _, _, _, adds in plan:
+            for t, g in adds:
+                at = (g.ctypes.data - base) // 8
+                assert t.size == g.size > 0 and first <= at and at + g.size <= end
+            elements[margin] += sum(g.size for _, g in adds)
+            if margin == op.reach:
+                assert len({g.size for _, g in adds}) == 1
+    assert elements == {0: 4_909_896, op.reach: 6_685_248}  # the square's was 5_376_608
+
+
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
 def test_applies_return_arrays_the_next_apply_leaves_alone(kernel):
     """An operator reuses its buffers, but what an apply returned is the
@@ -966,6 +1006,22 @@ def test_loss_band_matches_row_loop_oracle(kernel, bound):
         d = np.arange(n_col)[:, None] - np.arange(n_col)[None, :]  # i - j
         band = np.where(np.abs(d) <= k, weights[:, np.clip(d + k, 0, 2 * k)], 0.0)
         assert np.array_equal(band.reshape((2 * k + 1) * n_col, n_col), row_loop_band(op, parity))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    h=st.sampled_from([1.0, 0.5, 0.25, 0.1]),
+    reach=st.integers(1, 40),
+    bound=st.integers(0, 12),
+    kernel=st.sampled_from(ORACLE_KERNELS),
+)
+def test_loss_table_is_its_own_row_reversal(h, reach, bound, kernel):
+    """_loss runs one gemm per parity for the row offsets +-a together,
+    which needs T_-a = T_a: the weight table equals its a -> -a reversal
+    bit for bit, R/h past the bound included."""
+    op = co.FastCollisionOperator(h, reach * h, kernel, bound)
+    assert op.reach == reach
+    assert np.array_equal(op._loss_w, op._loss_w[::-1])
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.5])
