@@ -176,7 +176,7 @@ def collide(f_name, file, h, R, v_text, grid, out):
         q = op.apply_grid(f_h.grid)
     else:
         f_h, at = (f, v) if lattice else (harness.sample_about(f, v, h, R), np.zeros(2))
-        zx, zy = f_h.lattice_coords(v)
+        zx, zy = co.lattice_coords(h, v)
         qh = co.q_discrete(f_h, at, kernel, R)
     config = {"f": f_name, "h": h, "R": R, "v": v.tolist(), "grid": grid}
     with _sink(out, "collide", config) as fp:

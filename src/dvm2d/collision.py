@@ -184,7 +184,7 @@ def lattice_bound(h: float, radius: float) -> int:
     return int(math.floor(radius / h + 1e-9))
 
 
-# Sampling a closed-form state peaks at 25.4 bytes per lattice point
+# Sampling a closed-form state peaks at 18.3 bytes per lattice point
 # (traced, bi-Maxwellian, 601^2 points); it peaked at 64 while it stacked
 # every velocity before calling f, and the constant stays at that so that
 # no refusal moves.  The Riemann sum of converge_study's h reads the R disk,
@@ -212,16 +212,17 @@ def widened_bound(bound: int) -> int:
 class LatticeDistribution:
     """Nonnegative values f_zeta on the lattice points |h zeta| <= R_support.
 
-    Stored densely on the covering square; lookups outside the support
-    disk (or the square) return 0.
+    Stored densely on the covering square, with 0 off the support disk.
     """
 
     h: float
     support_radius: float
     grid: Array  # (2B+1, 2B+1), grid[ix + B, iy + B] = f at zeta=(ix, iy)
+    bound: int = field(init=False)  # B = floor(R_support / h)
+    disk: Array = field(init=False)  # the grid points inside the support disk
 
     def __post_init__(self) -> None:
-        b = self.bound  # refuses h <= 0 and a negative support radius
+        b = self.bound = lattice_bound(self.h, self.support_radius)  # refuses a bad h or radius
         self.grid = np.array(self.grid, dtype=np.float64)
         if self.grid.shape != (2 * b + 1, 2 * b + 1):
             raise PreconditionError(
@@ -231,18 +232,12 @@ class LatticeDistribution:
             raise PreconditionError("distribution values must be finite")
         if self.grid.min() < 0:
             raise PreconditionError("distribution values must be nonnegative")
+        # ix^2 + iy^2 <= (R/h)^2 + 1e-9 in integers: |iy| <= isqrt(n - ix^2), -1
+        # for a row past the rim, so the mask is made without a wider temporary.
+        n = math.floor((self.support_radius / self.h) ** 2 + 1e-9)
+        half = [math.isqrt(n - i * i) if i * i <= n else -1 for i in range(-b, b + 1)]
+        self.disk = np.abs(np.arange(-b, b + 1)) <= np.array(half)[:, None]
         self.grid[~self.disk] = 0.0
-
-    @property
-    def bound(self) -> int:
-        """Integer coordinate bound B = floor(R_support / h)."""
-        return lattice_bound(self.h, self.support_radius)
-
-    @property
-    def disk(self) -> Array:
-        """Mask of the grid points inside the support disk."""
-        ix = np.arange(-self.bound, self.bound + 1)
-        return ix[:, None] ** 2 + ix[None, :] ** 2 <= (self.support_radius / self.h) ** 2 + 1e-9
 
     def velocities(self) -> tuple[Array, Array]:
         """(vx, vy) at every grid point, indexed like ``grid``."""
@@ -287,28 +282,15 @@ class LatticeDistribution:
             grid[zx + b, zy + b] = val
         return cls(h, support_radius, grid)
 
-    def at(self, zx, zy) -> Array:
-        """Values at integer coordinates (arrays broadcast); 0 off the stored square."""
-        b = self.bound
-        inside = (np.abs(zx) <= b) & (np.abs(zy) <= b)
-        return np.where(inside, self.grid[np.clip(zx, -b, b) + b, np.clip(zy, -b, b) + b], 0.0)
 
-    def lattice_coords(self, v: Array) -> tuple[int, int]:
-        """Integer coordinates of a velocity that must lie on the lattice."""
-        z = np.asarray(v, dtype=np.float64) / self.h
-        zr = np.rint(z)
-        if not np.max(np.abs(z - zr)) <= 1e-9:  # NaN is off the lattice too
-            raise PreconditionError(f"velocity {v} is not on the h-lattice")
-        return int(zr[0]), int(zr[1])
-
-    def __call__(self, v: Array) -> Array:
-        """Evaluate at lattice velocities; 0 outside the stored support."""
-        v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-        z = np.rint(v / self.h)
-        if not np.max(np.abs(v / self.h - z)) <= 1e-9:
-            raise PreconditionError("velocities are not on the h-lattice")
-        z = z.astype(np.int64)
-        return self.at(z[..., 0], z[..., 1])
+def lattice_coords(h: float, v: Array) -> tuple[int, int]:
+    """Integer coordinates of a velocity that must lie on the h-lattice."""
+    lattice_bound(h, 0.0)  # refuses a bad h
+    z = np.asarray(v, dtype=np.float64) / h
+    zr = np.rint(z)
+    if not (np.all(np.isfinite(z)) and np.max(np.abs(z - zr)) <= 1e-9):
+        raise PreconditionError(f"velocity {v} is not on the h-lattice")
+    return int(zr[0]), int(zr[1])
 
 
 # sample_on_lattice evaluates f on blocks of whole rows of about this many
@@ -384,8 +366,6 @@ class QuadratureConfig:
     r_quad: float
     n_w: int = 96
     n_theta: int = 32
-    rtol: float = 1e-6
-    atol: float = 1e-12
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.r_quad) and self.r_quad > 0):
@@ -393,11 +373,6 @@ class QuadratureConfig:
         if self.n_w < 4 or self.n_w % 4:
             raise PreconditionError(f"n_w must be a positive multiple of 4, got {self.n_w}")
         _check_n_theta(self.n_theta)
-        # A NaN tolerance would make q_reference's self-convergence check never fire.
-        if not all(math.isfinite(t) and t >= 0 for t in (self.rtol, self.atol)):
-            raise PreconditionError(
-                f"rtol and atol must be nonnegative and finite, got {self.rtol}, {self.atol}"
-            )
         if self.n_w % self.n_theta:
             raise PreconditionError(
                 f"n_theta must divide n_w, got n_theta = {self.n_theta}, n_w = {self.n_w}"
@@ -551,6 +526,11 @@ def polar_sum(weights: Array, values: Array) -> float:
     return 4.0 * math.fsum(exact_terms(weights * values))
 
 
+# q_reference's self-convergence tolerance: relative, floored by the absolute one.
+Q_REFERENCE_RTOL = 1e-6
+Q_REFERENCE_ATOL = 1e-12
+
+
 def q_reference(
     f: Callable[[Array], Array],
     v: Array,
@@ -561,11 +541,11 @@ def q_reference(
 
     Evaluates the polar rule (polar_disk times the angular trapezoid) at
     (n_w, n_theta) and at (2 n_w, 2 n_theta); raises QuadratureError when
-    the two levels disagree beyond quad.rtol (relative, floored by
-    quad.atol).  Each level integrates in theta by _ring_angular_integral:
-    on the polar rule's rings a turn by theta is a shift of the ring
-    index, so f is evaluated once per distinct point, n_theta/2 + 1 calls
-    per level.  The result keeps the fine level's nodes, weights and
+    the two levels disagree beyond Q_REFERENCE_RTOL (relative, floored by
+    Q_REFERENCE_ATOL).  Each level integrates in theta by
+    _ring_angular_integral: on the polar rule's rings a turn by theta is a
+    shift of the ring index, so f is evaluated once per distinct point,
+    n_theta/2 + 1 calls per level.  The result keeps the fine level's nodes, weights and
     per-node angular integrals.
     """
     nodes, weights = polar_disk(quad.r_quad, quad.n_w)
@@ -577,7 +557,7 @@ def q_reference(
     angular = _ring_angular_integral(f, v, kernel, nodes, 2 * quad.n_w, 2 * quad.n_theta)
     fine = polar_sum(weights, angular)
     err = abs(fine - coarse)
-    if err > quad.rtol * max(abs(fine), abs(coarse)) + quad.atol:
+    if err > Q_REFERENCE_RTOL * max(abs(fine), abs(coarse)) + Q_REFERENCE_ATOL:
         raise QuadratureError(
             f"quadrature did not self-converge: levels {coarse:.6e} vs {fine:.6e}"
         )
@@ -657,7 +637,7 @@ def q_discrete_detailed(
     if not (math.isfinite(R) and R > 0):
         raise PreconditionError(f"h and R must be positive and finite, got R = {R}")
     h = f.h
-    zvx, zvy = f.lattice_coords(np.asarray(v, dtype=np.float64))
+    zvx, zvy = lattice_coords(h, np.asarray(v, dtype=np.float64))
     b = f.bound
     reach = 2 * lattice_bound(h, R)  # farthest lookup from v, per coordinate
     dist = max(abs(zvx), abs(zvy))

@@ -26,6 +26,7 @@ from .collision import (
     check_state_points,
     circle_limit,
     lattice_bound,
+    lattice_coords,
     polar_sum,
     q_discrete,
     q_reference,
@@ -174,7 +175,7 @@ def sample_about(
     Q^h is translation invariant and Q^h(f, f)(v) reads f only within 2R
     of v, so Q^h of this state at 0 is Q^h(f, f)(v) up to the rounding of
     u + v, which is exact at v = 0."""
-    LatticeDistribution.zeros(h, 0.0).lattice_coords(v)
+    lattice_coords(h, v)
     return sample_on_lattice(lambda u: f_spec(u + v), h, 2 * R + 2 * h)
 
 
@@ -217,7 +218,7 @@ def converge_study(
         lattice_bound(h, 2 * R + 2 * h)  # refuses a bad h or R
         circles.check_circle_table(circle_limit(h, R))
         check_state_points(h, 2 * R + 2 * h)
-        LatticeDistribution.zeros(h, 0.0).lattice_coords(v)
+        lattice_coords(h, v)
     quad = QuadratureConfig(r_quad=2 * R)
     ref = q_reference(f_spec, v, kernel, quad)
     n_theta = 2 * quad.n_theta  # the fine level's angular rule

@@ -231,7 +231,7 @@ def test_q_reference_raises_on_nonconvergence():
     # An oscillation near the grid scale aliases differently at the two
     # levels, so the self-check must fail.
     wiggly = lambda pts: 1.0 + 0.9 * np.cos(20.0 * np.asarray(pts)[..., 0])
-    quad = co.QuadratureConfig(r_quad=4.0, n_w=8, n_theta=8, rtol=1e-9, atol=1e-30)
+    quad = co.QuadratureConfig(r_quad=4.0, n_w=8, n_theta=8)
     with pytest.raises(QuadratureError):
         co.q_reference(wiggly, np.zeros(2), MAXWELL, quad)
 
@@ -360,27 +360,24 @@ def test_quadrature_config_refusals():
     for r_quad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(PreconditionError, match="r_quad must be positive and finite"):
             co.QuadratureConfig(r_quad=r_quad)
-    for tol in ({"rtol": math.nan}, {"atol": math.nan}, {"rtol": -1e-6}, {"atol": math.inf}):
-        with pytest.raises(PreconditionError, match="rtol and atol must be nonnegative and finite"):
-            co.QuadratureConfig(r_quad=3.0, **tol)
     for n_w, n_theta in ((96, 64), (4, 8), (20, 8)):
         with pytest.raises(PreconditionError, match="n_theta must divide n_w"):
             co.QuadratureConfig(r_quad=3.0, n_w=n_w, n_theta=n_theta)
-    quad = co.QuadratureConfig(r_quad=3.0, n_w=4, n_theta=2, rtol=0.0, atol=0.0)
+    quad = co.QuadratureConfig(r_quad=3.0, n_w=4, n_theta=2)
     assert (quad.n_w, quad.n_theta) == (4, 2)
 
 
 def test_lattice_distribution_basics():
     m = co.Maxwellian()
     f = co.sample_on_lattice(m, 0.5, 3.0)
-    assert f.bound == 6
-    assert f.at(0, 0) == pytest.approx(1 / (2 * math.pi))
-    assert f.at(100, 0) == 0.0
+    assert f.bound == 6 and f.grid.shape == (13, 13)
+    assert f.grid[6, 6] == pytest.approx(1 / (2 * math.pi))
     # outside the disk but inside the square: forced to zero
-    assert f.at(6, 6) == 0.0
-    assert f(np.array([[0.5, -1.0]]))[0] == pytest.approx(float(m(np.array([0.5, -1.0]))))
+    assert f.grid[12, 12] == 0.0
+    assert f.grid[6 + 1, 6 - 2] == pytest.approx(float(m(np.array([0.5, -1.0]))))
+    assert co.lattice_coords(0.5, np.array([0.5, -1.0])) == (1, -2)
     with pytest.raises(PreconditionError):
-        f.lattice_coords(np.array([0.31, 0.0]))
+        co.lattice_coords(0.5, np.array([0.31, 0.0]))
     with pytest.raises(PreconditionError):
         co.LatticeDistribution(0.5, 1.0, -np.ones((5, 5)))
 
@@ -407,18 +404,46 @@ def test_sampling_by_blocks_of_rows_is_sampling_the_square(monkeypatch):
     assert np.array_equal(f.grid, np.where(f.disk, bi(np.stack([vx, vy], axis=-1)), 0.0))
 
 
-def test_sampling_peaks_at_a_few_arrays_of_the_state():
-    """601^2 points, bi-Maxwellian: 25.4 bytes per point traced, the state,
-    the copy that LatticeDistribution validates and the disk mask's int64
-    temporary; stacking every velocity before calling f peaked at 64."""
+WIDENED_FROM = co.LatticeDistribution.zeros(0.05, 211 * 0.05)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: co.sample_on_lattice(co.bimaxwellian(), 0.05, 15.0),
+        lambda: co.LatticeDistribution.zeros(0.05, 15.0),
+        lambda: WIDENED_FROM.widened(),  # widened_bound(211) = 300
+    ],
+    ids=["sample_on_lattice", "zeros", "widened"],
+)
+def test_sampling_peaks_at_a_few_arrays_of_the_state(make):
+    """601^2 points: 18.0-18.3 bytes per point traced, the state, the copy
+    that LatticeDistribution checks, its disk mask and that mask's
+    complement.  Stacking every velocity before calling f peaked at 64, and
+    a disk built through an int64 radius array at 25.2-25.4."""
     tracemalloc.start()
     try:
-        f = co.sample_on_lattice(co.bimaxwellian(), 0.05, 15.0)
+        f = make()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert f.grid.shape == (601, 601)
-    assert peak <= 32 * 601**2
+    assert peak <= 19 * 601**2
+
+
+@pytest.mark.parametrize("h", [1.0, 0.5, 0.3, 0.25, 0.2, 0.1, 1 / 3, 1 / 7, 0.05, 0.7, 0.013])
+def test_disk_is_the_integer_disk(h):
+    """The support disk is ix^2 + iy^2 <= (R/h)^2 + 1e-9, the 1e-9 keeping
+    rim points such as (3, 4) at R/h = 5: radii on rims (h sqrt n, some n
+    with many points), just inside and outside them, and at half steps."""
+    radii = {h * math.sqrt(n) for n in [*range(0, 60), 325, 1105, 4225, 5525]}
+    radii |= {r * (1 + e) for r in list(radii) for e in (-1e-12, 1e-12, -1e-6, 1e-6) if r > 0}
+    radii |= {h * k / 2 for k in range(0, 30)}
+    for radius in sorted(radii):
+        f = co.LatticeDistribution.zeros(h, radius)
+        ix = np.arange(-f.bound, f.bound + 1)
+        formula = ix[:, None] ** 2 + ix[None, :] ** 2 <= (radius / h) ** 2 + 1e-9
+        assert np.array_equal(f.disk, formula), (h, radius)
 
 
 def test_q_discrete_refuses_nonpositive_R():
@@ -529,9 +554,7 @@ def test_widened_state_keeps_values_on_the_energy_disk():
     wide = f.widened()
     assert f.bound == 6 and wide.bound == 10  # ceil(6 sqrt 2) + 1
     assert wide.h == f.h and wide.support_radius == 10 * 0.5
-    zs = np.arange(-12, 13)
-    zx, zy = np.meshgrid(zs, zs, indexing="ij")
-    assert np.array_equal(wide.at(zx, zy), f.at(zx, zy))
+    assert np.array_equal(wide.grid, np.pad(f.grid, 4))
     vx, vy = wide.velocities()
     assert vx[0, 0] == vy[0, 0] == -5.0 and vx[10, 10] == vy[10, 10] == 0.0
     assert wide.disk.sum() == sum(x * x + y * y <= 100 for x in range(-10, 11) for y in range(-10, 11))
@@ -564,7 +587,7 @@ def test_lattice_values_outside_the_disk_are_refused():
             co.LatticeDistribution.from_values(1.0, 2.0, {(0, 0): 1.0, point: 5.0}.items())
     # The disk's own tolerance: (3, 4) is on the rim of radius 5 = 2.5 / 0.5.
     f = co.LatticeDistribution.from_values(0.5, 2.5, {(3, 4): 2.0, (0, -5): 1.0}.items())
-    assert f.at(3, 4) == 2.0 and f.at(0, -5) == 1.0
+    assert f.grid[3 + 5, 4 + 5] == 2.0 and f.grid[0 + 5, -5 + 5] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -609,10 +632,12 @@ def test_non_finite_steps_and_radii_are_refused():
     for h, R in ((math.nan, 2.0), (math.inf, 2.0), (0.5, math.nan), (0.5, math.inf)):
         with pytest.raises(PreconditionError, match="h and R must be positive and finite"):
             co.FastCollisionOperator(h, R, MAXWELL, 4)
-    with pytest.raises(PreconditionError, match="not on the h-lattice"):
-        f.lattice_coords(np.array([math.nan, 0.0]))
-    with pytest.raises(PreconditionError, match="not on the h-lattice"):
-        f(np.array([[0.5, math.nan]]))
+    for v in ((math.nan, 0.0), (0.5, math.nan), (math.inf, 0.0), (0.5, -math.inf)):
+        with pytest.raises(PreconditionError, match="not on the h-lattice"):
+            co.lattice_coords(0.5, np.array(v))
+    for h in (0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(PreconditionError, match="h must be positive and finite"):
+            co.lattice_coords(h, np.zeros(2))
 
 
 def test_qh_csv_format():
@@ -1178,7 +1203,7 @@ def _assert_paired_matches_full_circle(f, v, kernel, R):
     the full circle: value and gross magnitude each within POINT_EPS EPS of
     the exact gross magnitude, so (0.0, 0.0) where that is 0."""
     got = co.q_discrete_detailed(f, v, kernel, R)
-    value, gross = exact_q(f.grid, f.h, R, kernel, *f.lattice_coords(v))
+    value, gross = exact_q(f.grid, f.h, R, kernel, *co.lattice_coords(f.h, v))
     assert_near_exact(got[0], f.h, value, gross, POINT_EPS)
     assert_near_exact(got[1], f.h, gross, gross, POINT_EPS)
 
