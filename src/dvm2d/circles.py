@@ -12,7 +12,8 @@ sweep over the disk reads the octant 0 <= y <= x, whose eight images
 (+-x, +-y), (+-y, +-x) cover the circles, from annulus_points, which
 lays its points down row by row.  circle_table mirrors the octant into
 the quarter x >= 1, y >= 0 and turns that into every circle up to a
-bound.  The range statistics share one R2_SEGMENT segment loop,
+bound, kept as points alone: each circle's (x, y) in circle_points'
+angle order.  The range statistics share one R2_SEGMENT segment loop,
 _octant_segments: r2_range bins each annulus's octant by n instead of
 factorizing and counts the mirror images, prime_angles keeps the points
 on prime circles, and abs_S_sweep, the one |S| generator behind
@@ -20,26 +21,21 @@ abs_S_closed_range, avg_abs_S and the harness's equidistribution term,
 bins the real part of ((x + iy) / sqrt(n))^k by n for each requested k,
 counts the mirror images as r2_range does and evaluates |S| only at the
 n whose circle has points.
-|S(n,k)|/4 is multiplicative in n and vanishes unless 4 | k; for one n,
-exp_sum_closed evaluates that closed form from the factorization.
+exp_sum_direct returns S(n, k) for one n as a complex.  |S(n,k)|/4 is
+multiplicative in n and vanishes unless 4 | k; for one n, exp_sum_closed
+evaluates that closed form from the factorization, whose (p, alpha)
+pairs it reads by p % 4.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .errors import PreconditionError, check_memory
-from .numtheory import (
-    ResidueClass,
-    exact_terms,
-    factorize,
-    gaussian_factorize,
-    gaussian_pow,
-)
+from .numtheory import exact_terms, factorize, gaussian_factorize, gaussian_pow
 
 
 def r2(n: int) -> int:
@@ -51,12 +47,11 @@ def r2(n: int) -> int:
     if n < 1:
         raise PreconditionError(f"r2 requires n >= 1, got {n}")
     count = 4
-    for f in factorize(n):
-        if f.residue_class is ResidueClass.THREE_MOD4:
-            if f.alpha % 2 == 1:
-                return 0
-        elif f.residue_class is ResidueClass.ONE_MOD4:
-            count *= f.alpha + 1
+    for p, alpha in factorize(n):
+        if p % 4 == 3 and alpha % 2 == 1:
+            return 0
+        if p % 4 == 1:
+            count *= alpha + 1
     return count
 
 
@@ -97,9 +92,7 @@ def circle_points(n: int) -> CirclePointSet:
         empty = np.array([], dtype=np.int64)
         return CirclePointSet(n, empty, empty, np.array([], dtype=np.float64))
 
-    inert = math.prod(
-        f.p ** (f.alpha // 2) for f in gf.factors if f.residue_class is ResidueClass.THREE_MOD4
-    )
+    inert = math.prod(p ** (alpha // 2) for p, alpha in gf.factors if p % 4 == 3)
     zx, zy = (np.array([c * inert], dtype=object) for c in gaussian_pow(1, 1, gf.two_exponent))
     for s in gf.splittings:
         # a + ib = pi^j and cx + i cy = pi^j conj(pi^(alpha - j)), j = 0 .. alpha.
@@ -119,25 +112,21 @@ def circle_points(n: int) -> CirclePointSet:
 class CircleTable:
     """Every circle x^2 + y^2 = n with 1 <= n <= limit, back to back.
 
-    Circle n is the slice [starts[n], starts[n + 1]) of xs, ys and angles,
-    sorted by angle as in circle_points; empty circles have empty slices.
+    Circle n is the slice [starts[n], starts[n + 1]) of xs and ys, in
+    circle_points(n)'s angle order; empty circles have empty slices.
     """
 
     limit: int
     starts: np.ndarray  # (limit + 2,) int64
     xs: np.ndarray  # int64
     ys: np.ndarray  # int64
-    angles: np.ndarray  # float64
-
-    def circle(self, n: int) -> CirclePointSet:
-        lo, hi = int(self.starts[n]), int(self.starts[n + 1])
-        return CirclePointSet(n, self.xs[lo:hi], self.ys[lo:hi], self.angles[lo:hi])
 
 
-# The build holds x, y, n, the angle and the sort order, 8 bytes each, plus
-# one sorted copy at a time (a traced peak of 45 bytes per point).  The disk
-# has about pi * limit points and never more than 4 * limit; the budget
-# counts 4 * limit.
+# The build holds x, y, n, the angle and the sort order, 8 bytes each, while
+# it sorts, then x, y, the order and one sorted copy at a time (a traced peak
+# of 40 bytes per point); the table keeps x and y.  The disk has about
+# pi * limit points and never more than 4 * limit; the budget counts
+# 4 * limit.
 CIRCLE_TABLE_BYTES_PER_POINT = 48
 
 _circle_cache: dict[str, CircleTable] = {}
@@ -154,15 +143,15 @@ def _build_circle_table(limit: int) -> CircleTable:
     n = xs * xs + ys * ys
     angles = np.arctan2(ys, xs)
     order = np.lexsort((angles, n))
+    del angles
     starts = np.zeros(limit + 2, dtype=np.int64)
     np.cumsum(np.bincount(n, minlength=limit + 1), out=starts[1:])
     del n
     xs = xs[order]
     ys = ys[order]
-    angles = angles[order]
-    for a in (starts, xs, ys, angles):
+    for a in (starts, xs, ys):
         a.flags.writeable = False
-    return CircleTable(limit, starts, xs, ys, angles)
+    return CircleTable(limit, starts, xs, ys)
 
 
 def check_circle_table(limit: int) -> None:
@@ -178,8 +167,8 @@ def circle_table(limit: int) -> CircleTable:
     x^2 + y^2 <= limit; with the mirrors (y, x) of its points 0 < y < x
     it gives the quarter x >= 1, y >= 0, whose four quarter turns cover
     every nonzero point of the disk once; one lexsort by (n, angle) then
-    cuts the points into circles, so no n is factorized.  Points, angles and their order equal
-    circle_points(n)'s.
+    cuts the points into circles, so no n is factorized.  Each circle's
+    points, and their order, equal circle_points(n)'s.
     Cached and grown monotonically; a limit whose 4 * limit points pass
     the memory budget (check_circle_table) raises PreconditionError
     before anything is allocated.
@@ -191,27 +180,12 @@ def circle_table(limit: int) -> CircleTable:
     if table is None or table.limit < limit:
         table = _circle_cache["table"] = _build_circle_table(limit)
     end = int(table.starts[limit + 1])
-    return CircleTable(
-        limit, table.starts[: limit + 2], table.xs[:end], table.ys[:end], table.angles[:end]
-    )
+    return CircleTable(limit, table.starts[: limit + 2], table.xs[:end], table.ys[:end])
 
 
-@dataclass(frozen=True)
-class ExpSumValue:
-    """S(n, k) = sum of e^{ik theta_u} over the circle of squared radius n."""
-
-    n: int
-    k: int
-    value: complex
-
-
-def exp_sum_direct(n: int, k: int) -> ExpSumValue:
-    """S(n, k) by direct summation over enumerated points."""
-    pts = circle_points(n)
-    if pts.count == 0:
-        return ExpSumValue(n, k, 0j)
-    value = complex(np.exp(1j * k * pts.angles).sum())
-    return ExpSumValue(n, k, value)
+def exp_sum_direct(n: int, k: int) -> complex:
+    """S(n, k) = sum of e^{ik theta_u} over the enumerated points of circle n."""
+    return complex(np.exp(1j * k * circle_points(n).angles).sum())
 
 
 def _split_factor_magnitude(x: float, alpha: int) -> float:
@@ -497,37 +471,16 @@ def abs_S_closed_range(X: int, k: int) -> np.ndarray:
     return out
 
 
-def _decade_pieces(X: int, k: int, decades: list[int]):
-    """Yield each decade's pieces, then None: per segment, the exact_terms of
-    its |S(m, k)| in the decade, a few floats with their exact sum.
-
-    The decade ends, ascending and the last equal to X, are found inside
-    each segment with searchsorted.  A decade still open at a segment's
-    last m may go on in the next, so it is closed there; a decade without
-    a circle is closed with no values at all.
-    """
-    i = 0
-    for _, m, values in abs_S_sweep(X, [abs(k)]):
-        a = 0
-        for b in np.searchsorted(m, decades[i:], side="right").tolist():
-            yield exact_terms(values[a:b])
-            if b == len(m):
-                break
-            yield None
-            a = b
-            i += 1
-    yield from [None] * (len(decades) - i)
-
-
 def avg_abs_S(X: int, k: int) -> AngleStatistics:
     """Mean (1/X) sum_{m<=X} |S(m, k)|, streamed from the lattice sweep.
 
     k not divisible by 4 is flagged and returns an identically zero table;
     k = 0 gives the mean of r2(m), which tends to pi.  |S| comes one
     segment at a time from abs_S_sweep(X, [|k|]), at the m with points only;
-    each decade's sum is one math.fsum over the numtheory.exact_terms of
-    its values in each segment, so it is the exact sum of the decade's
-    values rounded once, to which the zeros left out add nothing.  So a
+    np.searchsorted splits each segment at the decade ends, and
+    numtheory.exact_terms folds each part into its decade's few terms.  One
+    math.fsum of them is the exact sum of the decade's values rounded once,
+    to which the zeros left out add nothing.  So a
     decade's mean depends on neither X nor the segment length, and memory
     does not grow with X.  X above MAX_RANGE_X = 238609294 raises
     PreconditionError before any work is done.
@@ -548,11 +501,16 @@ def avg_abs_S(X: int, k: int) -> AngleStatistics:
         table = tuple((d, 0.0) for d in decades)
         return AngleStatistics(X, k, 0.0, table, vanishing_k=True)
 
-    pieces = _decade_pieces(X, k, decades)
-    partials: list[float] = []
-    decade_means: list[tuple[int, float]] = []
-    for hi in decades:
-        # The decade's pieces, one term list per segment, up to its None.
-        partials.append(math.fsum(chain.from_iterable(iter(pieces.__next__, None))))
-        decade_means.append((hi, math.fsum(partials) / hi))
-    return AngleStatistics(X, k, decade_means[-1][1], tuple(decade_means))
+    # terms[d]: a few floats whose exact sum is that of decade d's values so far.
+    terms: list[list[float]] = [[] for _ in decades]
+    for _, m, values in abs_S_sweep(X, [abs(k)]):
+        a = 0
+        for d, b in enumerate(np.searchsorted(m, decades, side="right").tolist()):
+            if b > a:
+                terms[d] = exact_terms(np.concatenate([terms[d], values[a:b]]))
+                a = b
+    partials = [math.fsum(t) for t in terms]
+    decade_means = tuple(
+        (hi, math.fsum(partials[: d + 1]) / hi) for d, hi in enumerate(decades)
+    )
+    return AngleStatistics(X, k, decade_means[-1][1], decade_means)

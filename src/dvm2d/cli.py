@@ -126,9 +126,8 @@ NEGATIVE_K = {"ignore_unknown_options": True}
 @_guarded
 def expsum(n: int, k: int, out: Path | None):
     """Exponential sum S(N, K), direct and closed form."""
-    direct = circles.exp_sum_direct(n, k)
+    z = circles.exp_sum_direct(n, k)
     closed = circles.exp_sum_closed(n, k)
-    z = direct.value
     with _sink(out, "expsum", {"n": n, "k": k}) as fp:
         fp.write(f"n,k,re,im,abs,closed_abs\n{n},{k},{z.real:.17g},{z.imag:.17g},"
                  f"{abs(z):.17g},{closed:.17g}\n")

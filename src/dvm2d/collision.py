@@ -152,23 +152,14 @@ class MaxwellianMixture:
         return out
 
 
-def bimaxwellian(
-    rho1: float = 0.6,
-    u1: tuple[float, float] = (1.0, 0.0),
-    T1: float = 0.8,
-    rho2: float = 0.4,
-    u2: tuple[float, float] = (-0.7, 0.3),
-    T2: float = 1.2,
-) -> MaxwellianMixture:
-    """Two-component Maxwellian mixture, asymmetric by default.
+def bimaxwellian() -> MaxwellianMixture:
+    """The asymmetric two-component Maxwellian mixture of the experiments.
 
     The perfectly symmetric equal-temperature pair has Q(f, f)(0) = 0 by
     an exact gain/loss cancellation, which would make convergence studies
     at v = 0 compare roundoff to roundoff; generic parameters avoid that.
     """
-    return MaxwellianMixture(
-        (Maxwellian(rho1, u1[0], u1[1], T1), Maxwellian(rho2, u2[0], u2[1], T2))
-    )
+    return MaxwellianMixture((Maxwellian(0.6, 1.0, 0.0, 0.8), Maxwellian(0.4, -0.7, 0.3, 1.2)))
 
 
 # ---------------------------------------------------------------------------

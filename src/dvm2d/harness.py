@@ -243,16 +243,16 @@ def converge_study(
         qh = q_discrete(sample_about(f_spec, v, h, R), np.zeros(2), kernel, R)
         abs_err = abs(qh - ref.value)
 
-        frame = LatticeDistribution.zeros(h, R)
-        wx, wy = frame.velocities()
-        keep = frame.disk & ((wx != 0) | (wy != 0))
-        lattice_w = np.stack([wx[keep], wy[keep]], axis=-1)
+        # The Riemann nodes h zeta, 0 < |zeta|^2 <= circle_limit(h, R), are
+        # the points of the circle table that q_discrete has just read.
+        table = circles.circle_table(circle_limit(h, R))
+        lattice_w = h * np.stack([table.xs, table.ys], axis=-1)
         riemann = (2 * h) ** 2 * float(
             angular_integral(f_spec, v, kernel, lattice_w, n_theta).sum()
         )
         riemann_err = abs(inner - riemann)
 
-        n_zeta = int(keep.sum())
+        n_zeta = len(table.xs)
         fourier_tail = (2 * h) ** 2 * n_zeta * 2 * math.pi * 2 * c3 / M_diag
         equid = 2 * math.pi * c3 * s_m * equid_term(h, R, M_diag)
         budget = ErrorBudget(tail, riemann_err, fourier_tail, equid)

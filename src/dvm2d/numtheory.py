@@ -4,16 +4,18 @@ Primality, factorization, sums of two squares, and the splitting of
 rational primes p = 1 (mod 4) into Gaussian primes x + iy.  Everything
 here is deterministic: Miller-Rabin runs with a fixed base set valid for
 all 64-bit integers, Pollard rho uses a fixed parameter schedule, and the
-two-squares decomposition is canonicalized to x > y > 0.  exact_terms
-reduces a float array to a few floats with the same exact sum, so that
-one math.fsum of them is the array's exactly rounded sum.
+two-squares decomposition is canonicalized to x > y > 0.  Results are
+plain values: a factorization is a list of (p, alpha) pairs, whose
+Gaussian behaviour callers read from p % 4, and a prime's legs are one
+(x, y) pair.  exact_terms reduces a float array to a few floats with the
+same exact sum, so that one math.fsum of them is the array's exactly
+rounded sum.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -30,43 +32,6 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _PSI_12 = 318665857834031151167461
 
 
-class ResidueClass(Enum):
-    """Residue of a prime mod 4; drives its Gaussian-integer behaviour."""
-
-    TWO = "two"
-    ONE_MOD4 = "one_mod4"
-    THREE_MOD4 = "three_mod4"
-
-
-def _residue_class(p: int) -> ResidueClass:
-    if p == 2:
-        return ResidueClass.TWO
-    return ResidueClass.ONE_MOD4 if p % 4 == 1 else ResidueClass.THREE_MOD4
-
-
-@dataclass(frozen=True)
-class PrimePower:
-    """A factor p**alpha together with the residue class of p."""
-
-    p: int
-    alpha: int
-    residue_class: ResidueClass
-
-    def __post_init__(self) -> None:
-        if self.alpha < 1:
-            raise ValueError(f"exponent must be >= 1, got {self.alpha}")
-        if _residue_class(self.p) is not self.residue_class:
-            raise ValueError(f"residue class mismatch for p={self.p}")
-
-
-@dataclass(frozen=True)
-class TwoSquaresRep:
-    """Solution of x^2 + y^2 = p, canonical form x >= y >= 0."""
-
-    x: int
-    y: int
-
-
 @dataclass(frozen=True)
 class GaussianSplitting:
     """Gaussian prime x + iy over p = x^2 + y^2, with theta = arg(x + iy);
@@ -81,30 +46,23 @@ class GaussianSplitting:
 
 @dataclass(frozen=True)
 class GaussianFactorization:
-    """Factorization of n classified mod 4, with splittings for p = 1 mod 4.
+    """The (p, alpha) factors of n, with splittings for p = 1 mod 4.
 
-    ``splittings`` holds one entry per factor with residue class 1 mod 4,
-    in the same ascending-p order as ``factors``.
+    ``splittings`` holds one entry per factor with p % 4 == 1, in the same
+    ascending-p order as ``factors``.
     """
 
     n: int
-    factors: tuple[PrimePower, ...]
+    factors: tuple[tuple[int, int], ...]
     splittings: tuple[GaussianSplitting, ...]
 
     @property
     def two_exponent(self) -> int:
-        for f in self.factors:
-            if f.p == 2:
-                return f.alpha
-        return 0
+        return dict(self.factors).get(2, 0)
 
     def is_sum_of_two_squares(self) -> bool:
         """True iff every prime q = 3 (mod 4) divides n to an even power."""
-        return all(
-            f.alpha % 2 == 0
-            for f in self.factors
-            if f.residue_class is ResidueClass.THREE_MOD4
-        )
+        return all(alpha % 2 == 0 for p, alpha in self.factors if p % 4 == 3)
 
 
 def is_prime(n: int) -> bool:
@@ -170,8 +128,8 @@ def _pollard_rho(n: int) -> int:
 _TRIAL_BOUND = 1000
 
 
-def factorize(n: int) -> list[PrimePower]:
-    """Prime factorization, ascending in p; factorize(1) == []."""
+def factorize(n: int) -> list[tuple[int, int]]:
+    """Prime factorization as (p, alpha) pairs, ascending in p; factorize(1) == []."""
     if n < 1:
         raise PreconditionError(f"factorize requires n >= 1, got {n}")
     counts: dict[int, int] = {}
@@ -190,9 +148,7 @@ def factorize(n: int) -> list[PrimePower]:
         d = _pollard_rho(m)
         stack.append(d)
         stack.append(m // d)
-    return [
-        PrimePower(p, a, _residue_class(p)) for p, a in sorted(counts.items())
-    ]
+    return sorted(counts.items())
 
 
 def _sqrt_of_minus_one(p: int) -> int:
@@ -207,7 +163,7 @@ def _sqrt_of_minus_one(p: int) -> int:
     raise ArithmeticError(f"no quadratic non-residue below {p}")  # pragma: no cover
 
 
-def two_squares_prime(p: int) -> TwoSquaresRep:
+def two_squares_prime(p: int) -> tuple[int, int]:
     """Write a prime p = 1 (mod 4) as x^2 + y^2 with x > y > 0.
 
     Hermite-Serret reduction: run the Euclidean algorithm on (p, z) where
@@ -224,9 +180,7 @@ def two_squares_prime(p: int) -> TwoSquaresRep:
     y = math.isqrt(p - x * x)
     if x * x + y * y != p:  # pragma: no cover - Hermite-Serret guarantees this
         raise ArithmeticError(f"two-squares reduction failed for {p}")
-    if x < y:
-        x, y = y, x
-    return TwoSquaresRep(x, y)
+    return max(x, y), min(x, y)
 
 
 def gaussian_pow(x, y, m: int):
@@ -247,11 +201,10 @@ def gaussian_factorize(n: int) -> GaussianFactorization:
     """
     factors = tuple(factorize(n))
     splittings = []
-    for f in factors:
-        if f.residue_class is ResidueClass.ONE_MOD4:
-            rep = two_squares_prime(f.p)
-            theta = math.atan2(rep.y, rep.x)
-            splittings.append(GaussianSplitting(f.p, f.alpha, rep.x, rep.y, theta))
+    for p, alpha in factors:
+        if p % 4 == 1:
+            x, y = two_squares_prime(p)
+            splittings.append(GaussianSplitting(p, alpha, x, y, math.atan2(y, x)))
     return GaussianFactorization(n, factors, tuple(splittings))
 
 

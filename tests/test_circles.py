@@ -246,38 +246,29 @@ def oracle_table():
     pts = [circles.circle_points(n) for n in range(1, TABLE_LIMIT + 1)]
     starts = np.zeros(TABLE_LIMIT + 2, dtype=np.int64)
     starts[2:] = np.cumsum([p.count for p in pts])
-    return (
-        starts,
-        np.concatenate([p.xs for p in pts]),
-        np.concatenate([p.ys for p in pts]),
-        np.concatenate([p.angles for p in pts]),
-    )
+    return starts, np.concatenate([p.xs for p in pts]), np.concatenate([p.ys for p in pts])
 
 
 def assert_same_table(table, limit):
-    starts, xs, ys, angles = oracle_table()
+    starts, xs, ys = oracle_table()
     end = starts[limit + 1]
     assert table.limit == limit
-    pairs = zip(
-        (table.starts, table.xs, table.ys, table.angles),
-        (starts[: limit + 2], xs[:end], ys[:end], angles[:end]),
-    )
+    pairs = zip((table.starts, table.xs, table.ys), (starts[: limit + 2], xs[:end], ys[:end]))
     for got, want in pairs:
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_circle_table_matches_circle_points():
     (table,) = cold_circle_tables(TABLE_LIMIT)
+    assert table.xs.dtype == table.ys.dtype == np.int64
     empty = 0
     for n in range(1, TABLE_LIMIT + 1):
-        got, want = table.circle(n), circles.circle_points(n)
-        assert got.xs.dtype == got.ys.dtype == want.xs.dtype == want.ys.dtype == np.int64
-        assert got.angles.dtype == want.angles.dtype == np.float64
-        assert np.array_equal(got.xs, want.xs), n
-        assert np.array_equal(got.ys, want.ys), n
-        assert np.array_equal(got.angles, want.angles), n
-        empty += got.count == 0
-    assert table.circle(3).count == 0 and table.circle(21).count == 0
+        lo, hi = int(table.starts[n]), int(table.starts[n + 1])
+        want = circles.circle_points(n)
+        assert np.array_equal(table.xs[lo:hi], want.xs), n
+        assert np.array_equal(table.ys[lo:hi], want.ys), n
+        empty += lo == hi
+    assert table.starts[3] == table.starts[4] and table.starts[21] == table.starts[22]
     assert empty == np.count_nonzero(r2_table(TABLE_LIMIT)[1:] == 0)
     assert_same_table(table, TABLE_LIMIT)
 
@@ -325,17 +316,17 @@ def test_circle_table_refuses_unaffordable_limit():
 
 
 def test_exp_sum_direct_examples():
-    assert circles.exp_sum_direct(5, 0).value == pytest.approx(8)
-    assert circles.exp_sum_direct(2, 4).value == pytest.approx(-4)
+    assert circles.exp_sum_direct(5, 0) == pytest.approx(8)
+    assert circles.exp_sum_direct(2, 4) == pytest.approx(-4)
     # Eight points on the circle of 5; |S| = 8 |cos(4 theta_5)| = 56/25.
-    assert abs(circles.exp_sum_direct(5, 4).value) == pytest.approx(56 / 25)
+    assert abs(circles.exp_sum_direct(5, 4)) == pytest.approx(56 / 25)
 
 
 def test_exp_sum_direct_bounded_by_r2():
     for n in range(1, 500):
         r = circles.r2(n)
         for k in (0, 4, 8, 12):
-            assert abs(circles.exp_sum_direct(n, k).value) <= r + 1e-9
+            assert abs(circles.exp_sum_direct(n, k)) <= r + 1e-9
 
 
 def test_exp_sum_closed_examples():
@@ -344,13 +335,13 @@ def test_exp_sum_closed_examples():
         4 * abs(1 + 2 * math.cos(8 * theta5))
     )
     assert circles.exp_sum_closed(25, 4) == pytest.approx(
-        abs(circles.exp_sum_direct(25, 4).value)
+        abs(circles.exp_sum_direct(25, 4))
     )
     for n in (5, 10, 25, 65, 130):
         assert circles.exp_sum_closed(n, 2) == 0.0
     for t in range(1, 11):
         assert circles.exp_sum_closed(2**t, 4) == pytest.approx(4.0)
-        assert abs(circles.exp_sum_direct(2**t, 4).value) == pytest.approx(4.0)
+        assert abs(circles.exp_sum_direct(2**t, 4)) == pytest.approx(4.0)
 
 
 def test_exp_sum_closed_vs_direct():
@@ -498,7 +489,7 @@ def test_exp_sum_vanishes_unless_4_divides_k():
         r = circles.r2(n)
         for k in (1, 2, 3, 5, 6, 7):
             assert circles.exp_sum_closed(n, k) == 0.0
-            assert abs(circles.exp_sum_direct(n, k).value) <= 1e-9 * max(1, r)
+            assert abs(circles.exp_sum_direct(n, k)) <= 1e-9 * max(1, r)
 
 
 @settings(max_examples=150, deadline=None)
@@ -508,7 +499,7 @@ def test_exp_sum_vanishes_unless_4_divides_k():
 )
 def test_exp_sum_closed_vs_direct_property(n, k4):
     k = 4 * k4
-    d = abs(circles.exp_sum_direct(n, k).value)
+    d = abs(circles.exp_sum_direct(n, k))
     c = circles.exp_sum_closed(n, k)
     assert abs(d - c) <= 1e-9 * max(1.0, d, c)
 
@@ -550,7 +541,7 @@ def test_avg_abs_S_flags_bad_k():
 def test_avg_abs_S_matches_direct_mean():
     X = 400
     stats = circles.avg_abs_S(X, 4)
-    direct = math.fsum(abs(circles.exp_sum_direct(m, 4).value) for m in range(1, X + 1))
+    direct = math.fsum(abs(circles.exp_sum_direct(m, 4)) for m in range(1, X + 1))
     assert stats.mean_abs_S == pytest.approx(direct / X, rel=1e-9)
 
 
@@ -691,8 +682,8 @@ def old_prime_angles(limit):
     ps = idx[(spf == idx) & (idx % 4 == 1) & (idx > 1)]
     thetas = np.empty(len(ps), dtype=np.float64)
     for i, p in enumerate(ps.tolist()):
-        rep = two_squares_prime(p)
-        thetas[i] = math.atan2(rep.y, rep.x)
+        x, y = two_squares_prime(p)
+        thetas[i] = math.atan2(y, x)
     return ps, thetas
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from dvm2d.circles import R2_SEGMENT
 from dvm2d.errors import PreconditionError
 from dvm2d.numtheory import (
-    ResidueClass,
     exact_terms,
     factorize,
     gaussian_factorize,
@@ -79,8 +78,8 @@ def test_is_prime_matches_sieve_to_1e6():
 
 def test_factorize_examples():
     assert factorize(1) == []
-    assert [(f.p, f.alpha) for f in factorize(60)] == [(2, 2), (3, 1), (5, 1)]
-    assert [(f.p, f.alpha) for f in factorize(243061325)] == [
+    assert factorize(60) == [(2, 2), (3, 1), (5, 1)]
+    assert factorize(243061325) == [
         (5, 2), (13, 1), (17, 1), (29, 1), (37, 1), (41, 1),
     ]
 
@@ -89,10 +88,10 @@ def test_factorize_small_corpus_reconstructs():
     for n in range(1, 10**5 + 1):
         prod = 1
         last_p = 0
-        for f in factorize(n):
-            assert f.p > last_p
-            last_p = f.p
-            prod *= f.p**f.alpha
+        for p, alpha in factorize(n):
+            assert p > last_p
+            last_p = p
+            prod *= p**alpha
         assert prod == n
 
 
@@ -101,24 +100,24 @@ def test_factorize_random_64bit_reconstructs():
     for _ in range(10**4):
         n = rng.randrange(1, 2**64)
         prod = 1
-        for f in factorize(n):
-            prod *= f.p**f.alpha
+        for p, alpha in factorize(n):
+            prod *= p**alpha
         assert prod == n
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=1, max_value=10**12))
 def test_factorize_factors_are_prime(n):
-    for f in factorize(n):
-        assert is_prime(f.p)
-        assert f.alpha >= 1
+    for p, alpha in factorize(n):
+        assert is_prime(p)
+        assert alpha >= 1
 
 
 def test_factorize_agrees_with_trial_division():
     rng = random.Random(99)
     for _ in range(300):
         n = rng.randrange(2, 10**9)
-        assert [(f.p, f.alpha) for f in factorize(n)] == trial_division_factorize(n)
+        assert factorize(n) == trial_division_factorize(n)
 
 
 def exhaustive_two_squares(p: int) -> tuple[int, int]:
@@ -131,15 +130,15 @@ def exhaustive_two_squares(p: int) -> tuple[int, int]:
 
 
 def test_two_squares_prime_examples():
-    assert (two_squares_prime(5).x, two_squares_prime(5).y) == (2, 1)
-    assert (two_squares_prime(13).x, two_squares_prime(13).y) == (3, 2)
+    assert two_squares_prime(5) == (2, 1)
+    assert two_squares_prime(13) == (3, 2)
     # A prime congruent to 1 mod 4 near 10^6, checked by the exact identity
     # and against exhaustive search.
     p = 1000033
     assert is_prime(p) and p % 4 == 1
-    rep = two_squares_prime(p)
-    assert rep.x * rep.x + rep.y * rep.y == p
-    assert (rep.x, rep.y) == exhaustive_two_squares(p)
+    x, y = two_squares_prime(p)
+    assert x * x + y * y == p
+    assert (x, y) == exhaustive_two_squares(p)
 
 
 def test_two_squares_prime_identity_many():
@@ -147,9 +146,9 @@ def test_two_squares_prime_identity_many():
     for p in range(5, 20000, 4):
         if not is_prime(p):
             continue
-        rep = two_squares_prime(p)
-        assert rep.x * rep.x + rep.y * rep.y == p
-        assert rep.x > rep.y > 0
+        x, y = two_squares_prime(p)
+        assert x * x + y * y == p
+        assert x > y > 0
         count += 1
     assert count > 500
 
@@ -162,7 +161,7 @@ def test_two_squares_prime_rejects(bad):
 
 def test_gaussian_factorize_examples():
     g = gaussian_factorize(25)
-    assert [(f.p, f.alpha) for f in g.factors] == [(5, 2)]
+    assert g.factors == ((5, 2),)
     assert len(g.splittings) == 1
     s = g.splittings[0]
     assert (s.x, s.y) == (2, 1)
@@ -170,19 +169,19 @@ def test_gaussian_factorize_examples():
     assert s.alpha == 2
 
     g = gaussian_factorize(9)
-    assert [(f.p, f.alpha) for f in g.factors] == [(3, 2)]
+    assert g.factors == ((3, 2),)
     assert g.splittings == ()
     assert g.is_sum_of_two_squares()
 
     g = gaussian_factorize(2)
-    assert [(f.p, f.alpha) for f in g.factors] == [(2, 1)]
+    assert g.factors == ((2, 1),)
     assert g.two_exponent == 1
 
 
 def test_gaussian_splitting_angles_in_range():
     for n in range(2, 3000):
         g = gaussian_factorize(n)
-        alphas = {f.p: f.alpha for f in g.factors}
+        alphas = dict(g.factors)
         for s in g.splittings:
             assert 0 < s.theta < math.pi / 4
             assert s.x * s.x + s.y * s.y == s.p
@@ -211,16 +210,6 @@ def test_gaussian_pow_elementwise_on_arrays():
             assert np.broadcast_to(im, xs.shape).tolist() == [w[1] for w in want]
     re, _ = gaussian_pow(xs.astype(object), ys.astype(object), 30)  # past int64
     assert re[4] == gaussian_pow(12, 5, 30)[0] and abs(re[4]) > 1 << 63
-
-
-def test_residue_classification():
-    for f in factorize(2 * 3 * 5 * 49 * 13):
-        if f.p == 2:
-            assert f.residue_class is ResidueClass.TWO
-        elif f.p % 4 == 1:
-            assert f.residue_class is ResidueClass.ONE_MOD4
-        else:
-            assert f.residue_class is ResidueClass.THREE_MOD4
 
 
 # ---------------------------------------------------------------------------
