@@ -225,7 +225,7 @@ class LatticeDistribution:
             raise PreconditionError("distribution values must be nonnegative")
         # ix^2 + iy^2 <= (R/h)^2 + 1e-9 in integers: |iy| <= isqrt(n - ix^2), -1
         # for a row past the rim, so the mask is made without a wider temporary.
-        n = math.floor((self.support_radius / self.h) ** 2 + 1e-9)
+        n = circle_limit(self.h, self.support_radius)
         half = [math.isqrt(n - i * i) if i * i <= n else -1 for i in range(-b, b + 1)]
         self.disk = np.abs(np.arange(-b, b + 1)) <= np.array(half)[:, None]
         self.grid[~self.disk] = 0.0
@@ -250,9 +250,9 @@ class LatticeDistribution:
     def zeros(cls, h: float, support_radius: float) -> "LatticeDistribution":
         """The zero state on the disk |h zeta| <= support_radius; every dense
         state is made here, and its size checked (check_state_points) before
-        it is allocated."""
+        it is allocated: the constructor's copy is its one grid."""
         side = check_state_points(h, support_radius)
-        return cls(h, support_radius, np.zeros((side, side)))
+        return cls(h, support_radius, np.broadcast_to(0.0, (side, side)))
 
     @classmethod
     def from_values(
@@ -697,16 +697,16 @@ def _harmonic_weights(xs: Array, ys: Array, m: int) -> tuple[Array, Array]:
     return (re / den / odd).astype(np.float64), (im / den / odd).astype(np.float64)
 
 
-# One RK4 step of relax_simulate, the operator's build and its square
-# plan included, peaks at 33-243 bytes per point of the operator's frame,
-# the square |v| <= bound + R/h that apply_frame fills (traced with the
-# circle table cached, Maxwell and product_power(0.5, (1, 0, 0.5)), R/h =
-# 8, 20, 40 and 100 each over widened states of 35^2 .. 343^2 points).
-# The top, 243 at R/h = 100 over 287^2, is product-power's r/2 x side x
-# (side + R/h) product buffer; Maxwell reads 142 there and at most 179.
-# The frame holds the state's square, so this cap binds before the state's
-# own (CONVERGE_BYTES_PER_POINT on fewer points).  The value stays 576,
-# 2.4 times the top, so that no refusal threshold moves.
+# One RK4 step of relax_simulate, the operator's build and its plan
+# included, peaks at 33-237 bytes per point of the operator's frame, the
+# square |v| <= bound + R/h (traced with the circle table cached, Maxwell
+# and product_power(0.5, (1, 0, 0.5)), R/h = 8, 20, 40 and 100 each over
+# widened states of 35^2, 117^2 and 343^2 points).  The top, 237 at R/h =
+# 100 over 343^2, is product-power's r/2 x side x (side + R/h) product
+# buffer; Maxwell reads 131 there and at most 176.  The frame holds the
+# state's square, so this cap binds before the state's own
+# (CONVERGE_BYTES_PER_POINT on fewer points).  The value stays 576, 2.4
+# times the top, so that no refusal threshold moves.
 RELAX_BYTES_PER_FRAME_POINT = 576
 
 
@@ -723,13 +723,12 @@ class FastCollisionOperator:
     """Q^h on a whole grid of velocities; use it inside time-stepping loops.
 
     The state lives on the square [-bound, bound]^2 in integer
-    coordinates (zero outside it).  Off that square the loss vanishes
-    with f(v), and a gain product f(v + zeta + zeta') f(v + zeta - zeta')
-    needs its mid-point v + zeta on the square; as |zeta| <= R/h, Q^h
-    vanishes off the frame |v| <= bound + R/h (per coordinate).
-    apply_frame returns Q^h on that frame, apply_grid on the state's
-    square.  An apply evaluates the sums of q_discrete at every velocity,
-    arranged so that no work is spent on duplicate terms:
+    coordinates (zero outside it), and apply_grid returns Q^h on that
+    square.  Collisions keep |v|^2 + |v*|^2, so Q^h of a state on the disk
+    |v| <= B vanishes off the energy disk |v|^2 <= 2 B^2: on the square of
+    LatticeDistribution.widened the apply holds all of it.  An apply
+    evaluates the sums of q_discrete at every velocity, arranged so that
+    no work is spent on duplicate terms:
 
     * Gain.  Per circle |zeta|^2 = n the products P_j(x) = f(x + zeta_j)
       f(x - zeta_j) are formed for one point of each +-zeta pair, with
@@ -738,24 +737,21 @@ class FastCollisionOperator:
       buffer F of that stride with a zero row above and below, so P_j is
       one contiguous slice product, F[q + o_j] F[q - o_j] with o_j =
       zeta_x stride + zeta_y, over the mid-point rows |zeta_x| .. side -
-      |zeta_x|.  The stride is side + R/h + margin, where margin is the
-      output's width past the square on either side: R/h for
-      apply_frame, 0 for apply_grid.  The first R/h zero columns past
-      each state row absorb the row wrap: as |zeta_y| <= R/h, a mid-point
+      |zeta_x|.  The stride is side + R/h: the R/h zero columns past
+      each state row absorb the row wrap.  As |zeta_y| <= R/h, a mid-point
       on the state reads at most R/h columns past either edge, which are
-      zero columns of its own row or of the row before.  So every product
+      zero columns of its own row or of the row before, so every product
       at a state mid-point off the box where both factors lie on the
-      state is an exact 0.  At the frame's stride, side + 2 R/h, a
-      mid-point in the zero columns has a zero factor too; at a narrower
-      stride its products can read a wrapped state row, so the plan zeroes
-      those columns of W (or T, below) before they are added.
+      state is an exact 0.  A mid-point in the zero columns can read a
+      wrapped state row, so the plan zeroes those columns of W (or T,
+      below) before they are added.
       The kernel's cosine series splits the pair weight,
       cos(m(phi_i - phi_j)) = cos cos + sin sin, into channels
       W = sum_j 2 (cos, sin)(m phi_j) P_j; odd harmonics cancel exactly
       under zeta -> -zeta and are skipped.  The gain at v is
       sum_i (2 pi / r) q1 c_m (cos, sin)(m phi_i) . W(v + zeta_i), added as
       r shifted copies, each one contiguous slice over the rows where the
-      circle's W can be nonzero, clipped to the output's rows.  With
+      circle's W can be nonzero, clipped to the square's rows.  With
       harmonic channels the copies come from one gemm per circle,
       T = outer[:r/2] @ (inner @ P): for even m the weights of zeta_i and
       of its antipode -zeta_i (table point i + r/2) are equal, so each row
@@ -779,10 +775,9 @@ class FastCollisionOperator:
       and odd m sum to zero over +-zeta_j.
 
     The slices of every apply are views over buffers the operator owns,
-    one plan per output (_gain_plan), built on that output's first apply
-    and kept.  apply_frame and apply_grid return fresh arrays, but an
-    operator is not re-entrant: two applies must not run on one operator
-    at the same time.
+    one plan (_gain_plan), built on the first apply and kept.  apply_grid
+    returns a fresh array, but an operator is not re-entrant: two applies
+    must not run on one operator at the same time.
 
     Same operator as q_discrete up to floating-point association.
     """
@@ -806,7 +801,7 @@ class FastCollisionOperator:
         ]
         self._single_channel = [m for m, _ in harmonics] == [0]
         self._circles = []  # (coeffs, kept half points (x, y), xs, ys) per circle
-        self._plans = {}  # gain plan per output margin
+        self._plan = None  # the gain plan, built on the first apply
         table = circle_table(circle_limit(h, R))
         # cos(m phi), sin(m phi) at every table point, per harmonic.
         weights = [_harmonic_weights(table.xs, table.ys, m) for m, _ in harmonics]
@@ -857,27 +852,24 @@ class FastCollisionOperator:
         self._loss_w[table.xs + k, table.ys + k] = loss_w
         self._loss_windows = sliding_window_view(padded[:, ::-1], bound + 1, axis=1)
 
-    def _gain_plan(self, margin: int) -> tuple:
-        """The views of every gain apply whose output is the state's square
-        widened by `margin` (R/h: the frame; 0: the square), over buffers
-        built here once.
+    def _gain_plan(self) -> tuple:
+        """The views of every gain apply, over buffers built here once.
 
-        Rows have stride side + R/h + margin.  The state is copied to a
-        buffer F at that stride with a zero row above and below it for the
-        row wrap: state point (i, j) is at flat index stride + s, s = i
-        stride + j, and so is mid-point s of W, P and T.  The gain buffer G
-        has side + 2 R/h rows at the same stride, the square at its rows R/h
-        .. R/h + side - 1, columns 0 .. side - 1: the shifted add of
-        mid-point s for the table point zeta is at G[s + (R/h - zeta_x)
-        stride + (margin - zeta_y)], clipped to the output's rows (all of G
-        for the frame; at the relax size 8.5% of the square's add elements
-        would land in rows it drops).  Per circle, W (single channel) or T
-        (harmonic channels) is nonzero only on the mid-point rows a .. side
-        - a, a = min |zeta_x| over its kept points: the flat range [s0, s1),
-        which ends at the state's last column; below the frame's stride its
-        columns past the state's are zeroed before the adds.
+        Rows have stride side + R/h.  The state is copied to a buffer F at
+        that stride with a zero row above and below it for the row wrap:
+        state point (i, j) is at flat index stride + s, s = i stride + j, and
+        so is mid-point s of W, P and T.  The gain buffer G has the square's
+        side rows at the same stride, the square at its columns 0 .. side -
+        1: the shifted add of mid-point s for the table point zeta is at G[s
+        - zeta_x stride - zeta_y], clipped to [0, (side - 1) stride + side)
+        (at the relax size 8.5% of the add elements would land in rows past
+        the square).  Per circle, W (single channel) or T (harmonic
+        channels) is nonzero only on the mid-point rows a .. side - a, a =
+        min |zeta_x| over its kept points: the flat range [s0, s1), which
+        ends at the state's last column; its columns past the state's are
+        zeroed before the adds.
 
-        Returns (the state's view of F, G, the output's view of G, per
+        Returns (the state's view of F, G, the square's view of G, per
         circle (row parts to zero, per kept point (F[q + o], F[q - o], its
         row of W or P on its own rows), the channels, W's or T's columns to
         zero, per add that lands (its part of row i, its gain slice))).
@@ -890,23 +882,21 @@ class FastCollisionOperator:
         """
         k = self.reach
         side = 2 * self.bound + 1
-        stride = side + k + margin
+        stride = side + k
         padded = np.zeros((side + 2, stride))
         reads = padded.reshape(-1)
-        gain_rows = np.zeros((side + 2 * k, stride))
+        gain_rows = np.zeros((side, stride))
         gain = gain_rows.reshape(-1)
-        first, end = (k - margin) * stride, (k + side + margin - 1) * stride + side + 2 * margin
+        end = (side - 1) * stride + side
 
         def span(a: int) -> tuple[int, int]:
             return a * stride, (side - 1 - a) * stride + side
 
         def pad_columns(rows: Array) -> list[Array]:
             """The columns past the state's last one in each of `rows` (W, or
-            the rows of T), which hold [s0, s1); none at the frame's stride."""
+            the rows of T), which hold [s0, s1)."""
             n = rows.shape[1] // stride  # the last row of [s0, s1) has no such columns
-            if margin == k or n == 0:
-                return []
-            return [rows[:, : n * stride].reshape(len(rows), n, stride)[:, :, side:]]
+            return [rows[:, : n * stride].reshape(len(rows), n, stride)[:, :, side:]] if n else []
 
         spans = [span(min(abs(x) for x, _ in kept)) for _, kept, _, _ in self._circles]
         single = self._single_channel
@@ -937,45 +927,34 @@ class FastCollisionOperator:
                 prods = scratch[: len(kept) * (s1 - s0)].reshape(len(kept), -1)
                 tab = scratch[: len(xs) // 2 * (s1 - s0)].reshape(len(xs) // 2, -1)
                 channels, rows, pads = (*coeffs, prods, tab), list(tab) * 2, pad_columns(tab)
-            adds = []  # (the part of row i that lands in [first, end), its gain slice)
-            for row, off in zip(rows, ((k - xs) * stride + (margin - ys)).tolist()):
-                lo, hi = max(off + s0, first), min(off + s1, end)
+            adds = []  # (the part of row i that lands in [0, end), its gain slice)
+            for row, off in zip(rows, (-xs * stride - ys).tolist()):
+                lo, hi = max(off + s0, 0), min(off + s1, end)
                 if lo < hi:  # an unclipped add shares its row's view
                     part = row if hi - lo == s1 - s0 else row[lo - off - s0 : hi - off - s0]
                     adds.append((part, gain[lo:hi]))
             plan.append((gaps, products, channels, pads, adds))
-        q = gain_rows[k - margin : k + side + margin, : side + 2 * margin]
-        return padded[1 : side + 1, :side], gain_rows, q, plan
-
-    def apply_frame(self, grid: Array) -> Array:
-        """Q^h on the frame |v| <= bound + R/h, which holds all of it, for
-        the state grid[ix + bound, iy + bound]; a fresh array."""
-        return self._apply(grid, self.reach)
+        return padded[1 : side + 1, :side], gain_rows, gain_rows[:, :side], plan
 
     def apply_grid(self, grid: Array) -> Array:
         """Q^h on the square for the state grid[ix + bound, iy + bound]; a
-        fresh array, bit for bit apply_frame's crop to the square."""
-        return self._apply(grid, 0)
-
-    def _apply(self, grid: Array, margin: int) -> Array:
-        """Q^h on the square widened by margin (<= R/h) on each side."""
+        fresh array."""
         grid = np.asarray(grid, dtype=np.float64)
         side = 2 * self.bound + 1
         if grid.shape != (side, side):
             raise PreconditionError(
                 f"state grid shape {grid.shape} does not match bound {self.bound}"
             )
-        q = self._gain(grid, margin)
-        # The loss is 0 off the square, as f is.
-        q[margin : margin + side, margin : margin + side] -= grid * self._loss(grid)
+        q = self._gain(grid)
+        q -= grid * self._loss(grid)
         return q * (2 * self.h) ** 2
 
-    def _gain(self, grid: Array, margin: int) -> Array:
-        """Gain term on the square widened by margin, without the (2h)^2, in
-        the operator's own buffer."""
-        if margin not in self._plans:
-            self._plans[margin] = self._gain_plan(margin)
-        state, gain_rows, q, plan = self._plans[margin]
+    def _gain(self, grid: Array) -> Array:
+        """Gain term on the square, without the (2h)^2, in the operator's
+        own buffer."""
+        if self._plan is None:
+            self._plan = self._gain_plan()
+        state, gain_rows, q, plan = self._plan
         state[...] = grid
         gain_rows.fill(0.0)
         for gaps, products, channels, pads, adds in plan:
@@ -1044,13 +1023,15 @@ def collision_invariants(
 ) -> InvariantRates:
     """sum_v Q^h(v) (1, v, |v|^2) over every v where Q^h can be nonzero.
 
-    That is the operator's frame |v| <= bound + R/h (apply_frame).  All
-    totals are exactly rounded, each one math.fsum over numtheory.exact_terms.
+    That is the square of the widened state (LatticeDistribution.widened),
+    whose operator is built, and its size checked, before the state is
+    widened.  All totals are exactly rounded, each one math.fsum over
+    numtheory.exact_terms.
     """
-    op = FastCollisionOperator(f.h, R, kernel, f.bound)
-    q = op.apply_frame(f.grid)
-    vs = f.h * np.arange(-(f.bound + op.reach), f.bound + op.reach + 1)
-    vx, vy = np.meshgrid(vs, vs, indexing="ij")
+    op = FastCollisionOperator(f.h, R, kernel, widened_bound(f.bound))
+    wide = f.widened()
+    q = op.apply_grid(wide.grid)
+    vx, vy = wide.velocities()
     v2 = vx**2 + vy**2
     mass = math.fsum(exact_terms(q))
     mom_x = math.fsum(exact_terms(q * vx))

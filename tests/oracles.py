@@ -25,8 +25,8 @@ so for a float state Q^h / (2 pi (2h)^2) is a finite rational sum;
 coefficients built one k at a time by a list comprehension.
 ``box_loop_gain`` is ``FastCollisionOperator._gain`` before its flat
 plan: per circle, products on 2-D boxes of mid-points, a fresh product
-array and one gemv per shifted add; ``box_loop_apply_frame`` puts it into
-``apply_frame``.  ``int_loop_harmonic_weights`` is
+array and one gemv per shifted add; ``box_loop_frame`` is Q^h with that
+gain on the frame |v| <= bound + R/h, the state's square widened by R/h.  ``int_loop_harmonic_weights`` is
 ``collision._harmonic_weights`` before it ran the powers in int64 over
 all points at once: exact Python ints, one point at a time.
 ``midpoint_disk`` and ``midpoint_level`` are ``collision.q_reference``'s
@@ -311,8 +311,9 @@ def comprehension_angular_fourier(f_spec, kernel, v, zeta, h, K):
     return harness.AngularFourier(ks, coeffs, c3)
 
 
-def box_loop_apply_frame(op, grid):
-    """FastCollisionOperator.apply_frame with its gain from box_loop_gain."""
+def box_loop_frame(op, grid):
+    """Q^h of op's state on its frame |v| <= bound + R/h, with the gain from
+    box_loop_gain and the loss from op._loss."""
     k, side = op.reach, 2 * op.bound + 1
     q = box_loop_gain(op.h, op.R, op.kernel, op.bound, grid)
     q[k : k + side, k : k + side] -= grid * op._loss(grid)

@@ -16,7 +16,7 @@ from dvm2d.circles import circle_points, circle_table
 from dvm2d.errors import PreconditionError, QuadratureError
 from oracles import (
     all_nodes_angular_integral,
-    box_loop_apply_frame,
+    box_loop_frame,
     box_loop_gain,
     exact_angular_factor,
     exact_q,
@@ -408,19 +408,23 @@ WIDENED_FROM = co.LatticeDistribution.zeros(0.05, 211 * 0.05)
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, bytes_per_point",
     [
-        lambda: co.sample_on_lattice(co.bimaxwellian(), 0.05, 15.0),
-        lambda: co.LatticeDistribution.zeros(0.05, 15.0),
-        lambda: WIDENED_FROM.widened(),  # widened_bound(211) = 300
+        (lambda: co.sample_on_lattice(co.bimaxwellian(), 0.05, 15.0), 19),
+        (lambda: co.LatticeDistribution.zeros(0.05, 15.0), 11),
+        (lambda: WIDENED_FROM.widened(), 11),  # widened_bound(211) = 300
     ],
     ids=["sample_on_lattice", "zeros", "widened"],
 )
-def test_sampling_peaks_at_a_few_arrays_of_the_state(make):
-    """601^2 points: 18.0-18.3 bytes per point traced, the state, the copy
-    that LatticeDistribution checks, its disk mask and that mask's
-    complement.  Stacking every velocity before calling f peaked at 64, and
-    a disk built through an int64 radius array at 25.2-25.4."""
+def test_sampling_peaks_at_a_few_arrays_of_the_state(make, bytes_per_point):
+    """601^2 points.  A zero state, made directly or by widened, reads 10.0
+    bytes per point traced: its grid, which the constructor copies from a
+    broadcast zero, its disk mask and that mask's complement (18.0 while
+    zeros allocated the grid that the constructor then copied).
+    sample_on_lattice reads 18.3, as it makes two states, the zero state
+    whose grid it fills and the result, which copies and checks that grid.
+    Stacking every velocity before calling f peaked at 64, and a disk built
+    through an int64 radius array at 25.2-25.4."""
     tracemalloc.start()
     try:
         f = make()
@@ -428,7 +432,7 @@ def test_sampling_peaks_at_a_few_arrays_of_the_state(make):
     finally:
         tracemalloc.stop()
     assert f.grid.shape == (601, 601)
-    assert peak <= 19 * 601**2
+    assert peak <= bytes_per_point * 601**2
 
 
 @pytest.mark.parametrize("h", [1.0, 0.5, 0.3, 0.25, 0.2, 0.1, 1 / 3, 1 / 7, 0.05, 0.7, 0.013])
@@ -662,7 +666,8 @@ def test_qh_csv_format():
 EPS = np.finfo(np.float64).eps
 # Gates per velocity against exact_q, in EPS times the gross magnitude.  Over
 # 300 random states (bound <= 6, R/h <= 5, the four kernels, one-sided and
-# signed states among them) apply_frame read up to 1.97, q_discrete_detailed 1.25.
+# signed states among them) the grid operator on the frame read up to 1.97,
+# q_discrete_detailed 1.25.
 FRAME_EPS, POINT_EPS = 3, 2
 
 
@@ -676,7 +681,7 @@ def assert_near_exact(got, h, value, gross, eps):
 
 
 def frame_points(bound, k):
-    """(zx, zy) on the frame |v| <= bound + k, indexed like apply_frame's result."""
+    """(zx, zy) on the frame |v| <= bound + k, indexed like frame_apply's result."""
     ix = np.arange(-(bound + k), bound + k + 1)
     return np.meshgrid(ix, ix, indexing="ij")
 
@@ -700,13 +705,20 @@ def edge_state(state, wide, rng):
     return grid
 
 
+def frame_apply(h, R, kernel, grid):
+    """Q^h on the frame |v| <= bound + R/h, which holds all of it: apply_grid
+    on the state zero-padded by R/h."""
+    k = co.lattice_bound(h, R)
+    return co.FastCollisionOperator(h, R, kernel, len(grid) // 2 + k).apply_grid(np.pad(grid, k))
+
+
 def _assert_matches_exact(h, R, kernel, grid, bound):
-    """apply_frame on the frame, and apply_grid on the square, within
-    FRAME_EPS of exact_q."""
+    """apply_grid on the frame (frame_apply), and on the state's own square,
+    within FRAME_EPS of exact_q."""
     op = co.FastCollisionOperator(h, R, kernel, bound)
     k, side = op.reach, 2 * bound + 1
     value, gross = exact_q(grid, h, R, kernel, *frame_points(bound, k))
-    assert_near_exact(op.apply_frame(grid), h, value, gross, FRAME_EPS)
+    assert_near_exact(frame_apply(h, R, kernel, grid), h, value, gross, FRAME_EPS)
     square = np.s_[k : k + side, k : k + side]
     assert_near_exact(op.apply_grid(grid), h, value[square], gross[square], FRAME_EPS)
 
@@ -725,16 +737,36 @@ def test_fast_operator_matches_exact_oracle(kernel, h, R, support, bound):
     _assert_matches_exact(h, R, kernel, support_state(support, bound), bound)
 
 
+def random_state(rng, bound, reach, state):
+    """A random state of the given bound: uniform in [0, 1), shifted to
+    [-0.5, 0.5) (signed), or kept only on the R/h columns at either edge.
+    At the square's stride, side + R/h, a mid-point past the state's last
+    column reads the first columns of the next state row, and the last
+    columns of its own: mass there makes those products nonzero, so the
+    plan must zero them (edge columns)."""
+    side = 2 * bound + 1
+    grid = rng.random((side, side))
+    if state == "signed":
+        grid -= 0.5
+    elif state == "edge columns":
+        grid[:, reach : side - reach] = 0.0
+    return grid
+
+
+STATES = st.sampled_from(["uniform", "edge columns", "signed"])
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     h=st.sampled_from([1.0, 0.5, 0.25]),
     reach=st.integers(1, 4),
     bound=st.integers(0, 5),
     kernel=st.sampled_from(ORACLE_KERNELS),
+    state=STATES,
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fast_operator_matches_exact_oracle_random(h, reach, bound, kernel, seed):
-    grid = np.random.default_rng(seed).random((2 * bound + 1, 2 * bound + 1))
+def test_fast_operator_matches_exact_oracle_random(h, reach, bound, kernel, state, seed):
+    grid = random_state(np.random.default_rng(seed), bound, reach, state)
     _assert_matches_exact(h, reach * h, kernel, grid, bound)
 
 
@@ -749,19 +781,23 @@ def test_fast_operator_matches_exact_oracle_on_edge_states(kernel, state):
 
 
 def _assert_matches_box_loop(h, R, kernel, grid, bound):
-    """apply_frame against the box-loop gain it replaced: Maxwell bit for
-    bit; harmonic channels to 1e-15 of the (2h)^2-scaled gain's maximum.
-    The gemm per circle rounds T differently from one gemv per point by
-    1-2 ulp of the gain, and the gain can exceed max|Q^h| tenfold."""
+    """apply_grid on the frame (frame_apply) and on the state's square
+    against the box-loop gain it replaced: Maxwell bit for bit; harmonic
+    channels to 1e-15 of the (2h)^2-scaled gain's maximum.  The gemm per
+    circle rounds T differently from one gemv per point by 1-2 ulp of the
+    gain, and the gain can exceed max|Q^h| tenfold."""
     op = co.FastCollisionOperator(h, R, kernel, bound)
-    new = op.apply_frame(grid)
-    old = box_loop_apply_frame(op, grid)
-    assert new.shape == old.shape == (2 * (bound + op.reach) + 1,) * 2
+    k, side = op.reach, 2 * bound + 1
+    old = box_loop_frame(op, grid)
+    frame = frame_apply(h, R, kernel, grid)
+    assert frame.shape == old.shape == (2 * (bound + k) + 1,) * 2
+    square = np.s_[k : k + side, k : k + side]
+    pairs = ((frame, old), (op.apply_grid(grid), old[square]))
     if kernel == MAXWELL:
-        assert np.array_equal(new, old)
+        assert all(np.array_equal(new, want) for new, want in pairs)
     else:
         scale = (2 * h) ** 2 * np.abs(box_loop_gain(h, R, kernel, bound, grid)).max()
-        assert np.abs(new - old).max() <= 1e-15 * scale
+        assert all(np.abs(new - want).max() <= 1e-15 * scale for new, want in pairs)
 
 
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
@@ -793,87 +829,53 @@ def test_flat_gain_matches_box_loop_on_edge_states(kernel, state):
     _assert_matches_box_loop(h, R, kernel, grid, wide.bound)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     h=st.sampled_from([1.0, 0.5, 0.25]),
     reach=st.integers(1, 7),
     bound=st.integers(0, 9),
     kernel=st.sampled_from(ORACLE_KERNELS),
+    state=STATES,
     seed=st.integers(0, 2**32 - 1),
 )
-def test_flat_gain_matches_box_loop_random(h, reach, bound, kernel, seed):
-    grid = np.random.default_rng(seed).random((2 * bound + 1, 2 * bound + 1))
+def test_flat_gain_matches_box_loop_random(h, reach, bound, kernel, state, seed):
+    grid = random_state(np.random.default_rng(seed), bound, reach, state)
     _assert_matches_box_loop(h, reach * h, kernel, grid, bound)
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    h=st.sampled_from([1.0, 0.5, 0.25]),
-    reach=st.integers(1, 6),
-    bound=st.integers(0, 6),
-    kernel=st.sampled_from(ORACLE_KERNELS),
-    state=st.sampled_from(["edge columns", "signed"]),
-    seed=st.integers(0, 2**32 - 1),
-)
-def test_square_plan_is_the_frame_plan_cropped(h, reach, bound, kernel, state, seed):
-    """apply_grid, whose rows have stride side + R/h, is apply_frame's crop
-    to the square bit for bit.  A mid-point past the state's last column
-    reads the first columns of the next state row, and the last columns of
-    its own, at that stride: mass there makes those products nonzero, so
-    the plan must zero them."""
-    rng = np.random.default_rng(seed)
-    side = 2 * bound + 1
-    grid = rng.random((side, side))
-    if state == "signed":
-        grid -= 0.5
-    else:
-        grid[:, reach : side - reach] = 0.0
-    op = co.FastCollisionOperator(h, reach * h, kernel, bound)
-    k = op.reach
-    frame = op.apply_frame(grid)
-    assert np.array_equal(op.apply_grid(grid), frame[k : k + side, k : k + side])
-
-
 def test_each_output_builds_its_plan_on_its_first_apply():
-    """The operator builds no gain plan; an apply builds its output's plan
-    once, and an operator that only applies apply_grid never builds the
-    frame's."""
+    """The operator builds no gain plan; its one output, apply_grid, builds
+    it once, with a gain buffer of the square's rows at stride side + R/h."""
     op = co.FastCollisionOperator(0.5, 2.0, MAXWELL, 3)
-    assert op._plans == {}
+    assert op._plan is None
     grid = np.ones((7, 7))
     op.apply_grid(grid)
-    square = op._plans[0]
+    plan = op._plan
     op.apply_grid(grid)
-    assert list(op._plans) == [0] and op._plans[0] is square
-    op.apply_frame(grid)
-    assert list(op._plans) == [0, op.reach] and op._plans[0] is square
+    assert op._plan is plan
+    assert plan[1].shape == (7, 7 + op.reach)
 
 
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS[:2], ids=["maxwell", "pp05"])
 def test_every_add_lands_in_the_output_rows(kernel):
     """At the relax size (R/h = 20 over the widened bound 30) each shifted
-    add of a plan writes only inside the output's rows of the gain buffer:
-    the square plan's adds, clipped to them, touch 4.91M elements where
-    they touched 5.38M, and the frame's rows are the whole buffer, so its
-    plan clips none."""
+    add writes only inside the square's rows of the gain buffer, which has
+    no other rows: the adds, clipped to them, touch 4.91M elements where
+    they touched 5.38M."""
     wide = co.sample_on_lattice(co.bimaxwellian(), 0.25, 5.0).widened()
     op = co.FastCollisionOperator(0.25, 5.0, kernel, wide.bound)
     op.apply_grid(wide.grid)
-    op.apply_frame(wide.grid)
-    elements = {}
-    for margin, (_, gain_rows, q, plan) in op._plans.items():
-        stride, base = gain_rows.shape[1], gain_rows.ctypes.data
-        first = (q.ctypes.data - base) // 8
-        end = first + (q.shape[0] - 1) * stride + q.shape[1]
-        elements[margin] = 0
-        for _, _, _, _, adds in plan:
-            for t, g in adds:
-                at = (g.ctypes.data - base) // 8
-                assert t.size == g.size > 0 and first <= at and at + g.size <= end
-            elements[margin] += sum(g.size for _, g in adds)
-            if margin == op.reach:
-                assert len({g.size for _, g in adds}) == 1
-    assert elements == {0: 4_909_896, op.reach: 6_685_248}  # the square's was 5_376_608
+    _, gain_rows, q, plan = op._plan
+    stride, base = gain_rows.shape[1], gain_rows.ctypes.data
+    assert q.ctypes.data == base and q.shape == (len(gain_rows), stride - op.reach)
+    end = (q.shape[0] - 1) * stride + q.shape[1]
+    elements = 0
+    for _, _, _, _, adds in plan:
+        for t, g in adds:
+            at = (g.ctypes.data - base) // 8
+            assert t.size == g.size > 0 and 0 <= at and at + g.size <= end
+        elements += sum(g.size for _, g in adds)
+    assert elements == 4_909_896  # unclipped, 5_376_608
 
 
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
@@ -884,12 +886,11 @@ def test_applies_return_arrays_the_next_apply_leaves_alone(kernel):
     h, b = 0.5, 6
     op = co.FastCollisionOperator(h, 3.0, kernel, b)
     first, second = rng.random((2, 2 * b + 1, 2 * b + 1))
-    frame, grid = op.apply_frame(first), op.apply_grid(first)
-    kept_frame, kept_grid = frame.copy(), grid.copy()
-    assert not np.array_equal(op.apply_frame(second), kept_frame)
-    op.apply_grid(second)
-    assert np.array_equal(frame, kept_frame) and np.array_equal(grid, kept_grid)
-    assert np.array_equal(op.apply_frame(first), kept_frame)
+    grid = op.apply_grid(first)
+    kept = grid.copy()
+    assert not np.array_equal(op.apply_grid(second), kept)
+    assert np.array_equal(grid, kept)
+    assert np.array_equal(op.apply_grid(first), kept)
 
 
 def test_fast_operator_rejects_bad_state_shape():
@@ -898,12 +899,8 @@ def test_fast_operator_rejects_bad_state_shape():
     # A one-point state has no collision partner.
     assert co.FastCollisionOperator(0.5, 2.0, MAXWELL, 0).apply_grid(np.ones((1, 1))).tolist() == [[0.0]]
     op = co.FastCollisionOperator(0.5, 2.0, MAXWELL, 4)
-    # Both entry points refuse a state of another size with the same error.
-    with pytest.raises(PreconditionError, match="does not match bound 4") as via_grid:
+    with pytest.raises(PreconditionError, match="does not match bound 4"):
         op.apply_grid(np.ones((11, 11)))
-    with pytest.raises(PreconditionError, match="does not match bound") as via_frame:
-        op.apply_frame(np.ones((11, 11)))
-    assert str(via_grid.value) == str(via_frame.value)
 
 
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
@@ -929,14 +926,13 @@ FRAME_CASES = pytest.mark.parametrize(
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
 @FRAME_CASES
 def test_collision_invariants_match_widened_oracle(kernel, h, b, R):
-    """Summed over the operator's frame, the rates equal those of apply_grid
-    over the widened state's square up to rounding."""
+    """Summed over the widened state's square, the rates equal those of
+    apply_grid over the frame, the state zero-padded by R/h, up to rounding."""
     rng = np.random.default_rng(b * 10 + int(R))
     f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
     inv = co.collision_invariants(f, kernel, R)
-    wide = f.widened()
-    q = co.FastCollisionOperator(h, R, kernel, wide.bound).apply_grid(wide.grid)
-    vx, vy = wide.velocities()
+    q = frame_apply(h, R, kernel, f.grid)
+    vx, vy = (h * z for z in frame_points(b, co.lattice_bound(h, R)))
     v2 = vx**2 + vy**2
     norm = math.fsum((np.abs(q) * (1 + v2)).ravel())
     rates = (inv.mass_rate, *inv.momentum_rate, inv.energy_rate)
@@ -948,20 +944,22 @@ def test_collision_invariants_match_widened_oracle(kernel, h, b, R):
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
 @FRAME_CASES
 def test_apply_frame_holds_all_of_q(kernel, h, b, R):
-    """apply_frame: apply_grid on the state's square, bit for bit; Q^h of the
-    state zero-padded to the frame elsewhere; exact zeros past the energy disk."""
+    """The widened state's square holds all of Q^h: apply_grid there is,
+    to 1e-14 of its maximum, apply_grid on the frame (the state zero-padded
+    by R/h, where Q^h can be nonzero) on their common points and 0 on the
+    frame's others, and exactly 0 past the energy disk |v|^2 = 2 B^2."""
     rng = np.random.default_rng(b * 10 + int(R))
     f = co.LatticeDistribution(h, b * h, rng.random((2 * b + 1, 2 * b + 1)))
-    op = co.FastCollisionOperator(h, R, kernel, b)
-    frame = op.apply_frame(f.grid)
-    k = op.reach
-    assert frame.shape == (2 * (b + k) + 1,) * 2
-    assert np.array_equal(frame[k : k + 2 * b + 1, k : k + 2 * b + 1], op.apply_grid(f.grid))
-    padded = co.FastCollisionOperator(h, R, kernel, b + k).apply_grid(np.pad(f.grid, k))
-    assert np.abs(frame - padded).max() <= 1e-14 * np.abs(padded).max()
-    ix = np.arange(-(b + k), b + k + 1)
+    wide = f.widened()
+    q = co.FastCollisionOperator(h, R, kernel, wide.bound).apply_grid(wide.grid)
+    frame = frame_apply(h, R, kernel, f.grid)
+    k, w = co.lattice_bound(h, R), wide.bound
+    n = max(w, b + k)  # both on the square |v| <= n
+    on_wide, on_frame = np.pad(q, n - w), np.pad(frame, n - b - k)
+    assert np.abs(on_wide - on_frame).max() <= 1e-14 * np.abs(frame).max()
+    ix = np.arange(-n, n + 1)
     beyond = ix[:, None] ** 2 + ix[None, :] ** 2 > 2 * b * b
-    assert beyond.any() and not frame[beyond].any()
+    assert beyond.any() and not on_wide[beyond].any() and not on_frame[beyond].any()
 
 
 def row_loop_band(op, parity):
@@ -1253,8 +1251,8 @@ def test_checkerboard_classes_conserve_apart(kernel, h, b, R):
     in lattice units: v* - v = 2 zeta, v' - v = zeta + zeta', and zeta_x +
     zeta_y = n = zeta'_x + zeta'_y (mod 2).  So each class keeps its mass,
     momentum and energy, eight invariants whose totals are exactly 0 for
-    the exact Q^h; and for a state on one class, apply_frame and
-    q_discrete_detailed give exactly 0.0 on the other."""
+    the exact Q^h; and for a state on one class, apply_grid on the frame
+    and q_discrete_detailed give exactly 0.0 on the other."""
     grid = support_state(b, b)
     k = co.lattice_bound(h, R)
     zx, zy = frame_points(b, k)
@@ -1263,10 +1261,9 @@ def test_checkerboard_classes_conserve_apart(kernel, h, b, R):
     for cls in (0, 1):
         for phi in (1, x, y, x * x + y * y):
             assert np.sum((value * phi)[parity == cls]) == Fraction(0)
-    op = co.FastCollisionOperator(h, R, kernel, b)
     for cls in (0, 1):
         f = co.LatticeDistribution(h, b * h, np.where(parity[k:-k, k:-k] == cls, grid, 0.0))
-        frame = op.apply_frame(f.grid)
+        frame = frame_apply(h, R, kernel, f.grid)
         assert frame[parity == cls].any() and not frame[parity != cls].any()
         for zv in zip(zx[parity != cls].tolist(), zy[parity != cls].tolist()):
             assert co.q_discrete_detailed(f, h * np.array(zv), kernel, R) == (0.0, 0.0)

@@ -557,15 +557,17 @@ KERNELS = [MAXWELL, co.KernelSpec.product_power(0.5, (1, 0, 0.5))]
 @pytest.mark.parametrize("kernel", KERNELS, ids=["maxwell", "pp05"])
 def test_relax_simulate_follows_the_frame_path(kernel):
     """relax_simulate's rate, apply_grid on the widened square times the
-    disk, steps bit for bit as an RK4 loop on apply_frame's crop does."""
+    disk, steps bit for bit as an RK4 loop on the crop of apply_grid over
+    the widened state zero-padded by R/h does: the operator's plan at
+    another bound and stride."""
     h, R, dt = 0.5, 3.0, 0.01
     f0 = co.sample_on_lattice(co.bimaxwellian(), h, 3.0)
     wide = f0.widened()
-    op = co.FastCollisionOperator(h, R, kernel, wide.bound)
-    k, side = op.reach, 2 * wide.bound + 1
+    k, side = co.lattice_bound(h, R), 2 * wide.bound + 1
+    op = co.FastCollisionOperator(h, R, kernel, wide.bound + k)
 
     def rate(s):
-        return op.apply_frame(s)[k : k + side, k : k + side] * wide.disk
+        return op.apply_grid(np.pad(s, k))[k : k + side, k : k + side] * wide.disk
 
     state = wide.grid
     for steps in range(1, 6):

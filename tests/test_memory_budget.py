@@ -25,6 +25,10 @@ from dvm2d.errors import PreconditionError, check_memory
 
 SRC = Path(__file__).parents[1] / "src" / "dvm2d"
 MAXWELL = co.KernelSpec.maxwell()
+# collision_invariants' states: bound 20, and simulate's first refused
+# bound at R = support = B h and its last accepted one.
+STATE_B20 = co.LatticeDistribution.zeros(0.25, 5.0)
+STATE_B283, STATE_B282 = (co.LatticeDistribution.zeros(1.0, b) for b in (283.0, 282.0))
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,9 @@ REGISTRY = [
            ["converge", "--h-list", "0.5", "--R", "2", "--M", "4000"]),
     Capped("figure", "harness.FIGURE_BYTES_PER_POINT", 101**2 - 1,
            ["figure", "--min", "0", "--max", "100", "--threshold", "4"]),
+    Capped("collision_invariants-frame", "collision.RELAX_BYTES_PER_FRAME_POINT",
+           101**2,  # the widened bound is 30, and R/h = 20
+           lambda: co.collision_invariants(STATE_B20, MAXWELL, 5.0)),
     Capped("simulate-frame", "collision.RELAX_BYTES_PER_FRAME_POINT", 101**2,
            ["simulate", "--f", "maxwellian", "--h", "0.25", "--support", "5", "--R", "5",
             "--dt", "1e-3", "--steps", "1"]),
@@ -155,6 +162,11 @@ FULL_BUDGET = {
     # refused at B = 283 (1371^2 points; B = 282 has 1365^2).
     "simulate-frame-B-283": (lambda: harness.check_relax_size(1.0, 283.0, 283.0),
                              lambda: harness.check_relax_size(1.0, 282.0, 282.0)),
+    # collision_invariants sums over the same widened state, and checks the
+    # frame about it before it widens the state (5.1 MB at B = 283).
+    "collision_invariants-B-283": (
+        lambda: co.collision_invariants(STATE_B283, MAXWELL, 283.0),
+        lambda: co.collision_invariants(STATE_B282, MAXWELL, 282.0)),
 }
 
 

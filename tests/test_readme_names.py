@@ -67,5 +67,5 @@ def resolves(name):
 
 def test_readme_names_resolve():
     names = readme_names()
-    assert {"circles.r2_range", "q_discrete", "apply_frame", "riemann_h"} <= set(names)
+    assert {"circles.r2_range", "q_discrete", "apply_grid", "riemann_h"} <= set(names)
     assert [name for name in names if not resolves(name)] == []
