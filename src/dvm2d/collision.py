@@ -698,16 +698,28 @@ def _harmonic_weights(xs: Array, ys: Array, m: int) -> tuple[Array, Array]:
 
 
 # One RK4 step of relax_simulate, the operator's build and its plan
-# included, peaks at 33-237 bytes per point of the operator's frame, the
+# included, peaks at 43-301 bytes per point of the operator's frame, the
 # square |v| <= bound + R/h (traced with the circle table cached, Maxwell
 # and product_power(0.5, (1, 0, 0.5)), R/h = 8, 20, 40 and 100 each over
-# widened states of 35^2, 117^2 and 343^2 points).  The top, 237 at R/h =
-# 100 over 343^2, is product-power's r/2 x side x (side + R/h) product
-# buffer; Maxwell reads 131 there and at most 176.  The frame holds the
-# state's square, so this cap binds before the state's own
-# (CONVERGE_BYTES_PER_POINT on fewer points).  The value stays 576, 2.4
-# times the top, so that no refusal threshold moves.
+# widened states of 37^2, 119^2 and 343^2 points).  The top, 301 at R/h =
+# 40 over 343^2, is Maxwell with its 32 row-offset accumulators
+# (ACCUMULATED_OFFSETS); without them Maxwell read at most 178, and
+# product-power, whose r/2 x side x (side + R/h) product buffer sets its
+# peak, reads 237 at R/h = 100 over 343^2.  The frame holds the state's
+# square, so this cap binds before the state's own (CONVERGE_BYTES_PER_POINT
+# on fewer points).  The value stays 576, 1.9 times the top, so that no
+# refusal threshold moves.
 RELAX_BYTES_PER_FRAME_POINT = 576
+
+# The single-channel gain adds a circle's W for its table points (a, b) with
+# 0 < a <= ACCUMULATED_OFFSETS into one accumulator per row offset a, and
+# adds each accumulator to the gain rows -a and +a once every circle is done
+# (FastCollisionOperator._gain_plan).  An accumulator costs 8 bytes per point
+# of the gain buffer, which has fewer points than the frame.  Maxwell's step
+# peaked at <= 178 bytes per frame point without them, so the cap must stay
+# at or below (576 - 178) / 8 = 49 to keep within RELAX_BYTES_PER_FRAME_POINT;
+# 32 leaves a third of that slack (traced top with them: 301).
+ACCUMULATED_OFFSETS = 32
 
 
 def check_frame(h: float, R: float, bound: int) -> None:
@@ -757,7 +769,9 @@ class FastCollisionOperator:
       of its antipode -zeta_i (table point i + r/2) are equal, so each row
       of T feeds two shifted adds.  A kernel whose series is one constant
       (Maxwell) has a single channel: products go straight into W and the
-      circle weight is applied once.
+      circle weight is applied once.  Its points (a, b) and (-a, b), 0 <
+      a <= ACCUMULATED_OFFSETS, shift W by b columns into the rows -a and
+      +a, so W goes once into an accumulator V_a added there at the end.
       The harmonic weights are exact integer quotients (see
       _harmonic_weights).
     * Loss.  f(v) sum_zeta w(zeta) f(v + 2 zeta), zero off the square, is
@@ -872,10 +886,13 @@ class FastCollisionOperator:
         Returns (the state's view of F, G, the square's view of G, per
         circle (row parts to zero, per kept point (F[q + o], F[q - o], its
         row of W or P on its own rows), the channels, W's or T's columns to
-        zero, per add that lands (its part of row i, its gain slice))).
+        zero, per add that lands (its part of row i, its gain or V_a
+        slice)), the V_a, per V_a add (its part that lands, its gain slice)).
         Single channel: (W on [s0, s1), 2 x circle weight), row i is W, and
         the first product is written into W, so only W outside its rows is
-        zeroed.  Harmonic channels: (inner on the kept points, outer[:r/2],
+        zeroed.  (a, b), 0 < a <= n_acc, adds W to V_a[t], t = s - b, and
+        (-a, b) adds nothing; V_a goes to G[t - a stride], then G[t + a
+        stride].  Harmonic channels: (inner on the kept points, outer[:r/2],
         P, T), and row i is row i mod r/2 of T.  P and T share one scratch
         buffer, as T is formed once P has been read; so each apply zeroes
         the P row parts outside a point's rows again.
@@ -900,6 +917,11 @@ class FastCollisionOperator:
 
         spans = [span(min(abs(x) for x, _ in kept)) for _, kept, _, _ in self._circles]
         single = self._single_channel
+        # V_a[t] is acc[a - 1, t + k], over the mid-points -k <= t < end + k
+        # that a column shift |zeta_y| <= k reaches; an offset a >= side lands
+        # no add in the square's rows.
+        n_acc = min(ACCUMULATED_OFFSETS, k, side - 1) if single else 0
+        acc = np.zeros((n_acc, end + 2 * k))
         if single:
             w = np.zeros(side * stride)
         else:
@@ -927,14 +949,24 @@ class FastCollisionOperator:
                 prods = scratch[: len(kept) * (s1 - s0)].reshape(len(kept), -1)
                 tab = scratch[: len(xs) // 2 * (s1 - s0)].reshape(len(xs) // 2, -1)
                 channels, rows, pads = (*coeffs, prods, tab), list(tab) * 2, pad_columns(tab)
-            adds = []  # (the part of row i that lands in [0, end), its gain slice)
-            for row, off in zip(rows, (-xs * stride - ys).tolist()):
+            adds = []  # (row i, or its part that lands in [0, end), its V_a or gain slice)
+            for row, x, y in zip(rows, xs.tolist(), ys.tolist()):
+                if 0 < abs(x) <= n_acc:  # V_x[t] += W[t + y]; (-x, y) is in V_x's fold
+                    if x > 0:
+                        adds.append((row, acc[x - 1, s0 - y + k : s1 - y + k]))
+                    continue
+                off = -x * stride - y
                 lo, hi = max(off + s0, 0), min(off + s1, end)
                 if lo < hi:  # an unclipped add shares its row's view
                     part = row if hi - lo == s1 - s0 else row[lo - off - s0 : hi - off - s0]
                     adds.append((part, gain[lo:hi]))
             plan.append((gaps, products, channels, pads, adds))
-        return padded[1 : side + 1, :side], gain_rows, gain_rows[:, :side], plan
+        folds = []  # (the part of V_a that lands in [0, end), its gain slice)
+        for a in range(1, n_acc + 1):
+            for off in (-a * stride, a * stride):  # the points (a, b), then (-a, b)
+                lo, hi = max(off - k, 0), min(off + end + k, end)
+                folds.append((acc[a - 1, lo - off + k : hi - off + k], gain[lo:hi]))
+        return padded[1 : side + 1, :side], gain_rows, gain_rows[:, :side], plan, acc, folds
 
     def apply_grid(self, grid: Array) -> Array:
         """Q^h on the square for the state grid[ix + bound, iy + bound]; a
@@ -954,9 +986,10 @@ class FastCollisionOperator:
         own buffer."""
         if self._plan is None:
             self._plan = self._gain_plan()
-        state, gain_rows, q, plan = self._plan
+        state, gain_rows, q, plan, acc, folds = self._plan
         state[...] = grid
         gain_rows.fill(0.0)
+        acc.fill(0.0)
         for gaps, products, channels, pads, adds in plan:
             for gap in gaps:
                 gap.fill(0.0)
@@ -976,6 +1009,8 @@ class FastCollisionOperator:
                 pad.fill(0.0)
             for t, g in adds:
                 g += t
+        for v, g in folds:
+            g += v
         return q
 
     def _loss(self, grid: Array) -> Array:

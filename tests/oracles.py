@@ -49,7 +49,13 @@ from itertools import chain, islice
 import numpy as np
 
 from dvm2d import circles, harness
-from dvm2d.collision import angular_integral, circle_limit, lattice_bound, rotate
+from dvm2d.collision import (
+    ACCUMULATED_OFFSETS,
+    angular_integral,
+    circle_limit,
+    lattice_bound,
+    rotate,
+)
 from dvm2d.errors import PreconditionError
 
 
@@ -327,7 +333,10 @@ def box_loop_gain(h, R, kernel, bound, grid):
     Per circle, each half point's product is formed on the 2-D box of
     mid-points where both factors lie on the state and added into W with
     one get/add/set per box; a frame-sized product array is allocated per
-    circle, and each of the r shifted adds is one channel-weight gemv.
+    circle, and each of the r shifted adds is one channel-weight gemv.  A
+    single channel sums in the operator's order: W of the points (a, b),
+    0 < a <= ACCUMULATED_OFFSETS, into a frame-sized array per a, added at
+    the rows -a, then +a, after the last circle.
     """
     k = lattice_bound(h, R)
     side = 2 * bound + 1
@@ -336,6 +345,7 @@ def box_loop_gain(h, R, kernel, bound, grid):
     harmonics = [(m, c) for m, c in enumerate(kernel.cos_coeffs) if c != 0.0 and m % 2 == 0]
     single_channel = [m for m, _ in harmonics] == [0]
     gain = np.zeros(width * width)
+    accumulators = {}  # a: the single channel's W of the points (a, b), 0 < a
     w = np.zeros((side, width))
     w_state = w[:, :side]
     w_flat = w.reshape(-1)[:hi]
@@ -376,8 +386,12 @@ def box_loop_gain(h, R, kernel, bound, grid):
             for _, box, plus, minus in boxes:
                 w_state[box] += grid[plus] * grid[minus]
             w_state *= inner[0, 0] * outer[0, 0]  # 2 x circle weight
-            for off in offsets:
-                gain[off : off + hi] += w_flat
+            for x, y, off in zip(xs.tolist(), ys.tolist(), offsets):
+                if not 0 < abs(x) <= ACCUMULATED_OFFSETS:
+                    gain[off : off + hi] += w_flat
+                elif x > 0:  # W shifted by columns only; rows k + i
+                    at = k * width + k - y
+                    accumulators.setdefault(x, np.zeros(width * width))[at : at + hi] += w_flat
         else:
             n_half = inner.shape[1]
             prods = np.zeros((n_half, side, width))
@@ -386,6 +400,10 @@ def box_loop_gain(h, R, kernel, bound, grid):
             chans = inner @ prods.reshape(n_half, -1)[:, :hi]
             for weights, off in zip(outer, offsets):
                 gain[off : off + hi] += weights @ chans
+    # Each accumulator to the rows of the points (a, b), then of (-a, b).
+    for a, acc in sorted(accumulators.items()):
+        gain[: -a * width] += acc[a * width :]
+        gain[a * width :] += acc[: -a * width]
     return gain.reshape(width, width)
 
 

@@ -780,6 +780,17 @@ def test_fast_operator_matches_exact_oracle_on_edge_states(kernel, state):
     _assert_matches_exact(0.5, 1.0, kernel, edge_state(state, wide, rng), wide.bound)
 
 
+def test_maxwell_apply_matches_exact_oracle_at_the_relax_size():
+    """The benchmark's relax state (widened bound 30, R/h = 20): every
+    velocity within FRAME_EPS of exact_q.  Adding each circle's W once per
+    row offset |zeta_x|, not once per point, took the worst from 7.19 to
+    2.14 eps of the gross magnitude; product-power reads 6.78 here."""
+    wide = co.sample_on_lattice(co.bimaxwellian(), 0.25, 5.0).widened()
+    op = co.FastCollisionOperator(0.25, 5.0, MAXWELL, wide.bound)
+    value, gross = exact_q(wide.grid, 0.25, 5.0, MAXWELL, *frame_points(wide.bound, 0))
+    assert_near_exact(op.apply_grid(wide.grid), 0.25, value, gross, FRAME_EPS)
+
+
 def _assert_matches_box_loop(h, R, kernel, grid, bound):
     """apply_grid on the frame (frame_apply) and on the state's square
     against the box-loop gain it replaced: Maxwell bit for bit; harmonic
@@ -808,6 +819,7 @@ def _assert_matches_box_loop(h, R, kernel, grid, bound):
         (0.25, 2.0, 8, 13),  # zeros around it
         (0.25, 2.5, 5, 7),  # R/h > bound
         (0.5, 2.0, 0, 0),  # one point: no product is kept
+        (0.5, 17.0, 30, 33),  # R/h = 34: W added past ACCUMULATED_OFFSETS
     ],
 )
 def test_flat_gain_matches_box_loop(kernel, h, R, support, bound):
@@ -856,26 +868,41 @@ def test_each_output_builds_its_plan_on_its_first_apply():
     assert plan[1].shape == (7, 7 + op.reach)
 
 
-@pytest.mark.parametrize("kernel", ORACLE_KERNELS[:2], ids=["maxwell", "pp05"])
-def test_every_add_lands_in_the_output_rows(kernel):
+@pytest.mark.parametrize(
+    "kernel, ops, elements",
+    [(MAXWELL, (648, 40), 2_949_924), (ORACLE_KERNELS[1], (1256, 0), 4_909_896)],
+    ids=["maxwell", "pp05"],
+)
+def test_every_add_lands_in_the_output_rows(kernel, ops, elements):
     """At the relax size (R/h = 20 over the widened bound 30) each shifted
     add writes only inside the square's rows of the gain buffer, which has
-    no other rows: the adds, clipped to them, touch 4.91M elements where
-    they touched 5.38M."""
+    no other rows, or inside its row offset's accumulator.  Clipped, the
+    harmonic channels' adds touch 4.91M elements where they touched 5.38M.
+    Maxwell adds each circle's W once per point (a, b) with a >= 0, and
+    each of its 20 accumulators at two rows: 40% fewer elements."""
     wide = co.sample_on_lattice(co.bimaxwellian(), 0.25, 5.0).widened()
     op = co.FastCollisionOperator(0.25, 5.0, kernel, wide.bound)
     op.apply_grid(wide.grid)
-    _, gain_rows, q, plan = op._plan
+    _, gain_rows, q, plan, acc, folds = op._plan
     stride, base = gain_rows.shape[1], gain_rows.ctypes.data
     assert q.ctypes.data == base and q.shape == (len(gain_rows), stride - op.reach)
     end = (q.shape[0] - 1) * stride + q.shape[1]
-    elements = 0
-    for _, _, _, _, adds in plan:
-        for t, g in adds:
-            at = (g.ctypes.data - base) // 8
-            assert t.size == g.size > 0 and 0 <= at and at + g.size <= end
-        elements += sum(g.size for _, g in adds)
-    assert elements == 4_909_896  # unclipped, 5_376_608
+    assert acc.shape[0] == (op.reach if kernel == MAXWELL else 0)
+
+    def start(g, buf):
+        return (g.ctypes.data - buf.ctypes.data) // 8
+
+    adds = [add for *_, circle_adds in plan for add in circle_adds]
+    for t, g in adds + folds:
+        assert t.size == g.size > 0
+        if np.shares_memory(g, acc):  # inside one accumulator
+            row, at = divmod(start(g, acc), acc.shape[1])
+            assert 0 <= row < len(acc) and at + g.size <= acc.shape[1]
+        else:
+            assert 0 <= start(g, gain_rows) and start(g, gain_rows) + g.size <= end
+    assert not any(np.shares_memory(g, acc) for _, g in folds)
+    assert (len(adds), len(folds)) == ops
+    assert sum(g.size for _, g in adds + folds) == elements  # harmonic unclipped, 5_376_608
 
 
 @pytest.mark.parametrize("kernel", ORACLE_KERNELS, ids=["maxwell", "pp05", "pp_odd", "pp_m4"])
