@@ -697,28 +697,24 @@ def _harmonic_weights(xs: Array, ys: Array, m: int) -> tuple[Array, Array]:
     return (re / den / odd).astype(np.float64), (im / den / odd).astype(np.float64)
 
 
-# One RK4 step of relax_simulate, the operator's build and its plan
-# included, peaks at 43-301 bytes per point of the operator's frame, the
-# square |v| <= bound + R/h (traced with the circle table cached, Maxwell
-# and product_power(0.5, (1, 0, 0.5)), R/h = 8, 20, 40 and 100 each over
-# widened states of 37^2, 119^2 and 343^2 points).  The top, 301 at R/h =
-# 40 over 343^2, is Maxwell with its 32 row-offset accumulators
-# (ACCUMULATED_OFFSETS); without them Maxwell read at most 178, and
-# product-power, whose r/2 x side x (side + R/h) product buffer sets its
-# peak, reads 237 at R/h = 100 over 343^2.  The frame holds the state's
-# square, so this cap binds before the state's own (CONVERGE_BYTES_PER_POINT
-# on fewer points).  The value stays 576, 1.9 times the top, so that no
-# refusal threshold moves.
+# One RK4 step of relax_simulate, build and plan included, peaks at 43-304
+# bytes per point of the operator's frame |v| <= bound + R/h (tracemalloc,
+# circle table cached; Maxwell and product_power(0.5, (1, 0, 0.5)), R/h = 8,
+# 20, 40 and 100 over widened states of 37^2, 119^2 and 343^2 points).  The
+# top is Maxwell at R/h = 40 over 343^2, with its 32 row-offset accumulators
+# (ACCUMULATED_OFFSETS) and its scaled state (<= 8 bytes); product-power, set
+# by its r/2 x side x (side + R/h) products, reads 237 at R/h = 100 over
+# 343^2.  The frame holds the state's square, so this cap binds before the
+# state's own (CONVERGE_BYTES_PER_POINT on fewer points).  576 is 1.9 times
+# the top, kept so that no refusal threshold moves.
 RELAX_BYTES_PER_FRAME_POINT = 576
 
-# The single-channel gain adds a circle's W for its table points (a, b) with
-# 0 < a <= ACCUMULATED_OFFSETS into one accumulator per row offset a, and
-# adds each accumulator to the gain rows -a and +a once every circle is done
-# (FastCollisionOperator._gain_plan).  An accumulator costs 8 bytes per point
-# of the gain buffer, which has fewer points than the frame.  Maxwell's step
-# peaked at <= 178 bytes per frame point without them, so the cap must stay
-# at or below (576 - 178) / 8 = 49 to keep within RELAX_BYTES_PER_FRAME_POINT;
-# 32 leaves a third of that slack (traced top with them: 301).
+# The single-channel gain adds W for the points (a, b), 0 < a <=
+# ACCUMULATED_OFFSETS, into one accumulator per row offset a, added at the
+# rows -a and +a after the last circle (FastCollisionOperator._gain_plan).
+# Each costs 8 bytes per gain-buffer point, fewer than the frame's.  Maxwell
+# peaked at <= 178 + 8 bytes per frame point without them, so the cap must
+# stay <= (576 - 186) / 8 = 48 to keep within RELAX_BYTES_PER_FRAME_POINT.
 ACCUMULATED_OFFSETS = 32
 
 
@@ -754,9 +750,9 @@ class FastCollisionOperator:
       on the state reads at most R/h columns past either edge, which are
       zero columns of its own row or of the row before, so every product
       at a state mid-point off the box where both factors lie on the
-      state is an exact 0.  A mid-point in the zero columns can read a
-      wrapped state row, so the plan zeroes those columns of W (or T,
-      below) before they are added.
+      state is an exact 0.  A mid-point in zero column j past a row reads
+      state at both ends only for a zeta with R/h - |zeta_y| <= j <
+      |zeta_y|, so the plan zeroes those columns of W (or T) before adds.
       The kernel's cosine series splits the pair weight,
       cos(m(phi_i - phi_j)) = cos cos + sin sin, into channels
       W = sum_j 2 (cos, sin)(m phi_j) P_j; odd harmonics cancel exactly
@@ -768,11 +764,12 @@ class FastCollisionOperator:
       T = outer[:r/2] @ (inner @ P): for even m the weights of zeta_i and
       of its antipode -zeta_i (table point i + r/2) are equal, so each row
       of T feeds two shifted adds.  A kernel whose series is one constant
-      (Maxwell) has a single channel: products go straight into W and the
-      circle weight is applied once.  Its points (a, b) and (-a, b), 0 <
-      a <= ACCUMULATED_OFFSETS, shift W by b columns into the rows -a and
-      +a, so W goes once into an accumulator V_a added there at the end.
-      The harmonic weights are exact integer quotients (see
+      (Maxwell) has a single channel: circles of one weight run together,
+      and their products, the widest first, go straight into W with one
+      factor read from F scaled once per run.  Its points (a, b) and
+      (-a, b), 0 < a <= ACCUMULATED_OFFSETS, shift W by b columns into the
+      rows -a and +a, so W goes once into an accumulator V_a added there
+      at the end.  The harmonic weights are exact integer quotients (see
       _harmonic_weights).
     * Loss.  f(v) sum_zeta w(zeta) f(v + 2 zeta), zero off the square, is
       one fixed 2-D correlation, and the operator keeps only its
@@ -852,11 +849,15 @@ class FastCollisionOperator:
                 continue
             if self._single_channel:
                 coeffs = (inner[0, 0] * outer[0, 0],)  # 2 x circle weight
+                kept.sort(key=lambda p: abs(p[1]))  # widest product first
             else:  # inner on the kept points, outer[:r/2]
                 if len(kept) < r // 2:
                     inner = np.ascontiguousarray(inner[:, [j for j, _, _ in kept]])
                 coeffs = (inner, outer[: r // 2].copy())
             self._circles.append((coeffs, [(x, y) for _, x, y in kept], xs, ys))
+        if self._single_channel:  # one run per weight, in order of first use
+            first = {}  # the keys are made in list order, before the sort
+            self._circles.sort(key=lambda c: first.setdefault(c[0][0], len(first)))
         # Loss weight of the point (a, b) at W[a + K, b + K], 0 off the disk,
         # with bound zero columns on either side.  The windows of its rows
         # reversed, windows[a + K, s, l], hold the weight of (a, K + bound -
@@ -875,27 +876,27 @@ class FastCollisionOperator:
         so is mid-point s of W, P and T.  The gain buffer G has the square's
         side rows at the same stride, the square at its columns 0 .. side -
         1: the shifted add of mid-point s for the table point zeta is at G[s
-        - zeta_x stride - zeta_y], clipped to [0, (side - 1) stride + side)
-        (at the relax size 8.5% of the add elements would land in rows past
-        the square).  Per circle, W (single channel) or T (harmonic
-        channels) is nonzero only on the mid-point rows a .. side - a, a =
-        min |zeta_x| over its kept points: the flat range [s0, s1), which
-        ends at the state's last column; its columns past the state's are
-        zeroed before the adds.
+        - zeta_x stride - zeta_y], clipped to [0, (side - 1) stride + side).
+        Per circle, W (single channel) or T (harmonic channels) is nonzero
+        only on the mid-point rows a .. side - a, a = min |zeta_x| over its
+        kept points: the flat range [s0, s1), which ends at the state's last
+        column; its pad columns that can hold a wrapped product
+        (pad_columns) are zeroed before the adds.
 
         Returns (the state's view of F, G, the square's view of G, per
         circle (row parts to zero, per kept point (F[q + o], F[q - o], its
         row of W or P on its own rows), the channels, W's or T's columns to
         zero, per add that lands (its part of row i, its gain or V_a
         slice)), the V_a, per V_a add (its part that lands, its gain slice)).
-        Single channel: (W on [s0, s1), 2 x circle weight), row i is W, and
-        the first product is written into W, so only W outside its rows is
-        zeroed.  (a, b), 0 < a <= n_acc, adds W to V_a[t], t = s - b, and
-        (-a, b) adds nothing; V_a goes to G[t - a stride], then G[t + a
-        stride].  Harmonic channels: (inner on the kept points, outer[:r/2],
-        P, T), and row i is row i mod r/2 of T.  P and T share one scratch
-        buffer, as T is formed once P has been read; so each apply zeroes
-        the P row parts outside a point's rows again.
+        Single channel: (F, 2 x circle weight, S) on the first circle of each
+        run of one weight, else (), and F[q + o] is read from S = F x weight;
+        row i is W, which the widest product is written into first.  (a, b),
+        0 < a <= n_acc, adds W to V_a[t], t = s - b, and (-a, b) adds
+        nothing; V_a goes to G[t - a stride], then G[t + a stride].
+        Harmonic channels: (inner on the kept points, outer[:r/2], P, T),
+        and row i is row i mod r/2 of T.  P and T share one scratch buffer,
+        as T is formed once P has been read; so each apply zeroes the P row
+        parts outside a point's rows again.
         """
         k = self.reach
         side = 2 * self.bound + 1
@@ -909,11 +910,14 @@ class FastCollisionOperator:
         def span(a: int) -> tuple[int, int]:
             return a * stride, (side - 1 - a) * stride + side
 
-        def pad_columns(rows: Array) -> list[Array]:
-            """The columns past the state's last one in each of `rows` (W, or
-            the rows of T), which hold [s0, s1)."""
+        def pad_columns(rows: Array, kept: list) -> list[Array]:
+            """The pad columns of `rows` (W, or T's rows) on [s0, s1) that
+            can hold a wrapped product: k - ymax .. ymax - 1 past the state."""
             n = rows.shape[1] // stride  # the last row of [s0, s1) has no such columns
-            return [rows[:, : n * stride].reshape(len(rows), n, stride)[:, :, side:]] if n else []
+            y = max(abs(y) for _, y in kept)
+            if not n or 2 * y <= k:
+                return []
+            return [rows[:, : n * stride].reshape(len(rows), n, stride)[:, :, side + k - y : side + y]]
 
         spans = [span(min(abs(x) for x, _ in kept)) for _, kept, _, _ in self._circles]
         single = self._single_channel
@@ -924,31 +928,33 @@ class FastCollisionOperator:
         acc = np.zeros((n_acc, end + 2 * k))
         if single:
             w = np.zeros(side * stride)
+            scaled = np.zeros_like(reads)  # S
         else:
             scratch = np.zeros(max(
                 (len(xs) // 2 * (s1 - s0) for (*_, xs, _), (s0, s1) in zip(self._circles, spans)),
                 default=0,
             ))
-        plan = []
+        plan, weight, plus_reads = [], None, scaled if single else reads
         for (coeffs, kept, xs, ys), (s0, s1) in zip(self._circles, spans):
             products, gaps = [], []
             for slot, (x, y) in enumerate(kept):
                 lo, hi = span(abs(x))
                 # buf[at + s] is mid-point s of W, or of P's row slot.
                 buf, at = (w, 0) if single else (scratch, slot * (s1 - s0) - s0)
-                if lo > s0 and not (single and slot):  # W's first product, or a P row
+                if lo > s0 and not single:
                     gaps += [buf[at + s0 : at + lo], buf[at + hi : at + s1]]
                 plus = stride + x * stride + y  # F index of mid-point 0 plus zeta_j
                 minus = stride - x * stride - y
                 out = buf[at + lo : at + hi]
-                products.append((reads[lo + plus : hi + plus], reads[lo + minus : hi + minus], out))
+                products.append((plus_reads[lo + plus : hi + plus], reads[lo + minus : hi + minus], out))
             if single:
-                channels, rows = (w[s0:s1], *coeffs), [w[s0:s1]] * len(xs)
-                pads = pad_columns(w[None, s0:s1])
+                channels = (reads, coeffs[0], scaled) if coeffs[0] != weight else ()
+                weight, rows = coeffs[0], [w[s0:s1]] * len(xs)
+                pads = pad_columns(w[None, s0:s1], kept)
             else:
                 prods = scratch[: len(kept) * (s1 - s0)].reshape(len(kept), -1)
                 tab = scratch[: len(xs) // 2 * (s1 - s0)].reshape(len(xs) // 2, -1)
-                channels, rows, pads = (*coeffs, prods, tab), list(tab) * 2, pad_columns(tab)
+                channels, rows, pads = (*coeffs, prods, tab), list(tab) * 2, pad_columns(tab, kept)
             adds = []  # (row i, or its part that lands in [0, end), its V_a or gain slice)
             for row, x, y in zip(rows, xs.tolist(), ys.tolist()):
                 if 0 < abs(x) <= n_acc:  # V_x[t] += W[t + y]; (-x, y) is in V_x's fold
@@ -994,12 +1000,12 @@ class FastCollisionOperator:
             for gap in gaps:
                 gap.fill(0.0)
             if self._single_channel:
+                if channels:  # a run of one weight starts: S = F x weight
+                    np.multiply(*channels)
                 (plus, minus, out), *rest = products
                 np.multiply(plus, minus, out=out)
                 for plus, minus, out in rest:
                     out += plus * minus
-                w, weight = channels
-                w *= weight
             else:
                 for plus, minus, out in products:
                     np.multiply(plus, minus, out=out)

@@ -23,10 +23,11 @@ so for a float state Q^h / (2 pi (2h)^2) is a finite rational sum;
 ``exact_angular_factor`` is q2 at a rational cosine.
 ``comprehension_angular_fourier`` is ``harness.angular_fourier`` with its
 coefficients built one k at a time by a list comprehension.
-``box_loop_gain`` is ``FastCollisionOperator._gain`` before its flat
-plan: per circle, products on 2-D boxes of mid-points, a fresh product
-array and one gemv per shifted add; ``box_loop_frame`` is Q^h with that
-gain on the frame |v| <= bound + R/h, the state's square widened by R/h.  ``int_loop_harmonic_weights`` is
+``box_loop_gain`` is ``FastCollisionOperator._gain`` with harmonic
+channels before its flat plan: per circle, products on 2-D boxes of
+mid-points, a fresh product array and one gemv per shifted add;
+``box_loop_frame`` is Q^h with that gain on the frame |v| <= bound + R/h,
+the state's square widened by R/h.  ``int_loop_harmonic_weights`` is
 ``collision._harmonic_weights`` before it ran the powers in int64 over
 all points at once: exact Python ints, one point at a time.
 ``midpoint_disk`` and ``midpoint_level`` are ``collision.q_reference``'s
@@ -49,13 +50,7 @@ from itertools import chain, islice
 import numpy as np
 
 from dvm2d import circles, harness
-from dvm2d.collision import (
-    ACCUMULATED_OFFSETS,
-    angular_integral,
-    circle_limit,
-    lattice_bound,
-    rotate,
-)
+from dvm2d.collision import angular_integral, circle_limit, lattice_bound, rotate
 from dvm2d.errors import PreconditionError
 
 
@@ -333,22 +328,14 @@ def box_loop_gain(h, R, kernel, bound, grid):
     Per circle, each half point's product is formed on the 2-D box of
     mid-points where both factors lie on the state and added into W with
     one get/add/set per box; a frame-sized product array is allocated per
-    circle, and each of the r shifted adds is one channel-weight gemv.  A
-    single channel sums in the operator's order: W of the points (a, b),
-    0 < a <= ACCUMULATED_OFFSETS, into a frame-sized array per a, added at
-    the rows -a, then +a, after the last circle.
+    circle, and each of the r shifted adds is one channel-weight gemv.
     """
     k = lattice_bound(h, R)
     side = 2 * bound + 1
     width = side + 2 * k
     hi = (side - 1) * width + side  # W is zero past the state's last column
     harmonics = [(m, c) for m, c in enumerate(kernel.cos_coeffs) if c != 0.0 and m % 2 == 0]
-    single_channel = [m for m, _ in harmonics] == [0]
     gain = np.zeros(width * width)
-    accumulators = {}  # a: the single channel's W of the points (a, b), 0 < a
-    w = np.zeros((side, width))
-    w_state = w[:, :side]
-    w_flat = w.reshape(-1)[:hi]
     table = circles.circle_table(circle_limit(h, R))
     for n in np.flatnonzero(np.diff(table.starts)).tolist():
         lo, hi_n = int(table.starts[n]), int(table.starts[n + 1])
@@ -381,29 +368,13 @@ def box_loop_gain(h, R, kernel, bound, grid):
         if not boxes:
             continue
         offsets = ((k - xs) * width + (k - ys)).tolist()
-        if single_channel:
-            w_state.fill(0.0)
-            for _, box, plus, minus in boxes:
-                w_state[box] += grid[plus] * grid[minus]
-            w_state *= inner[0, 0] * outer[0, 0]  # 2 x circle weight
-            for x, y, off in zip(xs.tolist(), ys.tolist(), offsets):
-                if not 0 < abs(x) <= ACCUMULATED_OFFSETS:
-                    gain[off : off + hi] += w_flat
-                elif x > 0:  # W shifted by columns only; rows k + i
-                    at = k * width + k - y
-                    accumulators.setdefault(x, np.zeros(width * width))[at : at + hi] += w_flat
-        else:
-            n_half = inner.shape[1]
-            prods = np.zeros((n_half, side, width))
-            for j, box, plus, minus in boxes:
-                np.multiply(grid[plus], grid[minus], out=prods[j][box])
-            chans = inner @ prods.reshape(n_half, -1)[:, :hi]
-            for weights, off in zip(outer, offsets):
-                gain[off : off + hi] += weights @ chans
-    # Each accumulator to the rows of the points (a, b), then of (-a, b).
-    for a, acc in sorted(accumulators.items()):
-        gain[: -a * width] += acc[a * width :]
-        gain[a * width :] += acc[: -a * width]
+        n_half = inner.shape[1]
+        prods = np.zeros((n_half, side, width))
+        for j, box, plus, minus in boxes:
+            np.multiply(grid[plus], grid[minus], out=prods[j][box])
+        chans = inner @ prods.reshape(n_half, -1)[:, :hi]
+        for weights, off in zip(outer, offsets):
+            gain[off : off + hi] += weights @ chans
     return gain.reshape(width, width)
 
 
