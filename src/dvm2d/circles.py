@@ -14,12 +14,14 @@ lays its points down row by row.  circle_table mirrors the octant into
 the quarter x >= 1, y >= 0 and turns that into every circle up to a
 bound, kept as points alone: each circle's (x, y) in circle_points'
 angle order.  The range statistics share one R2_SEGMENT segment loop,
-_octant_segments: r2_range bins each annulus's octant by n instead of
-factorizing and counts the mirror images, prime_angles keeps the points
+_octant_segments: r2_sweep bins each annulus's octant by n instead of
+factorizing, counts the mirror images and hands the octant on with the
+counts, so figure_data takes its box points from the same enumeration
+(r2_range yields the counts alone), prime_angles keeps the points
 on prime circles, and abs_S_sweep, the one |S| generator behind
 abs_S_closed_range, avg_abs_S and the harness's equidistribution term,
 bins the real part of ((x + iy) / sqrt(n))^k by n for each requested k,
-counts the mirror images as r2_range does and evaluates |S| only at the
+counts the mirror images as r2_sweep does and evaluates |S| only at the
 n whose circle has points.
 exp_sum_direct returns S(n, k) for one n as a complex.  |S(n,k)|/4 is
 multiplicative in n and vanishes unless 4 | k; for one n, exp_sum_closed
@@ -275,11 +277,13 @@ def annulus_points(s: int, e: int, lo: int, hi: int):
 # arrays; at 2**17 radii a segment's traced peak is under 4 MB.
 R2_SEGMENT = 1 << 17
 
-# A segment of r2_range holds about 64 bytes for each of its octant rows,
-# isqrt(e) - isqrt((s - 1) / 2) of them, plus its own points: a traced peak
-# of 19.6 bytes per isqrt(e) for the segment at n = 10**12.  The budget
-# counts ceil(sqrt(n_hi)) rows, which leaves room for those; an n_hi within
-# it is below 2**52, where _isqrt is exact.
+# A segment of r2_sweep holds about 64 bytes for each of its octant rows,
+# isqrt(e) - isqrt((s - 1) / 2) of them, plus 24 for each of its points
+# (y, its x^2 + y^2 - s, which outlives the bincount, and one temporary):
+# a traced peak of 19.6 bytes per isqrt(e) for the segment at n = 10**12,
+# and 1.9 MB for one of 2**17 radii below 2 * 10**8, where points outnumber
+# rows.  The budget counts ceil(sqrt(n_hi)) rows, which leaves room for
+# those; an n_hi within it is below 2**52, where _isqrt is exact.
 R2_RANGE_BYTES_PER_ROW = 72
 
 
@@ -297,30 +301,41 @@ def _octant_segments(n_lo: int, n_hi: int):
         yield s, e, *annulus_points(s, e, 0, math.isqrt(e)), a1 * a1 - s, 2 * a2 * a2 - s
 
 
-def r2_range(n_lo: int, n_hi: int):
-    """Yield (lo, r2 array) per R2_SEGMENT segment of [n_lo, n_hi], from lattice points.
+def r2_sweep(n_lo: int, n_hi: int):
+    """Yield (s, r2, x, count, y, n) per R2_SEGMENT segment [s, e] of [n_lo, n_hi].
 
     The octant x >= 1, 0 <= y <= x meets every circle n >= 1, and the
     mirror (x, y) -> (y, x) and the quarter turns carry it onto the rest of
     the circle.  An axis point (x, 0) and a diagonal point (x, x) are each
     their own mirror, so r2(n) = 8 * #octant(n) - 4 [n = x^2] - 4 [n = 2 x^2].
-    Per segment [s, e] the octant comes from _octant_segments, binned by
-    x^2 + y^2 - s; nothing is factorized.  The arrays are int64.  An n_hi
-    whose ceil(sqrt(n_hi)) rows pass the memory budget raises
-    PreconditionError before anything is allocated.
+    Per segment the octant rows (x, count, y) come from _octant_segments,
+    and n holds each point's x^2 + y^2 - s, by which np.bincount bins
+    them into r2[n' - s] for s <= n' <= e; nothing is factorized.  The
+    octant is handed on with r2, so a reader of the points on the
+    segment's circles (figure_data) enumerates nothing again.  The arrays
+    are int64.  An n_hi whose ceil(sqrt(n_hi)) rows pass the memory budget
+    raises PreconditionError before anything is allocated.
     """
     if n_lo < 1:
         raise PreconditionError(f"r2_range requires n_lo >= 1, got {n_lo}")
     k = math.isqrt(max(n_hi, 0))
     rows = k + (k * k < n_hi)  # ceil(sqrt(n_hi))
     check_memory(f"r2_range to n_hi = {n_hi}: ceil(sqrt(n_hi)) rows", rows, R2_RANGE_BYTES_PER_ROW)
-    for s, e, x, count, n, axis, diag in _octant_segments(n_lo, n_hi):
-        n *= n
+    for s, e, x, count, y, axis, diag in _octant_segments(n_lo, n_hi):
+        n = y * y
         n += np.repeat(x * x - s, count)
         r2 = np.bincount(n, minlength=e - s + 1)
         r2 *= 8
         r2[axis] -= 4
         r2[diag] -= 4
+        yield s, r2, x, count, y, n
+        del r2, x, count, y, n  # not held while the next segment is built
+
+
+def r2_range(n_lo: int, n_hi: int):
+    """Yield (s, r2 array) per R2_SEGMENT segment of [n_lo, n_hi]: r2_sweep's
+    counts without its points, r2[i] = r2(s + i)."""
+    for s, r2, *_ in r2_sweep(n_lo, n_hi):
         yield s, r2
 
 

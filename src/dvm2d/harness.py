@@ -296,44 +296,53 @@ class FigureData:
 
 # A kept point is held as four int64 values (x, y, n, r2) while the segments
 # stream, a mirrored point as its own four, and the final lexsort and gathers
-# add at most as much again.  The traced peak is FIGURE_BYTES_PER_POINT plus
-# under 0.6 MB: 65.5 bytes per point for the 361200 points of the box
-# (0, 600, 4), 64.2 for the 2253000 of (0, 1500, 4).
+# add at most as much again.  Beyond that one segment is held at a time:
+# r2_sweep's octant and counts and the box's r2 values, 4.9 MB for the box
+# (0, 20000, 384), the most measured.  The traced peak is 64.1 bytes per
+# point for the 361200 points of the box (0, 600, 4), 64.0 for the 2253000
+# of (0, 1500, 4).
 FIGURE_BYTES_PER_POINT = 64
 
 
 def figure_data(query: FigureQuery) -> FigureData:
     """All box points whose circles meet the point-count threshold.
 
-    circles.r2_range streams r2 over the reachable squared radii
-    [2 lo^2, 2 hi^2]; for each of its segments circles.annulus_points gives
-    the points of the half box lo <= y <= x <= hi on those radii, whose r2
-    is then read by indexing.  The mirror (y, x) of a kept point lies on
-    the same circle and in the box, so each kept point off the diagonal is
-    kept mirrored too.  No circle is enumerated or factorized.  One lexsort
-    orders the kept points.  When the kept points would pass the
-    memory budget the query raises PreconditionError before that segment
-    is stored.
+    circles.r2_sweep streams r2 over the reachable squared radii
+    [2 lo^2, 2 hi^2] together with the octant points it binned.  A point
+    lo <= y <= x on a radius n >= 2 lo^2 has x >= lo, so the points of
+    the half box lo <= y <= x <= hi are the octant rows x <= hi, a prefix,
+    less the points y < lo when lo > 0; each reads its r2 at the offset
+    n - s that the bincount used, and the x of a kept point is its row's.
+    The mirror (y, x) of a kept point lies on the same circle and in the
+    box, so each kept point off the diagonal is kept mirrored too.  No
+    circle is enumerated or factorized, and no lattice point is laid down
+    twice.  One lexsort orders the kept points.  When the kept points
+    would pass the memory budget the query raises PreconditionError
+    before that segment is stored.
     """
     lo, hi = query.coord_min, query.coord_max
     cut = query.threshold if query.comparison == "ge" else query.threshold + 1
 
     kept: list[list[np.ndarray]] = [[], [], [], []]  # x, y, n, r2 per segment
     total = 0
-    for s, r2_vals in circles.r2_range(max(1, 2 * lo * lo), 2 * hi * hi):
-        e = s + len(r2_vals) - 1
-        x, count, ys = circles.annulus_points(s, e, lo, hi)
-        xs = np.repeat(x, count)
-        ns = xs * xs + ys * ys
-        rs = r2_vals[ns - s]
-        keep = np.flatnonzero(rs >= cut)
-        xs, ys, ns, rs = xs[keep], ys[keep], ns[keep], rs[keep]
+    for s, r2_vals, x, count, y, n in circles.r2_sweep(max(1, 2 * lo * lo), 2 * hi * hi):
+        rows = int(np.searchsorted(x, hi, side="right"))  # the rows x <= hi
+        ends = np.cumsum(count[:rows])
+        box = int(ends[-1]) if rows else 0
+        rs = r2_vals[n[:box]]
+        keep = rs >= cut
+        if lo > 0:
+            keep &= y[:box] >= lo
+        keep = np.flatnonzero(keep)
+        xs = x[np.searchsorted(ends, keep, side="right")]
+        ys, ns, rs = y[keep], n[keep] + s, rs[keep]
         off = xs != ys
         total += len(xs) + int(np.count_nonzero(off))
         what = "figure_data's kept points (raise the threshold or shrink the box)"
         check_memory(what, total, FIGURE_BYTES_PER_POINT)
         for chunks, a, mirror in zip(kept, (xs, ys, ns, rs), (ys, xs, ns, rs)):
             chunks.append(np.concatenate((a, mirror[off])))
+        del r2_vals, x, count, y, n  # with r2_sweep's own del, one segment at a time
 
     cols = []
     for chunks in kept:  # each column's chunks go as soon as it is joined

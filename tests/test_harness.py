@@ -435,6 +435,37 @@ def test_figure_data_refusal_counts_the_mirror_exactly(monkeypatch, query, segme
         harness.figure_data(q)
 
 
+@pytest.mark.parametrize("segment", [97, 1000, 1 << 17])
+@pytest.mark.parametrize(
+    "query", [(0, 150, 8, "ge"), (0, 260, 48, "gt"), (37, 150, 8, "gt"), (90, 260, 24, "ge")])
+def test_figure_data_matches_enumeration_across_segment_ends(monkeypatch, segment, query):
+    """The box rows x <= hi are a prefix of each segment's octant rows, and
+    for lo > 0 the points y < lo drop out; segment ends that cut through
+    those rows, or hold none of them, change nothing."""
+    monkeypatch.setattr(circles, "R2_SEGMENT", segment)
+    q = harness.FigureQuery(*query)
+    assert_same_figure(harness.figure_data(q), enumerated_figure_data(q))
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 150), (37, 150), (150, 150)])
+def test_figure_data_enumerates_each_segment_once(monkeypatch, lo, hi):
+    """The box points come off r2_sweep's own octant: one annulus_points
+    call per segment of the r2 range, none of figure_data's own."""
+    annulus_points = circles.annulus_points
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return annulus_points(*args)
+
+    monkeypatch.setattr(circles, "R2_SEGMENT", 1000)
+    monkeypatch.setattr(circles, "annulus_points", counted)
+    harness.figure_data(harness.FigureQuery(lo, hi, 8))
+    segments = range(max(1, 2 * lo * lo), 2 * hi * hi + 1, circles.R2_SEGMENT)
+    assert [args[:2] for args in calls] == [
+        (s, min(s + circles.R2_SEGMENT - 1, 2 * hi * hi)) for s in segments]
+
+
 def test_figure_data_traced_peak_within_its_bytes_per_point():
     tracemalloc.start()
     try:
